@@ -82,7 +82,8 @@ RunResult RunScheduled(Marking marking, bool strict_priority,
   DumbbellConfig topo_config;
   topo_config.senders = 7;
   topo_config.base_rtt = Time::FromMicroseconds(80);
-  Dumbbell topo(sim, topo_config, std::move(disc));
+  Dumbbell topo(sim, topo_config,
+                [&disc](BufferPolicy*) { return std::move(disc); });
   topo.SetSenderExtraDelays(RttExtraQuantiles(7, Time::FromMicroseconds(160),
                                               RttProfile::kLeafSpine));
   const std::uint32_t receiver = topo.receiver_address();

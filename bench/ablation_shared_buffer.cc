@@ -10,7 +10,7 @@
 #include <memory>
 
 #include "bench_common.h"
-#include "net/shared_buffer.h"
+#include "buffer/policies.h"
 #include "sched/fifo_queue_disc.h"
 #include "sim/simulator.h"
 #include "stats/fct_collector.h"
@@ -32,23 +32,22 @@ Result RunOne(bool shared, std::size_t fanout, std::uint64_t seed) {
   const SchemeParams params = SimulationSchemeParams();
   // Total chip buffer: 12 ports x 600 packets.
   const std::uint64_t total = 12ull * params.buffer_bytes;
-  auto pool = std::make_unique<SharedBufferPool>(total, /*alpha=*/1.0);
-
-  std::unique_ptr<QueueDisc> disc;
-  if (shared) {
-    disc = std::make_unique<FifoQueueDisc>(*pool,
-                                           MakeAqm(Scheme::kEcnSharp, params));
-  } else {
-    disc = std::make_unique<FifoQueueDisc>(params.buffer_bytes,
-                                           MakeAqm(Scheme::kEcnSharp, params));
-  }
+  auto pool = std::make_unique<DynamicThresholdPolicy>(total, /*alpha=*/1.0);
 
   DumbbellConfig topo_config;
   topo_config.senders = 16;
   topo_config.base_rtt = Time::FromMicroseconds(80);
   topo_config.buffer_bytes = params.buffer_bytes;
   topo_config.tcp = IncastExperimentConfig::SmallInitialWindowTcp();
-  Dumbbell topo(sim, topo_config, std::move(disc));
+  Dumbbell topo(sim, topo_config,
+                [&](BufferPolicy*) -> std::unique_ptr<QueueDisc> {
+                  if (shared) {
+                    return std::make_unique<FifoQueueDisc>(
+                        *pool, MakeAqm(Scheme::kEcnSharp, params));
+                  }
+                  return std::make_unique<FifoQueueDisc>(
+                      params.buffer_bytes, MakeAqm(Scheme::kEcnSharp, params));
+                });
   topo.SetSenderExtraDelays(RttExtraQuantiles(16, Time::FromMicroseconds(160),
                                               RttProfile::kLeafSpine));
   const std::uint32_t receiver = topo.receiver_address();

@@ -42,18 +42,18 @@ Result RunOne(bool persistent_marking, std::size_t senders,
   aqm_config.pst_interval = Time::FromMicroseconds(240);
   if (!persistent_marking) aqm_config.pst_target = Time::Max() / 4;
 
-  // RoCE fabrics are lossless (PFC); emulate that with a buffer deep
-  // enough that ECN marking is the only congestion signal.
-  auto disc = std::make_unique<FifoQueueDisc>(
-      8ull * 1024 * 1024,
-      std::make_unique<EcnSharpProbabilisticAqm>(aqm_config, seed));
-
   DumbbellConfig topo_config;
   topo_config.senders = senders;
   topo_config.base_rtt = Time::FromMicroseconds(80);
   // RDMA hosts with 40G NICs into the 10G fabric port.
   topo_config.rate = DataRate::GigabitsPerSecond(10);
-  Dumbbell topo(sim, topo_config, std::move(disc));
+  // RoCE fabrics are lossless (PFC); emulate that with a buffer deep
+  // enough that ECN marking is the only congestion signal.
+  Dumbbell topo(sim, topo_config, [&aqm_config, seed](BufferPolicy*) {
+    return std::make_unique<FifoQueueDisc>(
+        8ull * 1024 * 1024,
+        std::make_unique<EcnSharpProbabilisticAqm>(aqm_config, seed));
+  });
   topo.SetSenderExtraDelays(RttExtraQuantiles(
       senders, Time::FromMicroseconds(160), RttProfile::kLeafSpine));
 

@@ -37,24 +37,24 @@ DwrrRunResult RunDwrrExperiment(SchedScheme scheme, std::size_t probe_flows,
   Simulator sim;
   const SchemeParams params = SimulationSchemeParams();
 
-  std::vector<DwrrQueueDisc::ClassConfig> classes;
-  const std::uint32_t weights[] = {2, 1, 1};
-  for (const std::uint32_t w : weights) {
-    std::unique_ptr<AqmPolicy> aqm;
-    if (scheme == SchedScheme::kEcnSharp) {
-      aqm = std::make_unique<EcnSharpAqm>(params.ecn_sharp);
-    } else {
-      aqm = std::make_unique<TcnAqm>(params.tcn_threshold);
-    }
-    classes.push_back({w, std::move(aqm)});
-  }
-  auto disc = std::make_unique<DwrrQueueDisc>(params.buffer_bytes,
-                                              std::move(classes));
-
   DumbbellConfig topo_config;
   topo_config.senders = 7;
   topo_config.base_rtt = Time::FromMicroseconds(80);
-  Dumbbell topo(sim, topo_config, std::move(disc));
+  Dumbbell topo(sim, topo_config, [&params, scheme](BufferPolicy*) {
+    std::vector<DwrrQueueDisc::ClassConfig> classes;
+    const std::uint32_t weights[] = {2, 1, 1};
+    for (const std::uint32_t w : weights) {
+      std::unique_ptr<AqmPolicy> aqm;
+      if (scheme == SchedScheme::kEcnSharp) {
+        aqm = std::make_unique<EcnSharpAqm>(params.ecn_sharp);
+      } else {
+        aqm = std::make_unique<TcnAqm>(params.tcn_threshold);
+      }
+      classes.push_back({w, std::move(aqm)});
+    }
+    return std::make_unique<DwrrQueueDisc>(params.buffer_bytes,
+                                           std::move(classes));
+  });
   topo.SetSenderExtraDelays(
       RttExtraQuantiles(7, Time::FromMicroseconds(160)));
   const std::uint32_t receiver = topo.receiver_address();

@@ -47,11 +47,12 @@ class HysteresisMarkAqm : public AqmPolicy {
   bool marking_ = false;
 };
 
-// Runs the web-search workload over a dumbbell with an arbitrary disc.
-ExperimentResult RunWithDisc(std::unique_ptr<QueueDisc> disc) {
+// Runs the web-search workload over a dumbbell whose bottleneck disc
+// `make_disc` builds.
+ExperimentResult RunWithDisc(const DiscFactory& make_disc) {
   Simulator sim;
   DumbbellConfig topo_config;
-  Dumbbell topo(sim, topo_config, std::move(disc));
+  Dumbbell topo(sim, topo_config, make_disc);
   topo.SetSenderExtraDelays(
       RttExtraQuantiles(topo.sender_count(), Time::FromMicroseconds(140)));
 
@@ -94,13 +95,14 @@ int main() {
                   TablePrinter::FmtUs(r.large_flows.avg_us)});
   };
 
-  add("hysteresis 60/200us",
-      RunWithDisc(std::make_unique<FifoQueueDisc>(
-          params.buffer_bytes,
-          std::make_unique<HysteresisMarkAqm>(Time::FromMicroseconds(60),
-                                              Time::FromMicroseconds(200)))));
+  add("hysteresis 60/200us", RunWithDisc([&params](BufferPolicy*) {
+        return std::make_unique<FifoQueueDisc>(
+            params.buffer_bytes,
+            std::make_unique<HysteresisMarkAqm>(Time::FromMicroseconds(60),
+                                                Time::FromMicroseconds(200)));
+      }));
   add("ECN# (paper config)",
-      RunWithDisc(MakeFifoDisc(Scheme::kEcnSharp, params)));
+      RunWithDisc(FifoDiscFactory(Scheme::kEcnSharp, params)));
   table.Print();
 
   std::printf(

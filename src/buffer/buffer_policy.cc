@@ -34,16 +34,7 @@ void BufferPolicy::Release(std::size_t queue, std::uint32_t packet_bytes) {
                std::to_string(packet_bytes));
   }
   state.bytes -= packet_bytes;
-  SubUsed(packet_bytes);
-}
-
-void BufferPolicy::SubUsed(std::uint32_t packet_bytes) {
-  if (used_bytes_ < packet_bytes) {
-    FatalError("shared buffer release underflow: pool holds " +
-               std::to_string(used_bytes_) + " bytes, released " +
-               std::to_string(packet_bytes));
-  }
-  used_bytes_ -= packet_bytes;
+  used_bytes_ -= packet_bytes;  // the pool holds the sum of its queues
 }
 
 std::uint64_t BufferPolicy::queue_bytes(std::size_t queue) const {

@@ -66,12 +66,6 @@ class BufferPolicy {
   const std::vector<QueueState>& queues() const { return queues_; }
   std::uint64_t free_bytes() const { return total_bytes_ - used_bytes_; }
 
-  // Pool-level accounting for legacy callers that track their own per-queue
-  // bytes (SharedBufferPool's anonymous-queue interface). SubUsed carries the
-  // same fail-fast underflow guard as Release.
-  void AddUsed(std::uint32_t packet_bytes) { used_bytes_ += packet_bytes; }
-  void SubUsed(std::uint32_t packet_bytes);
-
  private:
   std::uint64_t total_bytes_;
   std::uint64_t used_bytes_ = 0;

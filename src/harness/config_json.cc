@@ -74,20 +74,6 @@ Json ToJson(const BufferPolicyConfig& policy) {
   return json;
 }
 
-namespace {
-
-// Mixed-CC / shared-buffer keys are omitted at their defaults so records of
-// pure-DCTCP, statically buffered runs are unchanged.
-void SetCcAndBufferKeys(Json& json, double cc_mix,
-                        const BufferPolicyConfig& policy) {
-  if (cc_mix > 0.0) json.Set("cc_mix", Json::Num(cc_mix));
-  if (policy.kind != BufferPolicyKind::kNone) {
-    json.Set("buffer_policy", ToJson(policy));
-  }
-}
-
-}  // namespace
-
 Json ToJson(const ScenarioAction& action) {
   return Json::Object()
       .Set("kind", Json::Str(ScenarioActionKindName(action.kind)))
@@ -217,80 +203,6 @@ bool ParseScenarioScript(const std::string& text, ScenarioScript* out,
   return ScenarioScriptFromJson(doc, out, error);
 }
 
-Json ToJson(const DumbbellExperimentConfig& config) {
-  Json json = Json::Object()
-      .Set("topology", Json::Str("dumbbell"))
-      .Set("scheme", Json::Str(SchemeName(config.scheme)))
-      .Set("workload", Json::Str(WorkloadName(config.workload)))
-      .Set("load", Json::Num(config.load))
-      .Set("flows", Json::UInt(config.flows))
-      .Set("rtt_variation", Json::Num(config.rtt_variation))
-      .Set("base_rtt_us", TimeUs(config.base_rtt))
-      .Set("senders", Json::UInt(config.senders))
-      .Set("rate_bps", Json::Int(config.rate.bps()))
-      .Set("seed", Json::UInt(config.seed))
-      .Set("queue_sample_period_us", TimeUs(config.queue_sample_period))
-      .Set("max_sim_time_us", TimeUs(config.max_sim_time))
-      .Set("tcp", ToJson(config.tcp))
-      .Set("params", ToJson(config.params));
-  // Key omitted for static-network configs so their records are unchanged.
-  if (!config.scenario.empty()) {
-    json.Set("scenario", ToJson(config.scenario));
-  }
-  SetCcAndBufferKeys(json, config.cc_mix, config.buffer_policy);
-  return json;
-}
-
-Json ToJson(const LeafSpineExperimentConfig& config) {
-  Json json = Json::Object()
-      .Set("topology", Json::Str("leafspine"))
-      .Set("scheme", Json::Str(SchemeName(config.scheme)))
-      .Set("workload", Json::Str(WorkloadName(config.workload)))
-      .Set("load", Json::Num(config.load))
-      .Set("flows", Json::UInt(config.flows))
-      .Set("spines", Json::UInt(config.topo.spines))
-      .Set("leaves", Json::UInt(config.topo.leaves))
-      .Set("hosts_per_leaf", Json::UInt(config.topo.hosts_per_leaf))
-      .Set("rate_bps", Json::Int(config.topo.rate.bps()))
-      .Set("max_extra_delay_us", TimeUs(config.max_extra_delay))
-      .Set("seed", Json::UInt(config.seed))
-      .Set("queue_sample_period_us", TimeUs(config.queue_sample_period))
-      .Set("max_sim_time_us", TimeUs(config.max_sim_time))
-      .Set("tcp", ToJson(config.topo.tcp))
-      .Set("params", ToJson(config.params));
-  // Key omitted for static-network configs so their records are unchanged.
-  if (!config.scenario.empty()) {
-    json.Set("scenario", ToJson(config.scenario));
-  }
-  SetCcAndBufferKeys(json, config.cc_mix, config.buffer_policy);
-  return json;
-}
-
-Json ToJson(const FatTreeExperimentConfig& config) {
-  Json json = Json::Object()
-      .Set("topology", Json::Str("fattree"))
-      .Set("scheme", Json::Str(SchemeName(config.scheme)))
-      .Set("workload", Json::Str(WorkloadName(config.workload)))
-      .Set("load", Json::Num(config.load))
-      .Set("flows", Json::UInt(config.flows))
-      .Set("k", Json::UInt(config.topo.k))
-      .Set("rate_bps", Json::Int(config.topo.rate.bps()))
-      .Set("host_link_delay_us", TimeUs(config.topo.host_link_delay))
-      .Set("fabric_link_delay_us", TimeUs(config.topo.fabric_link_delay))
-      .Set("max_extra_delay_us", TimeUs(config.max_extra_delay))
-      .Set("seed", Json::UInt(config.seed))
-      .Set("queue_sample_period_us", TimeUs(config.queue_sample_period))
-      .Set("max_sim_time_us", TimeUs(config.max_sim_time))
-      .Set("tcp", ToJson(config.topo.tcp))
-      .Set("params", ToJson(config.params));
-  // Key omitted for static-network configs so their records are unchanged.
-  if (!config.scenario.empty()) {
-    json.Set("scenario", ToJson(config.scenario));
-  }
-  SetCcAndBufferKeys(json, config.cc_mix, config.buffer_policy);
-  return json;
-}
-
 namespace {
 
 // One side of a composed fabric: its family plus the dimensions that pick
@@ -314,17 +226,53 @@ Json SideToJson(const ComposedSideConfig& side) {
       .Set("tcp", ToJson(side.fat_tree.tcp));
 }
 
-}  // namespace
+// The per-family part of a fabric record: its topology name, keys that
+// follow "workload" (`head`) and "flows" (`shape`), and the TCP config it
+// records (the inter-DC record has none; each side records its own).
+struct ShapeRecord {
+  const char* topology;
+  Json head = Json::Object();
+  Json shape = Json::Object();
+  const TcpConfig* tcp = nullptr;
+};
 
-Json ToJson(const InterDcExperimentConfig& config) {
-  Json json = Json::Object()
-      .Set("topology", Json::Str("interdc"))
-      .Set("scheme", Json::Str(SchemeName(config.scheme)))
-      .Set("workload", Json::Str(WorkloadName(config.workload)))
-      .Set("inter_workload", Json::Str(WorkloadName(config.inter_workload)))
-      .Set("load", Json::Num(config.load))
-      .Set("flows", Json::UInt(config.flows))
-      .Set("inter_fraction", Json::Num(config.inter_fraction))
+ShapeRecord Shape(const DumbbellExperimentConfig& config) {
+  ShapeRecord record{"dumbbell"};
+  record.shape.Set("rtt_variation", Json::Num(config.rtt_variation))
+      .Set("base_rtt_us", TimeUs(config.base_rtt))
+      .Set("senders", Json::UInt(config.senders))
+      .Set("rate_bps", Json::Int(config.rate.bps()));
+  record.tcp = &config.tcp;
+  return record;
+}
+
+ShapeRecord Shape(const LeafSpineExperimentConfig& config) {
+  ShapeRecord record{"leafspine"};
+  record.shape.Set("spines", Json::UInt(config.topo.spines))
+      .Set("leaves", Json::UInt(config.topo.leaves))
+      .Set("hosts_per_leaf", Json::UInt(config.topo.hosts_per_leaf))
+      .Set("rate_bps", Json::Int(config.topo.rate.bps()))
+      .Set("max_extra_delay_us", TimeUs(config.max_extra_delay));
+  record.tcp = &config.topo.tcp;
+  return record;
+}
+
+ShapeRecord Shape(const FatTreeExperimentConfig& config) {
+  ShapeRecord record{"fattree"};
+  record.shape.Set("k", Json::UInt(config.topo.k))
+      .Set("rate_bps", Json::Int(config.topo.rate.bps()))
+      .Set("host_link_delay_us", TimeUs(config.topo.host_link_delay))
+      .Set("fabric_link_delay_us", TimeUs(config.topo.fabric_link_delay))
+      .Set("max_extra_delay_us", TimeUs(config.max_extra_delay));
+  record.tcp = &config.topo.tcp;
+  return record;
+}
+
+ShapeRecord Shape(const InterDcExperimentConfig& config) {
+  ShapeRecord record{"interdc"};
+  record.head.Set("inter_workload",
+                  Json::Str(WorkloadName(config.inter_workload)));
+  record.shape.Set("inter_fraction", Json::Num(config.inter_fraction))
       .Set("side_a", SideToJson(config.topo.side_a))
       .Set("side_b", SideToJson(config.topo.side_b))
       .Set("border_links", Json::UInt(config.topo.border_links))
@@ -332,20 +280,44 @@ Json ToJson(const InterDcExperimentConfig& config) {
       .Set("border_rtt_us", TimeUs(config.topo.border_rtt))
       .Set("attach_delay_us", TimeUs(config.topo.attach_delay))
       .Set("inter_rtt_fraction", Json::Num(config.topo.inter_rtt_fraction))
-      .Set("max_extra_delay_us", TimeUs(config.max_extra_delay))
-      .Set("seed", Json::UInt(config.seed))
+      .Set("max_extra_delay_us", TimeUs(config.max_extra_delay));
+  return record;
+}
+
+void Append(Json& json, const Json& keys) {
+  for (const auto& [key, value] : keys.members()) json.Set(key, value);
+}
+
+// The one fabric record: shared fields around the family's shape keys.
+template <typename Config>
+Json ConfigRecord(const Config& config) {
+  const ShapeRecord shape = Shape(config);
+  Json json = Json::Object()
+      .Set("topology", Json::Str(shape.topology))
+      .Set("scheme", Json::Str(SchemeName(config.scheme)))
+      .Set("workload", Json::Str(WorkloadName(config.workload)));
+  Append(json, shape.head);
+  json.Set("load", Json::Num(config.load))
+      .Set("flows", Json::UInt(config.flows));
+  Append(json, shape.shape);
+  json.Set("seed", Json::UInt(config.seed))
       .Set("queue_sample_period_us", TimeUs(config.queue_sample_period))
-      .Set("max_sim_time_us", TimeUs(config.max_sim_time))
-      .Set("params", ToJson(config.params));
-  // Key omitted for static-network configs so their records are unchanged.
+      .Set("max_sim_time_us", TimeUs(config.max_sim_time));
+  if (shape.tcp != nullptr) json.Set("tcp", ToJson(*shape.tcp));
+  json.Set("params", ToJson(config.params));
+  // Optional keys are omitted at their defaults so records of static,
+  // pure-DCTCP, statically buffered runs are unchanged.
   if (!config.scenario.empty()) {
     json.Set("scenario", ToJson(config.scenario));
   }
-  SetCcAndBufferKeys(json, config.cc_mix, config.buffer_policy);
+  if (config.cc_mix > 0.0) json.Set("cc_mix", Json::Num(config.cc_mix));
+  if (config.buffer_policy.kind != BufferPolicyKind::kNone) {
+    json.Set("buffer_policy", ToJson(config.buffer_policy));
+  }
   return json;
 }
 
-Json ToJson(const IncastExperimentConfig& config) {
+Json ConfigRecord(const IncastExperimentConfig& config) {
   return Json::Object()
       .Set("topology", Json::Str("incast"))
       .Set("scheme", Json::Str(SchemeName(config.scheme)))
@@ -363,6 +335,12 @@ Json ToJson(const IncastExperimentConfig& config) {
       .Set("max_sim_time_us", TimeUs(config.max_sim_time))
       .Set("tcp", ToJson(config.tcp))
       .Set("params", ToJson(config.params));
+}
+
+}  // namespace
+
+Json ToJson(const ExperimentConfig& config) {
+  return std::visit([](const auto& c) { return ConfigRecord(c); }, config);
 }
 
 Json ToJson(const FctSummary& summary) {

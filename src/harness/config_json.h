@@ -37,11 +37,10 @@ bool ScenarioScriptFromJson(const Json& json, ScenarioScript* out,
 bool ParseScenarioScript(const std::string& text, ScenarioScript* out,
                          std::string* error = nullptr);
 
-Json ToJson(const DumbbellExperimentConfig& config);
-Json ToJson(const LeafSpineExperimentConfig& config);
-Json ToJson(const FatTreeExperimentConfig& config);
-Json ToJson(const InterDcExperimentConfig& config);
-Json ToJson(const IncastExperimentConfig& config);
+// Any experiment's config record. Keys are fixed per family: the shared
+// fields in one order around the family's shape keys, and optional keys
+// (scenario, cc_mix, buffer_policy) only when set.
+Json ToJson(const ExperimentConfig& config);
 
 Json ToJson(const FctSummary& summary);
 Json ToJson(const QueueDiscStats& stats);

@@ -1,12 +1,13 @@
-// The three experiment runners, each a thin configuration of an
-// ExperimentSession over a Topology. Everything they share — generator
-// wiring, monitors, scenario hooks, the run loop, result filling — lives in
-// harness/session.cc.
+// The experiment runners: one fabric runner the four fabric families
+// configure, plus the incast runner. Everything they share with each other —
+// generator wiring, monitors, scenario hooks, the run loop, result filling —
+// lives in harness/session.cc.
 #include "harness/experiment.h"
 
 #include <cmath>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "harness/session.h"
@@ -17,105 +18,195 @@
 
 namespace ecnsharp {
 
-ExperimentResult RunDumbbell(const DumbbellExperimentConfig& config) {
-  ExperimentSessionConfig session_config;
-  session_config.workload = config.workload;
-  session_config.load = config.load;
-  session_config.flows = config.flows;
-  session_config.seed = config.seed;
-  // Per-sender netem extras spanning the requested RTT variation.
-  session_config.rtt_assignment =
-      ExperimentSessionConfig::RttAssignment::kQuantiles;
-  session_config.max_rtt_extra = config.base_rtt * (config.rtt_variation - 1.0);
-  session_config.rtt_profile = RttProfile::kTestbed;
-  session_config.queue_sample_period = config.queue_sample_period;
-  session_config.max_sim_time = config.max_sim_time;
-  session_config.scenario = config.scenario;
-  session_config.trace = config.trace;
-  session_config.sketch = config.sketch;
-  session_config.estimator = config.estimator;
-  session_config.cc_mix = config.cc_mix;
+namespace {
+
+using RttAssignment = ExperimentSessionConfig::RttAssignment;
+
+// Session config from the shared fields plus the family's RTT assignment.
+ExperimentSessionConfig SessionConfig(const ExperimentCommon& config,
+                                      RttAssignment rtt_assignment,
+                                      Time max_rtt_extra,
+                                      RttProfile rtt_profile) {
+  ExperimentSessionConfig session;
+  session.workload = config.workload;
+  session.load = config.load;
+  session.flows = config.flows;
+  session.seed = config.seed;
+  session.rtt_assignment = rtt_assignment;
+  session.max_rtt_extra = max_rtt_extra;
+  session.rtt_profile = rtt_profile;
+  session.queue_sample_period = config.queue_sample_period;
+  session.max_sim_time = config.max_sim_time;
+  session.scenario = config.scenario;
+  session.trace = config.trace;
+  session.sketch = config.sketch;
+  session.estimator = config.estimator;
+  session.cc_mix = config.cc_mix;
+  return session;
+}
+
+// Traffic a family wires by hand after Bind; the single fabrics have none.
+struct NoExtraTraffic {
+  template <typename Config, typename Topo>
+  NoExtraTraffic(const Config&, Topo&, ExperimentSession&) {}
+  bool Pending() const { return false; }
+  void Finish(ExperimentResult&) const {}
+};
+
+// The one fabric runner: the session, the topology with the scheme's FIFO
+// disc on every switch egress port (buffer size and policy from the shared
+// fields), Bind, the family's extra traffic, Run until that has drained
+// too, Result.
+template <typename Topo, typename Extra = NoExtraTraffic, typename Config,
+          typename TopoConfig>
+ExperimentResult RunFabric(const Config& config,
+                           ExperimentSessionConfig session_config,
+                           TopoConfig topo_config) {
   ExperimentSession session(std::move(session_config));
-
-  DumbbellConfig topo_config;
-  topo_config.senders = config.senders;
-  topo_config.rate = config.rate;
-  topo_config.base_rtt = config.base_rtt;
   topo_config.buffer_bytes = config.params.buffer_bytes;
-  topo_config.tcp = config.tcp;
   topo_config.buffer_policy = config.buffer_policy;
-  Dumbbell topo(session.sim(), topo_config, [&config](BufferPolicy* pool) {
-    return MakeFifoDisc(config.scheme, config.params, pool);
-  });
-
+  Topo topo(session.sim(), topo_config,
+            FifoDiscFactory(config.scheme, config.params));
   session.Bind(topo);
-  session.Run();
-  return session.Result();
+  Extra extra(config, topo, session);
+  session.Run([&extra] { return extra.Pending(); });
+  ExperimentResult result = session.Result();
+  extra.Finish(result);
+  return result;
+}
+
+// RunInterDc's split traffic matrix. Per-side extras and intra generators
+// come from Rng(seed + side), in the draw order of ExperimentSession::Bind's
+// kPerHostSample-then-Fork, so a zero-border composed run reproduces the
+// standalone runs byte-for-byte; the cross-border generator comes from
+// Rng(seed + 2).
+class SplitTraffic {
+ public:
+  SplitTraffic(const InterDcExperimentConfig& config, ComposedTopology& topo,
+               ExperimentSession& session) {
+    Simulator& sim = session.sim();
+    FctCollector& collector = session.collector();
+    // Flow split: round(f * flows) cross the border, the rest alternate-split
+    // across the sides (side A gets the odd one).
+    const auto inter_flows = static_cast<std::size_t>(std::llround(
+        config.inter_fraction * static_cast<double>(config.flows)));
+    const std::size_t intra_flows = config.flows - inter_flows;
+    const std::size_t side_flows[2] = {(intra_flows + 1) / 2, intra_flows / 2};
+
+    for (std::size_t s = 0; s < 2; ++s) {
+      Rng rng(config.seed + s);
+      for (std::size_t i = 0; i < topo.side_host_count(s); ++i) {
+        topo.side(s).host(i).set_extra_egress_delay(SampleRttExtra(
+            rng, config.max_extra_delay, RttProfile::kLeafSpine));
+      }
+      if (side_flows[s] == 0) continue;
+      TrafficConfig traffic;
+      traffic.load = config.load;
+      traffic.reference_capacity = topo.side(s).ReferenceCapacity();
+      traffic.flow_count = side_flows[s];
+      traffic.cubic_fraction = config.cc_mix;
+      generators_[s] = std::make_unique<TrafficGenerator>(
+          sim, *config.workload, traffic,
+          [&topo, s](Rng& r) { return topo.SampleIntraPair(s, r); },
+          [this, &collector, s](const FlowRecord& record) {
+            collector.Record(record);
+            intra_.Record(record);
+            sides_[s].Record(record);
+          },
+          rng.Fork());
+    }
+
+    // Cross-border generator: its load targets the border aggregate (the
+    // inter-DC bottleneck), not the combined fabric capacity — f * L of the
+    // fabric bisection would oversaturate an oversubscribed border and never
+    // drain.
+    if (inter_flows > 0) {
+      Rng rng(config.seed + 2);
+      TrafficConfig traffic;
+      traffic.load = config.load;
+      traffic.reference_capacity = DataRate::BitsPerSecond(
+          config.topo.border_rate.bps() *
+          static_cast<std::int64_t>(config.topo.border_links));
+      traffic.flow_count = inter_flows;
+      traffic.cubic_fraction = config.cc_mix;
+      generators_[2] = std::make_unique<TrafficGenerator>(
+          sim, *config.inter_workload, traffic,
+          [&topo](Rng& r) { return topo.SampleInterPair(r); },
+          [this, &collector](const FlowRecord& record) {
+            collector.Record(record);
+            inter_.Record(record);
+          },
+          rng.Fork());
+    }
+    for (auto& generator : generators_) {
+      if (generator != nullptr) generator->Start();
+    }
+  }
+
+  bool Pending() const {
+    for (const auto& generator : generators_) {
+      if (generator != nullptr && !generator->AllDone()) return true;
+    }
+    return false;
+  }
+
+  void Finish(ExperimentResult& result) const {
+    for (const auto& generator : generators_) {
+      if (generator == nullptr) continue;
+      result.flows_started += generator->started();
+      result.flows_completed += generator->completed();
+    }
+    result.intra_fct = intra_.Overall();
+    result.intra_short_fct = intra_.ShortFlows();
+    result.inter_fct = inter_.Overall();
+    result.inter_short_fct = inter_.ShortFlows();
+    result.intra_a_fct = sides_[0].Overall();
+    result.intra_b_fct = sides_[1].Overall();
+    result.intra_timeouts = intra_.total_timeouts();
+    result.inter_timeouts = inter_.total_timeouts();
+  }
+
+ private:
+  FctCollector intra_;
+  FctCollector sides_[2];
+  FctCollector inter_;
+  std::unique_ptr<TrafficGenerator> generators_[3];
+};
+
+}  // namespace
+
+ExperimentResult RunDumbbell(const DumbbellExperimentConfig& config) {
+  DumbbellConfig topo;
+  topo.senders = config.senders;
+  topo.rate = config.rate;
+  topo.base_rtt = config.base_rtt;
+  topo.tcp = config.tcp;
+  // Per-sender netem extras spanning the requested RTT variation.
+  return RunFabric<Dumbbell>(
+      config,
+      SessionConfig(config, RttAssignment::kQuantiles,
+                    config.base_rtt * (config.rtt_variation - 1.0),
+                    RttProfile::kTestbed),
+      topo);
 }
 
 ExperimentResult RunLeafSpine(const LeafSpineExperimentConfig& config) {
-  ExperimentSessionConfig session_config;
-  session_config.workload = config.workload;
-  session_config.load = config.load;
-  session_config.flows = config.flows;
-  session_config.seed = config.seed;
   // §5.3's per-host base-RTT distribution: one sampled extra per host.
-  session_config.rtt_assignment =
-      ExperimentSessionConfig::RttAssignment::kPerHostSample;
-  session_config.max_rtt_extra = config.max_extra_delay;
-  session_config.rtt_profile = RttProfile::kLeafSpine;
-  session_config.queue_sample_period = config.queue_sample_period;
-  session_config.max_sim_time = config.max_sim_time;
-  session_config.scenario = config.scenario;
-  session_config.trace = config.trace;
-  session_config.sketch = config.sketch;
-  session_config.estimator = config.estimator;
-  session_config.cc_mix = config.cc_mix;
-  ExperimentSession session(std::move(session_config));
-
-  LeafSpineConfig topo_config = config.topo;
-  topo_config.buffer_bytes = config.params.buffer_bytes;
-  topo_config.buffer_policy = config.buffer_policy;
-  LeafSpine topo(session.sim(), topo_config, [&config](BufferPolicy* pool) {
-    return MakeFifoDisc(config.scheme, config.params, pool);
-  });
-
-  session.Bind(topo);
-  session.Run();
-  return session.Result();
+  return RunFabric<LeafSpine>(
+      config,
+      SessionConfig(config, RttAssignment::kPerHostSample,
+                    config.max_extra_delay, RttProfile::kLeafSpine),
+      config.topo);
 }
 
 ExperimentResult RunFatTree(const FatTreeExperimentConfig& config) {
-  ExperimentSessionConfig session_config;
-  session_config.workload = config.workload;
-  session_config.load = config.load;
-  session_config.flows = config.flows;
-  session_config.seed = config.seed;
-  // Per-host base-RTT distribution as in the large-scale simulations: one
-  // sampled extra per host, drawn before the generator forks its stream.
-  session_config.rtt_assignment =
-      ExperimentSessionConfig::RttAssignment::kPerHostSample;
-  session_config.max_rtt_extra = config.max_extra_delay;
-  session_config.rtt_profile = RttProfile::kLeafSpine;
-  session_config.queue_sample_period = config.queue_sample_period;
-  session_config.max_sim_time = config.max_sim_time;
-  session_config.scenario = config.scenario;
-  session_config.trace = config.trace;
-  session_config.sketch = config.sketch;
-  session_config.estimator = config.estimator;
-  session_config.cc_mix = config.cc_mix;
-  ExperimentSession session(std::move(session_config));
-
-  FatTreeConfig topo_config = config.topo;
-  topo_config.buffer_bytes = config.params.buffer_bytes;
-  topo_config.buffer_policy = config.buffer_policy;
-  FatTree topo(session.sim(), topo_config, [&config](BufferPolicy* pool) {
-    return MakeFifoDisc(config.scheme, config.params, pool);
-  });
-
-  session.Bind(topo);
-  session.Run();
-  return session.Result();
+  // As on the leaf-spine: one sampled extra per host, drawn before the
+  // generator forks its stream.
+  return RunFabric<FatTree>(
+      config,
+      SessionConfig(config, RttAssignment::kPerHostSample,
+                    config.max_extra_delay, RttProfile::kLeafSpine),
+      config.topo);
 }
 
 ExperimentResult RunInterDc(const InterDcExperimentConfig& config) {
@@ -125,127 +216,22 @@ ExperimentResult RunInterDc(const InterDcExperimentConfig& config) {
                      std::to_string(config.inter_fraction) +
                      "; valid range [0, 1]");
   }
-
-  ExperimentSessionConfig session_config;
-  // No session workload and no session RTT assignment: the split traffic
-  // matrix and the per-side extras are wired by hand below, one rng stream
-  // per side, so each side replays its standalone single-fabric run exactly
-  // (the reduction-parity contract of topo/composed.h).
-  session_config.seed = config.seed;
-  session_config.rtt_assignment = ExperimentSessionConfig::RttAssignment::kNone;
-  session_config.queue_sample_period = config.queue_sample_period;
-  session_config.max_sim_time = config.max_sim_time;
-  session_config.scenario = config.scenario;
-  session_config.trace = config.trace;
-  session_config.sketch = config.sketch;
-  session_config.estimator = config.estimator;
-  session_config.cc_mix = config.cc_mix;
-  ExperimentSession session(std::move(session_config));
-  Simulator& sim = session.sim();
-
-  ComposedConfig topo_config = config.topo;
-  topo_config.buffer_bytes = config.params.buffer_bytes;
-  topo_config.buffer_policy = config.buffer_policy;
-  for (ComposedSideConfig* side : {&topo_config.side_a, &topo_config.side_b}) {
+  // No session workload and no session RTT assignment: SplitTraffic wires
+  // the split matrix and the per-side extras by hand, one rng stream per
+  // side (the reduction-parity contract of topo/composed.h).
+  ExperimentSessionConfig session =
+      SessionConfig(config, RttAssignment::kNone, Time::Zero(),
+                    RttProfile::kTestbed);
+  session.workload = nullptr;
+  ComposedConfig topo = config.topo;
+  for (ComposedSideConfig* side : {&topo.side_a, &topo.side_b}) {
     side->leaf_spine.buffer_bytes = config.params.buffer_bytes;
     side->leaf_spine.buffer_policy = config.buffer_policy;
     side->fat_tree.buffer_bytes = config.params.buffer_bytes;
     side->fat_tree.buffer_policy = config.buffer_policy;
   }
-  ComposedTopology topo(sim, topo_config, [&config](BufferPolicy* pool) {
-    return MakeFifoDisc(config.scheme, config.params, pool);
-  });
-
-  session.Bind(topo);
-
-  // Flow split: round(f * flows) cross the border, the rest alternate-split
-  // across the sides (side A gets the odd one).
-  const auto inter_flows = static_cast<std::size_t>(
-      std::llround(config.inter_fraction * static_cast<double>(config.flows)));
-  const std::size_t intra_flows = config.flows - inter_flows;
-  const std::size_t side_flows[2] = {(intra_flows + 1) / 2, intra_flows / 2};
-
-  FctCollector& collector = session.collector();
-  FctCollector intra_collector;
-  FctCollector side_collectors[2];
-  FctCollector inter_collector;
-  std::unique_ptr<TrafficGenerator> generators[3];
-
-  // Per-side extras and intra generator, each from Rng(seed + side): same
-  // draw order as ExperimentSession::Bind's kPerHostSample-then-Fork, so a
-  // zero-border composed run reproduces the standalone runs byte-for-byte.
-  for (std::size_t s = 0; s < 2; ++s) {
-    Rng rng(config.seed + s);
-    for (std::size_t i = 0; i < topo.side_host_count(s); ++i) {
-      topo.side(s).host(i).set_extra_egress_delay(SampleRttExtra(
-          rng, config.max_extra_delay, RttProfile::kLeafSpine));
-    }
-    if (side_flows[s] == 0) continue;
-    TrafficConfig traffic;
-    traffic.load = config.load;
-    traffic.reference_capacity = topo.side(s).ReferenceCapacity();
-    traffic.flow_count = side_flows[s];
-    traffic.cubic_fraction = config.cc_mix;
-    generators[s] = std::make_unique<TrafficGenerator>(
-        sim, *config.workload, traffic,
-        [&topo, s](Rng& r) { return topo.SampleIntraPair(s, r); },
-        [&collector, &intra_collector, &side_collectors,
-         s](const FlowRecord& record) {
-          collector.Record(record);
-          intra_collector.Record(record);
-          side_collectors[s].Record(record);
-        },
-        rng.Fork());
-  }
-
-  // Cross-border generator: its load targets the border aggregate (the
-  // inter-DC bottleneck), not the combined fabric capacity — f * L of the
-  // fabric bisection would oversaturate an oversubscribed border and never
-  // drain.
-  if (inter_flows > 0) {
-    Rng rng(config.seed + 2);
-    TrafficConfig traffic;
-    traffic.load = config.load;
-    traffic.reference_capacity = DataRate::BitsPerSecond(
-        config.topo.border_rate.bps() *
-        static_cast<std::int64_t>(config.topo.border_links));
-    traffic.flow_count = inter_flows;
-    traffic.cubic_fraction = config.cc_mix;
-    generators[2] = std::make_unique<TrafficGenerator>(
-        sim, *config.inter_workload, traffic,
-        [&topo](Rng& r) { return topo.SampleInterPair(r); },
-        [&collector, &inter_collector](const FlowRecord& record) {
-          collector.Record(record);
-          inter_collector.Record(record);
-        },
-        rng.Fork());
-  }
-
-  for (auto& generator : generators) {
-    if (generator != nullptr) generator->Start();
-  }
-  session.Run([&generators] {
-    for (const auto& generator : generators) {
-      if (generator != nullptr && !generator->AllDone()) return true;
-    }
-    return false;
-  });
-
-  ExperimentResult result = session.Result();
-  for (const auto& generator : generators) {
-    if (generator == nullptr) continue;
-    result.flows_started += generator->started();
-    result.flows_completed += generator->completed();
-  }
-  result.intra_fct = intra_collector.Overall();
-  result.intra_short_fct = intra_collector.ShortFlows();
-  result.inter_fct = inter_collector.Overall();
-  result.inter_short_fct = inter_collector.ShortFlows();
-  result.intra_a_fct = side_collectors[0].Overall();
-  result.intra_b_fct = side_collectors[1].Overall();
-  result.intra_timeouts = intra_collector.total_timeouts();
-  result.inter_timeouts = inter_collector.total_timeouts();
-  return result;
+  return RunFabric<ComposedTopology, SplitTraffic>(config, std::move(session),
+                                                  topo);
 }
 
 IncastResult RunIncast(const IncastExperimentConfig& config) {
@@ -272,7 +258,8 @@ IncastResult RunIncast(const IncastExperimentConfig& config) {
   topo_config.base_rtt = config.base_rtt;
   topo_config.buffer_bytes = config.params.buffer_bytes;
   topo_config.tcp = config.tcp;
-  Dumbbell topo(sim, topo_config, MakeFifoDisc(config.scheme, config.params));
+  Dumbbell topo(sim, topo_config,
+                FifoDiscFactory(config.scheme, config.params));
 
   session.Bind(topo);
   const std::uint32_t receiver = topo.receiver_address();
@@ -344,6 +331,26 @@ IncastResult RunIncast(const IncastExperimentConfig& config) {
   result.trace = session.trace();
   result.sketch = session.sketch();
   return result;
+}
+
+ExperimentOutcome RunExperiment(const ExperimentConfig& config) {
+  return std::visit(
+      [](const auto& c) -> ExperimentOutcome {
+        using Config = std::decay_t<decltype(c)>;
+        if constexpr (std::is_same_v<Config, DumbbellExperimentConfig>) {
+          return RunDumbbell(c);
+        } else if constexpr (std::is_same_v<Config,
+                                            LeafSpineExperimentConfig>) {
+          return RunLeafSpine(c);
+        } else if constexpr (std::is_same_v<Config, FatTreeExperimentConfig>) {
+          return RunFatTree(c);
+        } else if constexpr (std::is_same_v<Config, InterDcExperimentConfig>) {
+          return RunInterDc(c);
+        } else {
+          return RunIncast(c);
+        }
+      },
+      config);
 }
 
 }  // namespace ecnsharp

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "buffer/policy_spec.h"
@@ -28,36 +29,32 @@ class TraceRecorder;
 class SketchTelemetry;
 
 // ---------------------------------------------------------------------------
-// Dumbbell (testbed-shaped) experiments: Figs. 2, 3, 6, 7, 8, 12.
+// Fabric experiments: an open-loop workload over one topology, with the AQM
+// under test on every switch egress port. The four families share every
+// field of ExperimentCommon and differ only in their shape: the topology
+// they build and how they assign per-host base RTTs.
 // ---------------------------------------------------------------------------
 
-struct DumbbellExperimentConfig {
+struct ExperimentCommon {
   Scheme scheme = Scheme::kEcnSharp;
   SchemeParams params;
   const EmpiricalCdf* workload = &WebSearchWorkload();
   double load = 0.5;
   std::size_t flows = 2000;
-  // RTT variation k: per-sender netem extras span [0, (k-1) * base_rtt], so
-  // base RTTs span [base_rtt, k * base_rtt] (§2.3's definition
-  // RTTmax/RTTmin = k).
-  double rtt_variation = 3.0;
-  Time base_rtt = Time::FromMicroseconds(70);
-  std::size_t senders = 7;
-  DataRate rate = DataRate::GigabitsPerSecond(10);
   std::uint64_t seed = 1;
-  TcpConfig tcp;
-  // Queue occupancy sampling of the bottleneck (0 disables).
+  // Queue occupancy sampling of every bottleneck (0 disables).
   Time queue_sample_period = Time::Zero();
   // Safety cap on simulated time.
   Time max_sim_time = Time::Seconds(120);
   // Optional mid-run network dynamics (link churn, loss injection, incast
-  // bursts, RTT shifts — see dynamics/scenario.h). Empty = static network.
+  // bursts, RTT shifts — see dynamics/scenario.h); port target ids follow
+  // the topology's convention. Empty = static network.
   ScenarioScript scenario;
-  // Optional flight-recorder tracing (disabled by default; zero-cost when
-  // off — see trace/trace_config.h).
+  // Optional flight-recorder tracing of every bottleneck port (disabled by
+  // default; zero-cost when off — see trace/trace_config.h).
   TraceConfig trace;
-  // Optional sketch telemetry (bounded-memory switch state; off by
-  // default, only the tracer null check when off).
+  // Optional sketch telemetry on the same ports (bounded-memory switch
+  // state; off by default, only the tracer null check when off).
   SketchConfig sketch;
   // Which measurement source feeds scenario ECN# re-estimation actions;
   // kSketch needs sketch.enabled.
@@ -66,9 +63,61 @@ struct DumbbellExperimentConfig {
   // controller (seeded Bernoulli per flow; 0 keeps the pure-DCTCP runs and
   // their rng sequence byte-identical).
   double cc_mix = 0.0;
-  // Optional shared-buffer policy replacing the static per-port buffers
-  // (kNone keeps them).
+  // Optional shared-buffer policy, one pool per switch chip (kNone keeps
+  // static per-port buffers). The runner copies it and params.buffer_bytes
+  // into the topology config.
   BufferPolicyConfig buffer_policy;
+};
+
+// Dumbbell (testbed-shaped): Figs. 2, 3, 6, 7, 8, 12.
+struct DumbbellExperimentConfig : ExperimentCommon {
+  // RTT variation k: per-sender netem extras span [0, (k-1) * base_rtt], so
+  // base RTTs span [base_rtt, k * base_rtt] (§2.3's definition
+  // RTTmax/RTTmin = k).
+  double rtt_variation = 3.0;
+  Time base_rtt = Time::FromMicroseconds(70);
+  std::size_t senders = 7;
+  DataRate rate = DataRate::GigabitsPerSecond(10);
+  TcpConfig tcp;
+};
+
+// Leaf-spine (large-scale): Fig. 9.
+struct LeafSpineExperimentConfig : ExperimentCommon {
+  LeafSpineConfig topo;
+  // Per-host extra delay upper bound: [80, 240] us base RTTs by default.
+  Time max_extra_delay = Time::FromMicroseconds(160);
+};
+
+// Fat-tree (multi-tier, production-scale): k^3/4 hosts under three tiers of
+// salted ECMP (topo/fat_tree.h).
+struct FatTreeExperimentConfig : ExperimentCommon {
+  FatTreeExperimentConfig() { params = SimulationSchemeParams(); }
+  FatTreeConfig topo;
+  // Per-host extra delay upper bound: [120, 280] us base RTTs by default
+  // (inter-pod minimum 120 us + up to 160 us of per-host extras).
+  Time max_extra_delay = Time::FromMicroseconds(160);
+};
+
+// Inter-DC composed fabric: two fabrics joined over ms-RTT border links
+// (topo/composed.h) under a split traffic matrix — the extreme RTT-disparity
+// regime of §2.3 pushed to WAN ratios. Intra-DC flows (each side's own
+// matrix) draw from `workload`; cross-border flows draw from
+// `inter_workload` (bulkier by default, like real WAN replication traffic).
+// Sampled queues include the border ports, and border ports seed the
+// base-RTT sketch with their WAN hint.
+struct InterDcExperimentConfig : ExperimentCommon {
+  InterDcExperimentConfig() { params = SimulationSchemeParams(); }
+  const EmpiricalCdf* inter_workload = &DataMiningWorkload();
+  // Fraction of `flows` crossing the border (validated in [0, 1], exit 2
+  // outside). The remainder splits evenly across the two sides as intra-DC
+  // traffic; the cross-border generator's load is defined against the
+  // border aggregate capacity, each side's against its own fabric.
+  double inter_fraction = 0.1;
+  // The buffer policy also pools the two border gateways.
+  ComposedConfig topo;
+  // Per-host extra delay upper bound, drawn per side from seed+side so a
+  // side's rng sequence matches its standalone single-fabric run.
+  Time max_extra_delay = Time::FromMicroseconds(160);
 };
 
 struct ExperimentResult {
@@ -115,126 +164,8 @@ struct ExperimentResult {
 };
 
 ExperimentResult RunDumbbell(const DumbbellExperimentConfig& config);
-
-// ---------------------------------------------------------------------------
-// Leaf-spine (large-scale) experiments: Fig. 9.
-// ---------------------------------------------------------------------------
-
-struct LeafSpineExperimentConfig {
-  Scheme scheme = Scheme::kEcnSharp;
-  SchemeParams params;
-  const EmpiricalCdf* workload = &WebSearchWorkload();
-  double load = 0.5;
-  std::size_t flows = 2000;
-  LeafSpineConfig topo;
-  // Per-host extra delay upper bound: [80, 240] us base RTTs by default.
-  Time max_extra_delay = Time::FromMicroseconds(160);
-  std::uint64_t seed = 1;
-  // Queue occupancy sampling across every switch egress port (0 disables).
-  Time queue_sample_period = Time::Zero();
-  Time max_sim_time = Time::Seconds(120);
-  // Optional mid-run network dynamics; port target ids follow the
-  // leaf-spine convention in topo/leaf_spine.h. Empty = static network.
-  ScenarioScript scenario;
-  // Optional flight-recorder tracing across every bottleneck port.
-  TraceConfig trace;
-  // Optional sketch telemetry across the same ports.
-  SketchConfig sketch;
-  // Measurement source for scenario ECN# re-estimation actions.
-  EcnEstimator estimator = EcnEstimator::kOracle;
-  // Fraction of workload flows driven by CUBIC (0 = pure default CC).
-  double cc_mix = 0.0;
-  // Optional shared-buffer policy, one pool per switch chip (kNone keeps
-  // static per-port buffers). Copied into topo.buffer_policy by the runner.
-  BufferPolicyConfig buffer_policy;
-};
-
 ExperimentResult RunLeafSpine(const LeafSpineExperimentConfig& config);
-
-// ---------------------------------------------------------------------------
-// Fat-tree (multi-tier, production-scale) experiments: k^3/4 hosts under
-// three tiers of salted ECMP (topo/fat_tree.h).
-// ---------------------------------------------------------------------------
-
-struct FatTreeExperimentConfig {
-  Scheme scheme = Scheme::kEcnSharp;
-  SchemeParams params = SimulationSchemeParams();
-  const EmpiricalCdf* workload = &WebSearchWorkload();
-  double load = 0.5;
-  std::size_t flows = 2000;
-  FatTreeConfig topo;
-  // Per-host extra delay upper bound: [120, 280] us base RTTs by default
-  // (inter-pod minimum 120 us + up to 160 us of per-host extras).
-  Time max_extra_delay = Time::FromMicroseconds(160);
-  std::uint64_t seed = 1;
-  // Queue occupancy sampling across every switch egress port (0 disables).
-  Time queue_sample_period = Time::Zero();
-  Time max_sim_time = Time::Seconds(120);
-  // Optional mid-run network dynamics; port target ids follow the fat-tree
-  // convention in topo/fat_tree.h. Empty = static network.
-  ScenarioScript scenario;
-  // Optional flight-recorder tracing across every bottleneck port.
-  TraceConfig trace;
-  // Optional sketch telemetry across the same ports.
-  SketchConfig sketch;
-  // Measurement source for scenario ECN# re-estimation actions.
-  EcnEstimator estimator = EcnEstimator::kOracle;
-  // Fraction of workload flows driven by CUBIC (0 = pure default CC).
-  double cc_mix = 0.0;
-  // Optional shared-buffer policy, one pool per switch chip (kNone keeps
-  // static per-port buffers). Copied into topo.buffer_policy by the runner.
-  BufferPolicyConfig buffer_policy;
-};
-
 ExperimentResult RunFatTree(const FatTreeExperimentConfig& config);
-
-// ---------------------------------------------------------------------------
-// Inter-DC composed-fabric experiments: two fabrics joined over ms-RTT
-// border links (topo/composed.h) under a split traffic matrix — the extreme
-// RTT-disparity regime of §2.3 pushed to WAN ratios.
-// ---------------------------------------------------------------------------
-
-struct InterDcExperimentConfig {
-  Scheme scheme = Scheme::kEcnSharp;
-  SchemeParams params = SimulationSchemeParams();
-  // Intra-DC flows (each side's own matrix) draw from `workload`;
-  // cross-border flows draw from `inter_workload` (bulkier by default, like
-  // real WAN replication traffic).
-  const EmpiricalCdf* workload = &WebSearchWorkload();
-  const EmpiricalCdf* inter_workload = &DataMiningWorkload();
-  double load = 0.5;
-  std::size_t flows = 2000;
-  // Fraction of `flows` crossing the border (validated in [0, 1], exit 2
-  // outside). The remainder splits evenly across the two sides as intra-DC
-  // traffic; the cross-border generator's load is defined against the
-  // border aggregate capacity, each side's against its own fabric.
-  double inter_fraction = 0.1;
-  ComposedConfig topo;
-  // Per-host extra delay upper bound, drawn per side from seed+side so a
-  // side's rng sequence matches its standalone single-fabric run.
-  Time max_extra_delay = Time::FromMicroseconds(160);
-  std::uint64_t seed = 1;
-  // Queue occupancy sampling across every egress port incl. border (0
-  // disables).
-  Time queue_sample_period = Time::Zero();
-  Time max_sim_time = Time::Seconds(120);
-  // Optional mid-run network dynamics; port target ids follow the composed
-  // convention in topo/composed.h (-1 = first border link).
-  ScenarioScript scenario;
-  // Optional flight-recorder tracing across every bottleneck port.
-  TraceConfig trace;
-  // Optional sketch telemetry across the same ports; border ports seed the
-  // base-RTT sketch with their WAN hint.
-  SketchConfig sketch;
-  // Measurement source for scenario ECN# re-estimation actions.
-  EcnEstimator estimator = EcnEstimator::kOracle;
-  // Fraction of workload flows driven by CUBIC (0 = pure default CC).
-  double cc_mix = 0.0;
-  // Optional shared-buffer policy, one pool per switch chip including the
-  // two border gateways (kNone keeps static per-port buffers).
-  BufferPolicyConfig buffer_policy;
-};
-
 ExperimentResult RunInterDc(const InterDcExperimentConfig& config);
 
 // ---------------------------------------------------------------------------
@@ -295,6 +226,20 @@ struct IncastResult {
 };
 
 IncastResult RunIncast(const IncastExperimentConfig& config);
+
+// ---------------------------------------------------------------------------
+// Any experiment: one spec type, one entry point. Sweeps, the CLI and the
+// JSON export all work on these.
+// ---------------------------------------------------------------------------
+
+using ExperimentConfig =
+    std::variant<DumbbellExperimentConfig, LeafSpineExperimentConfig,
+                 FatTreeExperimentConfig, InterDcExperimentConfig,
+                 IncastExperimentConfig>;
+// Fabric families yield an ExperimentResult, incast an IncastResult.
+using ExperimentOutcome = std::variant<ExperimentResult, IncastResult>;
+
+ExperimentOutcome RunExperiment(const ExperimentConfig& config);
 
 }  // namespace ecnsharp
 

@@ -73,9 +73,8 @@ ExperimentResult RunFatTreeRelaxed(const FatTreeExperimentConfig& config,
   FatTreeConfig topo_config = config.topo;
   topo_config.buffer_bytes = config.params.buffer_bytes;
   topo_config.buffer_policy = config.buffer_policy;
-  FatTree topo(lanes, topo_config, [&config](BufferPolicy* pool) {
-    return MakeFifoDisc(config.scheme, config.params, pool);
-  });
+  FatTree topo(lanes.lane(0), topo_config,
+               FifoDiscFactory(config.scheme, config.params), &lanes);
 
   // Rng discipline identical to ExperimentSession::Bind: per-host RTT
   // extras from the session rng in host order, then fork for the arrival

@@ -93,4 +93,10 @@ std::unique_ptr<QueueDisc> MakeFifoDisc(Scheme scheme,
                                          MakeAqm(scheme, params));
 }
 
+DiscFactory FifoDiscFactory(Scheme scheme, const SchemeParams& params) {
+  return [scheme, params](BufferPolicy* pool) {
+    return MakeFifoDisc(scheme, params, pool);
+  };
+}
+
 }  // namespace ecnsharp

@@ -79,6 +79,10 @@ std::unique_ptr<QueueDisc> MakeFifoDisc(Scheme scheme,
                                         const SchemeParams& params,
                                         BufferPolicy* pool = nullptr);
 
+// A topology's disc factory running the scheme on every switch egress port
+// (MakeFifoDisc on the port's chip pool).
+DiscFactory FifoDiscFactory(Scheme scheme, const SchemeParams& params);
+
 }  // namespace ecnsharp
 
 #endif  // ECNSHARP_HARNESS_SCHEMES_H_

@@ -1,8 +1,8 @@
 // ExperimentSession: the shared glue every experiment runner is built from.
 //
-// A session owns the simulator plus everything the three runners
-// (RunDumbbell / RunLeafSpine / RunIncast) previously wired by hand, built
-// generically against the Topology interface:
+// A session owns the simulator plus everything an experiment runner would
+// otherwise wire by hand, built generically against the Topology
+// interface:
 //
 //   * per-host RTT-extra assignment (quantile or sampled, §2.3 / §5.3),
 //   * the open-loop TrafficGenerator (Poisson arrivals over SampleFlowPair),

@@ -16,6 +16,7 @@
 #define ECNSHARP_NET_QUEUE_DISC_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -25,6 +26,7 @@
 
 namespace ecnsharp {
 
+class BufferPolicy;
 class ChipHotBlock;
 
 // Instantaneous occupancy of a queue (or of a whole multi-queue disc).
@@ -130,6 +132,11 @@ class QueueDisc {
   QueueDiscStats stats_;
   PacketTracer* tracer_ = nullptr;
 };
+
+// Builds one switch egress queue disc, given the owning switch chip's
+// shared-buffer pool (null when the topology's config names no buffer
+// policy). A disc built on a pool must register its queue(s) with it.
+using DiscFactory = std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>;
 
 }  // namespace ecnsharp
 

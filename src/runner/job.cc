@@ -9,24 +9,7 @@ JobResult RunJob(const JobSpec& spec, std::size_t index) {
   result.index = index;
   result.name = spec.name;
   const auto start = std::chrono::steady_clock::now();
-  result.result = std::visit(
-      [](const auto& config)
-          -> std::variant<ExperimentResult, IncastResult> {
-        using Config = std::decay_t<decltype(config)>;
-        if constexpr (std::is_same_v<Config, DumbbellExperimentConfig>) {
-          return RunDumbbell(config);
-        } else if constexpr (std::is_same_v<Config,
-                                            LeafSpineExperimentConfig>) {
-          return RunLeafSpine(config);
-        } else if constexpr (std::is_same_v<Config, FatTreeExperimentConfig>) {
-          return RunFatTree(config);
-        } else if constexpr (std::is_same_v<Config, InterDcExperimentConfig>) {
-          return RunInterDc(config);
-        } else {
-          return RunIncast(config);
-        }
-      },
-      spec.config);
+  result.result = RunExperiment(spec.config);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

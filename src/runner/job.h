@@ -1,10 +1,8 @@
 // JobSpec/JobResult: one simulation run as a schedulable unit of work.
 //
-// A JobSpec is a named, fully-specified experiment configuration for one of
-// the five experiment families (dumbbell, leaf-spine, fat-tree, inter-DC
-// composed, incast).
-// Each job
-// carries its own seed inside the config, so a job's result depends only on
+// A JobSpec is a named, fully-specified experiment configuration (any of
+// the five families of harness/experiment.h). Each job carries its own seed
+// inside the config, so a job's result depends only on
 // its spec — never on which worker thread ran it or in what order. That is
 // the property that makes sweeps embarrassingly parallel and lets the
 // collector promise byte-identical output for any --jobs value.
@@ -13,7 +11,6 @@
 
 #include <cstddef>
 #include <string>
-#include <variant>
 
 #include "harness/experiment.h"
 
@@ -22,16 +19,13 @@ namespace ecnsharp::runner {
 struct JobSpec {
   // Stable identifier within a sweep; keys the JSON export.
   std::string name;
-  std::variant<DumbbellExperimentConfig, LeafSpineExperimentConfig,
-               FatTreeExperimentConfig, InterDcExperimentConfig,
-               IncastExperimentConfig>
-      config;
+  ExperimentConfig config;
 };
 
 struct JobResult {
   std::size_t index = 0;  // position of the spec in the submitted list
   std::string name;
-  std::variant<ExperimentResult, IncastResult> result;
+  ExperimentOutcome result;
   // Wall-clock seconds the job took (progress/ETA only; never exported).
   double wall_seconds = 0.0;
 };
@@ -40,9 +34,9 @@ struct JobResult {
 // thread and returns its result (with `index` echoed back).
 JobResult RunJob(const JobSpec& spec, std::size_t index);
 
-// Typed accessors: dumbbell, leaf-spine, fat-tree and inter-DC jobs yield an
-// ExperimentResult, incast jobs an IncastResult. Calling the wrong one aborts (programming
-// error — the caller built the spec and knows its family).
+// Typed accessors: fabric jobs yield an ExperimentResult, incast jobs an
+// IncastResult. Calling the wrong one aborts (programming error — the
+// caller built the spec and knows its family).
 const ExperimentResult& FctResult(const JobResult& result);
 const IncastResult& IncastResultOf(const JobResult& result);
 

@@ -19,9 +19,7 @@ Json SweepToJson(const std::string& sweep_name,
     Json entry = Json::Object();
     entry.Set("name", Json::Str(result.name));
     if (i < specs.size()) {
-      entry.Set("config",
-                std::visit([](const auto& config) { return ToJson(config); },
-                           specs[i].config));
+      entry.Set("config", ToJson(specs[i].config));
     }
     entry.Set("result",
               std::visit([](const auto& r) { return ToJson(r); },

@@ -18,7 +18,6 @@
 #include "net/packet.h"
 #include "net/packet_ring.h"
 #include "net/queue_disc.h"
-#include "net/shared_buffer.h"
 
 namespace ecnsharp {
 

@@ -49,40 +49,12 @@ Time SideIntraRtt(const ComposedSideConfig& side) {
          2;
 }
 
-bool SideHasBufferPolicy(const ComposedSideConfig& side) {
-  return side.kind == ComposedSideConfig::Kind::kLeafSpine
-             ? side.leaf_spine.buffer_policy.kind != BufferPolicyKind::kNone
-             : side.fat_tree.buffer_policy.kind != BufferPolicyKind::kNone;
-}
-
 }  // namespace
 
-ComposedTopology::ComposedTopology(
-    Simulator& sim, const ComposedConfig& config,
-    std::function<std::unique_ptr<QueueDisc>()> make_disc)
+ComposedTopology::ComposedTopology(Simulator& sim, const ComposedConfig& config,
+                                   const DiscFactory& make_disc)
     : sim_(sim), config_(config) {
   assert(make_disc != nullptr);
-  if (config_.buffer_policy.kind != BufferPolicyKind::kNone ||
-      SideHasBufferPolicy(config_.side_a) ||
-      SideHasBufferPolicy(config_.side_b)) {
-    FatalConfigError(
-        "composed topology with a buffer policy requires the pool-aware "
-        "disc factory constructor");
-  }
-  Build([&make_disc](BufferPolicy*) { return make_disc(); });
-}
-
-ComposedTopology::ComposedTopology(
-    Simulator& sim, const ComposedConfig& config,
-    const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>& make_disc)
-    : sim_(sim), config_(config) {
-  assert(make_disc != nullptr);
-  Build(make_disc);
-}
-
-void ComposedTopology::Build(
-    const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>&
-        make_disc) {
   if (config_.border_links < 1) {
     FatalConfigError(
         "composed topology needs >= 1 border link, got border_links=" +
@@ -193,10 +165,8 @@ void ComposedTopology::Build(
   }
 }
 
-void ComposedTopology::BuildSide(
-    std::size_t s,
-    const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>&
-        make_disc) {
+void ComposedTopology::BuildSide(std::size_t s,
+                                 const DiscFactory& make_disc) {
   const ComposedSideConfig& sc = side_config(s);
   switch (sc.kind) {
     case ComposedSideConfig::Kind::kLeafSpine:
@@ -211,10 +181,8 @@ void ComposedTopology::BuildSide(
   }
 }
 
-void ComposedTopology::AttachSide(
-    std::size_t s,
-    const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>&
-        make_disc) {
+void ComposedTopology::AttachSide(std::size_t s,
+                                  const DiscFactory& make_disc) {
   const ComposedSideConfig& sc = side_config(s);
   const std::size_t peer = 1 - s;
   const auto remote_lo = static_cast<std::uint32_t>(side_base_[peer]);

@@ -42,7 +42,6 @@
 #define ECNSHARP_TOPO_COMPOSED_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -99,18 +98,13 @@ struct ComposedConfig {
 
 class ComposedTopology : public Topology {
  public:
-  // Legacy form: static per-port buffers everywhere; exits 2 if any of the
-  // three chips' configs ask for a buffer policy.
+  // `make_disc` builds every switch egress disc and receives the owning
+  // chip's pool — each side's switch pools for its own ports, the gateway
+  // pools for attach-down and border ports, and null for the attach uplinks
+  // added into the sides' top-tier switches (so a side's per-chip pool
+  // accounting is identical to its standalone build).
   ComposedTopology(Simulator& sim, const ComposedConfig& config,
-                   std::function<std::unique_ptr<QueueDisc>()> make_disc);
-  // Pool-aware form: `make_disc` receives the owning chip's pool — each
-  // side's switch pools for its own ports, the gateway pools for attach-down
-  // and border ports, and null for the attach uplinks added into the sides'
-  // top-tier switches (so a side's per-chip pool accounting is identical to
-  // its standalone build).
-  ComposedTopology(Simulator& sim, const ComposedConfig& config,
-                   const std::function<std::unique_ptr<QueueDisc>(
-                       BufferPolicy*)>& make_disc);
+                   const DiscFactory& make_disc);
 
   // --- Composition accessors (tests, benches) ----------------------------
   Topology& side(std::size_t s) { return *side_[s]; }
@@ -168,14 +162,8 @@ class ComposedTopology : public Topology {
   BufferPolicy* buffer_pool(std::size_t i) override;
 
  private:
-  void Build(const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>&
-                 make_disc);
-  void BuildSide(std::size_t s,
-                 const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>&
-                     make_disc);
-  void AttachSide(std::size_t s,
-                  const std::function<std::unique_ptr<QueueDisc>(
-                      BufferPolicy*)>& make_disc);
+  void BuildSide(std::size_t s, const DiscFactory& make_disc);
+  void AttachSide(std::size_t s, const DiscFactory& make_disc);
   BufferPolicy* GatewayPool(std::size_t s) {
     return gw_pools_.empty() ? nullptr : gw_pools_[s].get();
   }

@@ -10,25 +10,8 @@
 namespace ecnsharp {
 
 Dumbbell::Dumbbell(Simulator& sim, const DumbbellConfig& config,
-                   std::unique_ptr<QueueDisc> bottleneck_disc)
+                   const DiscFactory& make_disc)
     : sim_(sim), config_(config) {
-  if (config_.buffer_policy.kind != BufferPolicyKind::kNone) {
-    FatalConfigError(
-        "dumbbell with a buffer policy requires the pool-aware disc factory "
-        "constructor");
-  }
-  Build([&bottleneck_disc](BufferPolicy*) { return std::move(bottleneck_disc); });
-}
-
-Dumbbell::Dumbbell(
-    Simulator& sim, const DumbbellConfig& config,
-    const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>& make_disc)
-    : sim_(sim), config_(config) {
-  Build(make_disc);
-}
-
-void Dumbbell::Build(
-    const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>& make_disc) {
   // Not an assert: a 0-sender dumbbell would make SampleFlowPair's
   // UniformInt(0) draw and IncastSender's k % 0 undefined in release
   // builds, where asserts compile out.

@@ -5,7 +5,6 @@
 #define ECNSHARP_TOPO_DUMBBELL_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -39,19 +38,11 @@ struct DumbbellConfig {
 
 class Dumbbell : public Topology {
  public:
-  // `bottleneck_disc` is installed on the switch port toward the receiver
-  // (the queue every figure of the paper instruments). The ports toward
-  // senders (ACK path) are plain drop-tail. This form predates buffer
-  // policies and requires buffer_policy.kind == kNone.
+  // `make_disc` builds the disc installed on the switch port toward the
+  // receiver (the queue every figure of the paper instruments). The ports
+  // toward senders (ACK path) are plain drop-tail.
   Dumbbell(Simulator& sim, const DumbbellConfig& config,
-           std::unique_ptr<QueueDisc> bottleneck_disc);
-
-  // Buffer-policy-aware form: `make_disc` builds the bottleneck disc, given
-  // the switch's shared pool (null when no policy is configured, in which
-  // case behaviour is identical to the legacy form).
-  Dumbbell(Simulator& sim, const DumbbellConfig& config,
-           const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>&
-               make_disc);
+           const DiscFactory& make_disc);
 
   std::size_t sender_count() const { return config_.senders; }
   Host& sender_host(std::size_t i) { return *hosts_.at(i); }
@@ -90,9 +81,6 @@ class Dumbbell : public Topology {
   }
 
  private:
-  void Build(const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>&
-                 make_disc);
-
   Simulator& sim_;
   DumbbellConfig config_;
   std::unique_ptr<BufferPolicy> pool_;  // null when no policy configured

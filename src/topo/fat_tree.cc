@@ -11,34 +11,6 @@
 
 namespace ecnsharp {
 
-FatTree::FatTree(Simulator& sim, const FatTreeConfig& config,
-                 std::function<std::unique_ptr<QueueDisc>()> make_disc)
-    : sim_(sim), config_(config) {
-  assert(make_disc != nullptr);
-  if (config_.buffer_policy.kind != BufferPolicyKind::kNone) {
-    FatalConfigError(
-        "fat-tree with a buffer policy requires the pool-aware disc factory "
-        "constructor");
-  }
-  Build([&make_disc](BufferPolicy*) { return make_disc(); });
-}
-
-FatTree::FatTree(
-    Simulator& sim, const FatTreeConfig& config,
-    const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>& make_disc)
-    : sim_(sim), config_(config) {
-  assert(make_disc != nullptr);
-  Build(make_disc);
-}
-
-FatTree::FatTree(
-    LaneSet& lanes, const FatTreeConfig& config,
-    const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>& make_disc)
-    : sim_(lanes.lane(0)), lanes_(&lanes), config_(config) {
-  assert(make_disc != nullptr);
-  Build(make_disc);
-}
-
 std::size_t FatTree::LaneOfLocality(std::uint32_t locality) const {
   return lanes_ == nullptr ? 0 : locality % lanes_->size();
 }
@@ -49,13 +21,11 @@ Simulator& FatTree::PodSim(std::size_t pod) {
              : lanes_->lane(LaneOfLocality(LocalityOfPod(pod)));
 }
 
-Simulator& FatTree::CoreSim() {
-  return lanes_ == nullptr ? sim_ : lanes_->lane(0);
-}
-
-void FatTree::Build(
-    const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>&
-        make_disc) {
+FatTree::FatTree(Simulator& sim, const FatTreeConfig& config,
+                 const DiscFactory& make_disc, LaneSet* lanes)
+    : sim_(sim), lanes_(lanes), config_(config) {
+  assert(make_disc != nullptr);
+  assert(lanes == nullptr || &sim == &lanes->lane(0));
   if (config_.k < 4 || config_.k % 2 != 0) {
     FatalConfigError("fat-tree k must be even and >= 4, got k=" +
                      std::to_string(config_.k));
@@ -75,7 +45,7 @@ void FatTree::Build(
   }
   for (std::size_t c = 0; c < half_k * half_k; ++c) {
     cores_.push_back(std::make_unique<SwitchNode>(
-        CoreSim(), "core" + std::to_string(c), /*ecmp_salt=*/0x30000 + c));
+        sim_, "core" + std::to_string(c), /*ecmp_salt=*/0x30000 + c));
     cores_.back()->set_locality_id(0);
   }
 
@@ -182,7 +152,7 @@ void FatTree::Build(
         agg.AddDefaultRoute(agg.AddPort(std::move(up)));
 
         auto down = std::make_unique<EgressPort>(
-            CoreSim(), config_.rate,
+            sim_, config_.rate,
             cross_lane ? Time::Zero() : config_.fabric_link_delay,
             make_disc(CorePool(a * half_k + j)));
         if (cross_lane) {

@@ -24,7 +24,6 @@
 #define ECNSHARP_TOPO_FAT_TREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -65,27 +64,19 @@ struct FatTreeConfig {
 class FatTree : public Topology {
  public:
   // `make_disc` builds the queue disc for every switch egress port (the AQM
-  // under test runs fabric-wide). This legacy form keeps static per-port
-  // buffers and exits 2 if `config.buffer_policy` asks for a pool.
+  // under test runs fabric-wide).
+  //
+  // With `lanes`, the fabric is locality-sharded for the relaxed-lanes
+  // executor and `sim` must be lanes->lane(0): pod p's hosts, edge and
+  // aggregation switches are built on lane LaneOfLocality(1 + p) =
+  // (1 + p) % lanes->size(), core switches on lane 0, and every agg<->core
+  // link whose endpoints land on different lanes is bridged through the
+  // LaneSet mailboxes with the full fabric_link_delay (which must therefore
+  // be >= the executor's round window). The Topology interface still works
+  // for construction-time wiring, but scenario / trace / sketch hooks must
+  // not be used — the relaxed runner rejects them.
   FatTree(Simulator& sim, const FatTreeConfig& config,
-          std::function<std::unique_ptr<QueueDisc>()> make_disc);
-  // Pool-aware form: `make_disc` receives the owning switch chip's buffer
-  // pool (null when `config.buffer_policy.kind` is kNone) and must register
-  // the disc's queue(s) with it.
-  FatTree(Simulator& sim, const FatTreeConfig& config,
-          const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>&
-              make_disc);
-  // Locality-sharded form for the relaxed-lanes executor: pod p's hosts,
-  // edge and aggregation switches are built on lane
-  // LaneOfLocality(1 + p) = (1 + p) % lanes.size(), core switches on lane
-  // 0, and every agg<->core link whose endpoints land on different lanes is
-  // bridged through the LaneSet mailboxes with the full fabric_link_delay
-  // (which must therefore be >= the executor's round window). The Topology
-  // interface still works for construction-time wiring, but scenario /
-  // trace / sketch hooks must not be used — the relaxed runner rejects them.
-  FatTree(LaneSet& lanes, const FatTreeConfig& config,
-          const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>&
-              make_disc);
+          const DiscFactory& make_disc, LaneSet* lanes = nullptr);
 
   std::size_t k() const { return config_.k; }
   std::size_t pod_count() const { return config_.k; }
@@ -158,8 +149,6 @@ class FatTree : public Topology {
   }
 
  private:
-  void Build(const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>&
-                 make_disc);
   BufferPolicy* EdgePool(std::size_t e) {
     return pools_.empty() ? nullptr : pools_[e].get();
   }
@@ -172,9 +161,8 @@ class FatTree : public Topology {
   }
 
   // The simulator a pod-p node lives on: `sim_` in single-simulator builds,
-  // the pod's lane in lane-sharded ones. CoreSim() is lane 0 / `sim_`.
+  // the pod's lane in lane-sharded ones (core switches live on `sim_`).
   Simulator& PodSim(std::size_t pod);
-  Simulator& CoreSim();
 
   Simulator& sim_;
   LaneSet* lanes_ = nullptr;

@@ -10,27 +10,9 @@
 namespace ecnsharp {
 
 LeafSpine::LeafSpine(Simulator& sim, const LeafSpineConfig& config,
-                     std::function<std::unique_ptr<QueueDisc>()> make_disc)
+                     const DiscFactory& make_disc)
     : sim_(sim), config_(config) {
   assert(make_disc != nullptr);
-  if (config_.buffer_policy.kind != BufferPolicyKind::kNone) {
-    FatalConfigError(
-        "leaf-spine with a buffer policy requires the pool-aware disc "
-        "factory constructor");
-  }
-  Build([&make_disc](BufferPolicy*) { return make_disc(); });
-}
-
-LeafSpine::LeafSpine(
-    Simulator& sim, const LeafSpineConfig& config,
-    const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>& make_disc)
-    : sim_(sim), config_(config) {
-  assert(make_disc != nullptr);
-  Build(make_disc);
-}
-
-void LeafSpine::Build(
-    const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>& make_disc) {
   if (config_.spines < 1 || config_.leaves < 1 ||
       config_.hosts_per_leaf < 1) {
     FatalConfigError("leaf-spine dimensions must all be >= 1, got spines=" +

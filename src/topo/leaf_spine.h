@@ -5,7 +5,6 @@
 #define ECNSHARP_TOPO_LEAF_SPINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -43,17 +42,9 @@ struct LeafSpineConfig {
 class LeafSpine : public Topology {
  public:
   // `make_disc` builds the queue disc for every switch egress port (the AQM
-  // under test runs fabric-wide, as in the paper's simulations). This form
-  // predates buffer policies and requires buffer_policy.kind == kNone.
+  // under test runs fabric-wide, as in the paper's simulations).
   LeafSpine(Simulator& sim, const LeafSpineConfig& config,
-            std::function<std::unique_ptr<QueueDisc>()> make_disc);
-
-  // Buffer-policy-aware form: `make_disc` receives the owning switch's
-  // shared pool (null when no policy is configured, in which case behaviour
-  // is identical to the legacy form).
-  LeafSpine(Simulator& sim, const LeafSpineConfig& config,
-            const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>&
-                make_disc);
+            const DiscFactory& make_disc);
 
   SwitchNode& leaf(std::size_t i) { return *leaves_.at(i); }
   SwitchNode& spine(std::size_t i) { return *spines_.at(i); }
@@ -97,8 +88,6 @@ class LeafSpine : public Topology {
   }
 
  private:
-  void Build(const std::function<std::unique_ptr<QueueDisc>(BufferPolicy*)>&
-                 make_disc);
   BufferPolicy* LeafPool(std::size_t l) {
     return pools_.empty() ? nullptr : pools_[l].get();
   }

@@ -11,7 +11,6 @@
 #include "buffer/policies.h"
 #include "buffer/policy_spec.h"
 #include "net/packet.h"
-#include "net/shared_buffer.h"
 #include "sim/random.h"
 
 namespace ecnsharp {
@@ -45,17 +44,6 @@ TEST(BufferPolicyDeathTest, OverReleaseExits) {
         policy.Release(q, 1001);
       },
       testing::ExitedWithCode(2), "buffer policy release underflow");
-}
-
-TEST(BufferPolicyDeathTest, LegacyDoubleReleaseExits) {
-  EXPECT_EXIT(
-      {
-        SharedBufferPool pool(100'000, 1.0);
-        pool.TryReserve(0, kPkt);
-        pool.Release(kPkt);
-        pool.Release(kPkt);
-      },
-      testing::ExitedWithCode(2), "shared buffer release underflow");
 }
 
 TEST(BufferPolicyDeathTest, FactoryRejectsNonPositiveAlpha) {
@@ -185,32 +173,6 @@ TEST(DynamicThresholdTest, ShallowAlphaIsolatesLatencyClass) {
                 0.5 * static_cast<double>(policy.total_bytes() -
                                           policy.used_bytes())));
   EXPECT_TRUE(policy.TryReserve(latency, kPkt));
-}
-
-TEST(DynamicThresholdTest, LegacyPoolMatchesIdBasedDecisions) {
-  // SharedBufferPool (callers track their own queue bytes) and the id-based
-  // interface must answer every admission identically for the same state.
-  SharedBufferPool legacy(200'000, 2.0);
-  DynamicThresholdPolicy policy(200'000, 2.0);
-  const std::size_t q = policy.RegisterQueue(0);
-
-  Rng rng(42);
-  std::uint64_t ledger = 0;
-  for (int i = 0; i < 2000; ++i) {
-    const auto bytes = static_cast<std::uint32_t>(64 + rng.UniformInt(1437));
-    if (rng.UniformInt(2) == 0) {
-      const bool legacy_ok = legacy.TryReserve(ledger, bytes);
-      const bool id_ok = policy.TryReserve(q, bytes);
-      ASSERT_EQ(legacy_ok, id_ok) << "step " << i;
-      if (id_ok) ledger += bytes;
-    } else if (ledger >= bytes) {
-      legacy.Release(bytes);
-      policy.Release(q, bytes);
-      ledger -= bytes;
-    }
-    ASSERT_EQ(legacy.used_bytes(), policy.used_bytes()) << "step " << i;
-    ASSERT_EQ(policy.queue_bytes(q), ledger) << "step " << i;
-  }
 }
 
 // ------------------------------- DT+headroom --------------------------------

@@ -20,7 +20,7 @@ TEST(CubicSenderTest, ExplicitCubicFlowCompletesAndStampsRecord) {
   Simulator sim;
   DumbbellConfig config;
   Dumbbell topo(sim, config,
-                MakeFifoDisc(Scheme::kEcnSharp, SchemeParams()));
+                FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   bool done = false;
   topo.sender_stack(0).StartFlow(
       topo.receiver_address(), 2'000'000,
@@ -41,7 +41,7 @@ TEST(CubicSenderTest, DefaultStanceIsNonEctSoEcnSharpNeverMarksIt) {
   Simulator sim;
   DumbbellConfig config;
   Dumbbell topo(sim, config,
-                MakeFifoDisc(Scheme::kEcnSharp, SchemeParams()));
+                FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   int done = 0;
   for (std::size_t i = 0; i < 3; ++i) {
     topo.sender_stack(i).StartFlow(
@@ -58,7 +58,7 @@ TEST(CubicSenderTest, ClassicEcnStanceGetsMarkedAndStillCompletes) {
   DumbbellConfig config;
   config.tcp.cubic_ecn_mode = EcnMode::kClassic;
   Dumbbell topo(sim, config,
-                MakeFifoDisc(Scheme::kEcnSharp, SchemeParams()));
+                FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   int done = 0;
   for (std::size_t i = 0; i < 3; ++i) {
     topo.sender_stack(i).StartFlow(
@@ -80,8 +80,9 @@ TEST(CubicSenderTest, RecoversFromDropsUnderSmallDropTailBuffer) {
   // (or, worst case, RTO) without wedging.
   Simulator sim;
   DumbbellConfig config;
-  Dumbbell topo(sim, config,
-                std::make_unique<FifoQueueDisc>(30'000, nullptr));
+  Dumbbell topo(sim, config, [](BufferPolicy*) {
+    return std::make_unique<FifoQueueDisc>(30'000, nullptr);
+  });
   int done = 0;
   for (std::size_t i = 0; i < 4; ++i) {
     topo.sender_stack(i).StartFlow(

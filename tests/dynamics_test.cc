@@ -18,7 +18,7 @@
 #include "net/egress_port.h"
 #include "net/link_fault.h"
 #include "net/packet_tracer.h"
-#include "net/shared_buffer.h"
+#include "buffer/policies.h"
 #include "runner/job.h"
 #include "runner/json_export.h"
 #include "runner/sweep.h"
@@ -279,7 +279,7 @@ TEST(EgressPortFaultTest, CertainCorruptionTransmitsButNeverDelivers) {
 
 TEST(EgressPortFlapTest, DropQueuedPurgesBacklogAndReleasesSharedBuffer) {
   Simulator sim;
-  SharedBufferPool pool(1ull << 20, 8.0);
+  DynamicThresholdPolicy pool(1ull << 20, 8.0);
   auto disc = std::make_unique<FifoQueueDisc>(pool, nullptr);
   FifoQueueDisc* fifo = disc.get();
   EgressPort port(sim, DataRate::GigabitsPerSecond(10),
@@ -341,7 +341,7 @@ TEST(EgressPortFlapTest, DrainModeHoldsBacklogThroughOutage) {
 // to a purging one must still drop the backlog.
 TEST(EgressPortFlapTest, EscalatingDrainOutageToPurgeDropsBacklog) {
   Simulator sim;
-  SharedBufferPool pool(1ull << 20, 8.0);
+  DynamicThresholdPolicy pool(1ull << 20, 8.0);
   auto disc = std::make_unique<FifoQueueDisc>(pool, nullptr);
   FifoQueueDisc* fifo = disc.get();
   EgressPort port(sim, DataRate::GigabitsPerSecond(10),

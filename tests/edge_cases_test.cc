@@ -115,7 +115,7 @@ TEST(LeafSpineRoutingTest, NoPacketIsEverUnroutable) {
   config.spines = 2;
   config.leaves = 3;
   config.hosts_per_leaf = 2;
-  LeafSpine topo(sim, config, [] {
+  LeafSpine topo(sim, config, [](BufferPolicy*) {
     return std::make_unique<FifoQueueDisc>(1ull << 24, nullptr);
   });
   // Every ordered pair exchanges one small flow.
@@ -145,7 +145,7 @@ TEST(LeafSpineRoutingTest, IntraRackTrafficStaysOffTheSpine) {
   config.spines = 2;
   config.leaves = 2;
   config.hosts_per_leaf = 2;
-  LeafSpine topo(sim, config, [] {
+  LeafSpine topo(sim, config, [](BufferPolicy*) {
     return std::make_unique<FifoQueueDisc>(1ull << 24, nullptr);
   });
   bool done = false;
@@ -258,9 +258,8 @@ TEST(ConfigValidationDeathTest, OneHostLeafSpineSampleFlowPairExits) {
         config.spines = 1;
         config.leaves = 1;
         config.hosts_per_leaf = 1;
-        LeafSpine topo(sim, config, [] {
-          return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-        });
+        LeafSpine topo(sim, config,
+                       FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
         Rng rng(1);
         topo.SampleFlowPair(rng);
       },
@@ -275,9 +274,8 @@ TEST(ConfigValidationDeathTest, OneHostLeafSpineIncastSenderExits) {
         config.spines = 1;
         config.leaves = 1;
         config.hosts_per_leaf = 1;
-        LeafSpine topo(sim, config, [] {
-          return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-        });
+        LeafSpine topo(sim, config,
+                       FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
         topo.IncastSender(0);
       },
       testing::ExitedWithCode(2), "incast needs >= 2 hosts");
@@ -289,9 +287,8 @@ TEST(ConfigValidationDeathTest, ZeroDimensionLeafSpineExits) {
         Simulator sim;
         LeafSpineConfig config;
         config.leaves = 0;
-        LeafSpine topo(sim, config, [] {
-          return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-        });
+        LeafSpine topo(sim, config,
+                       FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
       },
       testing::ExitedWithCode(2), "dimensions must all be >= 1");
 }
@@ -358,8 +355,8 @@ ComposedConfig TinyComposed() {
   return config;
 }
 
-std::unique_ptr<QueueDisc> TinyDisc() {
-  return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
+std::unique_ptr<QueueDisc> TinyDisc(BufferPolicy* pool) {
+  return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams(), pool);
 }
 
 TEST(ConfigValidationDeathTest, ZeroBorderLinkComposedExits) {
@@ -444,18 +441,6 @@ TEST(ConfigValidationDeathTest, ComposedInterRttFractionOutOfRangeExits) {
       },
       testing::ExitedWithCode(2),
       "inter_rtt_fraction out of range: got 1.5.*valid range \\[0, 1\\]");
-}
-
-TEST(ConfigValidationDeathTest, ComposedLegacyCtorWithBufferPolicyExits) {
-  EXPECT_EXIT(
-      {
-        Simulator sim;
-        ComposedConfig config = TinyComposed();
-        config.buffer_policy.kind = BufferPolicyKind::kDynamicThreshold;
-        ComposedTopology topo(sim, config, TinyDisc);
-      },
-      testing::ExitedWithCode(2),
-      "buffer policy requires the pool-aware disc factory");
 }
 
 TEST(ConfigValidationDeathTest, InterFractionBelowZeroExits) {

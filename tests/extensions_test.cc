@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "core/ecn_sharp_prob.h"
-#include "net/shared_buffer.h"
+#include "buffer/policies.h"
 #include "sched/dwrr_queue_disc.h"
 #include "sched/fifo_queue_disc.h"
 #include "sched/sp_queue_disc.h"
@@ -132,37 +132,44 @@ TEST(MqEcnTest, WeightsScaleShares) {
 // --------------------------- shared buffer ---------------------------------
 
 TEST(SharedBufferTest, DynamicThresholdAdmission) {
-  SharedBufferPool pool(100'000, /*alpha=*/1.0);
+  DynamicThresholdPolicy pool(100'000, /*alpha=*/1.0);
+  const std::size_t queue = pool.RegisterQueue(0);
+  const std::size_t other = pool.RegisterQueue(0);
   // Empty pool: a queue may grow to alpha * free = 100000.
-  EXPECT_TRUE(pool.TryReserve(0, 1500));
+  EXPECT_EQ(pool.LimitBytes(queue), 100'000u);
+  EXPECT_TRUE(pool.TryReserve(queue, 1500));
   EXPECT_EQ(pool.used_bytes(), 1500u);
-  // A queue already holding more than alpha*free is refused.
-  EXPECT_FALSE(pool.TryReserve(99'000, 1500));
+  // Once the pool holds 49500 bytes, a queue may hold at most alpha * free
+  // = 50500: one byte more is refused.
+  ASSERT_TRUE(pool.TryReserve(other, 48'000));
+  EXPECT_FALSE(pool.TryReserve(queue, 49'001));
+  EXPECT_TRUE(pool.TryReserve(queue, 49'000));
 }
 
 TEST(SharedBufferTest, HotQueueTakesLargeShare) {
-  SharedBufferPool pool(120'000, 1.0);
-  std::uint64_t queue = 0;
+  DynamicThresholdPolicy pool(120'000, 1.0);
+  const std::size_t queue = pool.RegisterQueue(0);
   int admitted = 0;
-  while (pool.TryReserve(queue, 1500)) {
-    queue += 1500;
-    ++admitted;
-  }
+  while (pool.TryReserve(queue, 1500)) ++admitted;
   // alpha=1: the single hot queue converges to total/2.
   EXPECT_NEAR(admitted * 1500.0, 60'000.0, 1500.0);
 }
 
 TEST(SharedBufferTest, ReleaseReturnsCapacity) {
-  SharedBufferPool pool(10'000, 1.0);
-  ASSERT_TRUE(pool.TryReserve(0, 4000));
-  ASSERT_TRUE(pool.TryReserve(0, 3000));
-  pool.Release(4000);
+  DynamicThresholdPolicy pool(10'000, 1.0);
+  const std::size_t queue = pool.RegisterQueue(0);
+  const std::size_t other = pool.RegisterQueue(0);
+  ASSERT_TRUE(pool.TryReserve(queue, 4000));
+  ASSERT_TRUE(pool.TryReserve(other, 3000));
+  // Full-ish pool: the queue's limit is alpha * 3000 free.
+  EXPECT_FALSE(pool.TryReserve(queue, 3000));
+  pool.Release(queue, 4000);
   EXPECT_EQ(pool.used_bytes(), 3000u);
-  EXPECT_TRUE(pool.TryReserve(0, 3000));
+  EXPECT_TRUE(pool.TryReserve(queue, 3000));
 }
 
 TEST(SharedBufferTest, FifoIntegration) {
-  SharedBufferPool pool(9'000, 1.0);
+  DynamicThresholdPolicy pool(9'000, 1.0);
   FifoQueueDisc a(pool, nullptr);
   FifoQueueDisc b(pool, nullptr);
   // Queue a grabs what DT allows.

@@ -21,7 +21,7 @@ double FairnessUnder(Scheme scheme, std::size_t flows) {
   config.senders = flows;
   config.base_rtt = Time::FromMicroseconds(80);
   const SchemeParams params = SimulationSchemeParams();
-  Dumbbell topo(sim, config, MakeFifoDisc(scheme, params));
+  Dumbbell topo(sim, config, FifoDiscFactory(scheme, params));
   // No netem extras: equal RTTs isolate the AQM's fairness behaviour.
 
   std::vector<TcpSender*> senders;
@@ -80,7 +80,7 @@ TEST(FairnessTest, ThroughputConservedAcrossFlows) {
   DumbbellConfig config;
   config.senders = 4;
   Dumbbell topo(sim, config,
-                MakeFifoDisc(Scheme::kEcnSharp, SimulationSchemeParams()));
+                FifoDiscFactory(Scheme::kEcnSharp, SimulationSchemeParams()));
   std::vector<TcpSender*> senders;
   for (std::size_t i = 0; i < 4; ++i) {
     senders.push_back(&topo.sender_stack(i).StartFlow(

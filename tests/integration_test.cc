@@ -148,7 +148,7 @@ TEST(IntegrationTest, LeafSpineEcmpUsesAllSpines) {
   config.spines = 4;
   config.leaves = 2;
   config.hosts_per_leaf = 4;
-  LeafSpine topo(sim, config, [] {
+  LeafSpine topo(sim, config, [](BufferPolicy*) {
     return std::make_unique<FifoQueueDisc>(1ull << 24, nullptr);
   });
   // Many cross-rack flows.

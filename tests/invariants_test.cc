@@ -40,7 +40,7 @@ TEST_P(ChaosTest, ConservationInvariants) {
   SchemeParams params = SimulationSchemeParams();
   params.buffer_bytes = param.buffer_bytes;
   topo_config.buffer_bytes = param.buffer_bytes;
-  Dumbbell topo(sim, topo_config, MakeFifoDisc(param.scheme, params));
+  Dumbbell topo(sim, topo_config, FifoDiscFactory(param.scheme, params));
 
   Rng rng(param.seed);
   const std::uint32_t receiver = topo.receiver_address();

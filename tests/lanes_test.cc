@@ -90,9 +90,8 @@ TEST(FatTreeLaneShardingTest, LocalityAnnotationsAndLaneMapping) {
   LaneSet lanes(3);
   FatTreeConfig config;
   config.k = 4;
-  FatTree topo(lanes, config, [](BufferPolicy* pool) {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams(), pool);
-  });
+  FatTree topo(lanes.lane(0), config,
+               FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()), &lanes);
   ASSERT_TRUE(topo.lane_sharded());
   // Pod p is locality 1 + p, cores locality 0; lane = locality % 3.
   EXPECT_EQ(topo.host(0).locality_id(), 1u);
@@ -111,9 +110,8 @@ TEST(FatTreeLaneShardingTest, SingleSimBuildReportsUnsharded) {
   Simulator sim;
   FatTreeConfig config;
   config.k = 4;
-  FatTree topo(sim, config, [](BufferPolicy* pool) {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams(), pool);
-  });
+  FatTree topo(sim, config,
+               FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   EXPECT_FALSE(topo.lane_sharded());
   EXPECT_EQ(topo.LaneOfHost(0), 0u);
   EXPECT_EQ(topo.host(0).locality_id(), 1u);  // annotations always present

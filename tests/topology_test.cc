@@ -42,7 +42,8 @@ namespace {
 TEST(DumbbellTopologyTest, EnumeratesSendersAsHosts) {
   Simulator sim;
   DumbbellConfig config;
-  Dumbbell topo(sim, config, MakeFifoDisc(Scheme::kEcnSharp, SchemeParams()));
+  Dumbbell topo(sim, config,
+                FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   Topology& iface = topo;
 
   EXPECT_EQ(iface.host_count(), config.senders);
@@ -61,7 +62,8 @@ TEST(DumbbellTopologyTest, EnumeratesSendersAsHosts) {
 TEST(DumbbellTopologyTest, ResolvesScenarioPortIds) {
   Simulator sim;
   DumbbellConfig config;
-  Dumbbell topo(sim, config, MakeFifoDisc(Scheme::kEcnSharp, SchemeParams()));
+  Dumbbell topo(sim, config,
+                FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   Topology& iface = topo;
 
   EXPECT_EQ(iface.ResolvePort(-1), &topo.bottleneck_port());
@@ -79,7 +81,8 @@ TEST(DumbbellTopologyTest, HostBaseRttIncludesExtras) {
   Simulator sim;
   DumbbellConfig config;
   config.senders = 3;
-  Dumbbell topo(sim, config, MakeFifoDisc(Scheme::kEcnSharp, SchemeParams()));
+  Dumbbell topo(sim, config,
+                FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   topo.SetSenderExtraDelays({Time::Zero(), Time::FromMicroseconds(30),
                              Time::FromMicroseconds(140)});
   Topology& iface = topo;
@@ -105,9 +108,8 @@ LeafSpineConfig SmallFabric() {
 TEST(LeafSpineTopologyTest, EnumeratesEverySwitchPortAsBottleneck) {
   Simulator sim;
   const LeafSpineConfig config = SmallFabric();
-  LeafSpine topo(sim, config, [] {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-  });
+  LeafSpine topo(sim, config,
+                 FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   Topology& iface = topo;
 
   EXPECT_EQ(iface.host_count(), 6u);
@@ -125,9 +127,8 @@ TEST(LeafSpineTopologyTest, EnumeratesEverySwitchPortAsBottleneck) {
 TEST(LeafSpineTopologyTest, ResolvesScenarioPortIds) {
   Simulator sim;
   const LeafSpineConfig config = SmallFabric();
-  LeafSpine topo(sim, config, [] {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-  });
+  LeafSpine topo(sim, config,
+                 FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   Topology& iface = topo;
 
   // -1 = the canonical fabric bottleneck: leaf 0's first uplink.
@@ -152,9 +153,8 @@ TEST(LeafSpineTopologyTest, ResolvesScenarioPortIds) {
 TEST(LeafSpineTopologyTest, BaseRttAndCapacityFollowTheFabric) {
   Simulator sim;
   const LeafSpineConfig config = SmallFabric();
-  LeafSpine topo(sim, config, [] {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-  });
+  LeafSpine topo(sim, config,
+                 FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   Topology& iface = topo;
 
   // Cross-rack: 2 host hops + 2 fabric hops each way at 10 us per hop.
@@ -168,9 +168,8 @@ TEST(LeafSpineTopologyTest, BaseRttAndCapacityFollowTheFabric) {
 
 TEST(LeafSpineTopologyTest, TotalBottleneckStatsSumsAllSwitchQueues) {
   Simulator sim;
-  LeafSpine topo(sim, SmallFabric(), [] {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-  });
+  LeafSpine topo(sim, SmallFabric(),
+                 FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   const QueueDiscStats stats = topo.TotalBottleneckStats();
   EXPECT_EQ(stats.enqueued, 0u);
   EXPECT_EQ(stats.dropped_overflow, 0u);
@@ -190,9 +189,8 @@ FatTreeConfig SmallFatTree() {
 
 TEST(FatTreeTopologyTest, BuildsKaryStructure) {
   Simulator sim;
-  FatTree topo(sim, SmallFatTree(), [] {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-  });
+  FatTree topo(sim, SmallFatTree(),
+               FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   Topology& iface = topo;
 
   // k=4: 4 pods x (2 edges + 2 aggs), 4 cores, 16 hosts.
@@ -224,9 +222,8 @@ TEST(FatTreeTopologyTest, BuildsKaryStructure) {
 
 TEST(FatTreeTopologyTest, ResolvesScenarioPortIds) {
   Simulator sim;
-  FatTree topo(sim, SmallFatTree(), [] {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-  });
+  FatTree topo(sim, SmallFatTree(),
+               FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   Topology& iface = topo;
 
   // -1 = the canonical fabric bottleneck: edge 0's first uplink (ports
@@ -250,9 +247,8 @@ TEST(FatTreeTopologyTest, ResolvesScenarioPortIds) {
 
 TEST(FatTreeTopologyTest, BaseRttAndCapacityFollowTheFabric) {
   Simulator sim;
-  FatTree topo(sim, SmallFatTree(), [] {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-  });
+  FatTree topo(sim, SmallFatTree(),
+               FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   Topology& iface = topo;
 
   // Inter-pod: 2 host hops + 4 fabric hops each way at 10 us per hop.
@@ -265,9 +261,8 @@ TEST(FatTreeTopologyTest, BaseRttAndCapacityFollowTheFabric) {
 
 TEST(FatTreeTopologyTest, SampleFlowPairMixesPodsAndNeverSelfPairs) {
   Simulator sim;
-  FatTree topo(sim, SmallFatTree(), [] {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-  });
+  FatTree topo(sim, SmallFatTree(),
+               FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   Topology& iface = topo;
 
   Rng rng(12345);
@@ -292,9 +287,8 @@ TEST(FatTreeTopologyTest, SampleFlowPairMixesPodsAndNeverSelfPairs) {
 
 TEST(FatTreeTopologyTest, IncastConvergesOnHostZero) {
   Simulator sim;
-  FatTree topo(sim, SmallFatTree(), [] {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-  });
+  FatTree topo(sim, SmallFatTree(),
+               FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   Topology& iface = topo;
 
   EXPECT_EQ(iface.IncastTarget(), iface.host(0).address());
@@ -307,9 +301,8 @@ TEST(FatTreeTopologyTest, IncastConvergesOnHostZero) {
 // ReestimateEcnSharp must silently skip queues that are not running ECN#.
 TEST(ReestimateTest, IgnoresNonEcnSharpQueues) {
   Simulator sim;
-  LeafSpine topo(sim, SmallFabric(), [] {
-    return MakeFifoDisc(Scheme::kDctcpRedTail, SchemeParams());
-  });
+  LeafSpine topo(sim, SmallFabric(),
+                 FifoDiscFactory(Scheme::kDctcpRedTail, SchemeParams()));
   ReestimateEcnSharp(topo);  // must not crash or reconfigure anything
   EXPECT_EQ(topo.TotalBottleneckStats().enqueued, 0u);
 }
@@ -431,86 +424,59 @@ TEST(GoldenParityTest, IncastMatchesPreSessionResults) {
 }
 
 // The buffer-policy subsystem must be invisible at defaults: a topology
-// built through the pool-aware constructor with no policy configured has to
-// match the legacy constructor byte for byte, and it must report no pools.
+// built with no policy configured hands the disc factory no pool, reports
+// no pools, and reproduces the FCTs of the per-port-buffer constructor the
+// topologies had before pools existed (pinned here from that constructor).
 
 TEST(GoldenParityTest, DumbbellPoolAwareConstructorWithoutPolicyMatchesLegacy) {
-  auto run = [](bool pool_aware) {
-    Simulator sim;
-    DumbbellConfig config;
-    std::unique_ptr<Dumbbell> topo;
-    if (pool_aware) {
-      topo = std::make_unique<Dumbbell>(
-          sim, config, [](BufferPolicy* pool) {
-            EXPECT_EQ(pool, nullptr);
-            return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams(), pool);
-          });
-      EXPECT_EQ(topo->buffer_pool_count(), 0u);
-    } else {
-      topo = std::make_unique<Dumbbell>(
-          sim, config, MakeFifoDisc(Scheme::kEcnSharp, SchemeParams()));
-    }
-    std::vector<double> fcts(topo->sender_count(), 0.0);
-    std::size_t done = 0;
-    for (std::size_t i = 0; i < topo->sender_count(); ++i) {
-      topo->sender_stack(i).StartFlow(
-          topo->receiver_address(), 100'000 + 50'000 * i,
-          [&fcts, &done, i](const FlowRecord& r) {
-            fcts[i] = r.Fct().ToMicroseconds();
-            ++done;
-          });
-    }
-    sim.RunUntil(Time::Seconds(5));
-    EXPECT_EQ(done, topo->sender_count());
-    return fcts;
-  };
-  const std::vector<double> legacy = run(false);
-  const std::vector<double> pooled = run(true);
-  ASSERT_EQ(legacy.size(), pooled.size());
+  Simulator sim;
+  Dumbbell topo(sim, DumbbellConfig(), [](BufferPolicy* pool) {
+    EXPECT_EQ(pool, nullptr);
+    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams(), pool);
+  });
+  EXPECT_EQ(topo.buffer_pool_count(), 0u);
+  std::vector<double> fcts(topo.sender_count(), 0.0);
+  for (std::size_t i = 0; i < topo.sender_count(); ++i) {
+    topo.sender_stack(i).StartFlow(
+        topo.receiver_address(), 100'000 + 50'000 * i,
+        [&fcts, i](const FlowRecord& r) {
+          fcts[i] = r.Fct().ToMicroseconds();
+        });
+  }
+  sim.RunUntil(Time::Seconds(5));
+  const std::vector<double> legacy = {609.504,  888.8,    1081.984, 1241.936,
+                                      1378.08,  1489.856, 1549.44};
+  ASSERT_EQ(fcts.size(), legacy.size());
   for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_DOUBLE_EQ(legacy[i], pooled[i]) << "sender " << i;
+    EXPECT_DOUBLE_EQ(fcts[i], legacy[i]) << "sender " << i;
   }
 }
 
 TEST(GoldenParityTest, FatTreePoolAwareConstructorWithoutPolicyMatchesLegacy) {
-  auto run = [](bool pool_aware) {
-    Simulator sim;
-    FatTreeConfig config;
-    config.k = 4;
-    std::unique_ptr<FatTree> topo;
-    if (pool_aware) {
-      topo = std::make_unique<FatTree>(
-          sim, config, [](BufferPolicy* pool) {
-            EXPECT_EQ(pool, nullptr);
-            return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams(), pool);
-          });
-      EXPECT_EQ(topo->buffer_pool_count(), 0u);
-    } else {
-      topo = std::make_unique<FatTree>(sim, config, [] {
-        return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-      });
-    }
-    // Cross-pod pairs so flows traverse edge, agg and core discs.
-    const std::size_t n = topo->host_count();
-    std::vector<double> fcts(n, 0.0);
-    std::size_t done = 0;
-    for (std::size_t src = 0; src < n; ++src) {
-      const auto dst = static_cast<std::uint32_t>((src + n / 2) % n);
-      topo->stack(src).StartFlow(dst, 50'000,
-                                 [&fcts, &done, src](const FlowRecord& r) {
-                                   fcts[src] = r.Fct().ToMicroseconds();
-                                   ++done;
-                                 });
-    }
-    sim.RunUntil(Time::Seconds(5));
-    EXPECT_EQ(done, n);
-    return fcts;
-  };
-  const std::vector<double> legacy = run(false);
-  const std::vector<double> pooled = run(true);
-  ASSERT_EQ(legacy.size(), pooled.size());
+  Simulator sim;
+  FatTreeConfig config;
+  config.k = 4;
+  FatTree topo(sim, config, [](BufferPolicy* pool) {
+    EXPECT_EQ(pool, nullptr);
+    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams(), pool);
+  });
+  EXPECT_EQ(topo.buffer_pool_count(), 0u);
+  // Cross-pod pairs so flows traverse edge, agg and core discs.
+  const std::size_t n = topo.host_count();
+  std::vector<double> fcts(n, 0.0);
+  for (std::size_t src = 0; src < n; ++src) {
+    const auto dst = static_cast<std::uint32_t>((src + n / 2) % n);
+    topo.stack(src).StartFlow(dst, 50'000, [&fcts, src](const FlowRecord& r) {
+      fcts[src] = r.Fct().ToMicroseconds();
+    });
+  }
+  sim.RunUntil(Time::Seconds(5));
+  const std::vector<double> legacy = {
+      390.032, 391.088, 403.36,  401.84,  397.504, 393.584, 389.984, 388.784,
+      399.024, 402.624, 388.784, 395.984, 394.784, 396.304, 394.784, 396.304};
+  ASSERT_EQ(fcts.size(), legacy.size());
   for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_DOUBLE_EQ(legacy[i], pooled[i]) << "host " << i;
+    EXPECT_DOUBLE_EQ(fcts[i], legacy[i]) << "host " << i;
   }
 }
 
@@ -765,9 +731,8 @@ ComposedConfig SmallComposed() {
 
 TEST(ComposedTopologyTest, EnumeratesSidesGatewaysAndBorder) {
   Simulator sim;
-  ComposedTopology topo(sim, SmallComposed(), [] {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-  });
+  ComposedTopology topo(sim, SmallComposed(),
+                        FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   Topology& iface = topo;
 
   EXPECT_EQ(iface.host_count(), 12u);
@@ -803,9 +768,8 @@ TEST(ComposedTopologyTest, EnumeratesSidesGatewaysAndBorder) {
 
 TEST(ComposedTopologyTest, ResolvesScenarioPortIds) {
   Simulator sim;
-  ComposedTopology topo(sim, SmallComposed(), [] {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-  });
+  ComposedTopology topo(sim, SmallComposed(),
+                        FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   Topology& iface = topo;
 
   // -1 = the first border link's egress on gateway A.
@@ -834,9 +798,8 @@ TEST(ComposedTopologyTest, RttCapacityAndSamplePopulation) {
   Simulator sim;
   ComposedConfig config = SmallComposed();
   config.attach_delay = Time::FromMicroseconds(5);
-  ComposedTopology topo(sim, config, [] {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-  });
+  ComposedTopology topo(sim, config,
+                        FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   Topology& iface = topo;
 
   // Hosts keep their side's intra-fabric base RTT (plus extras).
@@ -868,9 +831,8 @@ TEST(ComposedTopologyTest, RttCapacityAndSamplePopulation) {
 
 TEST(ComposedTopologyTest, SplitSamplingRespectsTheSeam) {
   Simulator sim;
-  ComposedTopology topo(sim, SmallComposed(), [] {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-  });
+  ComposedTopology topo(sim, SmallComposed(),
+                        FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
 
   Rng rng(77);
   for (int i = 0; i < 400; ++i) {
@@ -914,9 +876,8 @@ TEST(ComposedTopologyTest, MixedLeafSpineFatTreeSidesCarryTraffic) {
   // The composition itself: 6 leaf-spine hosts then 16 fat-tree hosts,
   // gateway B attaches to every core (k^2/4 = 4 of them).
   Simulator sim;
-  ComposedTopology topo(sim, config.topo, [] {
-    return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-  });
+  ComposedTopology topo(sim, config.topo,
+                        FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
   EXPECT_EQ(topo.host_count(), 22u);
   EXPECT_EQ(topo.side_base_address(1), 6u);
   EXPECT_EQ(topo.attach_count(1), 4u);

@@ -24,7 +24,7 @@
 #include "net/egress_port.h"
 #include "net/packet_tracer.h"
 #include "net/queue_disc.h"
-#include "net/shared_buffer.h"
+#include "buffer/policies.h"
 #include "sched/dwrr_queue_disc.h"
 #include "sched/fifo_queue_disc.h"
 #include "sched/sp_queue_disc.h"
@@ -56,7 +56,7 @@ std::unique_ptr<Packet> MakePacket(Rng& rng) {
 // Asserts the accounting invariant and that the trace tap agrees with the
 // disc's stats counter for counter. `pool` is optional (FIFO only).
 void CheckInvariants(const QueueDisc& disc, const TraceRecorder& trace,
-                     const SharedBufferPool* pool, const char* when) {
+                     const BufferPolicy* pool, const char* when) {
   const QueueDiscStats& stats = disc.stats();
   const QueueSnapshot snapshot = disc.Snapshot();
   ASSERT_EQ(stats.enqueued, stats.dequeued + stats.purged + snapshot.packets)
@@ -80,7 +80,7 @@ void CheckInvariants(const QueueDisc& disc, const TraceRecorder& trace,
 // Runs one seeded churn timeline against `port`: random arrival bursts
 // interleaved with purge-flaps, drain-flaps, and recoveries, checking the
 // invariants after every scripted step and once more after the drain.
-void SoakPort(Simulator& sim, EgressPort& port, SharedBufferPool* pool,
+void SoakPort(Simulator& sim, EgressPort& port, BufferPolicy* pool,
               std::uint64_t seed) {
   TraceConfig config;
   config.enabled = true;
@@ -139,7 +139,8 @@ constexpr std::uint64_t kSoakSeeds[] = {1, 7, 0xdecaf};
 TEST(TraceSoakTest, FifoSharedBufferInvariantHoldsUnderChurn) {
   for (const std::uint64_t seed : kSoakSeeds) {
     Simulator sim;
-    SharedBufferPool pool(24'000, 8.0);  // small: forces overflow refusals
+    // Small: forces overflow refusals.
+    DynamicThresholdPolicy pool(24'000, 8.0);
     EgressPort port(sim, DataRate::GigabitsPerSecond(1),
                     Time::FromMicroseconds(1),
                     std::make_unique<FifoQueueDisc>(pool, nullptr));
@@ -187,7 +188,7 @@ TEST(TraceSoakTest, SpInvariantHoldsUnderChurn) {
 // post-state is observable.
 TEST(TraceSoakTest, ScenarioEngineActionsPreserveInvariants) {
   Simulator sim;
-  SharedBufferPool pool(1u << 20, 8.0);
+  DynamicThresholdPolicy pool(1u << 20, 8.0);
   EgressPort port(sim, DataRate::GigabitsPerSecond(1),
                   Time::FromMicroseconds(1),
                   std::make_unique<FifoQueueDisc>(pool, nullptr));
@@ -315,9 +316,8 @@ TEST(TraceSoakTest, FatTreeBottleneckInvariantHoldsUnderChurn) {
     Simulator sim;
     FatTreeConfig config;
     config.k = 4;
-    FatTree topo(sim, config, [] {
-      return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams());
-    });
+    FatTree topo(sim, config,
+                 FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
     EgressPort* uplink = topo.ResolvePort(-1);
     ASSERT_NE(uplink, nullptr);
     SoakPort(sim, *uplink, nullptr, seed);
@@ -414,8 +414,7 @@ ComposedConfig SoakComposed() {
   return config;
 }
 
-void SoakComposedBorder(
-    const std::function<std::unique_ptr<QueueDisc>()>& make_disc) {
+void SoakComposedBorder(const DiscFactory& make_disc) {
   for (const std::uint64_t seed : kSoakSeeds) {
     Simulator sim;
     ComposedTopology topo(sim, SoakComposed(), make_disc);
@@ -426,12 +425,11 @@ void SoakComposedBorder(
 }
 
 TEST(TraceSoakTest, ComposedBorderFifoInvariantHoldsUnderChurn) {
-  SoakComposedBorder(
-      [] { return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams()); });
+  SoakComposedBorder(FifoDiscFactory(Scheme::kEcnSharp, SchemeParams()));
 }
 
 TEST(TraceSoakTest, ComposedBorderDwrrInvariantHoldsUnderChurn) {
-  SoakComposedBorder([] {
+  SoakComposedBorder([](BufferPolicy*) {
     std::vector<DwrrQueueDisc::ClassConfig> classes(3);
     classes[0].weight = 2;
     classes[1].weight = 1;
@@ -441,7 +439,7 @@ TEST(TraceSoakTest, ComposedBorderDwrrInvariantHoldsUnderChurn) {
 }
 
 TEST(TraceSoakTest, ComposedBorderSpInvariantHoldsUnderChurn) {
-  SoakComposedBorder([] {
+  SoakComposedBorder([](BufferPolicy*) {
     std::vector<SpQueueDisc::ClassConfig> classes(3);
     return std::make_unique<SpQueueDisc>(24'000, std::move(classes));
   });

@@ -113,8 +113,9 @@ TEST(TrafficGeneratorTest, GeneratesOfferedLoadThroughDumbbell) {
   Simulator sim;
   DumbbellConfig topo_config;
   topo_config.senders = 7;
-  Dumbbell topo(sim, topo_config,
-                std::make_unique<FifoQueueDisc>(1ull << 24, nullptr));
+  Dumbbell topo(sim, topo_config, [](BufferPolicy*) {
+    return std::make_unique<FifoQueueDisc>(1ull << 24, nullptr);
+  });
 
   FctCollector collector;
   std::uint64_t total_bytes = 0;

@@ -313,20 +313,17 @@ void PrintFctResult(const ExperimentResult& r) {
 
 // Scenario runs go through the runner so the full record (config + scenario
 // + dynamics counters) lands in results/<name>.json, byte-identical to what
-// a sweep over the same point would export. Returns the job result so the
-// caller can reach per-run extras (the flight-recorder trace).
-template <typename Config>
-runner::JobResult RunSingleViaRunner(const Flags& flags, Scheme scheme,
-                                     const Config& config) {
+// a sweep over the same point would export.
+ExperimentOutcome RunSingleViaRunner(const Flags& flags, Scheme scheme,
+                                     const ExperimentConfig& config) {
   const std::string name = flags.Get("name", "cli_run");
-  std::vector<runner::JobSpec> specs;
-  specs.push_back({std::string(SchemeName(scheme)), config});
+  const std::vector<runner::JobSpec> specs = {
+      {std::string(SchemeName(scheme)), config}};
   runner::SweepOptions options;
   options.label = name;
   std::vector<runner::JobResult> results = runner::RunJobs(specs, options);
   runner::ExportSweep(name, specs, results);
-  PrintFctResult(runner::FctResult(results[0]));
-  return std::move(results[0]);
+  return std::move(results[0].result);
 }
 
 // Writes the trace collected by a single run to --trace-out (default
@@ -392,65 +389,7 @@ void ExportSketchOrDie(const Flags& flags,
               sketch->FlowSketchMemoryBytes() / 1024, path.c_str());
 }
 
-// Fat-tree shape/link knobs shared by single-run and sweep mode. The arity
-// is validated here so a bad --k fails at flag-parse time with the CLI's
-// usual exit 2 (the FatTree constructor would also reject it).
-FatTreeConfig FatTreeConfigFromFlags(const Flags& flags) {
-  FatTreeConfig topo;
-  topo.k = flags.GetU64("k", 8);
-  if (topo.k < 4 || topo.k % 2 != 0) {
-    FlagError("k", flags.Get("k", ""), "an even integer >= 4");
-  }
-  topo.rate = DataRate::GigabitsPerSecond(flags.GetDouble("rate-gbps", 10.0));
-  topo.host_link_delay =
-      Time::FromMicroseconds(flags.GetDouble("host-delay-us", 10.0));
-  topo.fabric_link_delay =
-      Time::FromMicroseconds(flags.GetDouble("fabric-delay-us", 10.0));
-  return topo;
-}
-
-// Inter-DC composed-fabric knobs shared by single-run and sweep mode. Border
-// numbers are validated here so a bad flag fails at parse time with the
-// CLI's usual exit 2 (the ComposedTopology constructor would also reject
-// them, with the same status).
-InterDcExperimentConfig InterDcConfigFromFlags(const Flags& flags,
-                                               const EmpiricalCdf* workload) {
-  InterDcExperimentConfig config;
-  config.workload = workload;
-  const std::string inter_workload = flags.Get("inter-workload", "datamining");
-  if (inter_workload == "websearch") {
-    config.inter_workload = &WebSearchWorkload();
-  } else if (inter_workload == "datamining") {
-    config.inter_workload = &DataMiningWorkload();
-  } else {
-    FlagError("inter-workload", inter_workload, "websearch or datamining");
-  }
-  config.inter_fraction = flags.GetDouble("inter-fraction", 0.1);
-  if (config.inter_fraction < 0.0 || config.inter_fraction > 1.0) {
-    FlagError("inter-fraction", flags.Get("inter-fraction", ""),
-              "a fraction in [0, 1]");
-  }
-  config.topo.border_links = flags.GetU64("border-links", 1);
-  if (config.topo.border_links < 1) {
-    FlagError("border-links", flags.Get("border-links", ""),
-              "an integer >= 1");
-  }
-  const double border_gbps = flags.GetDouble("border-gbps", 10.0);
-  if (border_gbps <= 0.0) {
-    FlagError("border-gbps", flags.Get("border-gbps", ""),
-              "a positive rate in Gbit/s");
-  }
-  config.topo.border_rate = DataRate::GigabitsPerSecond(border_gbps);
-  const double border_rtt_us = flags.GetDouble("border-rtt-us", 2000.0);
-  if (border_rtt_us < 0.0 || border_rtt_us > 10'000'000.0) {
-    FlagError("border-rtt-us", flags.Get("border-rtt-us", ""),
-              "microseconds in [0, 10000000]");
-  }
-  config.topo.border_rtt = Time::FromMicroseconds(border_rtt_us);
-  return config;
-}
-
-// Mixed-CC share, shared by single-run and sweep mode; validated to [0, 1].
+// Mixed-CC share; validated to [0, 1].
 double CcMixFromFlags(const Flags& flags) {
   const double mix = flags.GetDouble("cc-mix", 0.0);
   if (mix < 0.0 || mix > 1.0) {
@@ -481,6 +420,61 @@ BufferPolicyConfig BufferPolicyFromFlags(const Flags& flags) {
     FlagError("alpha", flags.Get("alpha", ""), "a positive number");
   }
   return policy;
+}
+
+// Fat-tree shape/link knobs. The arity is validated here so a bad --k fails
+// at flag-parse time with the CLI's usual exit 2 (the FatTree constructor
+// would also reject it).
+FatTreeConfig FatTreeConfigFromFlags(const Flags& flags) {
+  FatTreeConfig topo;
+  topo.k = flags.GetU64("k", 8);
+  if (topo.k < 4 || topo.k % 2 != 0) {
+    FlagError("k", flags.Get("k", ""), "an even integer >= 4");
+  }
+  topo.rate = DataRate::GigabitsPerSecond(flags.GetDouble("rate-gbps", 10.0));
+  topo.host_link_delay =
+      Time::FromMicroseconds(flags.GetDouble("host-delay-us", 10.0));
+  topo.fabric_link_delay =
+      Time::FromMicroseconds(flags.GetDouble("fabric-delay-us", 10.0));
+  return topo;
+}
+
+// Inter-DC composed-fabric knobs on top of `config`'s shared fields. Border
+// numbers are validated here so a bad flag fails at parse time with the
+// CLI's usual exit 2 (the ComposedTopology constructor would also reject
+// them, with the same status).
+void InterDcShapeFromFlags(const Flags& flags,
+                           InterDcExperimentConfig& config) {
+  const std::string inter_workload = flags.Get("inter-workload", "datamining");
+  if (inter_workload == "websearch") {
+    config.inter_workload = &WebSearchWorkload();
+  } else if (inter_workload == "datamining") {
+    config.inter_workload = &DataMiningWorkload();
+  } else {
+    FlagError("inter-workload", inter_workload, "websearch or datamining");
+  }
+  config.inter_fraction = flags.GetDouble("inter-fraction", 0.1);
+  if (config.inter_fraction < 0.0 || config.inter_fraction > 1.0) {
+    FlagError("inter-fraction", flags.Get("inter-fraction", ""),
+              "a fraction in [0, 1]");
+  }
+  config.topo.border_links = flags.GetU64("border-links", 1);
+  if (config.topo.border_links < 1) {
+    FlagError("border-links", flags.Get("border-links", ""),
+              "an integer >= 1");
+  }
+  const double border_gbps = flags.GetDouble("border-gbps", 10.0);
+  if (border_gbps <= 0.0) {
+    FlagError("border-gbps", flags.Get("border-gbps", ""),
+              "a positive rate in Gbit/s");
+  }
+  config.topo.border_rate = DataRate::GigabitsPerSecond(border_gbps);
+  const double border_rtt_us = flags.GetDouble("border-rtt-us", 2000.0);
+  if (border_rtt_us < 0.0 || border_rtt_us > 10'000'000.0) {
+    FlagError("border-rtt-us", flags.Get("border-rtt-us", ""),
+              "microseconds in [0, 10000000]");
+  }
+  config.topo.border_rtt = Time::FromMicroseconds(border_rtt_us);
 }
 
 // One swept parameter: `load:10..90:10` expands to {10, 20, ..., 90}.
@@ -550,6 +544,12 @@ std::string FmtValue(double v) {
 struct GridPoint {
   std::string name;  // "load=30,variation=5"
   std::map<std::string, double> overrides;
+
+  // The swept value of `param` at this point, else `fallback`.
+  double Get(const std::string& param, double fallback) const {
+    const auto it = overrides.find(param);
+    return it == overrides.end() ? fallback : it->second;
+  }
 };
 
 std::vector<GridPoint> ExpandGrid(const std::vector<SweepAxis>& axes) {
@@ -570,118 +570,102 @@ std::vector<GridPoint> ExpandGrid(const std::vector<SweepAxis>& axes) {
   return points;
 }
 
-int RunSweepMode(const Flags& flags, const std::string& topo, Scheme scheme,
-                 const EmpiricalCdf* workload,
-                 const ScenarioScript& scenario) {
+// A fabric config of type `Config` carrying `common`'s shared fields.
+template <typename Config>
+Config WithCommon(const ExperimentCommon& common) {
+  Config config;
+  static_cast<ExperimentCommon&>(config) = common;
+  return config;
+}
+
+// The experiment the flags describe for `topo`. `common` holds the shared
+// fields parsed once in main(); the per-run numbers (load, flows, seed,
+// variation, fanout) come from the flags, or from `point` for a --sweep
+// grid point (null for single runs).
+ExperimentConfig ConfigFromFlags(const Flags& flags, const std::string& topo,
+                                 ExperimentCommon common,
+                                 const GridPoint* point) {
+  common.seed = flags.GetU64("seed", 1);
+  if (point != nullptr) {
+    common.seed = static_cast<std::uint64_t>(
+        point->Get("seed", static_cast<double>(common.seed)));
+  }
+  if (topo == "incast") {
+    IncastExperimentConfig config;
+    config.scheme = common.scheme;
+    config.query_flows = flags.GetU64("fanout", 100);
+    if (point != nullptr) {
+      config.query_flows = static_cast<std::size_t>(
+          point->Get("fanout", static_cast<double>(config.query_flows)));
+    }
+    config.seed = common.seed;
+    config.trace = common.trace;
+    config.sketch = common.sketch;
+    return config;
+  }
+
+  common.load = flags.GetDouble("load", 0.5);
+  common.flows = flags.GetU64("flows", 1000);
+  if (point != nullptr) {
+    // Sweep loads are in percent (load:10..90:10); single-run --load=0..1.
+    common.load = point->Get("load", common.load * 100) / 100;
+    common.flows = static_cast<std::size_t>(
+        point->Get("flows", static_cast<double>(common.flows)));
+  }
+  // The fabrics run the paper's simulation parameters; the dumbbell runs
+  // the testbed's unless --sim-params asks otherwise.
+  if (topo != "dumbbell" || flags.Has("sim-params")) {
+    common.params = SimulationSchemeParams();
+  }
+  if (topo == "dumbbell") {
+    auto config = WithCommon<DumbbellExperimentConfig>(common);
+    config.rtt_variation = flags.GetDouble("variation", 3.0);
+    if (point != nullptr) {
+      config.rtt_variation = point->Get("variation", config.rtt_variation);
+    }
+    return config;
+  }
+  if (topo == "leafspine") {
+    return WithCommon<LeafSpineExperimentConfig>(common);
+  }
+  if (topo == "fattree") {
+    auto config = WithCommon<FatTreeExperimentConfig>(common);
+    config.topo = FatTreeConfigFromFlags(flags);
+    return config;
+  }
+  auto config = WithCommon<InterDcExperimentConfig>(common);
+  InterDcShapeFromFlags(flags, config);
+  return config;
+}
+
+int RunSweepMode(const Flags& flags, const std::string& topo,
+                 const ExperimentCommon& common) {
   const std::vector<SweepAxis> axes = ParseSweep(flags.Get("sweep", ""));
   for (const SweepAxis& axis : axes) {
-    const bool incast_param = axis.param == "fanout";
-    if (topo == "incast" && (axis.param == "load" || axis.param == "flows" ||
-                             axis.param == "variation")) {
+    const bool applies =
+        topo == "incast"
+            ? axis.param == "fanout" || axis.param == "seed"
+            : axis.param != "fanout" &&
+                  (axis.param != "variation" || topo == "dumbbell");
+    if (!applies) {
       std::fprintf(stderr, "--sweep param '%s' does not apply to --topo=%s\n",
                    axis.param.c_str(), topo.c_str());
-      return 2;
-    }
-    if (topo != "incast" && incast_param) {
-      std::fprintf(stderr, "--sweep param '%s' does not apply to --topo=%s\n",
-                   axis.param.c_str(), topo.c_str());
-      return 2;
-    }
-    if ((topo == "leafspine" || topo == "fattree" || topo == "interdc") &&
-        axis.param == "variation") {
-      std::fprintf(stderr,
-                   "--sweep param 'variation' does not apply to --topo=%s\n",
-                   topo.c_str());
       return 2;
     }
   }
 
-  const double cc_mix = CcMixFromFlags(flags);
-  const BufferPolicyConfig buffer_policy = BufferPolicyFromFlags(flags);
-
   std::vector<runner::JobSpec> specs;
   for (const GridPoint& point : ExpandGrid(axes)) {
-    const auto value = [&point](const char* param, double fallback) {
-      const auto it = point.overrides.find(param);
-      return it == point.overrides.end() ? fallback : it->second;
-    };
-    runner::JobSpec spec;
-    spec.name = point.name;
-    if (topo == "dumbbell") {
-      DumbbellExperimentConfig config;
-      config.scheme = scheme;
-      if (flags.Has("sim-params")) config.params = SimulationSchemeParams();
-      config.workload = workload;
-      // Sweep loads are in percent (load:10..90:10); single-run --load=0..1.
-      config.load = value("load", flags.GetDouble("load", 0.5) * 100) / 100;
-      config.flows = static_cast<std::size_t>(
-          value("flows", static_cast<double>(flags.GetU64("flows", 1000))));
-      config.rtt_variation =
-          value("variation", flags.GetDouble("variation", 3.0));
-      config.seed = static_cast<std::uint64_t>(
-          value("seed", static_cast<double>(flags.GetU64("seed", 1))));
-      config.scenario = scenario;
-      config.cc_mix = cc_mix;
-      config.buffer_policy = buffer_policy;
-      spec.config = config;
-    } else if (topo == "leafspine") {
-      LeafSpineExperimentConfig config;
-      config.scheme = scheme;
-      config.params = SimulationSchemeParams();
-      config.workload = workload;
-      config.load = value("load", flags.GetDouble("load", 0.5) * 100) / 100;
-      config.flows = static_cast<std::size_t>(
-          value("flows", static_cast<double>(flags.GetU64("flows", 1000))));
-      config.seed = static_cast<std::uint64_t>(
-          value("seed", static_cast<double>(flags.GetU64("seed", 1))));
-      config.scenario = scenario;
-      config.cc_mix = cc_mix;
-      config.buffer_policy = buffer_policy;
-      spec.config = config;
-    } else if (topo == "fattree") {
-      FatTreeExperimentConfig config;
-      config.scheme = scheme;
-      config.workload = workload;
-      config.topo = FatTreeConfigFromFlags(flags);
-      config.load = value("load", flags.GetDouble("load", 0.5) * 100) / 100;
-      config.flows = static_cast<std::size_t>(
-          value("flows", static_cast<double>(flags.GetU64("flows", 1000))));
-      config.seed = static_cast<std::uint64_t>(
-          value("seed", static_cast<double>(flags.GetU64("seed", 1))));
-      config.scenario = scenario;
-      config.cc_mix = cc_mix;
-      config.buffer_policy = buffer_policy;
-      spec.config = config;
-    } else if (topo == "interdc") {
-      InterDcExperimentConfig config = InterDcConfigFromFlags(flags, workload);
-      config.scheme = scheme;
-      config.load = value("load", flags.GetDouble("load", 0.5) * 100) / 100;
-      config.flows = static_cast<std::size_t>(
-          value("flows", static_cast<double>(flags.GetU64("flows", 1000))));
-      config.seed = static_cast<std::uint64_t>(
-          value("seed", static_cast<double>(flags.GetU64("seed", 1))));
-      config.scenario = scenario;
-      config.cc_mix = cc_mix;
-      config.buffer_policy = buffer_policy;
-      spec.config = config;
-    } else {
-      IncastExperimentConfig config;
-      config.scheme = scheme;
-      config.query_flows = static_cast<std::size_t>(
-          value("fanout", static_cast<double>(flags.GetU64("fanout", 100))));
-      config.seed = static_cast<std::uint64_t>(
-          value("seed", static_cast<double>(flags.GetU64("seed", 1))));
-      spec.config = config;
-    }
-    specs.push_back(std::move(spec));
+    specs.push_back({point.name, ConfigFromFlags(flags, topo, common, &point)});
   }
 
   const std::string name = flags.Get("name", "cli_sweep");
   runner::SweepOptions options;
   options.jobs = static_cast<std::size_t>(flags.GetU64("jobs", 0));
   options.label = name;
-  PrintBanner("sweep / " + topo + " / " + std::string(SchemeName(scheme)) +
-              " — " + std::to_string(specs.size()) + " jobs");
+  PrintBanner("sweep / " + topo + " / " +
+              std::string(SchemeName(common.scheme)) + " — " +
+              std::to_string(specs.size()) + " jobs");
   const std::vector<runner::JobResult> results =
       runner::RunJobs(specs, options);
   runner::ExportSweep(name, specs, results);
@@ -715,301 +699,172 @@ int RunSweepMode(const Flags& flags, const std::string& topo, Scheme scheme,
   return 0;
 }
 
+// Prints the incast metrics of a single run.
+void PrintIncastResult(const IncastResult& r) {
+  TablePrinter table({"metric", "value"});
+  table.AddRow({"standing queue (pkts)",
+                TablePrinter::Fmt(r.standing_queue_packets, 1)});
+  table.AddRow({"peak queue (pkts)", std::to_string(r.max_queue_packets)});
+  table.AddRow({"burst drops", std::to_string(r.drops)});
+  table.AddRow(
+      {"query avg FCT (us)", TablePrinter::Fmt(r.query_fct.avg_us, 1)});
+  table.AddRow(
+      {"query p99 FCT (us)", TablePrinter::Fmt(r.query_fct.p99_us, 1)});
+  table.AddRow({"query timeouts", std::to_string(r.query_timeouts)});
+  table.Print();
+}
+
+// Banner of a single run: topology (with its headline dimension), scheme,
+// and workload (fanout for incast).
+std::string Banner(const std::string& topo, const ExperimentConfig& config,
+                   const std::string& scheme, const std::string& workload) {
+  if (const auto* c = std::get_if<IncastExperimentConfig>(&config)) {
+    return "incast / " + scheme + " / fanout " +
+           std::to_string(c->query_flows);
+  }
+  std::string shape = topo;
+  if (topo == "leafspine") shape = "leaf-spine";
+  if (const auto* c = std::get_if<FatTreeExperimentConfig>(&config)) {
+    shape = "fat-tree k=" + std::to_string(c->topo.k);
+  }
+  if (const auto* c = std::get_if<InterDcExperimentConfig>(&config)) {
+    shape = "interdc border " +
+            std::to_string(static_cast<long long>(
+                c->topo.border_rtt.ToMicroseconds())) +
+            "us";
+  }
+  return shape + " / " + scheme + " / " + workload;
+}
+
+// Exits 2 with `message` on stderr when `bad` holds — for flag
+// combinations that would otherwise be silently ignored.
+void RejectIf(bool bad, const std::string& message) {
+  if (!bad) return;
+  std::fprintf(stderr, "%s\n", message.c_str());
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags = ParseFlags(argc, argv);
   if (flags.Has("help")) return Usage();
 
-  Scheme scheme = Scheme::kEcnSharp;
-  if (!ParseScheme(flags.Get("scheme", "ecn-sharp"), scheme)) {
-    std::fprintf(stderr, "unknown scheme '%s' (see --help)\n",
-                 flags.Get("scheme", "").c_str());
-    return 2;
-  }
+  // The shared fields of every experiment, parsed once.
+  ExperimentCommon common;
+  RejectIf(!ParseScheme(flags.Get("scheme", "ecn-sharp"), common.scheme),
+           "unknown scheme '" + flags.Get("scheme", "") + "' (see --help)");
   const std::string workload_name = flags.Get("workload", "websearch");
-  const EmpiricalCdf* workload = workload_name == "datamining"
-                                     ? &DataMiningWorkload()
-                                     : &WebSearchWorkload();
+  common.workload = workload_name == "datamining" ? &DataMiningWorkload()
+                                                  : &WebSearchWorkload();
   std::string topo = flags.Get("topo", "dumbbell");
-  if (topo != "dumbbell" && topo != "leafspine" && topo != "fattree" &&
-      topo != "interdc" && topo != "incast") {
-    std::fprintf(stderr, "unknown topo '%s' (see --help)\n", topo.c_str());
-    return 2;
-  }
+  RejectIf(topo != "dumbbell" && topo != "leafspine" && topo != "fattree" &&
+               topo != "interdc" && topo != "incast",
+           "unknown topo '" + topo + "' (see --help)");
   // --topology selects among the scenario-capable topologies and overrides
   // --topo, so scripts composing `--scenario` never land on incast.
   if (flags.Has("topology")) {
-    const std::string value = flags.Get("topology", "");
-    if (value != "dumbbell" && value != "leafspine" && value != "fattree" &&
-        value != "interdc") {
-      std::fprintf(stderr,
-                   "invalid --topology '%s' (expected dumbbell, leafspine, "
-                   "fattree or interdc)\n",
-                   value.c_str());
-      return 2;
-    }
-    topo = value;
+    topo = flags.Get("topology", "");
+    RejectIf(topo != "dumbbell" && topo != "leafspine" && topo != "fattree" &&
+                 topo != "interdc",
+             "invalid --topology '" + topo +
+                 "' (expected dumbbell, leafspine, fattree or interdc)");
   }
 
-  // Border knobs are meaningless outside the composed topology; naming one
-  // on another topology is a config error, not a silent no-op.
-  if (topo != "interdc" &&
-      (flags.Has("border-rtt-us") || flags.Has("border-gbps") ||
-       flags.Has("border-links") || flags.Has("inter-fraction") ||
-       flags.Has("inter-workload"))) {
-    std::fprintf(stderr,
-                 "--border-rtt-us/--border-gbps/--border-links/"
-                 "--inter-fraction/--inter-workload apply to "
-                 "--topo=interdc\n");
-    return 2;
-  }
-
-  if (topo == "incast" &&
-      (flags.Has("cc-mix") || flags.Has("buffer-policy") ||
-       flags.Has("buffer-kb") || flags.Has("alpha"))) {
-    std::fprintf(stderr,
-                 "--cc-mix/--buffer-policy apply to --topo=dumbbell, "
-                 "leafspine or fattree\n");
-    return 2;
-  }
-
-  ScenarioScript scenario;
+  // Knobs that are meaningless for the chosen topology or mode are config
+  // errors, not silent no-ops.
+  RejectIf(topo != "interdc" &&
+               (flags.Has("border-rtt-us") || flags.Has("border-gbps") ||
+                flags.Has("border-links") || flags.Has("inter-fraction") ||
+                flags.Has("inter-workload")),
+           "--border-rtt-us/--border-gbps/--border-links/--inter-fraction/"
+           "--inter-workload apply to --topo=interdc");
+  RejectIf(topo == "incast" &&
+               (flags.Has("cc-mix") || flags.Has("buffer-policy") ||
+                flags.Has("buffer-kb") || flags.Has("alpha")),
+           "--cc-mix/--buffer-policy apply to --topo=dumbbell, leafspine or "
+           "fattree");
   if (flags.Has("scenario")) {
-    if (topo == "incast") {
-      std::fprintf(stderr,
-                   "--scenario applies to --topo=dumbbell, leafspine or "
-                   "fattree\n");
-      return 2;
-    }
-    scenario = LoadScenarioOrDie(flags.Get("scenario", ""));
+    RejectIf(topo == "incast",
+             "--scenario applies to --topo=dumbbell, leafspine or fattree");
+    common.scenario = LoadScenarioOrDie(flags.Get("scenario", ""));
   }
 
-  TraceConfig trace;
+  std::string error;
   if (flags.Has("trace")) {
-    if (flags.Has("sweep")) {
-      std::fprintf(stderr,
-                   "--trace applies to single runs, not --sweep (traces are "
-                   "per-run; rerun the point of interest without --sweep)\n");
-      return 2;
-    }
-    std::string error;
-    if (!ParseTraceSpec(flags.Get("trace", "on"), &trace, &error)) {
-      std::fprintf(stderr, "invalid --trace spec: %s\n", error.c_str());
-      return 2;
-    }
-  } else if (flags.Has("trace-out")) {
-    std::fprintf(stderr, "--trace-out requires --trace\n");
-    return 2;
+    RejectIf(flags.Has("sweep"),
+             "--trace applies to single runs, not --sweep (traces are "
+             "per-run; rerun the point of interest without --sweep)");
+    const bool ok =
+        ParseTraceSpec(flags.Get("trace", "on"), &common.trace, &error);
+    RejectIf(!ok, "invalid --trace spec: " + error);
   }
-
-  SketchConfig sketch;
+  RejectIf(flags.Has("trace-out") && !flags.Has("trace"),
+           "--trace-out requires --trace");
   if (flags.Has("sketch")) {
-    if (flags.Has("sweep")) {
-      std::fprintf(stderr,
-                   "--sketch applies to single runs, not --sweep (telemetry "
-                   "is per-run; rerun the point of interest without "
-                   "--sweep)\n");
-      return 2;
-    }
-    std::string error;
-    if (!ParseSketchSpec(flags.Get("sketch", "on"), &sketch, &error)) {
-      std::fprintf(stderr, "invalid --sketch spec: %s\n", error.c_str());
-      return 2;
-    }
-  } else if (flags.Has("sketch-out")) {
-    std::fprintf(stderr, "--sketch-out requires --sketch\n");
-    return 2;
+    RejectIf(flags.Has("sweep"),
+             "--sketch applies to single runs, not --sweep (telemetry is "
+             "per-run; rerun the point of interest without --sweep)");
+    const bool ok =
+        ParseSketchSpec(flags.Get("sketch", "on"), &common.sketch, &error);
+    RejectIf(!ok, "invalid --sketch spec: " + error);
   }
+  RejectIf(flags.Has("sketch-out") && !flags.Has("sketch"),
+           "--sketch-out requires --sketch");
 
-  EcnEstimator estimator = EcnEstimator::kOracle;
   if (flags.Has("estimator")) {
     const std::string value = flags.Get("estimator", "oracle");
-    if (value == "oracle") {
-      estimator = EcnEstimator::kOracle;
-    } else if (value == "sketch") {
-      estimator = EcnEstimator::kSketch;
-    } else {
-      std::fprintf(stderr,
-                   "invalid --estimator '%s' (expected oracle or sketch)\n",
-                   value.c_str());
-      return 2;
-    }
-    if (estimator == EcnEstimator::kSketch && !sketch.enabled) {
-      std::fprintf(stderr, "--estimator=sketch requires --sketch\n");
-      return 2;
-    }
+    RejectIf(value != "oracle" && value != "sketch",
+             "invalid --estimator '" + value +
+                 "' (expected oracle or sketch)");
+    if (value == "sketch") common.estimator = EcnEstimator::kSketch;
+    RejectIf(common.estimator == EcnEstimator::kSketch &&
+                 !common.sketch.enabled,
+             "--estimator=sketch requires --sketch");
   }
 
   if (flags.Has("relaxed-lanes")) {
-    if (topo != "fattree") {
-      std::fprintf(stderr, "--relaxed-lanes applies to --topo=fattree\n");
-      return 2;
-    }
-    if (flags.Has("sweep")) {
-      std::fprintf(stderr,
-                   "--relaxed-lanes applies to single runs, not --sweep\n");
-      return 2;
-    }
+    RejectIf(topo != "fattree", "--relaxed-lanes applies to --topo=fattree");
+    RejectIf(flags.Has("sweep"),
+             "--relaxed-lanes applies to single runs, not --sweep");
   }
 
-  if (flags.Has("sweep")) {
-    return RunSweepMode(flags, topo, scheme, workload, scenario);
+  common.cc_mix = CcMixFromFlags(flags);
+  common.buffer_policy = BufferPolicyFromFlags(flags);
+
+  if (flags.Has("sweep")) return RunSweepMode(flags, topo, common);
+
+  const ExperimentConfig config =
+      ConfigFromFlags(flags, topo, common, /*point=*/nullptr);
+  const std::string scheme = SchemeName(common.scheme);
+  PrintBanner(Banner(topo, config, scheme, workload_name));
+  if (flags.Has("relaxed-lanes")) {
+    // Validation of the mode's restrictions (scenario / trace / sketch /
+    // lane count) lives in RunFatTreeRelaxed and exits 2 on violation.
+    const auto lanes =
+        static_cast<std::size_t>(flags.GetU64("relaxed-lanes", 2));
+    PrintFctResult(
+        RunFatTreeRelaxed(std::get<FatTreeExperimentConfig>(config), lanes));
+    return 0;
   }
 
-  if (topo == "dumbbell") {
-    DumbbellExperimentConfig config;
-    config.scheme = scheme;
-    if (flags.Has("sim-params")) config.params = SimulationSchemeParams();
-    config.workload = workload;
-    config.load = flags.GetDouble("load", 0.5);
-    config.flows = flags.GetU64("flows", 1000);
-    config.rtt_variation = flags.GetDouble("variation", 3.0);
-    config.seed = flags.GetU64("seed", 1);
-    config.scenario = scenario;
-    config.trace = trace;
-    config.sketch = sketch;
-    config.estimator = estimator;
-    config.cc_mix = CcMixFromFlags(flags);
-    config.buffer_policy = BufferPolicyFromFlags(flags);
-    PrintBanner("dumbbell / " + std::string(SchemeName(scheme)) + " / " +
-                workload_name);
-    std::shared_ptr<const TraceRecorder> recorded;
-    std::shared_ptr<const SketchTelemetry> telemetry;
-    if (scenario.empty()) {
-      const ExperimentResult r = RunDumbbell(config);
-      PrintFctResult(r);
-      recorded = r.trace;
-      telemetry = r.sketch;
-    } else {
-      const runner::JobResult job = RunSingleViaRunner(flags, scheme, config);
-      recorded = runner::FctResult(job).trace;
-      telemetry = runner::FctResult(job).sketch;
-    }
-    if (trace.enabled) ExportTraceOrDie(flags, recorded);
-    if (sketch.enabled) ExportSketchOrDie(flags, telemetry);
-  } else if (topo == "leafspine") {
-    LeafSpineExperimentConfig config;
-    config.scheme = scheme;
-    config.params = SimulationSchemeParams();
-    config.workload = workload;
-    config.load = flags.GetDouble("load", 0.5);
-    config.flows = flags.GetU64("flows", 1000);
-    config.seed = flags.GetU64("seed", 1);
-    config.scenario = scenario;
-    config.trace = trace;
-    config.sketch = sketch;
-    config.estimator = estimator;
-    config.cc_mix = CcMixFromFlags(flags);
-    config.buffer_policy = BufferPolicyFromFlags(flags);
-    PrintBanner("leaf-spine / " + std::string(SchemeName(scheme)) + " / " +
-                workload_name);
-    std::shared_ptr<const TraceRecorder> recorded;
-    std::shared_ptr<const SketchTelemetry> telemetry;
-    if (scenario.empty()) {
-      const ExperimentResult r = RunLeafSpine(config);
-      PrintFctResult(r);
-      recorded = r.trace;
-      telemetry = r.sketch;
-    } else {
-      const runner::JobResult job = RunSingleViaRunner(flags, scheme, config);
-      recorded = runner::FctResult(job).trace;
-      telemetry = runner::FctResult(job).sketch;
-    }
-    if (trace.enabled) ExportTraceOrDie(flags, recorded);
-    if (sketch.enabled) ExportSketchOrDie(flags, telemetry);
-  } else if (topo == "fattree") {
-    FatTreeExperimentConfig config;
-    config.scheme = scheme;
-    config.workload = workload;
-    config.topo = FatTreeConfigFromFlags(flags);
-    config.load = flags.GetDouble("load", 0.5);
-    config.flows = flags.GetU64("flows", 1000);
-    config.seed = flags.GetU64("seed", 1);
-    config.scenario = scenario;
-    config.trace = trace;
-    config.sketch = sketch;
-    config.estimator = estimator;
-    config.cc_mix = CcMixFromFlags(flags);
-    config.buffer_policy = BufferPolicyFromFlags(flags);
-    PrintBanner("fat-tree k=" + std::to_string(config.topo.k) + " / " +
-                std::string(SchemeName(scheme)) + " / " + workload_name);
-    if (flags.Has("relaxed-lanes")) {
-      // Validation of the mode's restrictions (scenario / trace / sketch /
-      // lane count) lives in RunFatTreeRelaxed and exits 2 on violation.
-      const auto lanes =
-          static_cast<std::size_t>(flags.GetU64("relaxed-lanes", 2));
-      PrintFctResult(RunFatTreeRelaxed(config, lanes));
-      return 0;
-    }
-    std::shared_ptr<const TraceRecorder> recorded;
-    std::shared_ptr<const SketchTelemetry> telemetry;
-    if (scenario.empty()) {
-      const ExperimentResult r = RunFatTree(config);
-      PrintFctResult(r);
-      recorded = r.trace;
-      telemetry = r.sketch;
-    } else {
-      const runner::JobResult job = RunSingleViaRunner(flags, scheme, config);
-      recorded = runner::FctResult(job).trace;
-      telemetry = runner::FctResult(job).sketch;
-    }
-    if (trace.enabled) ExportTraceOrDie(flags, recorded);
-    if (sketch.enabled) ExportSketchOrDie(flags, telemetry);
-  } else if (topo == "interdc") {
-    InterDcExperimentConfig config = InterDcConfigFromFlags(flags, workload);
-    config.scheme = scheme;
-    config.load = flags.GetDouble("load", 0.5);
-    config.flows = flags.GetU64("flows", 1000);
-    config.seed = flags.GetU64("seed", 1);
-    config.scenario = scenario;
-    config.trace = trace;
-    config.sketch = sketch;
-    config.estimator = estimator;
-    config.cc_mix = CcMixFromFlags(flags);
-    config.buffer_policy = BufferPolicyFromFlags(flags);
-    PrintBanner("interdc border " +
-                std::to_string(static_cast<long long>(
-                    config.topo.border_rtt.ToMicroseconds())) +
-                "us / " + std::string(SchemeName(scheme)) + " / " +
-                workload_name);
-    std::shared_ptr<const TraceRecorder> recorded;
-    std::shared_ptr<const SketchTelemetry> telemetry;
-    if (scenario.empty()) {
-      const ExperimentResult r = RunInterDc(config);
-      PrintFctResult(r);
-      recorded = r.trace;
-      telemetry = r.sketch;
-    } else {
-      const runner::JobResult job = RunSingleViaRunner(flags, scheme, config);
-      recorded = runner::FctResult(job).trace;
-      telemetry = runner::FctResult(job).sketch;
-    }
-    if (trace.enabled) ExportTraceOrDie(flags, recorded);
-    if (sketch.enabled) ExportSketchOrDie(flags, telemetry);
+  const ExperimentOutcome outcome =
+      common.scenario.empty()
+          ? RunExperiment(config)
+          : RunSingleViaRunner(flags, common.scheme, config);
+  std::shared_ptr<const TraceRecorder> recorded;
+  std::shared_ptr<const SketchTelemetry> telemetry;
+  if (const auto* r = std::get_if<IncastResult>(&outcome)) {
+    PrintIncastResult(*r);
+    recorded = r->trace;
+    telemetry = r->sketch;
   } else {
-    IncastExperimentConfig config;
-    config.scheme = scheme;
-    config.query_flows = flags.GetU64("fanout", 100);
-    config.seed = flags.GetU64("seed", 1);
-    config.trace = trace;
-    config.sketch = sketch;
-    PrintBanner("incast / " + std::string(SchemeName(scheme)) + " / fanout " +
-                std::to_string(config.query_flows));
-    const IncastResult r = RunIncast(config);
-    TablePrinter table({"metric", "value"});
-    table.AddRow({"standing queue (pkts)",
-                  TablePrinter::Fmt(r.standing_queue_packets, 1)});
-    table.AddRow({"peak queue (pkts)", std::to_string(r.max_queue_packets)});
-    table.AddRow({"burst drops", std::to_string(r.drops)});
-    table.AddRow({"query avg FCT (us)",
-                  TablePrinter::Fmt(r.query_fct.avg_us, 1)});
-    table.AddRow({"query p99 FCT (us)",
-                  TablePrinter::Fmt(r.query_fct.p99_us, 1)});
-    table.AddRow({"query timeouts", std::to_string(r.query_timeouts)});
-    table.Print();
-    if (trace.enabled) ExportTraceOrDie(flags, r.trace);
-    if (sketch.enabled) ExportSketchOrDie(flags, r.sketch);
+    const auto& fct = std::get<ExperimentResult>(outcome);
+    PrintFctResult(fct);
+    recorded = fct.trace;
+    telemetry = fct.sketch;
   }
+  if (common.trace.enabled) ExportTraceOrDie(flags, recorded);
+  if (common.sketch.enabled) ExportSketchOrDie(flags, telemetry);
   return 0;
 }
