@@ -41,12 +41,9 @@ Result RunOne(bool shared, std::size_t fanout, std::uint64_t seed) {
   topo_config.tcp = IncastExperimentConfig::SmallInitialWindowTcp();
   Dumbbell topo(sim, topo_config,
                 [&](BufferPolicy*) -> std::unique_ptr<QueueDisc> {
-                  if (shared) {
-                    return std::make_unique<FifoQueueDisc>(
-                        *pool, MakeAqm(Scheme::kEcnSharp, params));
-                  }
                   return std::make_unique<FifoQueueDisc>(
-                      params.buffer_bytes, MakeAqm(Scheme::kEcnSharp, params));
+                      params.buffer_bytes, MakeAqm(Scheme::kEcnSharp, params),
+                      shared ? pool.get() : nullptr);
                 });
   topo.SetSenderExtraDelays(RttExtraQuantiles(16, Time::FromMicroseconds(160),
                                               RttProfile::kLeafSpine));

@@ -86,11 +86,8 @@ std::unique_ptr<AqmPolicy> MakeAqm(Scheme scheme, const SchemeParams& params) {
 std::unique_ptr<QueueDisc> MakeFifoDisc(Scheme scheme,
                                         const SchemeParams& params,
                                         BufferPolicy* pool) {
-  if (pool != nullptr) {
-    return std::make_unique<FifoQueueDisc>(*pool, MakeAqm(scheme, params));
-  }
   return std::make_unique<FifoQueueDisc>(params.buffer_bytes,
-                                         MakeAqm(scheme, params));
+                                         MakeAqm(scheme, params), pool);
 }
 
 DiscFactory FifoDiscFactory(Scheme scheme, const SchemeParams& params) {

@@ -6,7 +6,6 @@
 
 #include "core/ecn_sharp.h"
 #include "hostpath/rtt_probe.h"
-#include "sched/fifo_queue_disc.h"
 #include "sim/logging.h"
 #include "sketch/estimator.h"
 #include "sketch/telemetry.h"
@@ -56,15 +55,16 @@ void ValidateScenarioTargets(Topology& topo, const ScenarioScript& script) {
   }
 }
 
-// Pushes freshly derived thresholds onto every ECN# bottleneck of `topo`;
-// queues not running ECN# are left untouched.
+// Pushes freshly derived thresholds onto every ECN# instance of every
+// bottleneck of `topo`, in every service class of the port's disc; classes
+// not running ECN# are left untouched.
 void ApplyEcnSharpConfig(Topology& topo, const EcnSharpConfig& fresh) {
-  for (std::size_t b = 0; b < topo.bottleneck_count(); ++b) {
-    auto* fifo = dynamic_cast<FifoQueueDisc*>(&topo.bottleneck(b).queue_disc());
-    if (fifo == nullptr) continue;
-    auto* aqm = dynamic_cast<EcnSharpAqm*>(fifo->aqm());
-    if (aqm == nullptr) continue;
-    aqm->Reconfigure(fresh);
+  for (EgressPort* port : topo.BottleneckPorts()) {
+    QueueDisc& disc = port->queue_disc();
+    for (std::size_t c = 0; c < disc.class_count(); ++c) {
+      auto* aqm = dynamic_cast<EcnSharpAqm*>(disc.class_aqm(c));
+      if (aqm != nullptr) aqm->Reconfigure(fresh);
+    }
   }
 }
 
@@ -105,7 +105,9 @@ void ExperimentSession::Bind(Topology& topo) {
     // One site per bottleneck port, in bottleneck order (labels and site
     // ids are therefore deterministic for a given topology). When both
     // observers are on, a TeeTracer shares the port's single tracer slot.
-    for (std::size_t b = 0; b < topo.bottleneck_count(); ++b) {
+    const std::vector<EgressPort*> bottlenecks = topo.BottleneckPorts();
+    for (std::size_t b = 0; b < bottlenecks.size(); ++b) {
+      EgressPort& port = *bottlenecks[b];
       const std::string label = "bottleneck" + std::to_string(b);
       PacketTracer* trace_tap = nullptr;
       PacketTracer* sketch_tap = nullptr;
@@ -118,15 +120,14 @@ void ExperimentSession::Bind(Topology& topo) {
         // Border ports of a composed fabric annotate their WAN base RTT;
         // seed the sketch's histogram so sketch-driven re-estimation covers
         // the inter-DC paths from the first epoch.
-        const Time hint = topo.bottleneck(b).base_rtt_hint();
+        const Time hint = port.base_rtt_hint();
         if (hint > Time::Zero()) telemetry_->SetSiteBaseRtt(site, hint);
       }
       if (trace_tap != nullptr && sketch_tap != nullptr) {
         tee_taps_.emplace_back(trace_tap, sketch_tap);
-        topo.bottleneck(b).SetTracer(&tee_taps_.back());
+        port.SetTracer(&tee_taps_.back());
       } else {
-        topo.bottleneck(b).SetTracer(trace_tap != nullptr ? trace_tap
-                                                          : sketch_tap);
+        port.SetTracer(trace_tap != nullptr ? trace_tap : sketch_tap);
       }
     }
     TransportTracer* transport = nullptr;
@@ -180,9 +181,8 @@ void ExperimentSession::Bind(Topology& topo) {
   if (!config_.queue_sample_period.IsZero()) {
     const Time until = config_.monitor_until.IsZero() ? config_.max_sim_time
                                                       : config_.monitor_until;
-    for (std::size_t b = 0; b < topo.bottleneck_count(); ++b) {
-      monitors_.Add(sim_, topo.bottleneck(b).queue_disc(),
-                    config_.queue_sample_period);
+    for (EgressPort* port : topo.BottleneckPorts()) {
+      monitors_.Add(sim_, port->queue_disc(), config_.queue_sample_period);
     }
     monitors_.RunAll(config_.monitor_from, until);
   }

@@ -117,6 +117,16 @@ class QueueDisc {
   bool IsEmpty() const { return Snapshot().packets == 0; }
   const QueueDiscStats& stats() const { return stats_; }
 
+  // Service classes, each with its own AQM instance (null = drop-tail): one
+  // for a FIFO, one per class for a multi-queue scheduler. Harness code
+  // reaches every AQM through these (e.g. ECN# re-estimation); discs without
+  // classes report none.
+  virtual std::size_t class_count() const { return 0; }
+  virtual AqmPolicy* class_aqm(std::size_t cls) {
+    (void)cls;
+    return nullptr;
+  }
+
   // Repoints this disc's hot occupancy counters (queue depth, queued bytes,
   // and any policy hot state) into the chip-owned struct-of-arrays block
   // (see net/chip_hot_state.h). Called once by the switch when the port is

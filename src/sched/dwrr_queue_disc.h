@@ -9,53 +9,41 @@
 #ifndef ECNSHARP_SCHED_DWRR_QUEUE_DISC_H_
 #define ECNSHARP_SCHED_DWRR_QUEUE_DISC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "buffer/buffer_policy.h"
-#include "net/packet.h"
-#include "net/packet_ring.h"
-#include "net/queue_disc.h"
+#include "sched/class_queue.h"
 
 namespace ecnsharp {
 
-class DwrrQueueDisc final : public QueueDisc {
+// A DWRR service class: the class core plus its round-robin state.
+struct DwrrClass : ClassQueue {
+  std::uint32_t weight = 1;
+  std::uint64_t deficit = 0;
+  bool in_active_list = false;
+};
+
+class DwrrQueueDisc final : public MultiClassDisc<DwrrClass> {
  public:
   struct ClassConfig {
     std::uint32_t weight = 1;
     std::unique_ptr<AqmPolicy> aqm;  // may be null (drop-tail class)
   };
 
-  // `classifier` maps a packet to a class index; the default uses
-  // Packet::traffic_class (clamped to the number of classes).
-  // `quantum_bytes` is the base quantum for weight 1; one MTU by default.
-  DwrrQueueDisc(std::uint64_t capacity_bytes,
-                std::vector<ClassConfig> classes,
-                std::function<std::size_t(const Packet&)> classifier = nullptr,
-                std::uint32_t quantum_bytes = kFullPacketBytes);
-
-  // Draws buffer from a shared policy instead of a static capacity: each
-  // class registers one policy queue with priority = its class index, so a
-  // per-priority DT alpha maps directly onto service classes. The policy
-  // must outlive the disc.
-  DwrrQueueDisc(BufferPolicy& policy, std::vector<ClassConfig> classes,
-                std::function<std::size_t(const Packet&)> classifier = nullptr,
+  // A null `pool` means a static `capacity_bytes` shared by all classes;
+  // otherwise class i draws from the pool with priority i. The pool must
+  // outlive the disc. `quantum_bytes` is the base quantum for weight 1; one
+  // MTU by default.
+  DwrrQueueDisc(std::uint64_t capacity_bytes, std::vector<ClassConfig> classes,
+                BufferPolicy* pool = nullptr, Classifier classifier = nullptr,
                 std::uint32_t quantum_bytes = kFullPacketBytes);
 
   bool Enqueue(std::unique_ptr<Packet> pkt, Time now) override;
   std::unique_ptr<Packet> Dequeue(Time now) override;
   std::uint32_t PurgeAll(Time now) override;
-  QueueSnapshot Snapshot() const override {
-    return QueueSnapshot{total_packets_, total_bytes_};
-  }
-  void BindChipHotState(ChipHotBlock& block) override;
-
-  std::size_t class_count() const { return classes_.size(); }
-  QueueSnapshot ClassSnapshot(std::size_t cls) const;
-  AqmPolicy* class_aqm(std::size_t cls) { return classes_[cls].aqm.get(); }
 
   // Enables MQ-ECN (Bai et al., NSDI 2016) queue-length marking: each class
   // gets a *dynamic* threshold proportional to its current service share,
@@ -70,37 +58,10 @@ class DwrrQueueDisc final : public QueueDisc {
   std::uint64_t MqEcnThresholdBytes(std::size_t cls) const;
 
  private:
-  struct ClassState {
-    std::uint32_t weight = 1;
-    std::unique_ptr<AqmPolicy> aqm;
-    PacketRing queue;
-    std::uint64_t deficit = 0;
-    bool in_active_list = false;
-    std::size_t pool_queue = 0;  // this class's queue id with the policy
-    // Cached AqmFastPath verdict for this class's policy.
-    bool aqm_threshold_mark = false;
-    std::uint64_t aqm_threshold = 0;
-    // Per-class occupancy, reached through pointers (see FifoQueueDisc):
-    // local by default, repointed into the chip SoA block on bind. The
-    // pointers are fixed up after classes_ stops moving (end of ctor).
-    std::uint32_t local_packets = 0;
-    std::uint64_t local_bytes = 0;
-    std::uint32_t* packets = nullptr;
-    std::uint64_t* bytes = nullptr;
-  };
-
-  std::unique_ptr<Packet> PopFrom(ClassState& cls, Time now);
-
-  std::uint64_t capacity_bytes_;
   std::uint32_t quantum_bytes_;
-  BufferPolicy* pool_ = nullptr;  // non-owning; null = static capacity
-  std::function<std::size_t(const Packet&)> classifier_;
-  std::vector<ClassState> classes_;
   std::deque<std::size_t> active_;   // round-robin order of backlogged classes
   // Class currently being served (already granted its quantum); -1 if none.
   std::ptrdiff_t current_ = -1;
-  std::uint32_t total_packets_ = 0;
-  std::uint64_t total_bytes_ = 0;
   std::uint64_t mq_ecn_total_bytes_ = 0;  // 0 = MQ-ECN disabled
 };
 

@@ -6,65 +6,32 @@
 #define ECNSHARP_SCHED_SP_QUEUE_DISC_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "buffer/buffer_policy.h"
-#include "net/packet.h"
-#include "net/packet_ring.h"
-#include "net/queue_disc.h"
+#include "sched/class_queue.h"
 
 namespace ecnsharp {
 
-class SpQueueDisc final : public QueueDisc {
+class SpQueueDisc final : public MultiClassDisc<ClassQueue> {
  public:
   struct ClassConfig {
     std::unique_ptr<AqmPolicy> aqm;  // may be null
   };
 
+  // A null `pool` means a static `capacity_bytes` shared by all classes;
+  // otherwise class i draws from the pool with priority i (its strict-
+  // priority rank). The pool must outlive the disc.
   SpQueueDisc(std::uint64_t capacity_bytes, std::vector<ClassConfig> classes,
-              std::function<std::size_t(const Packet&)> classifier = nullptr);
+              BufferPolicy* pool = nullptr, Classifier classifier = nullptr)
+      : MultiClassDisc(capacity_bytes, classes, pool, std::move(classifier)) {}
 
-  // Draws buffer from a shared policy instead of a static capacity: each
-  // class registers one policy queue with priority = its class index (which
-  // is also its strict-priority rank). The policy must outlive the disc.
-  SpQueueDisc(BufferPolicy& policy, std::vector<ClassConfig> classes,
-              std::function<std::size_t(const Packet&)> classifier = nullptr);
-
-  bool Enqueue(std::unique_ptr<Packet> pkt, Time now) override;
-  std::unique_ptr<Packet> Dequeue(Time now) override;
-  std::uint32_t PurgeAll(Time now) override;
-  QueueSnapshot Snapshot() const override {
-    return QueueSnapshot{total_packets_, total_bytes_};
+  std::unique_ptr<Packet> Dequeue(Time now) override {
+    for (ClassQueue& cls : classes_) {
+      if (!cls.empty()) return Pop(cls, now);
+    }
+    return nullptr;
   }
-  void BindChipHotState(ChipHotBlock& block) override;
-
-  std::size_t class_count() const { return classes_.size(); }
-  QueueSnapshot ClassSnapshot(std::size_t cls) const;
-
- private:
-  struct ClassState {
-    std::unique_ptr<AqmPolicy> aqm;
-    PacketRing queue;
-    std::size_t pool_queue = 0;  // this class's queue id with the policy
-    // Cached AqmFastPath verdict for this class's policy.
-    bool aqm_threshold_mark = false;
-    std::uint64_t aqm_threshold = 0;
-    // Per-class occupancy via pointers (see FifoQueueDisc); fixed up after
-    // classes_ stops moving (end of ctor).
-    std::uint32_t local_packets = 0;
-    std::uint64_t local_bytes = 0;
-    std::uint32_t* packets = nullptr;
-    std::uint64_t* bytes = nullptr;
-  };
-
-  std::uint64_t capacity_bytes_;
-  BufferPolicy* pool_ = nullptr;  // non-owning; null = static capacity
-  std::function<std::size_t(const Packet&)> classifier_;
-  std::vector<ClassState> classes_;
-  std::uint32_t total_packets_ = 0;
-  std::uint64_t total_bytes_ = 0;
 };
 
 }  // namespace ecnsharp

@@ -39,14 +39,10 @@ Dumbbell::Dumbbell(Simulator& sim, const DumbbellConfig& config,
     // Switch port toward this host: the AQM under test for the receiver,
     // drop-tail for senders (carries mostly ACKs).
     const bool is_receiver = (i == total_hosts - 1);
-    std::unique_ptr<QueueDisc> disc;
-    if (is_receiver) {
-      disc = make_disc(pool_.get());
-    } else if (pool_ != nullptr) {
-      disc = std::make_unique<FifoQueueDisc>(*pool_, nullptr);
-    } else {
-      disc = std::make_unique<FifoQueueDisc>(config_.buffer_bytes, nullptr);
-    }
+    std::unique_ptr<QueueDisc> disc =
+        is_receiver ? make_disc(pool_.get())
+                    : std::make_unique<FifoQueueDisc>(config_.buffer_bytes,
+                                                      nullptr, pool_.get());
     auto port = std::make_unique<EgressPort>(sim_, config_.rate, link_delay,
                                              std::move(disc));
     port->ConnectTo(*host);

@@ -13,6 +13,15 @@ std::string Topology::DescribePortTargets() const {
          " = host NICs";
 }
 
+std::vector<EgressPort*> Topology::BottleneckPorts() {
+  std::vector<EgressPort*> ports;
+  ports.reserve(bottleneck_count());
+  for (std::size_t i = 0; i < bottleneck_count(); ++i) {
+    ports.push_back(&bottleneck(i));
+  }
+  return ports;
+}
+
 QueueDiscStats Topology::TotalBottleneckStats() {
   QueueDiscStats total;
   for (std::size_t i = 0; i < bottleneck_count(); ++i) {

@@ -83,6 +83,10 @@ class Topology {
   // egress port for a fabric.
   virtual std::size_t bottleneck_count() const = 0;
   virtual EgressPort& bottleneck(std::size_t i) = 0;
+  // Every bottleneck port, in bottleneck order. Fabrics resolve
+  // bottleneck(i) by walking their switch list, so a loop over every
+  // bottleneck should resolve them once through this.
+  std::vector<EgressPort*> BottleneckPorts();
 
   // --- Shared-buffer pools ----------------------------------------------
   // Buffer policies owned by the topology (one per switch chip when a

@@ -280,7 +280,7 @@ TEST(EgressPortFaultTest, CertainCorruptionTransmitsButNeverDelivers) {
 TEST(EgressPortFlapTest, DropQueuedPurgesBacklogAndReleasesSharedBuffer) {
   Simulator sim;
   DynamicThresholdPolicy pool(1ull << 20, 8.0);
-  auto disc = std::make_unique<FifoQueueDisc>(pool, nullptr);
+  auto disc = std::make_unique<FifoQueueDisc>(0, nullptr, &pool);
   FifoQueueDisc* fifo = disc.get();
   EgressPort port(sim, DataRate::GigabitsPerSecond(10),
                   Time::FromMicroseconds(1), std::move(disc));
@@ -342,7 +342,7 @@ TEST(EgressPortFlapTest, DrainModeHoldsBacklogThroughOutage) {
 TEST(EgressPortFlapTest, EscalatingDrainOutageToPurgeDropsBacklog) {
   Simulator sim;
   DynamicThresholdPolicy pool(1ull << 20, 8.0);
-  auto disc = std::make_unique<FifoQueueDisc>(pool, nullptr);
+  auto disc = std::make_unique<FifoQueueDisc>(0, nullptr, &pool);
   FifoQueueDisc* fifo = disc.get();
   EgressPort port(sim, DataRate::GigabitsPerSecond(10),
                   Time::FromMicroseconds(1), std::move(disc));

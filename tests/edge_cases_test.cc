@@ -36,8 +36,8 @@ TEST(DwrrEdgeTest, QuantumSmallerThanPacketStillServes) {
   std::vector<DwrrQueueDisc::ClassConfig> classes;
   classes.push_back({1, nullptr});
   classes.push_back({1, nullptr});
-  DwrrQueueDisc disc(1ull << 20, std::move(classes), nullptr,
-                     /*quantum_bytes=*/100);
+  DwrrQueueDisc disc(1ull << 20, std::move(classes), /*pool=*/nullptr,
+                     /*classifier=*/nullptr, /*quantum_bytes=*/100);
   for (int i = 0; i < 4; ++i) {
     disc.Enqueue(SizedPacket(0, 1500), Time::Zero());
     disc.Enqueue(SizedPacket(1, 1500), Time::Zero());

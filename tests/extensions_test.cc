@@ -170,8 +170,8 @@ TEST(SharedBufferTest, ReleaseReturnsCapacity) {
 
 TEST(SharedBufferTest, FifoIntegration) {
   DynamicThresholdPolicy pool(9'000, 1.0);
-  FifoQueueDisc a(pool, nullptr);
-  FifoQueueDisc b(pool, nullptr);
+  FifoQueueDisc a(0, nullptr, &pool);
+  FifoQueueDisc b(0, nullptr, &pool);
   // Queue a grabs what DT allows.
   int a_count = 0;
   while (a.Enqueue(ClassedPacket(0), Time::Zero())) ++a_count;

@@ -146,7 +146,7 @@ TEST(DwrrTest, CustomClassifier) {
   std::vector<DwrrQueueDisc::ClassConfig> classes;
   classes.push_back({1, nullptr});
   classes.push_back({1, nullptr});
-  DwrrQueueDisc disc(1ull << 20, std::move(classes),
+  DwrrQueueDisc disc(1ull << 20, std::move(classes), /*pool=*/nullptr,
                      [](const Packet& p) {
                        return p.size_bytes > 1000 ? std::size_t{1}
                                                   : std::size_t{0};

@@ -9,19 +9,29 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "aqm/dctcp_red.h"
+#include "aqm/tcn.h"
+#include "buffer/policies.h"
+#include "core/ecn_sharp.h"
+#include "core/equations.h"
 #include "harness/experiment.h"
 #include "harness/schemes.h"
 #include "harness/session.h"
 #include "harness/trace_export.h"
+#include "hostpath/rtt_probe.h"
 #include "runner/job.h"
 #include "runner/json_export.h"
 #include "runner/sweep.h"
+#include "sched/dwrr_queue_disc.h"
 #include "sched/fifo_queue_disc.h"
+#include "sched/sp_queue_disc.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sketch/telemetry.h"
@@ -29,6 +39,7 @@
 #include "topo/dumbbell.h"
 #include "topo/fat_tree.h"
 #include "topo/leaf_spine.h"
+#include "topo/rtt_variation.h"
 #include "topo/topology.h"
 #include "trace/trace_recorder.h"
 
@@ -307,6 +318,47 @@ TEST(ReestimateTest, IgnoresNonEcnSharpQueues) {
   EXPECT_EQ(topo.TotalBottleneckStats().enqueued, 0u);
 }
 
+// A re-estimation action reaches the ECN# instance of every service class
+// of a multi-class bottleneck, not only FIFO bottlenecks.
+TEST(ReestimateTest, ReconfiguresEcnSharpInEveryDwrrClass) {
+  ExperimentSessionConfig config;
+  config.rtt_assignment = ExperimentSessionConfig::RttAssignment::kQuantiles;
+  config.max_rtt_extra = Time::FromMicroseconds(160);
+  ScenarioAction reest;
+  reest.kind = ScenarioActionKind::kReestimateEcnSharp;
+  reest.at = Time::Milliseconds(1);
+  config.scenario.actions.push_back(reest);
+  ExperimentSession session(config);
+  std::vector<const EcnSharpAqm*> aqms;
+  Dumbbell topo(session.sim(), DumbbellConfig(), [&aqms](BufferPolicy*) {
+    std::vector<DwrrQueueDisc::ClassConfig> classes;
+    for (const std::uint32_t w : {2u, 1u, 1u}) {
+      auto aqm = std::make_unique<EcnSharpAqm>(EcnSharpConfig());
+      aqms.push_back(aqm.get());
+      classes.push_back({w, std::move(aqm)});
+    }
+    return std::make_unique<DwrrQueueDisc>(1ull << 24, std::move(classes));
+  });
+  session.Bind(topo);
+  session.Run();
+  ASSERT_EQ(session.Result().scenario_actions, 1u);
+
+  std::vector<double> rtts_us;
+  topo.AppendRttSamplesUs(rtts_us);
+  const RttStats stats = ComputeRttStats(std::move(rtts_us));
+  const EcnSharpConfig expected = RuleOfThumbConfig(
+      Time::FromMicroseconds(stats.p90_us),
+      Time::FromMicroseconds(stats.mean_us), /*lambda=*/1.0);
+  ASSERT_NE(expected.ins_target, EcnSharpConfig().ins_target);
+  ASSERT_EQ(aqms.size(), 3u);
+  for (std::size_t c = 0; c < aqms.size(); ++c) {
+    EXPECT_EQ(aqms[c]->config().ins_target, expected.ins_target)
+        << "class " << c;
+    EXPECT_EQ(aqms[c]->config().pst_target, expected.pst_target)
+        << "class " << c;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Golden parity: the ExperimentSession reproduces the pre-refactor runners
 // bit-for-bit. Values captured from the monolithic implementations.
@@ -502,6 +554,227 @@ TEST(GoldenParityTest, ExplicitDefaultCcMixAndPolicyKeepLeafSpineGolden) {
   EXPECT_EQ(r.flows_completed, 80u);
   EXPECT_EQ(r.cubic_fct.count, 0u);
   EXPECT_EQ(r.newreno_fct.count, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Scheduler golden parity: full dumbbell runs through DWRR, strict priority
+// and a pooled FIFO, pinned by a digest over every flow record, the
+// bottleneck's QueueDiscStats and each class's occupancy sampled every
+// 10 us. The per-class admission/AQM/accounting core these discs share must
+// reproduce them bit for bit.
+// ---------------------------------------------------------------------------
+
+// FNV-1a over 64-bit words.
+struct Fnv64 {
+  std::uint64_t h = 14695981039346656037ull;
+  void Add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  void Add(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    Add(bits);
+  }
+  void Add(const QueueSnapshot& s) {
+    Add(static_cast<std::uint64_t>(s.packets));
+    Add(s.bytes);
+  }
+};
+
+struct SchedGolden {
+  std::uint64_t digest;
+  // Readable anchors next to the digest.
+  std::uint64_t enqueued;
+  std::uint64_t ce_marked;
+  std::uint64_t dropped_overflow;
+  std::uint64_t purged;
+  std::size_t completed;
+};
+
+// The fig13 shape scaled down to ~10 ms: three staggered 3 MB elephants
+// (sender i in class long_classes[i]), 80 short probes in random classes,
+// and a purging flap of the bottleneck mid-run. `sample` folds the disc's
+// per-class occupancy into the digest.
+SchedGolden RunSchedulerDumbbell(
+    const DumbbellConfig& config, const DiscFactory& make_disc,
+    const std::uint8_t (&long_classes)[3],
+    const std::function<void(const QueueDisc&, Fnv64&)>& sample) {
+  Simulator sim;
+  Dumbbell topo(sim, config, make_disc);
+  topo.SetSenderExtraDelays(
+      RttExtraQuantiles(config.senders, Time::FromMicroseconds(160)));
+  const std::uint32_t receiver = topo.receiver_address();
+  Fnv64 digest;
+  std::size_t completed = 0;
+  const auto record = [&digest, &completed](const FlowRecord& r) {
+    ++completed;
+    digest.Add(r.size_bytes);
+    digest.Add(r.start_time.ToMicroseconds());
+    digest.Add(r.Fct().ToMicroseconds());
+    digest.Add(static_cast<std::uint64_t>(r.timeouts));
+  };
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    const std::uint8_t cls = long_classes[i];
+    sim.ScheduleAt(Time::FromMicroseconds(500) * i,
+                   [&topo, &record, i, cls, receiver] {
+                     topo.sender_stack(i).StartFlow(receiver, 3'000'000,
+                                                    record, cls);
+                   });
+  }
+  Rng rng(17);
+  Time at = Time::Milliseconds(1);
+  for (int p = 0; p < 80; ++p) {
+    at += Time::FromSeconds(rng.Exponential(100e-6));
+    const std::size_t sender = 3 + rng.UniformInt(4);
+    const auto cls = static_cast<std::uint8_t>(rng.UniformInt(3));
+    const std::uint64_t size = 3000 + rng.UniformInt(57001);
+    sim.ScheduleAt(at, [&topo, &record, sender, cls, size, receiver] {
+      topo.sender_stack(sender).StartFlow(receiver, size, record, cls);
+    });
+  }
+  EgressPort& port = topo.bottleneck_port();
+  sim.ScheduleAt(Time::Milliseconds(6), [&port] { port.LinkDown(true); });
+  sim.ScheduleAt(Time::Milliseconds(6) + Time::FromMicroseconds(100),
+                 [&port] { port.LinkUp(); });
+  std::function<void()> tick = [&] {
+    digest.Add(port.queue_disc().Snapshot());
+    sample(port.queue_disc(), digest);
+    if (sim.Now() < Time::Milliseconds(20)) {
+      sim.ScheduleAt(sim.Now() + Time::FromMicroseconds(10), tick);
+    }
+  };
+  sim.ScheduleAt(Time::Zero(), tick);
+  sim.RunUntil(Time::Milliseconds(200));
+
+  const QueueDiscStats& s = port.queue_disc().stats();
+  for (const std::uint64_t v : {s.enqueued, s.dequeued, s.dropped_overflow,
+                                s.dropped_aqm, s.purged, s.ce_marked}) {
+    digest.Add(v);
+  }
+  return SchedGolden{digest.h, s.enqueued, s.ce_marked, s.dropped_overflow,
+                     s.purged, completed};
+}
+
+void ExpectSchedGolden(const SchedGolden& r, const SchedGolden& g) {
+  EXPECT_EQ(r.digest, g.digest);
+  EXPECT_EQ(r.enqueued, g.enqueued);
+  EXPECT_EQ(r.ce_marked, g.ce_marked);
+  EXPECT_EQ(r.dropped_overflow, g.dropped_overflow);
+  EXPECT_EQ(r.purged, g.purged);
+  EXPECT_EQ(r.completed, g.completed);
+}
+
+template <typename Disc>
+void SampleClasses(const QueueDisc& disc, Fnv64& digest) {
+  const auto& typed = dynamic_cast<const Disc&>(disc);
+  for (std::size_t c = 0; c < typed.class_count(); ++c) {
+    digest.Add(typed.ClassSnapshot(c));
+  }
+}
+
+DumbbellConfig SchedulerDumbbell() {
+  DumbbellConfig config;
+  config.base_rtt = Time::FromMicroseconds(80);
+  return config;
+}
+
+// Weights 2:1:1 with one AQM per class from `make_aqm` (null = none).
+DiscFactory DwrrFactory(
+    std::function<std::unique_ptr<AqmPolicy>()> make_aqm,
+    std::uint64_t mq_ecn_bytes = 0) {
+  return [make_aqm, mq_ecn_bytes](BufferPolicy*) {
+    std::vector<DwrrQueueDisc::ClassConfig> classes;
+    for (const std::uint32_t w : {2u, 1u, 1u}) {
+      classes.push_back({w, make_aqm != nullptr ? make_aqm() : nullptr});
+    }
+    auto disc = std::make_unique<DwrrQueueDisc>(
+        SimulationSchemeParams().buffer_bytes, std::move(classes));
+    if (mq_ecn_bytes != 0) disc->EnableMqEcn(mq_ecn_bytes);
+    return disc;
+  };
+}
+
+// The queue-length threshold equivalent to ECN#'s ins_target at 10 Gbps.
+std::uint64_t SchedulerKBytes() {
+  return IdealMarkingThresholdBytes(
+      1.0, DataRate::GigabitsPerSecond(10),
+      SimulationSchemeParams().ecn_sharp.ins_target);
+}
+
+constexpr std::uint8_t kOneLongPerClass[3] = {0, 1, 2};
+
+TEST(SchedulerGoldenTest, DwrrEcnSharpPerClass) {
+  const EcnSharpConfig ecn = SimulationSchemeParams().ecn_sharp;
+  ExpectSchedGolden(
+      RunSchedulerDumbbell(
+          SchedulerDumbbell(),
+          DwrrFactory([ecn] { return std::make_unique<EcnSharpAqm>(ecn); }),
+          kOneLongPerClass, SampleClasses<DwrrQueueDisc>),
+      {7718619593503371321ull, 8235, 2287, 67, 48, 83});
+}
+
+TEST(SchedulerGoldenTest, DwrrTcnPerClass) {
+  const Time target = SimulationSchemeParams().tcn_threshold;
+  ExpectSchedGolden(
+      RunSchedulerDumbbell(
+          SchedulerDumbbell(),
+          DwrrFactory([target] { return std::make_unique<TcnAqm>(target); }),
+          kOneLongPerClass, SampleClasses<DwrrQueueDisc>),
+      {14998547415383242704ull, 8154, 2514, 0, 52, 83});
+}
+
+TEST(SchedulerGoldenTest, DwrrMqEcn) {
+  ExpectSchedGolden(
+      RunSchedulerDumbbell(SchedulerDumbbell(),
+                           DwrrFactory(nullptr, SchedulerKBytes()),
+                           kOneLongPerClass, SampleClasses<DwrrQueueDisc>),
+      {18261262052643292387ull, 8610, 1898, 463, 121, 83});
+}
+
+// DCTCP-RED classes take the inlined threshold-mark fast path.
+TEST(SchedulerGoldenTest, DwrrDctcpRedPerClass) {
+  const std::uint64_t k = SchedulerKBytes();
+  ExpectSchedGolden(
+      RunSchedulerDumbbell(
+          SchedulerDumbbell(),
+          DwrrFactory([k] { return std::make_unique<DctcpRedAqm>(k); }),
+          kOneLongPerClass, SampleClasses<DwrrQueueDisc>),
+      {14831641337934183787ull, 8637, 2425, 636, 14, 83});
+}
+
+// Strict priority with the elephants in the lowest class, as deployed.
+TEST(SchedulerGoldenTest, StrictPriorityEcnSharp) {
+  const EcnSharpConfig ecn = SimulationSchemeParams().ecn_sharp;
+  const DiscFactory make_disc = [ecn](BufferPolicy*) {
+    std::vector<SpQueueDisc::ClassConfig> classes;
+    for (int i = 0; i < 3; ++i) {
+      classes.push_back({std::make_unique<EcnSharpAqm>(ecn)});
+    }
+    return std::make_unique<SpQueueDisc>(SimulationSchemeParams().buffer_bytes,
+                                         std::move(classes));
+  };
+  const std::uint8_t bulk_lowest[3] = {2, 2, 2};
+  ExpectSchedGolden(RunSchedulerDumbbell(SchedulerDumbbell(), make_disc,
+                                         bulk_lowest,
+                                         SampleClasses<SpQueueDisc>),
+                    {11622338899489199845ull, 8147, 1928, 0, 40, 83});
+}
+
+// ECN# on a FIFO drawing from a small Dynamic Threshold pool (overflow
+// refusals come from the pool, not a static capacity).
+TEST(SchedulerGoldenTest, FifoEcnSharpOnDynamicThresholdPool) {
+  DumbbellConfig config = SchedulerDumbbell();
+  config.buffer_policy.kind = BufferPolicyKind::kDynamicThreshold;
+  config.buffer_policy.total_bytes = 300'000;
+  config.buffer_policy.alpha = 0.5;
+  ExpectSchedGolden(
+      RunSchedulerDumbbell(
+          config, FifoDiscFactory(Scheme::kEcnSharp, SimulationSchemeParams()),
+          kOneLongPerClass, [](const QueueDisc&, Fnv64&) {}),
+      {7835212190695676408ull, 8304, 24, 597, 11, 83});
 }
 
 // ---------------------------------------------------------------------------

@@ -54,7 +54,8 @@ std::unique_ptr<Packet> MakePacket(Rng& rng) {
 }
 
 // Asserts the accounting invariant and that the trace tap agrees with the
-// disc's stats counter for counter. `pool` is optional (FIFO only).
+// disc's stats counter for counter. `pool` is null for a statically
+// buffered disc.
 void CheckInvariants(const QueueDisc& disc, const TraceRecorder& trace,
                      const BufferPolicy* pool, const char* when) {
   const QueueDiscStats& stats = disc.stats();
@@ -143,40 +144,66 @@ TEST(TraceSoakTest, FifoSharedBufferInvariantHoldsUnderChurn) {
     DynamicThresholdPolicy pool(24'000, 8.0);
     EgressPort port(sim, DataRate::GigabitsPerSecond(1),
                     Time::FromMicroseconds(1),
-                    std::make_unique<FifoQueueDisc>(pool, nullptr));
+                    std::make_unique<FifoQueueDisc>(0, nullptr, &pool));
     NullSink sink;
     port.ConnectTo(sink);
     SoakPort(sim, port, &pool, seed);
   }
 }
 
+// Multi-class discs soak twice: on a static capacity, then on a small DT
+// pool (shallow alpha for class 0) that refuses per class. On the pool,
+// class i must register priority i.
+constexpr bool kPooled[] = {false, true};
+
+void ExpectClassPriorities(const BufferPolicy& pool, std::size_t classes) {
+  ASSERT_EQ(pool.queue_count(), classes);
+  for (std::size_t i = 0; i < classes; ++i) {
+    EXPECT_EQ(static_cast<std::size_t>(pool.queue_priority(i)), i)
+        << "class " << i;
+  }
+}
+
 TEST(TraceSoakTest, DwrrInvariantHoldsUnderChurn) {
-  for (const std::uint64_t seed : kSoakSeeds) {
-    Simulator sim;
-    std::vector<DwrrQueueDisc::ClassConfig> classes(3);
-    classes[0].weight = 2;
-    classes[1].weight = 1;
-    classes[2].weight = 1;
-    EgressPort port(sim, DataRate::GigabitsPerSecond(1),
-                    Time::FromMicroseconds(1),
-                    std::make_unique<DwrrQueueDisc>(24'000,
-                                                    std::move(classes)));
-    NullSink sink;
-    port.ConnectTo(sink);
-    SoakPort(sim, port, nullptr, seed);
+  for (const bool pooled : kPooled) {
+    for (const std::uint64_t seed : kSoakSeeds) {
+      SCOPED_TRACE(pooled ? "pooled" : "static");
+      Simulator sim;
+      DynamicThresholdPolicy dt(24'000, 8.0, {0.5, 2.0, 8.0});
+      BufferPolicy* pool = pooled ? &dt : nullptr;
+      std::vector<DwrrQueueDisc::ClassConfig> classes(3);
+      classes[0].weight = 2;
+      classes[1].weight = 1;
+      classes[2].weight = 1;
+      EgressPort port(sim, DataRate::GigabitsPerSecond(1),
+                      Time::FromMicroseconds(1),
+                      std::make_unique<DwrrQueueDisc>(
+                          24'000, std::move(classes), pool));
+      if (pooled) ExpectClassPriorities(dt, 3);
+      NullSink sink;
+      port.ConnectTo(sink);
+      SoakPort(sim, port, pool, seed);
+    }
   }
 }
 
 TEST(TraceSoakTest, SpInvariantHoldsUnderChurn) {
-  for (const std::uint64_t seed : kSoakSeeds) {
-    Simulator sim;
-    std::vector<SpQueueDisc::ClassConfig> classes(3);
-    EgressPort port(sim, DataRate::GigabitsPerSecond(1),
-                    Time::FromMicroseconds(1),
-                    std::make_unique<SpQueueDisc>(24'000, std::move(classes)));
-    NullSink sink;
-    port.ConnectTo(sink);
-    SoakPort(sim, port, nullptr, seed);
+  for (const bool pooled : kPooled) {
+    for (const std::uint64_t seed : kSoakSeeds) {
+      SCOPED_TRACE(pooled ? "pooled" : "static");
+      Simulator sim;
+      DynamicThresholdPolicy dt(24'000, 8.0, {0.5, 2.0, 8.0});
+      BufferPolicy* pool = pooled ? &dt : nullptr;
+      std::vector<SpQueueDisc::ClassConfig> classes(3);
+      EgressPort port(sim, DataRate::GigabitsPerSecond(1),
+                      Time::FromMicroseconds(1),
+                      std::make_unique<SpQueueDisc>(24'000, std::move(classes),
+                                                    pool));
+      if (pooled) ExpectClassPriorities(dt, 3);
+      NullSink sink;
+      port.ConnectTo(sink);
+      SoakPort(sim, port, pool, seed);
+    }
   }
 }
 
@@ -191,7 +218,7 @@ TEST(TraceSoakTest, ScenarioEngineActionsPreserveInvariants) {
   DynamicThresholdPolicy pool(1u << 20, 8.0);
   EgressPort port(sim, DataRate::GigabitsPerSecond(1),
                   Time::FromMicroseconds(1),
-                  std::make_unique<FifoQueueDisc>(pool, nullptr));
+                  std::make_unique<FifoQueueDisc>(0, nullptr, &pool));
   NullSink sink;
   port.ConnectTo(sink);
 
@@ -549,11 +576,11 @@ TEST(TraceSoakTest, SharedDtPoolAccountingTracksBothDiscsUnderChurn) {
     DynamicThresholdPolicy policy(24'000, 1.0, {0.5, 2.0});
     EgressPort port_a(sim, DataRate::GigabitsPerSecond(1),
                       Time::FromMicroseconds(1),
-                      std::make_unique<FifoQueueDisc>(policy, nullptr,
+                      std::make_unique<FifoQueueDisc>(0, nullptr, &policy,
                                                       /*priority=*/0));
     EgressPort port_b(sim, DataRate::GigabitsPerSecond(1),
                       Time::FromMicroseconds(1),
-                      std::make_unique<FifoQueueDisc>(policy, nullptr,
+                      std::make_unique<FifoQueueDisc>(0, nullptr, &policy,
                                                       /*priority=*/1));
     NullSink sink;
     port_a.ConnectTo(sink);
