@@ -59,8 +59,8 @@ void ValidateScenarioTargets(Topology& topo, const ScenarioScript& script) {
 // bottleneck of `topo`, in every service class of the port's disc; classes
 // not running ECN# are left untouched.
 void ApplyEcnSharpConfig(Topology& topo, const EcnSharpConfig& fresh) {
-  for (EgressPort* port : topo.BottleneckPorts()) {
-    QueueDisc& disc = port->queue_disc();
+  for (std::size_t b = 0; b < topo.bottleneck_count(); ++b) {
+    QueueDisc& disc = topo.bottleneck(b).queue_disc();
     for (std::size_t c = 0; c < disc.class_count(); ++c) {
       auto* aqm = dynamic_cast<EcnSharpAqm*>(disc.class_aqm(c));
       if (aqm != nullptr) aqm->Reconfigure(fresh);
@@ -105,9 +105,8 @@ void ExperimentSession::Bind(Topology& topo) {
     // One site per bottleneck port, in bottleneck order (labels and site
     // ids are therefore deterministic for a given topology). When both
     // observers are on, a TeeTracer shares the port's single tracer slot.
-    const std::vector<EgressPort*> bottlenecks = topo.BottleneckPorts();
-    for (std::size_t b = 0; b < bottlenecks.size(); ++b) {
-      EgressPort& port = *bottlenecks[b];
+    for (std::size_t b = 0; b < topo.bottleneck_count(); ++b) {
+      EgressPort& port = topo.bottleneck(b);
       const std::string label = "bottleneck" + std::to_string(b);
       PacketTracer* trace_tap = nullptr;
       PacketTracer* sketch_tap = nullptr;
@@ -181,8 +180,9 @@ void ExperimentSession::Bind(Topology& topo) {
   if (!config_.queue_sample_period.IsZero()) {
     const Time until = config_.monitor_until.IsZero() ? config_.max_sim_time
                                                       : config_.monitor_until;
-    for (EgressPort* port : topo.BottleneckPorts()) {
-      monitors_.Add(sim_, port->queue_disc(), config_.queue_sample_period);
+    for (std::size_t b = 0; b < topo.bottleneck_count(); ++b) {
+      monitors_.Add(sim_, topo.bottleneck(b).queue_disc(),
+                    config_.queue_sample_period);
     }
     monitors_.RunAll(config_.monitor_from, until);
   }

@@ -38,6 +38,12 @@ std::size_t SideAttachCount(const ComposedSideConfig& side) {
   return 0;
 }
 
+std::uint32_t SideBaseAddress(const ComposedSideConfig& side) {
+  return side.kind == ComposedSideConfig::Kind::kLeafSpine
+             ? side.leaf_spine.base_address
+             : side.fat_tree.base_address;
+}
+
 Time SideIntraRtt(const ComposedSideConfig& side) {
   if (side.kind == ComposedSideConfig::Kind::kLeafSpine) {
     return (side.leaf_spine.host_link_delay * 2 +
@@ -89,21 +95,11 @@ ComposedTopology::ComposedTopology(Simulator& sim, const ComposedConfig& config,
   if (config_.auto_address) {
     config_.side_b.leaf_spine.base_address =
         config_.side_b.fat_tree.base_address =
-            config_.side_a.leaf_spine.base_address +
+            SideBaseAddress(config_.side_a) +
             static_cast<std::uint32_t>(side_hosts_[0]);
-    if (config_.side_a.kind == ComposedSideConfig::Kind::kFatTree) {
-      config_.side_b.leaf_spine.base_address =
-          config_.side_b.fat_tree.base_address =
-              config_.side_a.fat_tree.base_address +
-              static_cast<std::uint32_t>(side_hosts_[0]);
-    }
   }
-  for (std::size_t s = 0; s < 2; ++s) {
-    const ComposedSideConfig& sc = side_config(s);
-    side_base_[s] = sc.kind == ComposedSideConfig::Kind::kLeafSpine
-                        ? sc.leaf_spine.base_address
-                        : sc.fat_tree.base_address;
-  }
+  side_base_[0] = SideBaseAddress(config_.side_a);
+  side_base_[1] = SideBaseAddress(config_.side_b);
   // Disjointness of the two address blocks (checked in 64-bit so a block
   // ending at the top of the 32-bit space cannot wrap).
   const std::uint64_t a_lo = side_base_[0];
@@ -163,6 +159,20 @@ ComposedTopology::ComposedTopology(Simulator& sim, const ComposedConfig& config,
       border_[s].push_back(&ref);
     }
   }
+
+  // Each side's bottleneck table is re-indexed so it includes the attach
+  // uplinks now wired into its top-tier switches; the composed tables then
+  // concatenate side A's, side B's and the two gateways'.
+  for (std::size_t s = 0; s < 2; ++s) {
+    IndexSwitchPorts(*side_[s]);
+    AppendTables(*side_[s]);
+  }
+  for (std::size_t s = 0; s < 2; ++s) {
+    tables_.switches.push_back(gateways_[s].get());
+  }
+  for (const auto& pool : gw_pools_) tables_.pools.push_back(pool.get());
+  IndexSwitchPorts(*this);
+  tables_.primary_port = border_[0].front();
 }
 
 void ComposedTopology::BuildSide(std::size_t s,
@@ -200,48 +210,41 @@ void ComposedTopology::AttachSide(std::size_t s,
   // contract). Remote traffic reaches the top tier through a range route
   // over the existing uplink ECMP sets (leaf-spine) or the default up-routes
   // (fat-tree edges/aggs).
+  std::vector<SwitchNode*> top_tier;
+  DataRate rate;
   if (sc.kind == ComposedSideConfig::Kind::kLeafSpine) {
     LeafSpine& ls = *leaf_spine_[s];
-    const LeafSpineConfig& cfg = sc.leaf_spine;
     for (std::size_t l = 0; l < ls.leaf_count(); ++l) {
       for (std::size_t sp = 0; sp < ls.spine_count(); ++sp) {
-        ls.leaf(l).AddRouteRange(remote_lo, remote_hi,
-                                 ls.leaf(l).port(cfg.hosts_per_leaf + sp));
+        ls.leaf(l).AddRouteRange(
+            remote_lo, remote_hi,
+            ls.leaf(l).port(sc.leaf_spine.hosts_per_leaf + sp));
       }
     }
     for (std::size_t sp = 0; sp < ls.spine_count(); ++sp) {
-      SwitchNode& spine = ls.spine(sp);
-      auto up = std::make_unique<EgressPort>(
-          sim_, cfg.rate, config_.attach_delay, make_disc(nullptr));
-      up->ConnectTo(gw);
-      EgressPort& up_ref = spine.AddPort(std::move(up));
-      spine.AddRouteRange(remote_lo, remote_hi, up_ref);
-
-      auto down = std::make_unique<EgressPort>(
-          sim_, cfg.rate, config_.attach_delay, make_disc(GatewayPool(s)));
-      down->ConnectTo(spine);
-      EgressPort& down_ref = gw.AddPort(std::move(down));
-      gw.AddRouteRange(local_lo, local_hi, down_ref);
-      attach_down_[s].push_back(&down_ref);
+      top_tier.push_back(&ls.spine(sp));
     }
+    rate = sc.leaf_spine.rate;
   } else {
     FatTree& ft = *fat_tree_[s];
-    const FatTreeConfig& cfg = sc.fat_tree;
     for (std::size_t c = 0; c < ft.core_count(); ++c) {
-      SwitchNode& core = ft.core(c);
-      auto up = std::make_unique<EgressPort>(
-          sim_, cfg.rate, config_.attach_delay, make_disc(nullptr));
-      up->ConnectTo(gw);
-      EgressPort& up_ref = core.AddPort(std::move(up));
-      core.AddRouteRange(remote_lo, remote_hi, up_ref);
-
-      auto down = std::make_unique<EgressPort>(
-          sim_, cfg.rate, config_.attach_delay, make_disc(GatewayPool(s)));
-      down->ConnectTo(core);
-      EgressPort& down_ref = gw.AddPort(std::move(down));
-      gw.AddRouteRange(local_lo, local_hi, down_ref);
-      attach_down_[s].push_back(&down_ref);
+      top_tier.push_back(&ft.core(c));
     }
+    rate = sc.fat_tree.rate;
+  }
+  for (SwitchNode* top : top_tier) {
+    auto up = std::make_unique<EgressPort>(sim_, rate, config_.attach_delay,
+                                           make_disc(nullptr));
+    up->ConnectTo(gw);
+    EgressPort& up_ref = top->AddPort(std::move(up));
+    top->AddRouteRange(remote_lo, remote_hi, up_ref);
+
+    auto down = std::make_unique<EgressPort>(
+        sim_, rate, config_.attach_delay, make_disc(GatewayPool(s)));
+    down->ConnectTo(*top);
+    EgressPort& down_ref = gw.AddPort(std::move(down));
+    gw.AddRouteRange(local_lo, local_hi, down_ref);
+    attach_down_[s].push_back(&down_ref);
   }
 }
 
@@ -270,21 +273,6 @@ std::pair<TcpStack*, std::uint32_t> ComposedTopology::SampleInterPair(
       static_cast<std::uint32_t>(side_base_[peer] + dst));
 }
 
-Host& ComposedTopology::host(std::size_t i) {
-  return i < side_hosts_[0] ? side_[0]->host(i)
-                            : side_[1]->host(i - side_hosts_[0]);
-}
-
-TcpStack& ComposedTopology::stack(std::size_t i) {
-  return i < side_hosts_[0] ? side_[0]->stack(i)
-                            : side_[1]->stack(i - side_hosts_[0]);
-}
-
-Time ComposedTopology::HostBaseRtt(std::size_t i) const {
-  return i < side_hosts_[0] ? side_[0]->HostBaseRtt(i)
-                            : side_[1]->HostBaseRtt(i - side_hosts_[0]);
-}
-
 void ComposedTopology::AppendRttSamplesUs(
     std::vector<double>& rtts_us) const {
   const std::size_t n = host_count();
@@ -307,47 +295,6 @@ DataRate ComposedTopology::ReferenceCapacity() const {
                                  side_[1]->ReferenceCapacity().bps());
 }
 
-std::uint32_t ComposedTopology::GlobalAddress(std::size_t i) const {
-  return i < side_hosts_[0]
-             ? static_cast<std::uint32_t>(side_base_[0] + i)
-             : static_cast<std::uint32_t>(side_base_[1] +
-                                          (i - side_hosts_[0]));
-}
-
-std::pair<TcpStack*, std::uint32_t> ComposedTopology::SampleFlowPair(
-    Rng& rng) {
-  const std::size_t n = host_count();
-  if (n < 2) {
-    FatalConfigError("composed SampleFlowPair needs >= 2 hosts, have " +
-                     std::to_string(n));
-  }
-  const std::size_t src = rng.UniformInt(n);
-  std::size_t dst = rng.UniformInt(n - 1);
-  if (dst >= src) ++dst;
-  return std::make_pair(&stack(src), GlobalAddress(dst));
-}
-
-std::uint32_t ComposedTopology::IncastTarget() const {
-  return side_[0]->IncastTarget();
-}
-
-TcpStack& ComposedTopology::IncastSender(std::size_t k) {
-  if (host_count() < 2) {
-    FatalConfigError("composed incast needs >= 2 hosts, have " +
-                     std::to_string(host_count()));
-  }
-  return stack(1 + k % (host_count() - 1));
-}
-
-EgressPort* ComposedTopology::ResolvePort(int target) {
-  if (target < 0) return border_[0].empty() ? nullptr : border_[0][0];
-  std::size_t id = static_cast<std::size_t>(target);
-  if (id < host_count()) return &host(id).nic();
-  id -= host_count();
-  if (id < bottleneck_count()) return &bottleneck(id);
-  return nullptr;
-}
-
 std::string ComposedTopology::DescribePortTargets() const {
   const std::size_t n = host_count();
   const std::size_t b_a = side_[0]->bottleneck_count();
@@ -365,47 +312,6 @@ std::string ComposedTopology::DescribePortTargets() const {
          std::to_string(n + b_a + b_b + gw_a) + ".." +
          std::to_string(n + b_a + b_b + gw_a + gw_b - 1) +
          " = gateway B ports";
-}
-
-std::size_t ComposedTopology::bottleneck_count() const {
-  return side_[0]->bottleneck_count() + side_[1]->bottleneck_count() +
-         gateways_[0]->port_count() + gateways_[1]->port_count();
-}
-
-EgressPort& ComposedTopology::bottleneck(std::size_t i) {
-  if (i < side_[0]->bottleneck_count()) return side_[0]->bottleneck(i);
-  i -= side_[0]->bottleneck_count();
-  if (i < side_[1]->bottleneck_count()) return side_[1]->bottleneck(i);
-  i -= side_[1]->bottleneck_count();
-  if (i < gateways_[0]->port_count()) return gateways_[0]->port(i);
-  i -= gateways_[0]->port_count();
-  if (i < gateways_[1]->port_count()) return gateways_[1]->port(i);
-  assert(false && "bottleneck index out of range");
-  return gateways_[0]->port(0);
-}
-
-std::uint64_t ComposedTopology::TotalLinkDownDrops() const {
-  std::uint64_t total =
-      side_[0]->TotalLinkDownDrops() + side_[1]->TotalLinkDownDrops();
-  for (std::size_t s = 0; s < 2; ++s) {
-    for (std::size_t p = 0; p < gateways_[s]->port_count(); ++p) {
-      total += gateways_[s]->port(p).counters().dropped_link_down;
-    }
-  }
-  return total;
-}
-
-std::size_t ComposedTopology::buffer_pool_count() const {
-  return side_[0]->buffer_pool_count() + side_[1]->buffer_pool_count() +
-         gw_pools_.size();
-}
-
-BufferPolicy* ComposedTopology::buffer_pool(std::size_t i) {
-  if (i < side_[0]->buffer_pool_count()) return side_[0]->buffer_pool(i);
-  i -= side_[0]->buffer_pool_count();
-  if (i < side_[1]->buffer_pool_count()) return side_[1]->buffer_pool(i);
-  i -= side_[1]->buffer_pool_count();
-  return i < gw_pools_.size() ? gw_pools_[i].get() : nullptr;
 }
 
 }  // namespace ecnsharp

@@ -135,31 +135,17 @@ class ComposedTopology : public Topology {
   std::pair<TcpStack*, std::uint32_t> SampleInterPair(Rng& rng);
 
   // --- Topology interface ------------------------------------------------
-  std::size_t host_count() const override {
-    return side_hosts_[0] + side_hosts_[1];
-  }
-  Host& host(std::size_t i) override;
-  TcpStack& stack(std::size_t i) override;
-  // Intra-fabric base RTT of the owning side (inter-DC paths additionally
-  // carry InterExtraRtt; AppendRttSamplesUs represents them).
-  Time HostBaseRtt(std::size_t i) const override;
+  // Hosts, bottlenecks and pools concatenate side A's, then side B's tables,
+  // then the two gateways' (ports, pools); each host keeps its side's
+  // intra-fabric path RTT (inter-DC paths additionally carry InterExtraRtt;
+  // AppendRttSamplesUs represents them). The Topology defaults sample flow
+  // pairs uniformly over all ordered host pairs fabric-wide (the natural
+  // mixed matrix when no split is requested) and converge incast bursts on
+  // side A's host 0 from all remaining hosts fabric-wide.
   void AppendRttSamplesUs(std::vector<double>& rtts_us) const override;
   // Sum of both sides' aggregate access capacity.
   DataRate ReferenceCapacity() const override;
-  // Uniform over all ordered host pairs fabric-wide (two rng draws) — the
-  // natural mixed matrix when no split is requested.
-  std::pair<TcpStack*, std::uint32_t> SampleFlowPair(Rng& rng) override;
-  // Bursts converge on side A's host 0 from all remaining hosts fabric-wide.
-  std::uint32_t IncastTarget() const override;
-  TcpStack& IncastSender(std::size_t k) override;
-  EgressPort* ResolvePort(int target) override;
   std::string DescribePortTargets() const override;
-  std::size_t bottleneck_count() const override;
-  EgressPort& bottleneck(std::size_t i) override;
-  std::uint64_t TotalLinkDownDrops() const override;
-  // Pools: side A's, then side B's, then the two gateway pools.
-  std::size_t buffer_pool_count() const override;
-  BufferPolicy* buffer_pool(std::size_t i) override;
 
  private:
   void BuildSide(std::size_t s, const DiscFactory& make_disc);
@@ -170,8 +156,6 @@ class ComposedTopology : public Topology {
   const ComposedSideConfig& side_config(std::size_t s) const {
     return s == 0 ? config_.side_a : config_.side_b;
   }
-  // (local stack index, global destination address) for a global host index.
-  std::uint32_t GlobalAddress(std::size_t i) const;
 
   Simulator& sim_;
   ComposedConfig config_;

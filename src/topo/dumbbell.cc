@@ -24,35 +24,27 @@ Dumbbell::Dumbbell(Simulator& sim, const DumbbellConfig& config,
                            /*queue_count=*/config_.senders + 1,
                            /*per_queue_fallback=*/config_.buffer_bytes);
   switch_ = std::make_unique<SwitchNode>(sim_, "tor", /*ecmp_salt=*/1);
-  const Time link_delay = config_.base_rtt / 4;
-  const std::size_t total_hosts = config_.senders + 1;
-
-  for (std::size_t i = 0; i < total_hosts; ++i) {
-    auto host = std::make_unique<Host>(sim_, static_cast<std::uint32_t>(i));
-    // Host NIC toward the switch: large drop-tail.
-    auto nic = std::make_unique<EgressPort>(
-        sim_, config_.rate, link_delay,
-        std::make_unique<FifoQueueDisc>(config_.host_buffer_bytes, nullptr));
-    nic->ConnectTo(*switch_);
-    host->AttachNic(std::move(nic));
-
-    // Switch port toward this host: the AQM under test for the receiver,
-    // drop-tail for senders (carries mostly ACKs).
-    const bool is_receiver = (i == total_hosts - 1);
-    std::unique_ptr<QueueDisc> disc =
-        is_receiver ? make_disc(pool_.get())
-                    : std::make_unique<FifoQueueDisc>(config_.buffer_bytes,
-                                                      nullptr, pool_.get());
-    auto port = std::make_unique<EgressPort>(sim_, config_.rate, link_delay,
-                                             std::move(disc));
-    port->ConnectTo(*host);
-    EgressPort& port_ref = switch_->AddPort(std::move(port));
-    switch_->AddRoute(host->address(), port_ref);
-    if (is_receiver) bottleneck_port_ = &port_ref;
-
-    stacks_.push_back(std::make_unique<TcpStack>(*host, config_.tcp));
-    hosts_.push_back(std::move(host));
+  const AccessLink link{config_.rate, config_.base_rtt / 4,
+                        config_.host_buffer_bytes, config_.tcp};
+  // Switch ports toward senders carry mostly ACKs: drop-tail.
+  const DiscFactory drop_tail = [this](BufferPolicy* pool) {
+    return std::make_unique<FifoQueueDisc>(config_.buffer_bytes, nullptr,
+                                           pool);
+  };
+  for (std::size_t i = 0; i <= config_.senders; ++i) {
+    const bool is_receiver = (i == config_.senders);
+    EgressPort& down = BuildAccessHost(
+        sim_, *switch_, static_cast<std::uint32_t>(i), /*locality=*/0, link,
+        is_receiver ? make_disc : drop_tail, pool_.get(), hosts_, stacks_);
+    if (is_receiver) {
+      bottleneck_port_ = &down;
+    } else {
+      AddHost(*hosts_[i], *stacks_[i], config_.base_rtt);
+    }
   }
+  tables_.bottlenecks.push_back(bottleneck_port_);
+  tables_.primary_port = bottleneck_port_;
+  if (pool_) tables_.pools.push_back(pool_.get());
 }
 
 std::uint32_t Dumbbell::receiver_address() const {
@@ -72,25 +64,9 @@ std::pair<TcpStack*, std::uint32_t> Dumbbell::SampleFlowPair(Rng& rng) {
 }
 
 EgressPort* Dumbbell::ResolvePort(int target) {
-  if (target < 0) return bottleneck_port_;
-  if (static_cast<std::size_t>(target) < config_.senders) {
-    return &hosts_[static_cast<std::size_t>(target)]->nic();
-  }
-  return nullptr;
-}
-
-EgressPort& Dumbbell::bottleneck(std::size_t i) {
-  assert(i == 0);
-  (void)i;
-  return *bottleneck_port_;
-}
-
-std::uint64_t Dumbbell::TotalLinkDownDrops() const {
-  std::uint64_t total = bottleneck_port_->counters().dropped_link_down;
-  for (std::size_t i = 0; i < config_.senders; ++i) {
-    total += hosts_[i]->nic().counters().dropped_link_down;
-  }
-  return total;
+  return target < static_cast<int>(config_.senders)
+             ? Topology::ResolvePort(target)
+             : nullptr;
 }
 
 }  // namespace ecnsharp

@@ -57,28 +57,16 @@ class Dumbbell : public Topology {
   void SetSenderExtraDelays(const std::vector<Time>& extras);
 
   // --- Topology interface: the senders are the flow-originating hosts. ---
-  std::size_t host_count() const override { return config_.senders; }
-  Host& host(std::size_t i) override { return sender_host(i); }
-  TcpStack& stack(std::size_t i) override { return sender_stack(i); }
-  Time HostBaseRtt(std::size_t i) const override {
-    return config_.base_rtt + hosts_.at(i)->extra_egress_delay();
-  }
   DataRate ReferenceCapacity() const override { return config_.rate; }
+  // Uniform sender, always toward the receiver (one draw).
   std::pair<TcpStack*, std::uint32_t> SampleFlowPair(Rng& rng) override;
   std::uint32_t IncastTarget() const override { return receiver_address(); }
   TcpStack& IncastSender(std::size_t k) override {
     return sender_stack(k % config_.senders);
   }
   // Target ids: -1 = bottleneck (receiver-facing switch port),
-  // 0..senders-1 = that sender's NIC.
+  // 0..senders-1 = that sender's NIC; nothing past the senders.
   EgressPort* ResolvePort(int target) override;
-  std::size_t bottleneck_count() const override { return 1; }
-  EgressPort& bottleneck(std::size_t i) override;
-  std::uint64_t TotalLinkDownDrops() const override;
-  std::size_t buffer_pool_count() const override { return pool_ ? 1 : 0; }
-  BufferPolicy* buffer_pool(std::size_t i) override {
-    return i == 0 ? pool_.get() : nullptr;
-  }
 
  private:
   Simulator& sim_;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "net/lane_bridge.h"
-#include "sched/fifo_queue_disc.h"
 #include "sim/lane_executor.h"
 #include "sim/logging.h"
 
@@ -58,34 +57,30 @@ FatTree::FatTree(Simulator& sim, const FatTreeConfig& config,
     for (std::size_t i = 0; i < chips; ++i) {
       pools_.push_back(MakeBufferPolicy(config_.buffer_policy, config_.k,
                                         config_.buffer_bytes));
+      tables_.pools.push_back(pools_.back().get());
     }
   }
+  for (const auto* tier : {&edges_, &aggs_, &cores_}) {
+    for (const auto& sw : *tier) tables_.switches.push_back(sw.get());
+  }
+  // Chip pools in switch order; buffer_pool(i) is null while the pool table
+  // is empty (no policy), so every disc gets its chip's pool or null.
+  const std::size_t agg_pools = edges_.size();
+  const std::size_t core_pools = edges_.size() + aggs_.size();
 
   // Hosts and access links. Host h is slot h % (k/2) of global edge
   // h / (k/2); sequential hosts fill an edge, then the next edge, so each
   // edge's k/2 host down ports land in slot order (ports 0..k/2-1).
+  const AccessLink link{config_.rate, config_.host_link_delay,
+                        config_.host_buffer_bytes, config_.tcp};
+  const Time path_rtt =
+      (config_.host_link_delay * 2 + config_.fabric_link_delay * 4) * 2;
   for (std::size_t h = 0; h < host_count; ++h) {
-    Simulator& pod_sim = PodSim(PodOfHost(h));
-    auto host = std::make_unique<Host>(
-        pod_sim, config_.base_address + static_cast<std::uint32_t>(h));
-    host->set_locality_id(LocalityOfPod(PodOfHost(h)));
-    SwitchNode& edge = *edges_[EdgeOfHost(h)];
-
-    auto nic = std::make_unique<EgressPort>(
-        pod_sim, config_.rate, config_.host_link_delay,
-        std::make_unique<FifoQueueDisc>(config_.host_buffer_bytes, nullptr));
-    nic->ConnectTo(edge);
-    host->AttachNic(std::move(nic));
-
-    auto down = std::make_unique<EgressPort>(
-        pod_sim, config_.rate, config_.host_link_delay,
-        make_disc(EdgePool(EdgeOfHost(h))));
-    down->ConnectTo(*host);
-    EgressPort& down_ref = edge.AddPort(std::move(down));
-    edge.AddRoute(host->address(), down_ref);
-
-    stacks_.push_back(std::make_unique<TcpStack>(*host, config_.tcp));
-    hosts_.push_back(std::move(host));
+    BuildAccessHost(PodSim(PodOfHost(h)), *edges_[EdgeOfHost(h)],
+                    config_.base_address + static_cast<std::uint32_t>(h),
+                    LocalityOfPod(PodOfHost(h)), link, make_disc,
+                    buffer_pool(EdgeOfHost(h)), hosts_, stacks_);
+    AddHost(*hosts_[h], *stacks_[h], path_rtt);
   }
 
   // Edge <-> aggregation inside each pod (edge ports k/2..k-1 are uplinks,
@@ -104,7 +99,7 @@ FatTree::FatTree(Simulator& sim, const FatTreeConfig& config,
 
         auto up = std::make_unique<EgressPort>(
             PodSim(p), config_.rate, config_.fabric_link_delay,
-            make_disc(EdgePool(p * half_k + e)));
+            make_disc(buffer_pool(p * half_k + e)));
         up->ConnectTo(agg);
         edge.AddDefaultRoute(edge.AddPort(std::move(up)));
       }
@@ -112,7 +107,7 @@ FatTree::FatTree(Simulator& sim, const FatTreeConfig& config,
         SwitchNode& agg = *aggs_[p * half_k + a];
         auto down = std::make_unique<EgressPort>(
             PodSim(p), config_.rate, config_.fabric_link_delay,
-            make_disc(AggPool(p * half_k + a)));
+            make_disc(buffer_pool(agg_pools + p * half_k + a)));
         down->ConnectTo(edge);
         agg.AddRouteRange(block_lo, block_hi, agg.AddPort(std::move(down)));
       }
@@ -141,7 +136,7 @@ FatTree::FatTree(Simulator& sim, const FatTreeConfig& config,
         auto up = std::make_unique<EgressPort>(
             PodSim(p), config_.rate,
             cross_lane ? Time::Zero() : config_.fabric_link_delay,
-            make_disc(AggPool(p * half_k + a)));
+            make_disc(buffer_pool(agg_pools + p * half_k + a)));
         if (cross_lane) {
           bridges_.push_back(std::make_unique<LaneBridgeSink>(
               *lanes_, pod_lane, /*to=*/0, config_.fabric_link_delay, core));
@@ -154,7 +149,7 @@ FatTree::FatTree(Simulator& sim, const FatTreeConfig& config,
         auto down = std::make_unique<EgressPort>(
             sim_, config_.rate,
             cross_lane ? Time::Zero() : config_.fabric_link_delay,
-            make_disc(CorePool(a * half_k + j)));
+            make_disc(buffer_pool(core_pools + a * half_k + j)));
         if (cross_lane) {
           bridges_.push_back(std::make_unique<LaneBridgeSink>(
               *lanes_, /*from=*/0, pod_lane, config_.fabric_link_delay, agg));
@@ -166,49 +161,13 @@ FatTree::FatTree(Simulator& sim, const FatTreeConfig& config,
       }
     }
   }
-}
-
-Time FatTree::HostBaseRtt(std::size_t i) const {
-  const Time one_way =
-      config_.host_link_delay * 2 + config_.fabric_link_delay * 4;
-  return one_way * 2 + hosts_.at(i)->extra_egress_delay();
+  IndexSwitchPorts(*this);
+  tables_.primary_port = &edges_[0]->port(hosts_per_edge());
 }
 
 DataRate FatTree::ReferenceCapacity() const {
   return DataRate::BitsPerSecond(
       config_.rate.bps() * static_cast<std::int64_t>(hosts_.size()));
-}
-
-std::pair<TcpStack*, std::uint32_t> FatTree::SampleFlowPair(Rng& rng) {
-  const std::size_t n = hosts_.size();
-  if (n < 2) {
-    FatalConfigError("fat-tree SampleFlowPair needs >= 2 hosts, have " +
-                     std::to_string(n));
-  }
-  const std::size_t src = rng.UniformInt(n);
-  std::size_t dst = rng.UniformInt(n - 1);
-  if (dst >= src) ++dst;
-  return std::make_pair(stacks_[src].get(),
-                        config_.base_address + static_cast<std::uint32_t>(dst));
-}
-
-std::uint32_t FatTree::IncastTarget() const { return hosts_[0]->address(); }
-
-TcpStack& FatTree::IncastSender(std::size_t k) {
-  if (hosts_.size() < 2) {
-    FatalConfigError("fat-tree incast needs >= 2 hosts, have " +
-                     std::to_string(hosts_.size()));
-  }
-  return *stacks_[1 + k % (hosts_.size() - 1)];
-}
-
-EgressPort* FatTree::ResolvePort(int target) {
-  if (target < 0) return &edges_[0]->port(hosts_per_edge());
-  std::size_t id = static_cast<std::size_t>(target);
-  if (id < hosts_.size()) return &hosts_[id]->nic();
-  id -= hosts_.size();
-  if (id < bottleneck_count()) return &bottleneck(id);
-  return nullptr;
 }
 
 std::string FatTree::DescribePortTargets() const {
@@ -219,42 +178,6 @@ std::string FatTree::DescribePortTargets() const {
          std::to_string(hosts + bottleneck_count() - 1) +
          " = switch egress ports (edges, then aggs, then cores, in port "
          "order)";
-}
-
-std::size_t FatTree::bottleneck_count() const {
-  // Every switch egress port: k ports per edge/agg switch (k/2 down + k/2
-  // up), k per core (one per pod) — 5k^3/4 in total.
-  std::size_t total = 0;
-  for (const auto& sw : edges_) total += sw->port_count();
-  for (const auto& sw : aggs_) total += sw->port_count();
-  for (const auto& sw : cores_) total += sw->port_count();
-  return total;
-}
-
-EgressPort& FatTree::bottleneck(std::size_t i) {
-  for (const auto* tier : {&edges_, &aggs_, &cores_}) {
-    for (const auto& sw : *tier) {
-      if (i < sw->port_count()) return sw->port(i);
-      i -= sw->port_count();
-    }
-  }
-  assert(false && "bottleneck index out of range");
-  return edges_[0]->port(0);
-}
-
-std::uint64_t FatTree::TotalLinkDownDrops() const {
-  std::uint64_t total = 0;
-  for (const auto& host : hosts_) {
-    total += host->nic().counters().dropped_link_down;
-  }
-  for (const auto* tier : {&edges_, &aggs_, &cores_}) {
-    for (const auto& sw : *tier) {
-      for (std::size_t p = 0; p < sw->port_count(); ++p) {
-        total += sw->port(p).counters().dropped_link_down;
-      }
-    }
-  }
-  return total;
 }
 
 }  // namespace ecnsharp

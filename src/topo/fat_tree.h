@@ -111,55 +111,25 @@ class FatTree : public Topology {
   std::size_t agg_count() const { return aggs_.size(); }
   std::size_t core_count() const { return cores_.size(); }
 
-  // --- Topology interface: every host can originate flows. ---------------
-  std::size_t host_count() const override { return hosts_.size(); }
-  Host& host(std::size_t i) override { return *hosts_.at(i); }
-  TcpStack& stack(std::size_t i) override { return *stacks_.at(i); }
-  // Inter-pod base RTT (two host hops + four fabric hops each way) plus the
-  // host's current extra delay — the worst-case path, which is what the
-  // rule-of-thumb must cover under ECMP path diversity.
-  Time HostBaseRtt(std::size_t i) const override;
+  // --- Topology interface ------------------------------------------------
+  // Every host originates flows; its path RTT is the inter-pod one (two
+  // host hops + four fabric hops each way) — the worst-case path, which is
+  // what the rule-of-thumb must cover under ECMP path diversity. Flow pairs
+  // and incast use the Topology defaults; uniform pairs give the natural
+  // inter/intra-pod mix (a fraction (k-1)/k of pairs cross pods). Every
+  // switch egress port is a bottleneck (the AQM runs fabric-wide),
+  // flattened edge-by-edge, then agg-by-agg, then core-by-core in port
+  // order: each edge has k/2 host down ports then k/2 uplinks, each agg k/2
+  // edge down ports then k/2 core uplinks, each core k pod down ports.
+  // Scenario target -1 is edge 0's first uplink (the canonical fabric
+  // bottleneck). Pools follow the same edge, agg, core order.
+  //
   // Load is defined per host access link; the aggregate arrival rate scales
   // with the number of hosts.
   DataRate ReferenceCapacity() const override;
-  // Uniform random src, uniform random dst != src (two draws per call).
-  // Uniform pairs give the natural inter/intra-pod mix: a fraction
-  // (k-1)/k of pairs cross pods, 1/k stay inside one.
-  std::pair<TcpStack*, std::uint32_t> SampleFlowPair(Rng& rng) override;
-  // Bursts converge on host 0 from the remaining hosts, round-robin.
-  std::uint32_t IncastTarget() const override;
-  TcpStack& IncastSender(std::size_t k) override;
-  // Target ids: -1 = edge 0's first uplink (the canonical fabric
-  // bottleneck), 0..host_count-1 = host NICs, host_count.. = every switch
-  // egress port flattened edge-by-edge, then agg-by-agg, then core-by-core
-  // in port order (each edge: k/2 host down ports then k/2 uplinks; each
-  // agg: k/2 edge down ports then k/2 core uplinks; each core: k pod down
-  // ports).
-  EgressPort* ResolvePort(int target) override;
   std::string DescribePortTargets() const override;
-  // Every switch egress port is instrumented — the AQM runs fabric-wide.
-  std::size_t bottleneck_count() const override;
-  EgressPort& bottleneck(std::size_t i) override;
-  std::uint64_t TotalLinkDownDrops() const override;
-  // Pools in edge, agg, core order (matching the switch index spaces);
-  // empty when no buffer policy is configured.
-  std::size_t buffer_pool_count() const override { return pools_.size(); }
-  BufferPolicy* buffer_pool(std::size_t i) override {
-    return pools_.at(i).get();
-  }
 
  private:
-  BufferPolicy* EdgePool(std::size_t e) {
-    return pools_.empty() ? nullptr : pools_[e].get();
-  }
-  BufferPolicy* AggPool(std::size_t a) {
-    return pools_.empty() ? nullptr : pools_[edges_.size() + a].get();
-  }
-  BufferPolicy* CorePool(std::size_t c) {
-    return pools_.empty() ? nullptr
-                          : pools_[edges_.size() + aggs_.size() + c].get();
-  }
-
   // The simulator a pod-p node lives on: `sim_` in single-simulator builds,
   // the pod's lane in lane-sharded ones (core switches live on `sim_`).
   Simulator& PodSim(std::size_t pod);

@@ -55,46 +55,22 @@ class LeafSpine : public Topology {
     return host_index / config_.hosts_per_leaf;
   }
 
-  // --- Topology interface: every host can originate flows. ---------------
-  std::size_t host_count() const override { return hosts_.size(); }
-  Host& host(std::size_t i) override { return *hosts_.at(i); }
-  TcpStack& stack(std::size_t i) override { return *stacks_.at(i); }
-  // Cross-rack base RTT (two host hops + two fabric hops each way) plus the
-  // host's current extra delay.
-  Time HostBaseRtt(std::size_t i) const override;
+  // --- Topology interface ------------------------------------------------
+  // Every host originates flows; its path RTT is the cross-rack one (two
+  // host hops + two fabric hops each way). Flow pairs and incast use the
+  // Topology defaults. Every switch egress port is a bottleneck (the AQM
+  // runs fabric-wide), flattened leaf-by-leaf then spine-by-spine in port
+  // order: each leaf has hosts_per_leaf down ports, then `spines` up ports;
+  // each spine one down port per leaf, in leaf order. Scenario target -1 is
+  // leaf 0's first uplink (the canonical fabric bottleneck). Pools follow
+  // switch order: leaves, then spines.
+  //
   // Load is defined per host access link; the aggregate arrival rate scales
   // with the number of hosts.
   DataRate ReferenceCapacity() const override;
-  // Uniform random src, uniform random dst != src (two draws per call).
-  std::pair<TcpStack*, std::uint32_t> SampleFlowPair(Rng& rng) override;
-  // Bursts converge on host 0 from the remaining hosts, round-robin.
-  std::uint32_t IncastTarget() const override;
-  TcpStack& IncastSender(std::size_t k) override;
-  // Target ids: -1 = leaf 0's first uplink (the canonical fabric
-  // bottleneck), 0..host_count-1 = host NICs, host_count.. = every switch
-  // egress port flattened leaf-by-leaf then spine-by-spine in port order
-  // (each leaf: hosts_per_leaf down ports, then `spines` up ports; each
-  // spine: one down port per leaf, in leaf order).
-  EgressPort* ResolvePort(int target) override;
   std::string DescribePortTargets() const override;
-  // Every switch egress port is instrumented — the AQM runs fabric-wide.
-  std::size_t bottleneck_count() const override;
-  EgressPort& bottleneck(std::size_t i) override;
-  std::uint64_t TotalLinkDownDrops() const override;
-  // Pools in switch order: leaves then spines (empty when no policy).
-  std::size_t buffer_pool_count() const override { return pools_.size(); }
-  BufferPolicy* buffer_pool(std::size_t i) override {
-    return i < pools_.size() ? pools_[i].get() : nullptr;
-  }
 
  private:
-  BufferPolicy* LeafPool(std::size_t l) {
-    return pools_.empty() ? nullptr : pools_[l].get();
-  }
-  BufferPolicy* SpinePool(std::size_t s) {
-    return pools_.empty() ? nullptr : pools_[config_.leaves + s].get();
-  }
-
   Simulator& sim_;
   LeafSpineConfig config_;
   std::vector<std::unique_ptr<BufferPolicy>> pools_;  // leaves, then spines

@@ -1,8 +1,10 @@
 #include "transport/tcp_stack.h"
 
 #include <cassert>
+#include <string>
 #include <utility>
 
+#include "sim/logging.h"
 #include "transport/cubic_sender.h"
 
 namespace ecnsharp {
@@ -21,10 +23,19 @@ TcpSender& TcpStack::StartFlow(std::uint32_t dst, std::uint64_t size_bytes,
   key.dst = dst;
   key.dst_port = 80;
   // Find an unused source port (wraps; skips ports of still-tracked flows).
-  do {
+  // One pass over the 65,535 usable ports: if every one still tracks a
+  // sender to `dst`, no port is free and the search would never end.
+  for (std::uint32_t tried = 0;; ++tried) {
+    if (tried == 65535) {
+      FatalConfigError(
+          "host " + std::to_string(host_.address()) +
+          " has no free source port toward " + std::to_string(dst) + ": " +
+          std::to_string(senders_.size()) + " live senders");
+    }
     key.src_port = next_port_++;
     if (next_port_ == 0) next_port_ = 1;
-  } while (senders_.contains(key));
+    if (!senders_.contains(key)) break;
+  }
 
   const CcKind kind = cc.value_or(config_.cc_kind);
   std::unique_ptr<TcpSender> sender;

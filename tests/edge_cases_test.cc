@@ -14,6 +14,7 @@
 #include "sim/simulator.h"
 #include "tofino/ecn_sharp_pipeline.h"
 #include "topo/composed.h"
+#include "topo/dumbbell.h"
 #include "topo/leaf_spine.h"
 #include "topo/rtt_variation.h"
 #include "transport/dcqcn.h"
@@ -484,6 +485,26 @@ TEST(ConfigValidationDeathTest, OutOfRangeHostDelayTargetExits) {
         RunLeafSpine(config);
       },
       testing::ExitedWithCode(2), "host index 4 out of range");
+}
+
+// Once a host tracks a sender on every one of the 65,535 source ports
+// toward one destination, the free-port search used to spin forever. It
+// now gives up after one pass and names the host, destination and count.
+TEST(ConfigValidationDeathTest, ExhaustedSourcePortsExit) {
+  EXPECT_EXIT(
+      {
+        Simulator sim;
+        DumbbellConfig config;
+        config.senders = 1;
+        config.host_buffer_bytes = 4 * kFullPacketBytes;
+        Dumbbell topo(sim, config, TinyDisc);
+        for (int i = 0; i < 65536; ++i) {
+          topo.sender_stack(0).StartFlow(topo.receiver_address(), 1 << 20,
+                                         nullptr);
+        }
+      },
+      testing::ExitedWithCode(2),
+      "host 0 has no free source port toward 1: 65535 live senders");
 }
 
 }  // namespace

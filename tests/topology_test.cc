@@ -46,6 +46,40 @@
 namespace ecnsharp {
 namespace {
 
+// Appends every egress port of `sw`, in port order.
+void AppendPorts(std::vector<EgressPort*>& out, SwitchNode& sw) {
+  for (std::size_t p = 0; p < sw.port_count(); ++p) out.push_back(&sw.port(p));
+}
+
+// Compares the whole bottleneck table with an explicit walk.
+void ExpectBottlenecks(Topology& topo, const std::vector<EgressPort*>& walk) {
+  ASSERT_EQ(topo.bottleneck_count(), walk.size());
+  for (std::size_t j = 0; j < walk.size(); ++j) {
+    EXPECT_EQ(&topo.bottleneck(j), walk[j]) << "bottleneck " << j;
+  }
+}
+
+// Downs `switch_port` and host 1's NIC and offers each one packet: the
+// link-down total counts exactly those two arrivals. HostBaseRtt stays the
+// path RTT plus the host's current extra delay.
+void ExpectDownedPortAccounting(Topology& topo, EgressPort& switch_port,
+                                Time path_rtt) {
+  EgressPort& nic = topo.host(1).nic();
+  switch_port.LinkDown(/*drop_queued=*/false);
+  nic.LinkDown(/*drop_queued=*/false);
+  for (EgressPort* port : {&switch_port, &nic}) {
+    auto pkt = std::make_unique<Packet>();
+    pkt->size_bytes = 1500;
+    port->Enqueue(std::move(pkt));
+  }
+  EXPECT_EQ(switch_port.counters().dropped_link_down, 1u);
+  EXPECT_EQ(nic.counters().dropped_link_down, 1u);
+  EXPECT_EQ(topo.TotalLinkDownDrops(), 2u);
+  topo.host(1).set_extra_egress_delay(Time::FromMicroseconds(25));
+  EXPECT_EQ(topo.HostBaseRtt(0), path_rtt);
+  EXPECT_EQ(topo.HostBaseRtt(1), path_rtt + Time::FromMicroseconds(25));
+}
+
 // ---------------------------------------------------------------------------
 // Topology interface on Dumbbell
 // ---------------------------------------------------------------------------
@@ -102,6 +136,7 @@ TEST(DumbbellTopologyTest, HostBaseRttIncludesExtras) {
             config.base_rtt + Time::FromMicroseconds(30));
   EXPECT_EQ(iface.HostBaseRtt(2),
             config.base_rtt + Time::FromMicroseconds(140));
+  ExpectDownedPortAccounting(iface, topo.bottleneck_port(), config.base_rtt);
 }
 
 // ---------------------------------------------------------------------------
@@ -133,6 +168,17 @@ TEST(LeafSpineTopologyTest, EnumeratesEverySwitchPortAsBottleneck) {
   EXPECT_EQ(&iface.bottleneck(5), &topo.leaf(1).port(0));
   EXPECT_EQ(&iface.bottleneck(10), &topo.spine(0).port(0));
   EXPECT_EQ(&iface.bottleneck(13), &topo.spine(1).port(1));
+  // The full order: every port of every leaf, then of every spine.
+  std::vector<EgressPort*> walk;
+  for (std::size_t l = 0; l < topo.leaf_count(); ++l) {
+    AppendPorts(walk, topo.leaf(l));
+  }
+  for (std::size_t s = 0; s < topo.spine_count(); ++s) {
+    AppendPorts(walk, topo.spine(s));
+  }
+  ExpectBottlenecks(iface, walk);
+  ExpectDownedPortAccounting(iface, topo.spine(1).port(1),
+                             Time::FromMicroseconds(80));
 }
 
 TEST(LeafSpineTopologyTest, ResolvesScenarioPortIds) {
@@ -229,6 +275,21 @@ TEST(FatTreeTopologyTest, BuildsKaryStructure) {
   const QueueDiscStats stats = topo.TotalBottleneckStats();
   EXPECT_EQ(stats.enqueued, 0u);
   EXPECT_EQ(topo.TotalLinkDownDrops(), 0u);
+
+  // The full order: every port of every edge, then agg, then core.
+  std::vector<EgressPort*> walk;
+  for (std::size_t i = 0; i < topo.edge_count(); ++i) {
+    AppendPorts(walk, topo.edge(i));
+  }
+  for (std::size_t i = 0; i < topo.agg_count(); ++i) {
+    AppendPorts(walk, topo.agg(i));
+  }
+  for (std::size_t i = 0; i < topo.core_count(); ++i) {
+    AppendPorts(walk, topo.core(i));
+  }
+  ExpectBottlenecks(iface, walk);
+  ExpectDownedPortAccounting(iface, topo.agg(3).port(2),
+                             Time::FromMicroseconds(120));
 }
 
 TEST(FatTreeTopologyTest, ResolvesScenarioPortIds) {
@@ -487,6 +548,7 @@ TEST(GoldenParityTest, DumbbellPoolAwareConstructorWithoutPolicyMatchesLegacy) {
     return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams(), pool);
   });
   EXPECT_EQ(topo.buffer_pool_count(), 0u);
+  EXPECT_EQ(topo.buffer_pool(topo.buffer_pool_count()), nullptr);
   std::vector<double> fcts(topo.sender_count(), 0.0);
   for (std::size_t i = 0; i < topo.sender_count(); ++i) {
     topo.sender_stack(i).StartFlow(
@@ -513,6 +575,7 @@ TEST(GoldenParityTest, FatTreePoolAwareConstructorWithoutPolicyMatchesLegacy) {
     return MakeFifoDisc(Scheme::kEcnSharp, SchemeParams(), pool);
   });
   EXPECT_EQ(topo.buffer_pool_count(), 0u);
+  EXPECT_EQ(topo.buffer_pool(topo.buffer_pool_count()), nullptr);
   // Cross-pod pairs so flows traverse edge, agg and core discs.
   const std::size_t n = topo.host_count();
   std::vector<double> fcts(n, 0.0);
@@ -1028,6 +1091,26 @@ TEST(ComposedTopologyTest, EnumeratesSidesGatewaysAndBorder) {
   EXPECT_EQ(&iface.bottleneck(34), &topo.border_port(0, 0));
   EXPECT_EQ(&iface.bottleneck(35), &topo.gateway(1).port(0));
   EXPECT_EQ(&iface.bottleneck(37), &topo.border_port(1, 0));
+  // The full order: side A (leaves, then spines with their attach uplinks),
+  // side B, gateway A, gateway B. Each side's own table already covers the
+  // attach uplinks wired into it after it was built.
+  std::vector<EgressPort*> walk;
+  for (std::size_t s = 0; s < 2; ++s) {
+    auto& side = dynamic_cast<LeafSpine&>(topo.side(s));
+    std::vector<EgressPort*> side_walk;
+    for (std::size_t l = 0; l < side.leaf_count(); ++l) {
+      AppendPorts(side_walk, side.leaf(l));
+    }
+    for (std::size_t sp = 0; sp < side.spine_count(); ++sp) {
+      AppendPorts(side_walk, side.spine(sp));
+    }
+    EXPECT_EQ(topo.side(s).bottleneck_count(), 16u);
+    ExpectBottlenecks(topo.side(s), side_walk);
+    walk.insert(walk.end(), side_walk.begin(), side_walk.end());
+  }
+  AppendPorts(walk, topo.gateway(0));
+  AppendPorts(walk, topo.gateway(1));
+  ExpectBottlenecks(iface, walk);
 
   // Load is defined against both sides' aggregate access capacity.
   EXPECT_EQ(iface.ReferenceCapacity().bps(),
@@ -1037,6 +1120,9 @@ TEST(ComposedTopologyTest, EnumeratesSidesGatewaysAndBorder) {
   EXPECT_EQ(&iface.IncastSender(0), &iface.stack(1));
   EXPECT_EQ(&iface.IncastSender(10), &iface.stack(11));
   EXPECT_EQ(&iface.IncastSender(11), &iface.stack(1));
+
+  ExpectDownedPortAccounting(iface, topo.border_port(1, 0),
+                             Time::FromMicroseconds(80));
 }
 
 TEST(ComposedTopologyTest, ResolvesScenarioPortIds) {
