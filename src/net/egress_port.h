@@ -17,18 +17,18 @@
 //    rate and still arrive; only queued/arriving packets are affected.
 //
 // Event usage (the burst-drain scheme): a back-to-back train is driven by
-// two persistent pinned events — one tx-completion event re-armed per
-// serialization, one arrival event re-armed per wire delivery against order
-// stamps reserved at transmit time — so draining a train costs O(1) per
-// packet with zero closure allocations. net/event_mode.h switches back to
-// the legacy one-closure-per-packet scheme; both interleave identically.
+// one persistent pinned tx-completion event re-armed per serialization, and
+// the wire is an InFlightQueue (net/in_flight_queue.h) whose order stamps
+// are reserved at transmit time — so draining a train costs O(1) per packet
+// with zero closure allocations. net/event_mode.h switches back to the
+// legacy one-closure-per-packet scheme; both interleave identically.
 #ifndef ECNSHARP_NET_EGRESS_PORT_H_
 #define ECNSHARP_NET_EGRESS_PORT_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
+#include "net/in_flight_queue.h"
 #include "net/link_fault.h"
 #include "net/packet.h"
 #include "net/packet_tracer.h"
@@ -106,20 +106,10 @@ class EgressPort {
   }
 
  private:
-  // One packet committed to the wire: its arrival time and the order stamp
-  // reserved when it left the transmitter (so deliveries interleave exactly
-  // like independently scheduled per-packet events would).
-  struct WireEntry {
-    Time deliver_at;
-    std::uint64_t order;
-    std::unique_ptr<Packet> pkt;
-    bool corrupt;
-  };
-
   void MaybeStartTx();
   void FinishTx();
-  void PushWire(WireEntry entry);
-  void DeliverFront();
+  // Wire arrival at the peer; a corrupted frame fails its CRC there.
+  void Deliver(std::unique_ptr<Packet> pkt, bool corrupt);
 
   Simulator& sim_;
   DataRate rate_;
@@ -134,11 +124,8 @@ class EgressPort {
   bool link_up_ = true;
   Time base_rtt_hint_ = Time::Zero();
   PortCounters counters_;
-  // Burst-drain machinery: packets in flight on the wire, ordered by
-  // (deliver_at, order); the pinned arrival event is armed for the front.
-  std::deque<WireEntry> wire_;
   PinnedEventId tx_event_;
-  PinnedEventId arrival_event_;
+  InFlightQueue wire_;
 };
 
 // Adapter presenting an EgressPort as a PacketSink, so ports can terminate

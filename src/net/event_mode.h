@@ -11,9 +11,10 @@
 
 namespace ecnsharp {
 
-// When true, EgressPort and DelayLine schedule one closure event per packet
-// (the pre-refactor code path). Default false. Flip only between
-// simulations, never mid-run.
+// When true, EgressPort's tx completion and every InFlightQueue (wires,
+// DelayLines, host netem delay) schedule one closure event per packet (the
+// pre-refactor code path). Default false. Flip only between simulations,
+// never mid-run.
 inline bool& LegacyPerPacketEvents() {
   static bool legacy = false;
   return legacy;

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "net/egress_port.h"
+#include "net/in_flight_queue.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
 
@@ -42,7 +43,9 @@ class Host : public PacketSink {
 
   // Extra one-way delay applied to every packet this host transmits
   // (emulates netem at the sender; inflates this host's flows' base RTT by
-  // exactly this amount since only the forward path is delayed).
+  // exactly this amount since only the forward path is delayed). A change
+  // applies to packets sent after it; a shorter delay lets them overtake
+  // packets still held.
   void set_extra_egress_delay(Time delay) { extra_egress_delay_ = delay; }
   Time extra_egress_delay() const { return extra_egress_delay_; }
 
@@ -54,7 +57,19 @@ class Host : public PacketSink {
 
   // Entry point for the transport layer: applies the extra egress delay and
   // hands the packet to the NIC queue.
-  void SendPacket(std::unique_ptr<Packet> pkt);
+  void SendPacket(std::unique_ptr<Packet> pkt) {
+    if (extra_egress_delay_.IsZero()) {
+      nic().Enqueue(std::move(pkt));
+      return;
+    }
+    if (netem_ == nullptr) {
+      netem_ = std::make_unique<InFlightQueue>(
+          sim_, [this](std::unique_ptr<Packet> held, bool) {
+            nic().Enqueue(std::move(held));
+          });
+    }
+    netem_->Push(extra_egress_delay_, std::move(pkt));
+  }
 
   // Protocol handler receiving all packets delivered to this host.
   void SetProtocolHandler(PacketSink& handler) { upper_ = &handler; }
@@ -69,6 +84,9 @@ class Host : public PacketSink {
   std::uint32_t address_;
   std::unique_ptr<EgressPort> nic_;
   Time extra_egress_delay_ = Time::Zero();
+  // Packets held by the extra egress delay, built on the first delayed send
+  // so that hosts which never delay allocate nothing.
+  std::unique_ptr<InFlightQueue> netem_;
   std::uint32_t locality_id_ = 0;
   PacketSink* upper_ = nullptr;
 };

@@ -98,6 +98,10 @@ void LaneSet::Run(Time until, Time window) {
       while (t < until) {
         const Time next = std::min(t + window, until);
         Absorb(i);
+        // Every lane drains its mailbox before any lane posts again: a post
+        // from this round must not race into the batch of earlier rounds,
+        // which would shift the target lane's order stamps run to run.
+        barrier.Arrive();
         lanes_[i]->sim->RunUntil(next);
         barrier.Arrive();
         t = next;

@@ -24,7 +24,7 @@ constexpr std::uint64_t PackId(std::uint32_t slot, std::uint32_t gen) {
 // lists means only the first experiment grows them.
 struct Simulator::Storage {
   std::vector<std::vector<HeapEntry>> buckets;
-  std::vector<HeapEntry> overflow;
+  std::vector<HeapEntry> far;
   std::vector<Slot> slots;
   std::vector<std::uint32_t> free_slots;
   std::vector<std::unique_ptr<PinnedSlot[]>> pinned_chunks;
@@ -39,14 +39,14 @@ Simulator::Storage& Simulator::ThreadStorageCache() {
 Simulator::Simulator() {
   Storage& cache = ThreadStorageCache();
   buckets_.swap(cache.buckets);
-  overflow_.swap(cache.overflow);
+  far_.swap(cache.far);
   slots_.swap(cache.slots);
   free_slots_.swap(cache.free_slots);
   pinned_chunks_.swap(cache.pinned_chunks);
   free_pinned_.swap(cache.free_pinned);
   buckets_.resize(kWheelBuckets);
   for (auto& b : buckets_) b.clear();
-  overflow_.clear();
+  far_.clear();
   free_slots_.clear();
   free_pinned_.clear();
   // Recycled slots keep their generation counters (ids never cross
@@ -57,7 +57,6 @@ Simulator::Simulator() {
     free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()) - 1 - i);
   }
   pinned_count_ = 0;
-  wheel_on_ = false;
   wheel_count_ = 0;
 }
 
@@ -69,13 +68,13 @@ Simulator::~Simulator() {
     p.armed = false;
   }
   for (auto& b : buckets_) b.clear();
-  overflow_.clear();
+  far_.clear();
   free_slots_.clear();
   free_pinned_.clear();
   Storage& cache = ThreadStorageCache();
   if (buckets_.size() >= cache.buckets.size()) buckets_.swap(cache.buckets);
-  if (overflow_.capacity() > cache.overflow.capacity()) {
-    overflow_.swap(cache.overflow);
+  if (far_.capacity() > cache.far.capacity()) {
+    far_.swap(cache.far);
   }
   if (slots_.size() > cache.slots.size()) slots_.swap(cache.slots);
   if (free_slots_.capacity() > cache.free_slots.capacity()) {
@@ -90,27 +89,19 @@ Simulator::~Simulator() {
 }
 
 void Simulator::Push(const HeapEntry& e) {
-  if (wheel_on_) {
-    const auto abs = static_cast<std::uint64_t>(e.when.ns()) >> kWheelShift;
-    const auto now_abs = static_cast<std::uint64_t>(now_.ns()) >> kWheelShift;
-    if (abs - now_abs < kWheelBuckets) {
-      const std::size_t idx = abs & kWheelMask;
-      auto& bucket = buckets_[idx];
-      bucket.push_back(e);
-      std::push_heap(bucket.begin(), bucket.end(), Later{});
-      MarkBucket(idx);
-      ++wheel_count_;
-      return;
-    }
+  const auto abs = static_cast<std::uint64_t>(e.when.ns()) >> kWheelShift;
+  const auto now_abs = static_cast<std::uint64_t>(now_.ns()) >> kWheelShift;
+  if (abs - now_abs < kWheelBuckets) {
+    const std::size_t idx = abs & kWheelMask;
+    auto& bucket = buckets_[idx];
+    bucket.push_back(e);
+    std::push_heap(bucket.begin(), bucket.end(), Later{});
+    MarkBucket(idx);
+    ++wheel_count_;
+    return;
   }
-  overflow_.push_back(e);
-  std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-  if (!wheel_on_ && overflow_.size() >= kWheelEngagePending) {
-    // Sticky engagement: entries already in the heap stay there (pops keep
-    // comparing both tops); only newly pushed near-horizon events start
-    // landing in buckets.
-    wheel_on_ = true;
-  }
+  far_.push_back(e);
+  std::push_heap(far_.begin(), far_.end(), Later{});
 }
 
 EventId Simulator::ScheduleImpl(Time when, std::uint64_t order,
@@ -138,12 +129,6 @@ EventId Simulator::Schedule(Time delay, UniqueFunction<void()> fn) {
 
 EventId Simulator::ScheduleAt(Time when, UniqueFunction<void()> fn) {
   return ScheduleImpl(when, next_order_++, std::move(fn));
-}
-
-EventId Simulator::ScheduleAtOrdered(Time when, std::uint64_t order,
-                                     UniqueFunction<void()> fn) {
-  assert(order < next_order_);
-  return ScheduleImpl(when, order, std::move(fn));
 }
 
 void Simulator::Cancel(EventId id) {
@@ -247,114 +232,30 @@ int Simulator::FindOccupiedBucket() const {
   return -1;
 }
 
-Simulator::Peek Simulator::Locate() {
-  int b;
+bool Simulator::PopNext(Time until, HeapEntry* out) {
   for (;;) {
-    b = wheel_count_ != 0 ? FindOccupiedBucket() : -1;
-    if (b < 0) break;
-    auto& bucket = buckets_[static_cast<std::size_t>(b)];
-    // Drop cancelled entries off the bucket front so the top is live.
-    bool live = false;
-    while (!bucket.empty()) {
-      if (EntryLive(bucket.front())) {
-        live = true;
-        break;
-      }
-      std::pop_heap(bucket.begin(), bucket.end(), Later{});
-      bucket.pop_back();
-      --wheel_count_;
-    }
-    if (live) break;
-    ClearBucket(static_cast<std::size_t>(b));
-  }
-  while (!overflow_.empty()) {
-    if (EntryLive(overflow_.front())) break;
-    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    overflow_.pop_back();
-  }
-  Peek peek;
-  if (b >= 0) {
-    if (overflow_.empty() ||
-        Later{}(overflow_.front(),
-                buckets_[static_cast<std::size_t>(b)].front())) {
-      peek.src = Peek::Src::kBucket;
-      peek.bucket = b;
-    } else {
-      peek.src = Peek::Src::kOverflow;
-    }
-  } else if (!overflow_.empty()) {
-    peek.src = Peek::Src::kOverflow;
-  }
-  return peek;
-}
-
-Simulator::HeapEntry Simulator::Pop(const Peek& p) {
-  if (p.src == Peek::Src::kBucket) {
-    auto& bucket = buckets_[static_cast<std::size_t>(p.bucket)];
-    std::pop_heap(bucket.begin(), bucket.end(), Later{});
-    const HeapEntry e = bucket.back();
-    bucket.pop_back();
-    if (bucket.empty()) ClearBucket(static_cast<std::size_t>(p.bucket));
-    --wheel_count_;
-    return e;
-  }
-  std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-  const HeapEntry e = overflow_.back();
-  overflow_.pop_back();
-  return e;
-}
-
-bool Simulator::PopNextLive(HeapEntry* out) {
-  if (!wheel_on_) {
-    // Single-heap mode: pop-then-check, exactly the small-run fast path.
-    while (!overflow_.empty()) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-      const HeapEntry e = overflow_.back();
-      overflow_.pop_back();
-      if (EntryLive(e)) {
-        *out = e;
-        return true;
-      }
-    }
-    return false;
-  }
-  for (;;) {
-    // Eagerly prune cancelled overflow tops: with live near-horizon work in
+    // Eagerly prune cancelled far-heap tops: with live near-horizon work in
     // the buckets, a mostly-cancelled timer heap collapses here instead of
     // accumulating stale entries that every push then sifts past.
-    while (!overflow_.empty() && !EntryLive(overflow_.front())) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-      overflow_.pop_back();
+    while (!far_.empty() && !EntryLive(far_.front())) {
+      std::pop_heap(far_.begin(), far_.end(), Later{});
+      far_.pop_back();
     }
     const int b = wheel_count_ != 0 ? FindOccupiedBucket() : -1;
-    HeapEntry e;
+    std::vector<HeapEntry>* heap = &far_;
     if (b >= 0) {
       auto& bucket = buckets_[static_cast<std::size_t>(b)];
-      // Raw bucket top: a stale top still bounds its heap from below, so
-      // choosing by it and discarding afterwards cannot hide an earlier
-      // live event.
-      if (!overflow_.empty() && !Later{}(overflow_.front(), bucket.front())) {
-        std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-        e = overflow_.back();
-        overflow_.pop_back();
-      } else {
-        std::pop_heap(bucket.begin(), bucket.end(), Later{});
-        e = bucket.back();
-        bucket.pop_back();
-        if (bucket.empty()) ClearBucket(static_cast<std::size_t>(b));
-        --wheel_count_;
-      }
-    } else if (!overflow_.empty()) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-      e = overflow_.back();
-      overflow_.pop_back();
-    } else {
-      return false;
+      if (far_.empty() || Later{}(far_.front(), bucket.front())) heap = &bucket;
     }
-    if (EntryLive(e)) {
-      *out = e;
-      return true;
+    if (heap->empty() || heap->front().when > until) return false;
+    std::pop_heap(heap->begin(), heap->end(), Later{});
+    *out = heap->back();
+    heap->pop_back();
+    if (heap != &far_) {
+      --wheel_count_;
+      if (heap->empty()) ClearBucket(static_cast<std::size_t>(b));
     }
+    if (EntryLive(*out)) return true;
   }
 }
 
@@ -380,15 +281,8 @@ void Simulator::Dispatch(const HeapEntry& entry) {
   ++events_executed_;
 }
 
-bool Simulator::PeekNextTime(Time* out) {
-  const Peek p = Locate();
-  if (p.src == Peek::Src::kNone) return false;
-  *out = Top(p).when;
-  return true;
-}
-
 std::size_t Simulator::pending_events() const {
-  std::size_t n = overflow_.size();
+  std::size_t n = far_.size();
   for (const auto& b : buckets_) n += b.size();
   return n;
 }
@@ -396,31 +290,14 @@ std::size_t Simulator::pending_events() const {
 void Simulator::Run() {
   stopped_ = false;
   HeapEntry e;
-  while (!stopped_ && PopNextLive(&e)) Dispatch(e);
+  while (!stopped_ && PopNext(Time::Max(), &e)) Dispatch(e);
 }
 
 void Simulator::RunUntil(Time until) {
   stopped_ = false;
-  while (!stopped_) {
-    const Peek p = Locate();
-    if (p.src == Peek::Src::kNone) break;
-    if (Top(p).when > until) break;
-    Dispatch(Pop(p));
-  }
+  HeapEntry e;
+  while (!stopped_ && PopNext(until, &e)) Dispatch(e);
   if (!stopped_ && now_ < until) now_ = until;
-}
-
-std::size_t Simulator::ExecuteBatch() {
-  Peek p = Locate();
-  if (p.src == Peek::Src::kNone) return 0;
-  const Time batch_time = Top(p).when;
-  std::size_t executed = 0;
-  while (p.src != Peek::Src::kNone && Top(p).when == batch_time) {
-    Dispatch(Pop(p));
-    ++executed;
-    p = Locate();
-  }
-  return executed;
 }
 
 }  // namespace ecnsharp

@@ -6,20 +6,15 @@
 // instant execute in scheduling order (FIFO), which makes runs fully
 // deterministic for a fixed seed.
 //
-// The pending-event store is a binary heap with a calendar/timing-wheel
-// front that engages adaptively: while the pending set is small everything
-// lives in the one heap (the cheapest structure at that scale), and once a
-// run demonstrates scale the near-horizon band (1024 buckets of 256 ns)
-// starts absorbing the dense packet-timescale events into per-bucket
-// mini-heaps, leaving far-horizon work (RTO timers, scenario actions) in
-// the original heap. Both structures order entries by the same (when, order)
-// key, and the dispatcher always pops the global minimum across the two, so
-// the execution sequence is bit-identical to a single min-heap in either
-// mode — the wheel is purely a cache/complexity optimization: sift cost
-// scales with one bucket's occupancy, not the whole pending set; cancelled
-// far-horizon timers are reclaimed eagerly instead of rotting in the heap
-// body; and draining a same-timestamp train never re-heapifies the far
-// horizon (ExecuteBatch exposes that drain as an API).
+// The pending-event store is a timing wheel in front of a binary heap. The
+// near horizon (1024 buckets of 256 ns, 262 us) holds the dense
+// packet-timescale events in per-bucket mini-heaps; anything later (RTO
+// timers, scenario actions) goes to the far heap. Both order entries by the
+// same (when, order) key and the one pop routine takes the minimum across
+// the current bucket and the far heap, so the execution sequence is exactly
+// that of a single min-heap: sift cost scales with one bucket's occupancy,
+// not the whole pending set, and cancelled far-horizon timers are pruned
+// eagerly instead of rotting in the heap body.
 //
 // The hot path is allocation- and hash-free: callbacks are stored in a
 // recycled slot array, the heaps order POD entries only, and cancellation is
@@ -74,18 +69,12 @@ class Simulator {
   EventId ScheduleAt(Time when, UniqueFunction<void()> fn);
 
   // Reserves the next FIFO tie-break order stamp without scheduling
-  // anything. Burst-batched components (EgressPort's wire FIFO) reserve the
-  // stamp at the instant the legacy code would have scheduled a per-packet
-  // event, then later insert the event at exactly that position via
-  // ScheduleAtOrdered / SchedulePinnedAtOrdered — so batched delivery
-  // interleaves with all other same-timestamp events precisely as the
-  // unbatched code did.
+  // anything. Batched components (net/in_flight_queue.h) reserve the stamp
+  // at the instant the legacy code would have scheduled a per-packet event,
+  // then later arm a pinned event at exactly that position via
+  // SchedulePinnedAtOrdered — so batched delivery interleaves with all other
+  // same-timestamp events precisely as the unbatched code did.
   std::uint64_t ReserveOrder() { return next_order_++; }
-  // ScheduleAt with a caller-supplied order stamp from ReserveOrder().
-  // `order` must not have been used by another event; events at equal `when`
-  // execute in increasing order-stamp sequence.
-  EventId ScheduleAtOrdered(Time when, std::uint64_t order,
-                            UniqueFunction<void()> fn);
 
   // Cancels a pending event. Cancelling an already-executed or invalid id is
   // a harmless no-op.
@@ -98,6 +87,8 @@ class Simulator {
   // fine — the occurrence has un-armed by then).
   PinnedEventId CreatePinned(UniqueFunction<void()> fn);
   void SchedulePinnedAt(PinnedEventId id, Time when);
+  // SchedulePinnedAt with a stamp from ReserveOrder(); events at equal
+  // `when` execute in increasing order-stamp sequence.
   void SchedulePinnedAtOrdered(PinnedEventId id, Time when,
                                std::uint64_t order);
   // Disarms the pending occurrence, if any (the registration survives).
@@ -112,15 +103,6 @@ class Simulator {
   // `until` (if the run was not stopped early).
   void RunUntil(Time until);
   void RunFor(Time duration) { RunUntil(now_ + duration); }
-
-  // Executes the earliest pending event plus every other event scheduled for
-  // the same instant (including ones they chain at that instant), in FIFO
-  // order, touching only the wheel bucket(s) that hold the instant. Returns
-  // the number of events executed (0 when nothing is pending).
-  std::size_t ExecuteBatch();
-
-  // Earliest pending live-event time; false when no live events remain.
-  bool PeekNextTime(Time* out);
 
   // Stops the run loop after the currently executing event returns.
   void Stop() { stopped_ = true; }
@@ -176,20 +158,12 @@ class Simulator {
   };
 
   // Near-horizon window: 1024 buckets of 256 ns cover 262 us —
-  // serialization and propagation timescales land here; protocol timers
-  // overflow.
+  // serialization and propagation timescales land here; protocol timers go
+  // to the far heap.
   static constexpr int kWheelShift = 8;
   static constexpr std::size_t kWheelBuckets = 1024;
   static constexpr std::size_t kWheelMask = kWheelBuckets - 1;
   static constexpr std::size_t kOccWords = kWheelBuckets / 64;
-  // The wheel engages (stickily, for the Simulator's lifetime) once the
-  // overflow heap first reaches this many entries. Small runs — unit tests,
-  // microbenches, the dumbbell loop — never reach it and keep the exact
-  // single-heap hot path; big runs flip early and stay engaged. Because both
-  // structures order by the same (when, order) key and every pop compares
-  // the two tops, the executed sequence is identical in either mode, and
-  // entries never migrate on engagement.
-  static constexpr std::size_t kWheelEngagePending = 4096;
 
   static constexpr std::uint32_t kPinnedChunkShift = 6;
   static constexpr std::uint32_t kPinnedChunkSize = 1u << kPinnedChunkShift;
@@ -212,7 +186,7 @@ class Simulator {
   }
 
   // Inserts an entry into the wheel (when within the near-horizon window of
-  // Now()) or the overflow heap. `when` must be >= Now().
+  // Now()) or the far heap. `when` must be >= Now().
   void Push(const HeapEntry& e);
   EventId ScheduleImpl(Time when, std::uint64_t order,
                        UniqueFunction<void()> fn);
@@ -227,31 +201,18 @@ class Simulator {
   // bucket holding Now(); -1 when the wheel is empty.
   int FindOccupiedBucket() const;
 
-  // Pops the earliest live event (pop-then-check: stale tops are popped and
-  // discarded, which cannot reorder live events — a heap's top bounds all
-  // its entries from below, so discarding it never hides an earlier live
-  // one). Returns false when nothing live remains. This is the Run() hot
-  // path: one pop per event, no pre-peek.
-  bool PopNextLive(HeapEntry* out);
-  // Where the earliest live event lives after pruning cancelled tops — the
-  // peek-before-pop flavor for RunUntil / PeekNextTime / ExecuteBatch, which
-  // must see the live top's time before committing to dispatch it.
-  struct Peek {
-    enum class Src { kNone, kBucket, kOverflow } src = Src::kNone;
-    int bucket = -1;
-  };
-  Peek Locate();
-  const HeapEntry& Top(const Peek& p) const {
-    return p.src == Peek::Src::kBucket ? buckets_[p.bucket].front()
-                                       : overflow_.front();
-  }
-  HeapEntry Pop(const Peek& p);
+  // The one pop routine behind Run and RunUntil: moves the earliest live
+  // event with `when <= until` into *out, or returns false when there is
+  // none. Cancelled far-heap tops are pruned first; then the (when, order)
+  // minimum of the current bucket's raw top and the far heap's top is
+  // popped, and discarded if stale. A stale top still bounds its heap from
+  // below, so choosing by it never hides an earlier live event.
+  bool PopNext(Time until, HeapEntry* out);
   void Dispatch(const HeapEntry& entry);
 
   std::vector<std::vector<HeapEntry>> buckets_;  // always kWheelBuckets wide
   std::uint64_t occupancy_[kOccWords] = {};
-  std::vector<HeapEntry> overflow_;
-  bool wheel_on_ = false;
+  std::vector<HeapEntry> far_;  // events past the wheel window
   std::size_t wheel_count_ = 0;  // entries currently in buckets_
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

@@ -1,16 +1,18 @@
 // Golden byte-parity suite for the batched-burst + SoA hot path.
 //
-// The burst-drain port/delay-line events and the SoA hot-state layouts
-// (ChipHotBlock, FlowHotArena) were introduced as pure data-plane
-// refactors: with lanes off, every simulated result must be byte-identical
-// to the legacy one-closure-per-packet scheme. This suite pins that across
-// all three topologies x {ECN#, DCTCP-tail, CoDel} under a churn scenario
-// (loss injection, an incast burst, a link flap with purge, and an ECN#
-// re-estimate) by running each experiment twice — burst mode and legacy
-// mode — and comparing the full serialized result JSON byte for byte.
+// The burst-drain port events, the in-flight queues (wires, delay lines,
+// host netem delay) and the SoA hot-state layouts (ChipHotBlock,
+// FlowHotArena) were introduced as pure data-plane refactors: with lanes
+// off, every simulated result must be byte-identical to the legacy
+// one-closure-per-packet scheme. This suite pins that across all four
+// fabrics x {ECN#, DCTCP-tail, CoDel} under a churn scenario (loss
+// injection, a link-delay shortening, an incast burst, a host delay drop to
+// zero, a link flap with purge, and an ECN# re-estimate) by running each
+// experiment twice — burst mode and legacy mode — and comparing the full
+// serialized result JSON byte for byte.
 //
 // If one of these tests fails, the burst path stopped reserving order
-// stamps at the legacy scheduling points; see net/egress_port.h.
+// stamps at the legacy scheduling points; see net/in_flight_queue.h.
 #include <string>
 
 #include <gtest/gtest.h>
@@ -24,7 +26,8 @@ namespace ecnsharp {
 namespace {
 
 // Topology-agnostic churn: target -1 is the primary bottleneck everywhere,
-// and the incast burst converges on each topology's IncastTarget.
+// host 1 exists everywhere, and the incast burst converges on each
+// topology's IncastTarget.
 ScenarioScript ChurnScript() {
   ScenarioScript script;
   script.seed = 33;
@@ -37,12 +40,30 @@ ScenarioScript ChurnScript() {
   loss.corrupt_prob = 0.01;
   script.actions.push_back(loss);
 
+  // Shortening a wire lets packets committed after it overtake those
+  // already in flight.
+  ScenarioAction link_delay;
+  link_delay.kind = ScenarioActionKind::kSetLinkDelay;
+  link_delay.at = Time::FromMicroseconds(1500);
+  link_delay.target = -1;
+  link_delay.delay_us = 0.2;
+  script.actions.push_back(link_delay);
+
   ScenarioAction burst;
   burst.kind = ScenarioActionKind::kIncastBurst;
   burst.at = Time::Milliseconds(2);
   burst.flows = 6;
   burst.bytes = 15000;
   script.actions.push_back(burst);
+
+  // Host 1 drops its extra delay to zero: later sends go straight to the
+  // NIC, ahead of packets still held by the old delay.
+  ScenarioAction host_delay;
+  host_delay.kind = ScenarioActionKind::kSetHostDelay;
+  host_delay.at = Time::FromMicroseconds(2500);
+  host_delay.target = 1;
+  host_delay.delay_us = 0.0;
+  script.actions.push_back(host_delay);
 
   ScenarioAction down;
   down.kind = ScenarioActionKind::kLinkDown;
@@ -115,6 +136,34 @@ TEST_P(BurstParityTest, FatTreeChurnByteIdentical) {
     config.seed = 11;
     config.scenario = ChurnScript();
     return RunFatTree(config);
+  };
+  const auto [burst, legacy] = RunBothModes(run);
+  EXPECT_EQ(burst, legacy);
+}
+
+TEST_P(BurstParityTest, InterDcChurnByteIdentical) {
+  // Two small leaf-spines over 2 ms-RTT border links with DT shared buffers
+  // and sketch-driven re-estimation: the WAN wires hold long in-flight
+  // queues that the churn reorders.
+  const auto run = [] {
+    InterDcExperimentConfig config;
+    config.scheme = BurstParityTest::GetParam();
+    for (ComposedSideConfig* side :
+         {&config.topo.side_a, &config.topo.side_b}) {
+      side->leaf_spine.spines = 2;
+      side->leaf_spine.leaves = 2;
+      side->leaf_spine.hosts_per_leaf = 4;
+    }
+    config.topo.border_links = 2;
+    config.topo.border_rtt = Time::Milliseconds(2);
+    config.inter_fraction = 0.3;
+    config.buffer_policy.kind = BufferPolicyKind::kDynamicThreshold;
+    config.sketch.enabled = true;
+    config.estimator = EcnEstimator::kSketch;
+    config.flows = 60;
+    config.seed = 11;
+    config.scenario = ChurnScript();
+    return RunInterDc(config);
   };
   const auto [burst, legacy] = RunBothModes(run);
   EXPECT_EQ(burst, legacy);

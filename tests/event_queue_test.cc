@@ -1,9 +1,10 @@
 // Tests for the simulator's generation-tagged event-slot scheme: FIFO
 // ordering among same-timestamp events, cancellation life-cycle, and the
 // guarantee that a stale EventId can never touch a recycled slot's new
-// occupant.
+// occupant; plus the one pop loop behind Run and RunUntil.
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -267,58 +268,125 @@ TEST(EventQueueTest, PinnedAndOneShotShareFifoOrder) {
 }
 
 TEST(EventQueueTest, ReservedOrderStampInterleavesAtReservedPosition) {
-  // ReserveOrder now, schedule with it later: the event must execute where
-  // the stamp was reserved, not where the schedule call happened — the
-  // contract burst-batched wire delivery depends on.
+  // ReserveOrder now, arm a pinned event with it later: the event must
+  // execute where the stamp was reserved, not where the arm call happened —
+  // the contract batched in-flight delivery depends on.
   Simulator sim;
   std::string log;
   const Time t = Time::FromMicroseconds(2);
   sim.ScheduleAt(t, [&] { log += 'a'; });
+  const PinnedEventId p = sim.CreatePinned([&] { log += 'b'; });
   const std::uint64_t slot_b = sim.ReserveOrder();
   sim.ScheduleAt(t, [&] { log += 'c'; });
-  // Scheduled last, reserved between a and c.
-  sim.ScheduleAtOrdered(t, slot_b, [&] { log += 'b'; });
-  const PinnedEventId p = sim.CreatePinned([&] { log += 'd'; });
-  const std::uint64_t slot_d = sim.ReserveOrder();
-  sim.ScheduleAt(t, [&] { log += 'e'; });
-  sim.SchedulePinnedAtOrdered(p, t, slot_d);
+  sim.SchedulePinnedAtOrdered(p, t, slot_b);
   sim.Run();
-  EXPECT_EQ(log, "abcde");
+  EXPECT_EQ(log, "abc");
   sim.DestroyPinned(p);
 }
 
-TEST(EventQueueTest, ExecuteBatchDrainsExactlyOneInstant) {
-  Simulator sim;
-  std::string log;
-  const Time t1 = Time::FromMicroseconds(1);
-  const Time t2 = Time::FromMicroseconds(2);
-  sim.ScheduleAt(t1, [&] {
-    log += 'a';
-    // Chained same-instant work joins the batch.
-    sim.ScheduleAt(t1, [&] { log += 'c'; });
-  });
-  sim.ScheduleAt(t1, [&] { log += 'b'; });
-  sim.ScheduleAt(t2, [&] { log += 'z'; });
-  EXPECT_EQ(sim.ExecuteBatch(), 3u);
-  EXPECT_EQ(log, "abc");
-  EXPECT_EQ(sim.Now(), t1);
-  EXPECT_EQ(sim.ExecuteBatch(), 1u);
-  EXPECT_EQ(log, "abcz");
-  EXPECT_EQ(sim.ExecuteBatch(), 0u);
-}
+// A seeded random schedule: one-shots that chain children at same-instant,
+// same-bucket, near-horizon (< 262 us) and far-horizon delays and cancel
+// each other, plus pinned events re-armed against stamps reserved before
+// the one-shots they schedule. Every callback draws from one generator in
+// execution order, so two runs agree only if they execute identically.
+class RandomSchedule {
+ public:
+  using Trace = std::vector<std::pair<int, std::int64_t>>;  // (label, ns)
 
-TEST(EventQueueTest, PeekNextTimeSkipsCancelledEvents) {
-  Simulator sim;
-  const EventId early = sim.Schedule(Time::FromMicroseconds(1), [] {});
-  sim.Schedule(Time::FromMicroseconds(3), [] {});
-  Time next;
-  ASSERT_TRUE(sim.PeekNextTime(&next));
-  EXPECT_EQ(next, Time::FromMicroseconds(1));
-  sim.Cancel(early);
-  ASSERT_TRUE(sim.PeekNextTime(&next));
-  EXPECT_EQ(next, Time::FromMicroseconds(3));
-  sim.Run();
-  EXPECT_FALSE(sim.PeekNextTime(&next));
+  RandomSchedule() {
+    for (std::size_t i = 0; i < 4; ++i) {
+      pinned_.push_back(sim_.CreatePinned([this, i] { FirePinned(i); }));
+      sim_.SchedulePinnedAt(pinned_.back(), sim_.Now() + Delay());
+    }
+    for (int i = 0; i < 300; ++i) ScheduleOne();
+  }
+  ~RandomSchedule() {
+    for (const PinnedEventId p : pinned_) sim_.DestroyPinned(p);
+  }
+
+  Simulator& sim() { return sim_; }
+  const Trace& trace() const { return trace_; }
+
+ private:
+  std::uint64_t Draw(std::uint64_t n) {
+    rng_ = rng_ * 6364136223846793005ull + 1442695040888963407ull;
+    return (rng_ >> 33) % n;
+  }
+  Time Delay() {
+    switch (Draw(4)) {
+      case 0:
+        return Time::Zero();
+      case 1:
+        return Time::Nanoseconds(static_cast<std::int64_t>(Draw(4)) * 64);
+      case 2:
+        return Time::Nanoseconds(static_cast<std::int64_t>(Draw(2600)) * 100);
+      default:
+        return Time::Nanoseconds(
+            262'144 + static_cast<std::int64_t>(Draw(5000)) * 1000);
+    }
+  }
+  void ScheduleOne() {
+    if (budget_-- <= 0) return;
+    const int label = next_label_++;
+    ids_.push_back(sim_.Schedule(Delay(), [this, label] { Fire(label); }));
+  }
+  void Fire(int label) {
+    trace_.emplace_back(label, sim_.Now().ns());
+    for (std::uint64_t n = Draw(3); n > 0; --n) ScheduleOne();
+    if (Draw(4) == 0) sim_.Cancel(ids_[Draw(ids_.size())]);
+    if (Draw(8) == 0) {
+      const PinnedEventId p = pinned_[Draw(pinned_.size())];
+      if (sim_.PinnedArmed(p)) {
+        sim_.CancelPinned(p);
+      } else if (budget_ > 0) {
+        sim_.SchedulePinnedAt(p, sim_.Now() + Delay());
+      }
+    }
+  }
+  void FirePinned(std::size_t i) {
+    trace_.emplace_back(-1 - static_cast<int>(i), sim_.Now().ns());
+    if (budget_-- <= 0) return;
+    const std::uint64_t order = sim_.ReserveOrder();
+    ScheduleOne();
+    sim_.SchedulePinnedAtOrdered(pinned_[i], sim_.Now() + Delay(), order);
+  }
+
+  Simulator sim_;
+  std::uint64_t rng_ = 0x2545f4914f6cdd1dull;
+  int budget_ = 6000;
+  int next_label_ = 0;
+  std::vector<EventId> ids_;
+  std::vector<PinnedEventId> pinned_;
+  Trace trace_;
+};
+
+TEST(EventQueueTest, RunAndSlicedRunUntilExecuteTheSameSchedule) {
+  RandomSchedule whole;
+  whole.sim().Run();
+
+  // Uneven slices: empty, sub-bucket, within the wheel window, past it.
+  // The first bounds fall 1 ns short of, then exactly on, the 64 ns ties.
+  const Time slices[] = {Time::Zero(),           Time::Nanoseconds(63),
+                         Time::Nanoseconds(1),    Time::Nanoseconds(123),
+                         Time::Microseconds(37),  Time::Microseconds(300),
+                         Time::Microseconds(2500)};
+  RandomSchedule sliced;
+  for (std::size_t i = 0; sliced.sim().live_events() > 0; ++i) {
+    const Time until = sliced.sim().Now() + slices[i % std::size(slices)];
+    sliced.sim().RunUntil(until);
+    // Nothing past the bound ran, and the clock sits at the bound.
+    ASSERT_EQ(sliced.sim().Now(), until);
+  }
+
+  EXPECT_GT(whole.trace().size(), 3000u);
+  EXPECT_TRUE(std::is_sorted(
+      whole.trace().begin(), whole.trace().end(),
+      [](const auto& a, const auto& b) { return a.second < b.second; }));
+  EXPECT_EQ(whole.trace(), sliced.trace());
+  EXPECT_EQ(whole.sim().events_executed(), sliced.sim().events_executed());
+  EXPECT_EQ(whole.sim().events_executed(), whole.trace().size());
+  EXPECT_EQ(whole.sim().live_events(), 0u);
+  EXPECT_EQ(sliced.sim().live_events(), 0u);
 }
 
 }  // namespace

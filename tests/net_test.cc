@@ -538,5 +538,54 @@ TEST(EgressPortDynamicsTest, LinkDownSemanticsIdenticalInLegacyEventMode) {
   }
 }
 
+// Host netem delay changes mid-run: packets 0-2 are sent at t=0 under a
+// 30 us extra delay; at 1 us the delay shrinks to 5 us and packets 3-4
+// follow; at 2 us it drops to 0 and packets 5-6 go straight to the NIC.
+// Returns each arrival as (time, packet number).
+std::vector<std::pair<Time, std::uint16_t>> RunHostDelayChanges() {
+  Simulator sim;
+  CollectorSink sink(sim);
+  Host host(sim, 0);
+  host.AttachNic(std::make_unique<EgressPort>(
+                     sim, DataRate::GigabitsPerSecond(10),
+                     Time::Microseconds(5), BigFifo()))
+      .ConnectTo(sink);
+  std::uint16_t next = 0;
+  const auto send_two_at = [&](Time at, Time delay) {
+    sim.ScheduleAt(at, [&host, &next, delay] {
+      host.set_extra_egress_delay(delay);
+      for (int i = 0; i < 2; ++i) {
+        host.SendPacket(MakePacket(0, 1, 1500, next++));
+      }
+    });
+  };
+  host.set_extra_egress_delay(Time::Microseconds(30));
+  for (int i = 0; i < 3; ++i) host.SendPacket(MakePacket(0, 1, 1500, next++));
+  send_two_at(Time::Microseconds(1), Time::Microseconds(5));
+  send_two_at(Time::Microseconds(2), Time::Zero());
+  sim.Run();
+  std::vector<std::pair<Time, std::uint16_t>> arrivals;
+  for (std::size_t i = 0; i < sink.count(); ++i) {
+    arrivals.emplace_back(sink.arrival(i), sink.packet(i).flow.src_port);
+  }
+  return arrivals;
+}
+
+TEST(HostTest, ExtraDelayChangesIdenticalInLegacyEventMode) {
+  const auto burst = RunHostDelayChanges();
+  LegacyPerPacketEvents() = true;
+  const auto legacy = RunHostDelayChanges();
+  LegacyPerPacketEvents() = false;
+  // Later sends overtake held ones: 5-6 leave at 2 us, 3-4 at 6 us, 0-2 at
+  // 30 us; each then takes 1.2 us of serialization plus 5 us on the wire.
+  const std::vector<std::pair<Time, std::uint16_t>> expected = {
+      {Time::Nanoseconds(8200), 5},   {Time::Nanoseconds(9400), 6},
+      {Time::Nanoseconds(12200), 3},  {Time::Nanoseconds(13400), 4},
+      {Time::Nanoseconds(36200), 0},  {Time::Nanoseconds(37400), 1},
+      {Time::Nanoseconds(38600), 2}};
+  EXPECT_EQ(burst, expected);
+  EXPECT_EQ(burst, legacy);
+}
+
 }  // namespace
 }  // namespace ecnsharp
