@@ -226,9 +226,8 @@ Json WebSearchAt70(std::size_t flows) {
 // Big-topology packet path: the k=16 fat-tree (1024 hosts, 1280 switch
 // ports) under websearch load. The dumbbell loop above isolates per-packet
 // queue cost; this section measures the workload the hot-path refactor
-// actually targets — burst-drain trains, SoA chip/flow state, and ECMP
-// route lookups spread across thousands of ports — as switch-hop
-// dequeues per wall second.
+// actually targets — burst-drain trains and ECMP route lookups spread
+// across thousands of ports — as switch-hop dequeues per wall second.
 // ---------------------------------------------------------------------------
 
 Json FatTreePacketPath(std::size_t flows, Metric* metric) {

@@ -27,7 +27,6 @@
 #include <string>
 
 #include "core/persistent_marker.h"
-#include "net/chip_hot_state.h"
 #include "net/queue_disc.h"
 #include "sim/time.h"
 
@@ -61,11 +60,6 @@ class EcnSharpAqm : public AqmPolicy {
 
   std::string name() const override { return "ecn-sharp"; }
   const EcnSharpConfig& config() const { return config_; }
-
-  // Moves Algorithm 1's mutable fields into the chip's SoA hot block.
-  void BindChipHotState(ChipHotBlock& block) override {
-    marker_.BindState(block.Emplace<PersistentMarkerState>());
-  }
 
   // Swaps in freshly derived thresholds mid-run — the re-estimation path for
   // a live RTT distribution shift (dynamics scripts call this through
@@ -118,10 +112,6 @@ class EcnSharpQlenAqm : public AqmPolicy {
 
   std::string name() const override { return "ecn-sharp-qlen"; }
   const PersistentMarker& marker() const { return marker_; }
-
-  void BindChipHotState(ChipHotBlock& block) override {
-    marker_.BindState(block.Emplace<PersistentMarkerState>());
-  }
 
  private:
   EcnSharpQlenConfig config_;

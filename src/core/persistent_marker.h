@@ -7,10 +7,8 @@
 // implementing detection (one full interval above target) and conservative
 // marking (one packet per interval, shrinking as interval/sqrt(count)).
 //
-// The mutable per-queue fields live in a PersistentMarkerState POD reached
-// through a pointer: local to the marker by default, repointable into a
-// switch chip's hot-state block (net/chip_hot_state.h) so every queue's
-// marking state sits in the chip's dense SoA region.
+// The mutable per-queue fields are one PersistentMarkerState member, like
+// the per-queue registers of the paper's Tofino prototype (§4).
 #ifndef ECNSHARP_CORE_PERSISTENT_MARKER_H_
 #define ECNSHARP_CORE_PERSISTENT_MARKER_H_
 
@@ -34,27 +32,10 @@ class PersistentMarker {
   explicit PersistentMarker(Time pst_interval)
       : pst_interval_(pst_interval) {}
 
-  // Copies carry the state's current values but are always self-bound —
-  // a copy never aliases the source's (possibly chip-owned) state row.
-  PersistentMarker(const PersistentMarker& other)
-      : pst_interval_(other.pst_interval_), local_(*other.state_) {}
-  PersistentMarker& operator=(const PersistentMarker& other) {
-    pst_interval_ = other.pst_interval_;
-    *state_ = *other.state_;
-    return *this;
-  }
-
-  // Repoints the state into externally owned storage (a chip hot block row),
-  // carrying the current values over. `s` must outlive the marker.
-  void BindState(PersistentMarkerState* s) {
-    *s = *state_;
-    state_ = s;
-  }
-
   // Algorithm 1, ShouldPersistentMark: must be called for every departure
   // so the state machine advances.
   bool ShouldMark(bool above_target, Time now) {
-    PersistentMarkerState& st = *state_;
+    PersistentMarkerState& st = state_;
     const bool detected = Detect(above_target, now);
     if (st.marking_state) {
       if (!detected) {
@@ -85,19 +66,19 @@ class PersistentMarker {
   // comparable.
   void set_pst_interval(Time pst_interval) {
     pst_interval_ = pst_interval;
-    *state_ = PersistentMarkerState{};
+    state_ = PersistentMarkerState{};
   }
 
-  bool marking_state() const { return state_->marking_state; }
-  std::uint32_t marking_count() const { return state_->marking_count; }
-  Time marking_next() const { return state_->marking_next; }
-  Time first_above_time() const { return state_->first_above_time; }
+  bool marking_state() const { return state_.marking_state; }
+  std::uint32_t marking_count() const { return state_.marking_count; }
+  Time marking_next() const { return state_.marking_next; }
+  Time first_above_time() const { return state_.first_above_time; }
   Time pst_interval() const { return pst_interval_; }
 
  private:
   // Algorithm 1, IsPersistentQueueBuildups.
   bool Detect(bool above_target, Time now) {
-    PersistentMarkerState& st = *state_;
+    PersistentMarkerState& st = state_;
     if (!above_target) {
       st.first_above_time = Time::Zero();
       return false;
@@ -110,8 +91,7 @@ class PersistentMarker {
   }
 
   Time pst_interval_;
-  PersistentMarkerState local_;
-  PersistentMarkerState* state_ = &local_;
+  PersistentMarkerState state_;
 };
 
 }  // namespace ecnsharp

@@ -1,5 +1,7 @@
 #include "harness/config_json.h"
 
+#include <cstdint>
+
 #include "harness/schemes.h"
 #include "workload/empirical_cdf.h"
 
@@ -109,6 +111,13 @@ bool ScenarioError(std::string* error, const std::string& message) {
   return false;
 }
 
+// Reads a count field into a uint32; false if the value would not fit.
+bool ReadU32(const Json& v, std::uint32_t fallback, std::uint32_t* out) {
+  if (v.AsDouble() > static_cast<double>(UINT32_MAX)) return false;
+  *out = static_cast<std::uint32_t>(v.AsUInt(fallback));
+  return true;
+}
+
 }  // namespace
 
 bool ScenarioScriptFromJson(const Json& json, ScenarioScript* out,
@@ -158,6 +167,11 @@ bool ScenarioScriptFromJson(const Json& json, ScenarioScript* out,
       action.delay_hi_us = v->AsDouble();
     }
     if (const Json* v = entry.Find("gbps")) action.gbps = v->AsDouble();
+    if (action.kind == ScenarioActionKind::kSetLinkRate &&
+        !(action.gbps > 0.0 && action.gbps <= DataRate::kMaxGbps)) {
+      return ScenarioError(error,
+                           where + ": 'gbps' must lie in (0, 1000000]");
+    }
     if (const Json* v = entry.Find("drop_prob")) {
       action.drop_prob = v->AsDouble();
     }
@@ -170,15 +184,17 @@ bool ScenarioScriptFromJson(const Json& json, ScenarioScript* out,
       return ScenarioError(error, where + ": fault probabilities must lie in"
                                           " [0, 1] and sum to <= 1");
     }
-    if (const Json* v = entry.Find("flows")) {
-      action.flows = static_cast<std::uint32_t>(v->AsUInt());
+    if (const Json* v = entry.Find("flows");
+        v != nullptr && !ReadU32(*v, 0, &action.flows)) {
+      return ScenarioError(error, where + ": 'flows' must be <= 4294967295");
     }
     if (const Json* v = entry.Find("bytes")) action.bytes = v->AsUInt();
     if (const Json* v = entry.Find("drop_queued")) {
       action.drop_queued = v->AsBool();
     }
-    if (const Json* v = entry.Find("repeat")) {
-      action.repeat = static_cast<std::uint32_t>(v->AsUInt(1));
+    if (const Json* v = entry.Find("repeat");
+        v != nullptr && !ReadU32(*v, 1, &action.repeat)) {
+      return ScenarioError(error, where + ": 'repeat' must be <= 4294967295");
     }
     if (const Json* v = entry.Find("period_us")) {
       action.period = Time::FromMicroseconds(v->AsDouble());

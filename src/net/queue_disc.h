@@ -27,7 +27,6 @@
 namespace ecnsharp {
 
 class BufferPolicy;
-class ChipHotBlock;
 
 // Instantaneous occupancy of a queue (or of a whole multi-queue disc).
 struct QueueSnapshot {
@@ -78,11 +77,6 @@ class AqmPolicy {
   // For kThresholdMark: the byte threshold K. Re-queried by discs after any
   // reconfiguration that changes it.
   virtual std::uint64_t fast_path_threshold() const { return 0; }
-
-  // Repoints the policy's mutable hot state (e.g. ECN#'s persistent-marker
-  // fields) into the chip-owned SoA block; default keeps internal fields.
-  // Called by the owning disc's own BindChipHotState.
-  virtual void BindChipHotState(ChipHotBlock& block) { (void)block; }
 };
 
 struct QueueDiscStats {
@@ -126,13 +120,6 @@ class QueueDisc {
     (void)cls;
     return nullptr;
   }
-
-  // Repoints this disc's hot occupancy counters (queue depth, queued bytes,
-  // and any policy hot state) into the chip-owned struct-of-arrays block
-  // (see net/chip_hot_state.h). Called once by the switch when the port is
-  // added; current counter values are copied into the block. Discs that
-  // don't opt in keep their internal fields — standalone use needs no block.
-  virtual void BindChipHotState(ChipHotBlock& block) { (void)block; }
 
   // Optional drop/mark tracing (non-owning; null disables). Ports forward
   // their tracer here so one SetTracer on the port covers the whole path.

@@ -24,7 +24,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/chip_hot_state.h"
 #include "net/egress_port.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
@@ -38,11 +37,8 @@ class SwitchNode : public PacketSink {
 
   const std::string& name() const { return name_; }
 
-  // Installs an egress port; the switch owns it. The port's queue disc is
-  // bound into this switch's chip hot-state block, so all of the chip's
-  // queue occupancy counters live in one SoA array (see chip_hot_state.h).
+  // Installs an egress port; the switch owns it.
   EgressPort& AddPort(std::unique_ptr<EgressPort> port) {
-    port->queue_disc().BindChipHotState(hot_);
     ports_.push_back(std::move(port));
     return *ports_.back();
   }
@@ -85,10 +81,6 @@ class SwitchNode : public PacketSink {
   std::uint64_t rx_packets() const { return rx_packets_; }
   std::uint64_t no_route_drops() const { return no_route_drops_; }
 
-  // This chip's hot-state block (queue occupancy rows in port-add order).
-  ChipHotBlock& chip_hot_state() { return hot_; }
-  const ChipHotBlock& chip_hot_state() const { return hot_; }
-
   // Locality tag for sharded event lanes: topologies annotate each switch
   // with the lane its events belong to (e.g. the fat-tree pod index).
   void set_locality_id(std::uint32_t id) { locality_id_ = id; }
@@ -114,7 +106,6 @@ class SwitchNode : public PacketSink {
   std::vector<EgressPort*> default_route_;
   std::uint64_t rx_packets_ = 0;
   std::uint64_t no_route_drops_ = 0;
-  ChipHotBlock hot_;
   std::uint32_t locality_id_ = 0;
 };
 

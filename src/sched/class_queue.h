@@ -11,13 +11,12 @@
 //    or the generic AllowEnqueue hook, whose veto releases the admission
 //    reservation — and the append (Accept);
 //  * pop with the sojourn-time OnDequeue hook (Pop);
-//  * pop-then-notify purge and chip SoA binding.
+//  * pop-then-notify purge.
 //
 // AQMs see their class's snapshot; the tracer sees the disc-wide Snapshot().
 //
 // Hot-path layout: the backlog lives in a PacketRing (contiguous raw
-// pointers), the depth/byte counters are reached through pointers so
-// BindChipHotState can repoint them into a chip-owned SoA block, and the
+// pointers), the depth/byte counters are plain members beside it, and the
 // disc's class storage is a template parameter, so a FIFO keeps its one
 // class inline and pays no virtual call or indirection for it.
 #ifndef ECNSHARP_SCHED_CLASS_QUEUE_H_
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "buffer/buffer_policy.h"
-#include "net/chip_hot_state.h"
 #include "net/packet.h"
 #include "net/packet_ring.h"
 #include "net/queue_disc.h"
@@ -41,11 +39,6 @@ namespace ecnsharp {
 
 class ClassQueue {
  public:
-  ClassQueue() = default;
-  // Counters point into the object itself until bound; never copied/moved.
-  ClassQueue(const ClassQueue&) = delete;
-  ClassQueue& operator=(const ClassQueue&) = delete;
-
   // Installs the class's AQM (null = drop-tail) and, on a shared pool,
   // registers one pool queue whose `priority` selects per-priority policy
   // parameters (e.g. the DT alpha). Called once, before the first packet.
@@ -60,20 +53,10 @@ class ClassQueue {
     if (pool != nullptr) pool_queue_ = pool->RegisterQueue(priority);
   }
 
-  QueueSnapshot Snapshot() const { return QueueSnapshot{*packets_, *bytes_}; }
+  QueueSnapshot Snapshot() const { return QueueSnapshot{packets_, bytes_}; }
   bool empty() const { return ring_.empty(); }
   const Packet& front() const { return *ring_.front(); }
   AqmPolicy* aqm() const { return aqm_.get(); }
-
-  // Moves the counters into one SoA row of `block`, then the AQM's state.
-  void BindChipHotState(ChipHotBlock& block) {
-    ChipHotBlock::QueueRow row = block.AllocQueueRow();
-    *row.packets = *packets_;
-    *row.bytes = *bytes_;
-    packets_ = row.packets;
-    bytes_ = row.bytes;
-    if (aqm_ != nullptr) aqm_->BindChipHotState(block);
-  }
 
  private:
   template <typename Classes>
@@ -85,8 +68,8 @@ class ClassQueue {
   // Unlinks the head packet and returns its buffer.
   std::unique_ptr<Packet> Take() {
     std::unique_ptr<Packet> pkt = ring_.pop_front();
-    --*packets_;
-    *bytes_ -= pkt->size_bytes;
+    --packets_;
+    bytes_ -= pkt->size_bytes;
     Release(pkt->size_bytes);
     return pkt;
   }
@@ -97,10 +80,8 @@ class ClassQueue {
   std::uint64_t threshold_ = 0;
   BufferPolicy* pool_ = nullptr;  // non-owning; null = static capacity
   std::size_t pool_queue_ = 0;    // this class's queue id with the pool
-  std::uint32_t local_packets_ = 0;
-  std::uint64_t local_bytes_ = 0;
-  std::uint32_t* packets_ = &local_packets_;
-  std::uint64_t* bytes_ = &local_bytes_;
+  std::uint32_t packets_ = 0;
+  std::uint64_t bytes_ = 0;
 };
 
 // Base of every scheduler. `Classes` is the class storage: an inline
@@ -125,11 +106,6 @@ class ClassQueueDisc : public QueueDisc {
       }
     }
     return n;
-  }
-
-  // One SoA row per class, in class order.
-  void BindChipHotState(ChipHotBlock& block) override {
-    for (ClassQueue& cls : classes_) cls.BindChipHotState(block);
   }
 
   std::size_t class_count() const override { return classes_.size(); }
@@ -181,7 +157,7 @@ class ClassQueueDisc : public QueueDisc {
       // Inlined kThresholdMark contract: CE-mark when occupancy including
       // this packet exceeds K, never drop. Identical to running
       // AqmPolicy::AllowEnqueue on a threshold marker.
-      if (*cls.bytes_ + pkt->size_bytes > cls.threshold_) pkt->MarkCe();
+      if (cls.bytes_ + pkt->size_bytes > cls.threshold_) pkt->MarkCe();
     } else if (cls.aqm_ != nullptr &&
                !cls.aqm_->AllowEnqueue(*pkt, cls.Snapshot(), now)) {
       ++stats_.dropped_aqm;
@@ -191,8 +167,8 @@ class ClassQueueDisc : public QueueDisc {
     }
     CountMark(*pkt, was_ce, now);
     pkt->enqueue_time = now;
-    ++*cls.packets_;
-    *cls.bytes_ += pkt->size_bytes;
+    ++cls.packets_;
+    cls.bytes_ += pkt->size_bytes;
     cls.ring_.push_back(std::move(pkt));
     ++stats_.enqueued;
     if (tracer_ != nullptr) {

@@ -20,9 +20,15 @@ class DataRate {
   static constexpr DataRate MegabitsPerSecond(std::int64_t v) {
     return DataRate(v * 1000 * 1000);
   }
-  static constexpr DataRate GigabitsPerSecond(std::int64_t v) {
-    return DataRate(v * 1000 * 1000 * 1000);
+  // Fractional rates (2.5 Gbps) are kept, rounded to the nearest bps.
+  static constexpr DataRate GigabitsPerSecond(double v) {
+    const double bps = v * 1e9;
+    return DataRate(static_cast<std::int64_t>(bps < 0 ? bps - 0.5 : bps + 0.5));
   }
+
+  // The largest rate config readers accept: far above any modelled link,
+  // far below where bps() would overflow.
+  static constexpr double kMaxGbps = 1e6;
 
   constexpr std::int64_t bps() const { return bps_; }
   constexpr double ToGbps() const { return static_cast<double>(bps_) * 1e-9; }

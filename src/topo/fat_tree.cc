@@ -29,6 +29,10 @@ FatTree::FatTree(Simulator& sim, const FatTreeConfig& config,
     FatalConfigError("fat-tree k must be even and >= 4, got k=" +
                      std::to_string(config_.k));
   }
+  if (config_.rate.bps() <= 0) {
+    FatalConfigError("fat-tree link rate must be positive, got " +
+                     std::to_string(config_.rate.bps()) + " bps");
+  }
   const std::size_t half_k = config_.k / 2;
   const std::size_t pods = config_.k;
   const std::size_t host_count = hosts_per_pod() * pods;

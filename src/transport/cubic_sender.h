@@ -21,11 +21,7 @@ class CubicSender : public TcpSender {
               std::uint64_t flow_size, std::uint8_t traffic_class,
               CompletionCallback on_complete);
 
-  double w_max_bytes() const { return hot_->w_max; }
-
-  // Also co-locates the cubic epoch state in the arena, next to the base
-  // row, so a bound flow's whole per-ACK working set is arena-resident.
-  void BindFlowHotState(FlowHotArena& arena) override;
+  double w_max_bytes() const { return hot_.w_max; }
 
  protected:
   void CongestionAvoidanceIncrease(std::uint64_t newly_acked) override;
@@ -49,8 +45,7 @@ class CubicSender : public TcpSender {
   // starts a fresh one.
   void OnCongestionEvent();
 
-  CubicHotState local_cubic_;
-  CubicHotState* hot_ = &local_cubic_;
+  CubicHotState hot_;
 };
 
 }  // namespace ecnsharp

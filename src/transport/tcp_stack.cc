@@ -55,9 +55,7 @@ TcpSender& TcpStack::StartFlow(std::uint32_t dst, std::uint64_t size_bytes,
   }
   TcpSender& ref = *sender;
   ref.set_tracer(transport_tracer_);
-  // Re-home the hot CC fields into the stack's SoA arena before the first
-  // segment goes out; all per-ACK arithmetic then runs on dense rows.
-  ref.BindFlowHotState(flow_hot_);
+  ++flows_started_;
   senders_.emplace(key, std::move(sender));
   ref.Start();
   return ref;

@@ -14,7 +14,6 @@
 
 #include "net/host.h"
 #include "net/packet.h"
-#include "transport/flow_hot_state.h"
 #include "transport/tcp_config.h"
 #include "transport/tcp_receiver.h"
 #include "transport/tcp_sender.h"
@@ -40,9 +39,11 @@ class TcpStack : public PacketSink {
   const TcpConfig& config() const { return config_; }
   std::size_t active_senders() const;
 
-  // Dense hot-state rows for every flow this stack ever started (telemetry
-  // sweeps can scan columns without touching sender objects).
-  const FlowHotArena& flow_hot_state() const { return flow_hot_; }
+  // Flows this stack ever started, completed ones included.
+  std::size_t flow_count() const { return flows_started_; }
+  // perfbench-only: it reads flow_hot_state().flow_count(). Delete once
+  // perfbench calls flow_count() directly.
+  const TcpStack& flow_hot_state() const { return *this; }
 
   // Optional transport tracing (non-owning; null disables). Applies to
   // flows started after the call.
@@ -53,7 +54,7 @@ class TcpStack : public PacketSink {
  private:
   Host& host_;
   TcpConfig config_;
-  FlowHotArena flow_hot_;
+  std::size_t flows_started_ = 0;
   TransportTracer* transport_tracer_ = nullptr;
   std::uint16_t next_port_ = 1;
   std::unordered_map<FlowKey, std::unique_ptr<TcpSender>, FlowKeyHash>

@@ -1,8 +1,7 @@
-// Golden byte-parity suite for the batched-burst + SoA hot path.
+// Golden byte-parity suite for the batched-burst hot path.
 //
-// The burst-drain port events, the in-flight queues (wires, delay lines,
-// host netem delay) and the SoA hot-state layouts (ChipHotBlock,
-// FlowHotArena) were introduced as pure data-plane refactors: with lanes
+// The burst-drain port events and the in-flight queues (wires, delay lines,
+// host netem delay) were introduced as pure data-plane refactors: with lanes
 // off, every simulated result must be byte-identical to the legacy
 // one-closure-per-packet scheme. This suite pins that across all four
 // fabrics x {ECN#, DCTCP-tail, CoDel} under a churn scenario (loss

@@ -173,6 +173,13 @@ TEST(ScenarioJsonTest, RejectsInvalidScripts) {
       R"({"actions": [{"kind": "inject_loss", "drop_prob": 0.6,
                        "corrupt_prob": 0.6}]})",              // sum > 1
       R"({"actions": [{"kind": "link_up", "repeat": 2}]})",   // no period
+      R"({"actions": [{"kind": "set_link_rate", "gbps": 0}]})",
+      R"({"actions": [{"kind": "set_link_rate", "gbps": -2.5}]})",
+      R"({"actions": [{"kind": "set_link_rate"}]})",         // gbps missing
+      R"({"actions": [{"kind": "set_link_rate", "gbps": 1e13}]})",  // > int64
+      R"({"actions": [{"kind": "incast_burst", "flows": 4294967297}]})",
+      R"({"actions": [{"kind": "link_up", "repeat": 4294967296,
+                       "period_us": 10}]})",                  // wraps
       "not json at all",
   };
   for (const char* text : kBad) {

@@ -15,6 +15,7 @@
 #include "tofino/ecn_sharp_pipeline.h"
 #include "topo/composed.h"
 #include "topo/dumbbell.h"
+#include "topo/fat_tree.h"
 #include "topo/leaf_spine.h"
 #include "topo/rtt_variation.h"
 #include "transport/dcqcn.h"
@@ -381,6 +382,18 @@ TEST(ConfigValidationDeathTest, ZeroBorderRateComposedExits) {
         ComposedTopology topo(sim, config, TinyDisc);
       },
       testing::ExitedWithCode(2), "border rate must be positive");
+}
+
+TEST(ConfigValidationDeathTest, ZeroRateFatTreeExits) {
+  EXPECT_EXIT(
+      {
+        Simulator sim;
+        FatTreeConfig config;
+        config.k = 4;
+        config.rate = DataRate::GigabitsPerSecond(0.4e-9);  // rounds to 0
+        FatTree topo(sim, config, TinyDisc);
+      },
+      testing::ExitedWithCode(2), "fat-tree link rate must be positive");
 }
 
 TEST(ConfigValidationDeathTest, BorderRttOverflowComposedExits) {

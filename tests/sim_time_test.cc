@@ -73,6 +73,7 @@ TEST(DataRateTest, Scaling) {
   const DataRate r = DataRate::GigabitsPerSecond(10) * 0.5;
   EXPECT_EQ(r.bps(), 5000000000LL);
   EXPECT_DOUBLE_EQ(r.ToGbps(), 5.0);
+  EXPECT_EQ(DataRate::GigabitsPerSecond(2.5).bps(), 2'500'000'000);
 }
 
 }  // namespace

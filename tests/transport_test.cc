@@ -243,5 +243,20 @@ TEST(TcpStackTest, ActiveSenderCountTracksCompletion) {
   EXPECT_EQ(net.sender_stack->active_senders(), 0u);
 }
 
+TEST(TcpStackTest, FlowCountCountsEveryStartedFlow) {
+  TwoHostNet net(TcpConfig{});
+  int completed = 0;
+  const auto done = [&](const FlowRecord&) { ++completed; };
+  net.sender_stack->StartFlow(1, 20'000, done);
+  net.sender_stack->StartFlow(1, 20'000, done);
+  net.sender_stack->StartFlow(1, 20'000, done, 0, CcKind::kCubic);
+  EXPECT_EQ(net.sender_stack->flow_count(), 3u);
+  net.sim.Run();
+  EXPECT_EQ(completed, 3);
+  EXPECT_EQ(net.sender_stack->active_senders(), 0u);
+  EXPECT_EQ(net.sender_stack->flow_count(), 3u);
+  EXPECT_EQ(net.receiver_stack->flow_count(), 0u);
+}
+
 }  // namespace
 }  // namespace ecnsharp

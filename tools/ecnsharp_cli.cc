@@ -422,16 +422,21 @@ BufferPolicyConfig BufferPolicyFromFlags(const Flags& flags) {
   return policy;
 }
 
-// Fat-tree shape/link knobs. The arity is validated here so a bad --k fails
-// at flag-parse time with the CLI's usual exit 2 (the FatTree constructor
-// would also reject it).
+// Fat-tree shape/link knobs. The arity and rate are validated here so a bad
+// --k or --rate-gbps fails at flag-parse time with the CLI's usual exit 2
+// (the FatTree constructor would also reject them).
 FatTreeConfig FatTreeConfigFromFlags(const Flags& flags) {
   FatTreeConfig topo;
   topo.k = flags.GetU64("k", 8);
   if (topo.k < 4 || topo.k % 2 != 0) {
     FlagError("k", flags.Get("k", ""), "an even integer >= 4");
   }
-  topo.rate = DataRate::GigabitsPerSecond(flags.GetDouble("rate-gbps", 10.0));
+  const double rate_gbps = flags.GetDouble("rate-gbps", 10.0);
+  if (!(rate_gbps > 0.0 && rate_gbps <= DataRate::kMaxGbps)) {
+    FlagError("rate-gbps", flags.Get("rate-gbps", ""),
+              "a rate in (0, 1000000] Gbit/s");
+  }
+  topo.rate = DataRate::GigabitsPerSecond(rate_gbps);
   topo.host_link_delay =
       Time::FromMicroseconds(flags.GetDouble("host-delay-us", 10.0));
   topo.fabric_link_delay =
@@ -464,9 +469,9 @@ void InterDcShapeFromFlags(const Flags& flags,
               "an integer >= 1");
   }
   const double border_gbps = flags.GetDouble("border-gbps", 10.0);
-  if (border_gbps <= 0.0) {
+  if (!(border_gbps > 0.0 && border_gbps <= DataRate::kMaxGbps)) {
     FlagError("border-gbps", flags.Get("border-gbps", ""),
-              "a positive rate in Gbit/s");
+              "a rate in (0, 1000000] Gbit/s");
   }
   config.topo.border_rate = DataRate::GigabitsPerSecond(border_gbps);
   const double border_rtt_us = flags.GetDouble("border-rtt-us", 2000.0);
