@@ -45,6 +45,28 @@ ExperimentSessionConfig SessionConfig(const ExperimentCommon& config,
   return session;
 }
 
+// An RTT variation factor k gives per-sender extras of (k - 1) * base RTT;
+// below 1 they would be negative.
+void CheckRttVariation(double rtt_variation) {
+  if (!(std::isfinite(rtt_variation) && rtt_variation >= 1.0)) {
+    FatalConfigError("rtt_variation must be finite and >= 1, got " +
+                     std::to_string(rtt_variation));
+  }
+}
+
+// The family's topology on the session's lanes. Only the fat-tree shards
+// across more than one.
+template <typename Topo, typename TopoConfig>
+Topo BuildTopo(ExperimentSession& session, const TopoConfig& topo_config,
+               const DiscFactory& make_disc) {
+  if constexpr (std::is_same_v<Topo, FatTree>) {
+    if (session.lanes().size() > 1) {
+      return FatTree(session.sim(), topo_config, make_disc, &session.lanes());
+    }
+  }
+  return Topo(session.sim(), topo_config, make_disc);
+}
+
 // Traffic a family wires by hand after Bind; the single fabrics have none.
 struct NoExtraTraffic {
   template <typename Config, typename Topo>
@@ -65,8 +87,8 @@ ExperimentResult RunFabric(const Config& config,
   ExperimentSession session(std::move(session_config));
   topo_config.buffer_bytes = config.params.buffer_bytes;
   topo_config.buffer_policy = config.buffer_policy;
-  Topo topo(session.sim(), topo_config,
-            FifoDiscFactory(config.scheme, config.params));
+  Topo topo = BuildTopo<Topo>(session, topo_config,
+                              FifoDiscFactory(config.scheme, config.params));
   session.Bind(topo);
   Extra extra(config, topo, session);
   session.Run([&extra] { return extra.Pending(); });
@@ -176,6 +198,7 @@ class SplitTraffic {
 }  // namespace
 
 ExperimentResult RunDumbbell(const DumbbellExperimentConfig& config) {
+  CheckRttVariation(config.rtt_variation);
   DumbbellConfig topo;
   topo.senders = config.senders;
   topo.rate = config.rate;
@@ -199,14 +222,23 @@ ExperimentResult RunLeafSpine(const LeafSpineExperimentConfig& config) {
       config.topo);
 }
 
-ExperimentResult RunFatTree(const FatTreeExperimentConfig& config) {
+ExperimentResult RunFatTree(const FatTreeExperimentConfig& config,
+                            std::size_t lanes) {
+  // k pods plus the core tier are the fabric's localities; a lane beyond
+  // them would never get work.
+  if (lanes == 0 || lanes > config.topo.k + 1) {
+    FatalConfigError("fat-tree lanes must be in [1, k + 1 = " +
+                     std::to_string(config.topo.k + 1) + "], got " +
+                     std::to_string(lanes));
+  }
   // As on the leaf-spine: one sampled extra per host, drawn before the
   // generator forks its stream.
-  return RunFabric<FatTree>(
-      config,
+  ExperimentSessionConfig session =
       SessionConfig(config, RttAssignment::kPerHostSample,
-                    config.max_extra_delay, RttProfile::kLeafSpine),
-      config.topo);
+                    config.max_extra_delay, RttProfile::kLeafSpine);
+  session.lanes = lanes;
+  session.lane_window = config.topo.fabric_link_delay;
+  return RunFabric<FatTree>(config, std::move(session), config.topo);
 }
 
 ExperimentResult RunInterDc(const InterDcExperimentConfig& config) {
@@ -235,6 +267,7 @@ ExperimentResult RunInterDc(const InterDcExperimentConfig& config) {
 }
 
 IncastResult RunIncast(const IncastExperimentConfig& config) {
+  CheckRttVariation(config.rtt_variation);
   ExperimentSessionConfig session_config;
   session_config.seed = config.seed;
   // §5.4 setup mirrors the large-scale simulations' RTT distribution.

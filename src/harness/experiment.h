@@ -165,7 +165,15 @@ struct ExperimentResult {
 
 ExperimentResult RunDumbbell(const DumbbellExperimentConfig& config);
 ExperimentResult RunLeafSpine(const LeafSpineExperimentConfig& config);
-ExperimentResult RunFatTree(const FatTreeExperimentConfig& config);
+// With `lanes` > 1 the fat-tree is locality-sharded (pod p on lane
+// (1 + p) % lanes, the core tier on lane 0) and run under LaneSet's
+// conservative windows of width fabric_link_delay. Such a run is
+// deterministic for a given config and lane count, and offers the serial
+// run's workload draw for draw, but same-timestamp ties across lanes may
+// resolve differently, so it is not byte-comparable with the serial run.
+// Lanes must be in [1, k + 1] (k pods plus the core tier), else exit 2.
+ExperimentResult RunFatTree(const FatTreeExperimentConfig& config,
+                            std::size_t lanes = 1);
 ExperimentResult RunInterDc(const InterDcExperimentConfig& config);
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include "harness/session.h"
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -90,7 +92,34 @@ void ReestimateEcnSharpFromSketch(Topology& topo,
 }
 
 ExperimentSession::ExperimentSession(ExperimentSessionConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {}
+    : config_(std::move(config)), lanes_(config_.lanes), rng_(config_.seed) {
+  if (config_.lanes <= 1) return;
+  if (!config_.scenario.empty()) {
+    FatalConfigError(
+        "relaxed-lanes cannot run scenario scripts (scenario hooks assume a "
+        "single event clock); drop the scenario or run lanes-off");
+  }
+  if (config_.trace.enabled) {
+    FatalConfigError(
+        "relaxed-lanes cannot run with tracing enabled (the flight recorder "
+        "assumes a single event clock); disable trace or run lanes-off");
+  }
+  if (config_.sketch.enabled) {
+    FatalConfigError(
+        "relaxed-lanes cannot run with sketch telemetry enabled; disable "
+        "sketch or run lanes-off");
+  }
+  if (!config_.queue_sample_period.IsZero()) {
+    FatalConfigError(
+        "relaxed-lanes cannot run queue sampling (monitors assume a single "
+        "event clock); set queue_sample_period to 0 or run lanes-off");
+  }
+  if (config_.lane_window <= Time::Zero()) {
+    FatalConfigError(
+        "relaxed-lanes needs a positive fabric_link_delay (it is the "
+        "conservative round window / cross-lane lookahead)");
+  }
+}
 
 void ExperimentSession::Bind(Topology& topo) {
   topo_ = &topo;
@@ -170,18 +199,27 @@ void ExperimentSession::Bind(Topology& topo) {
     traffic.reference_capacity = topo.ReferenceCapacity();
     traffic.flow_count = config_.flows;
     traffic.cubic_fraction = config_.cc_mix;
+    // Each flow completes on its source host's lane thread: a multi-lane
+    // run parks the records for Result() to merge in a fixed order.
+    TcpSender::CompletionCallback on_complete =
+        [this](const FlowRecord& record) { collector_.Record(record); };
+    if (lanes_.size() > 1) {
+      on_complete = [this](const FlowRecord& record) {
+        const std::lock_guard<std::mutex> lock(lane_records_mu_);
+        lane_records_.push_back(record);
+      };
+    }
     generator_ = std::make_unique<TrafficGenerator>(
-        sim_, *config_.workload, traffic,
+        sim(), *config_.workload, traffic,
         [&topo](Rng& r) { return topo.SampleFlowPair(r); },
-        [this](const FlowRecord& record) { collector_.Record(record); },
-        rng_.Fork());
+        std::move(on_complete), rng_.Fork());
   }
 
   if (!config_.queue_sample_period.IsZero()) {
     const Time until = config_.monitor_until.IsZero() ? config_.max_sim_time
                                                       : config_.monitor_until;
     for (std::size_t b = 0; b < topo.bottleneck_count(); ++b) {
-      monitors_.Add(sim_, topo.bottleneck(b).queue_disc(),
+      monitors_.Add(sim(), topo.bottleneck(b).queue_disc(),
                     config_.queue_sample_period);
     }
     monitors_.RunAll(config_.monitor_from, until);
@@ -210,7 +248,7 @@ void ExperimentSession::Bind(Topology& topo) {
     };
     hooks.reestimate_ecnsharp = [this, &topo] {
       if (config_.estimator == EcnEstimator::kSketch && telemetry_ != nullptr) {
-        ReestimateEcnSharpFromSketch(topo, *telemetry_, sim_.Now());
+        ReestimateEcnSharpFromSketch(topo, *telemetry_, sim().Now());
       } else {
         ReestimateEcnSharp(topo);
       }
@@ -221,7 +259,7 @@ void ExperimentSession::Bind(Topology& topo) {
                                     action.target);
       };
     }
-    engine_ = std::make_unique<ScenarioEngine>(sim_, config_.scenario,
+    engine_ = std::make_unique<ScenarioEngine>(sim(), config_.scenario,
                                                std::move(hooks));
     engine_->Install();
   }
@@ -241,12 +279,24 @@ void ExperimentSession::Run(std::function<bool()> extra_pending) {
     }
     return extra_pending != nullptr && extra_pending();
   };
-  while (work_pending() && sim_.Now() < config_.max_sim_time) {
-    sim_.RunFor(Time::Milliseconds(10));
+  while (work_pending() && sim().Now() < config_.max_sim_time) {
+    lanes_.Run(sim().Now() + Time::Milliseconds(10), config_.lane_window);
   }
 }
 
 ExperimentResult ExperimentSession::Result() {
+  // Lane completion order is round-quantized; (start time, flow key) is
+  // unique per arrival, so this order is the same on every run.
+  std::sort(lane_records_.begin(), lane_records_.end(),
+            [](const FlowRecord& a, const FlowRecord& b) {
+              return std::tie(a.start_time, a.flow.src, a.flow.dst,
+                              a.flow.src_port, a.flow.dst_port) <
+                     std::tie(b.start_time, b.flow.src, b.flow.dst,
+                              b.flow.src_port, b.flow.dst_port);
+            });
+  for (const FlowRecord& record : lane_records_) collector_.Record(record);
+  lane_records_.clear();
+
   ExperimentResult result;
   result.overall = collector_.Overall();
   result.short_flows = collector_.ShortFlows();
@@ -261,7 +311,7 @@ ExperimentResult ExperimentSession::Result() {
     result.avg_queue_packets = monitors_.AvgPackets();
     result.max_queue_packets = monitors_.MaxPackets();
   }
-  result.sim_seconds = sim_.Now().ToSeconds();
+  result.sim_seconds = sim().Now().ToSeconds();
   if (engine_ != nullptr) {
     result.scenario_actions = engine_->actions_fired();
     result.incast_bursts = engine_->bursts_fired();

@@ -1,8 +1,8 @@
 // ExperimentSession: the shared glue every experiment runner is built from.
 //
-// A session owns the simulator plus everything an experiment runner would
-// otherwise wire by hand, built generically against the Topology
-// interface:
+// A session owns the event engine (a LaneSet; a serial run is one lane)
+// plus everything an experiment runner would otherwise wire by hand, built
+// generically against the Topology interface:
 //
 //   * per-host RTT-extra assignment (quantile or sampled, §2.3 / §5.3),
 //   * the open-loop TrafficGenerator (Poisson arrivals over SampleFlowPair),
@@ -23,12 +23,15 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <vector>
 
 #include "dynamics/scenario.h"
 #include "dynamics/scenario_engine.h"
 #include "harness/experiment.h"
 #include "net/packet_tracer.h"
+#include "sim/lane_executor.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sketch/sketch_config.h"
@@ -93,13 +96,23 @@ struct ExperimentSessionConfig {
   // flow). Zero keeps the default-CC rng sequence untouched, and Result()
   // only fills the per-controller splits when it is positive.
   double cc_mix = 0.0;
+
+  // Event lanes (1 = the serial run) and, for more than one, the round
+  // window: the cross-lane link latency of a lane-sharded topology. More
+  // than one lane rejects scenarios, tracing, sketching, queue sampling and
+  // a non-positive window (exit 2) — those assume a single event clock.
+  std::size_t lanes = 1;
+  Time lane_window = Time::Zero();
 };
 
 class ExperimentSession {
  public:
   explicit ExperimentSession(ExperimentSessionConfig config);
 
-  Simulator& sim() { return sim_; }
+  // Lane 0: the only simulator of a serial run, the core tier's lane of a
+  // lane-sharded fat-tree.
+  Simulator& sim() { return lanes_.lane(0); }
+  LaneSet& lanes() { return lanes_; }
   FctCollector& collector() { return collector_; }
   QueueMonitorSet& monitors() { return monitors_; }
   ScenarioEngine* engine() { return engine_.get(); }
@@ -112,21 +125,27 @@ class ExperimentSession {
   // scenario hooks. Call exactly once, before Run().
   void Bind(Topology& topo);
 
-  // Starts the generator (if any) and runs in 10 ms slices until the
-  // workload has drained, every scheduled scenario occurrence has fired,
+  // Starts the generator (if any) and runs every lane in 10 ms slices until
+  // the workload has drained, every scheduled scenario occurrence has fired,
   // every burst flow has completed, and `extra_pending` (if given) returns
   // false — or the max_sim_time safety cap trips.
   void Run(std::function<bool()> extra_pending = nullptr);
 
   // Uniform metrics fill. Queue-occupancy fields are only populated when
-  // sampling was enabled, dynamics counters only when a scenario ran.
+  // sampling was enabled, dynamics counters only when a scenario ran. With
+  // more than one lane, generator completions are sorted by (start time,
+  // flow key) before they reach the collector, so summaries do not depend
+  // on lane completion order.
   ExperimentResult Result();
 
  private:
   ExperimentSessionConfig config_;
-  Simulator sim_;
+  LaneSet lanes_;
   Rng rng_;
   FctCollector collector_;
+  // Generator completions of a multi-lane run, appended from lane threads.
+  std::mutex lane_records_mu_;
+  std::vector<FlowRecord> lane_records_;
   QueueMonitorSet monitors_;
   std::unique_ptr<TrafficGenerator> generator_;
   std::unique_ptr<ScenarioEngine> engine_;

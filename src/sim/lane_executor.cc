@@ -81,6 +81,11 @@ void LaneSet::Absorb(std::size_t i) {
 }
 
 void LaneSet::Run(Time until, Time window) {
+  // One lane is the serial engine: no thread, no window, no mailbox.
+  if (lanes_.size() == 1) {
+    lanes_[0]->sim->RunUntil(until);
+    return;
+  }
   assert(window.IsPositive());
   const Time start = lanes_[0]->sim->Now();
   for (const auto& lane : lanes_) {

@@ -1,6 +1,7 @@
 // LaneSet: locality-sharded event lanes executed on one thread each, with a
-// bounded-skew (aligned-window) barrier — the opt-in `--relaxed-lanes=N`
-// engine.
+// bounded-skew (aligned-window) barrier — the engine under every
+// ExperimentSession. One lane is the serial run; N > 1 lanes are the opt-in
+// `--relaxed-lanes=N` mode.
 //
 // Each lane is an independent Simulator. Lanes interact only through
 // Post(): a cross-lane event lands in the target lane's mailbox and is
@@ -55,7 +56,8 @@ class LaneSet {
   // Runs every lane from the common current time to `until` in aligned
   // windows of `window` (> 0), one thread per lane, absorbing mailboxes at
   // each round boundary. All lane clocks are left at `until`. Callers may
-  // invoke Run repeatedly in slices; mailbox state carries over.
+  // invoke Run repeatedly in slices; mailbox state carries over. A single
+  // lane is simply lane(0).RunUntil(until): no thread, `window` unused.
   void Run(Time until, Time window);
 
  private:

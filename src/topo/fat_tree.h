@@ -74,7 +74,7 @@ class FatTree : public Topology {
   // LaneSet mailboxes with the full fabric_link_delay (which must therefore
   // be >= the executor's round window). The Topology interface still works
   // for construction-time wiring, but scenario / trace / sketch hooks must
-  // not be used — the relaxed runner rejects them.
+  // not be used — a multi-lane ExperimentSession rejects them.
   FatTree(Simulator& sim, const FatTreeConfig& config,
           const DiscFactory& make_disc, LaneSet* lanes = nullptr);
 

@@ -2,19 +2,29 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <string>
+
+#include "sim/logging.h"
 
 namespace ecnsharp {
 
 TrafficGenerator::TrafficGenerator(
-    Simulator& sim, const EmpiricalCdf& sizes, const TrafficConfig& config,
+    Simulator&, const EmpiricalCdf& sizes, const TrafficConfig& config,
     std::function<std::pair<TcpStack*, std::uint32_t>(Rng&)> pick_pair,
     TcpSender::CompletionCallback on_complete, Rng rng)
-    : sim_(sim),
-      sizes_(sizes),
+    : sizes_(sizes),
       config_(config),
       pick_pair_(std::move(pick_pair)),
       on_complete_(std::move(on_complete)),
-      rng_(rng) {}
+      rng_(rng) {
+  // A zero, negative or NaN load has no Poisson gap: 1 / rate would be
+  // infinite or negative and overflow Time::FromSeconds.
+  if (!(std::isfinite(config_.load) && config_.load > 0.0)) {
+    FatalConfigError("traffic load must be finite and > 0, got " +
+                     std::to_string(config_.load));
+  }
+}
 
 double TrafficGenerator::ArrivalRate() const {
   const double bits_per_flow = sizes_.Mean() * 8.0;
@@ -37,12 +47,12 @@ void TrafficGenerator::Start() {
         rng_.Uniform() < config_.cubic_fraction) {
       cc = CcKind::kCubic;
     }
-    sim_.ScheduleAt(at, [this, stack, dst, size, cc] {
-      ++started_;
+    stack->host().sim().ScheduleAt(at, [this, stack, dst, size, cc] {
+      started_.fetch_add(1, std::memory_order_relaxed);
       stack->StartFlow(
           dst, size,
           [this](const FlowRecord& record) {
-            ++completed_;
+            completed_.fetch_add(1, std::memory_order_relaxed);
             if (on_complete_) on_complete_(record);
           },
           /*traffic_class=*/0, cc);

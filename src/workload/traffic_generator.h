@@ -4,6 +4,7 @@
 #ifndef ECNSHARP_WORKLOAD_TRAFFIC_GENERATOR_H_
 #define ECNSHARP_WORKLOAD_TRAFFIC_GENERATOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -31,8 +32,12 @@ struct TrafficConfig {
 class TrafficGenerator {
  public:
   // `pick_pair` chooses (sending stack, destination address) for each flow.
-  // `on_complete` receives every finished flow's record.
-  TrafficGenerator(Simulator& sim, const EmpiricalCdf& sizes,
+  // `on_complete` receives every finished flow's record. Each arrival is
+  // scheduled on its source host's simulator, so on a lane-sharded fabric a
+  // flow starts and completes on its host's lane thread. The Simulator
+  // parameter is unused; it stays only for perfbench's callers. A load that
+  // is not finite and positive exits 2.
+  TrafficGenerator(Simulator& /*perfbench only*/, const EmpiricalCdf& sizes,
                    const TrafficConfig& config,
                    std::function<std::pair<TcpStack*, std::uint32_t>(Rng&)>
                        pick_pair,
@@ -41,24 +46,28 @@ class TrafficGenerator {
   // Draws all arrivals and schedules the flow starts.
   void Start();
 
-  std::size_t started() const { return started_; }
-  std::size_t completed() const { return completed_; }
+  std::size_t started() const {
+    return started_.load(std::memory_order_relaxed);
+  }
+  std::size_t completed() const {
+    return completed_.load(std::memory_order_relaxed);
+  }
   bool AllDone() const {
-    return started_ == config_.flow_count &&
-           completed_ == config_.flow_count;
+    return started() == config_.flow_count &&
+           completed() == config_.flow_count;
   }
   // Poisson arrival rate in flows/second implied by the config.
   double ArrivalRate() const;
 
  private:
-  Simulator& sim_;
   const EmpiricalCdf& sizes_;
   TrafficConfig config_;
   std::function<std::pair<TcpStack*, std::uint32_t>(Rng&)> pick_pair_;
   TcpSender::CompletionCallback on_complete_;
   Rng rng_;
-  std::size_t started_ = 0;
-  std::size_t completed_ = 0;
+  // Bumped on the source hosts' lane threads; read between rounds.
+  std::atomic<std::size_t> started_ = 0;
+  std::atomic<std::size_t> completed_ = 0;
 };
 
 }  // namespace ecnsharp

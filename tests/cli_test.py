@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""End-to-end exit-code checks of ecnsharp_cli.
+
+Usage: cli_test.py <path to ecnsharp_cli>
+
+Every malformed invocation must exit exactly 2, say why on stderr and
+leave no results/ file behind; a few small valid runs must exit 0. Each
+invocation runs in its own empty temporary directory. Registered with
+ctest as `cli_test`.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+
+# (arguments, text stderr must contain)
+REJECTED = [
+    # Offered load: zero, negative and NaN have no Poisson arrival gap.
+    (["--load=0"], "--load"),
+    (["--load=-0.5"], "--load"),
+    (["--load=nan"], "--load"),
+    (["--topo=fattree", "--k=4", "--load=inf"], "--load"),
+    # RTT variation below 1 means negative per-host extras.
+    (["--variation=0"], "--variation"),
+    (["--variation=-3"], "--variation"),
+    (["--variation=nan"], "--variation"),
+    # Sweep grammar: domains, whole numbers, finite bounds and grid size.
+    (["--sweep=load:0..50:10"], "load must be > 0"),
+    (["--sweep=variation:0..2:1"], "variation must be >= 1"),
+    (["--sweep=seed:1e30..1e30:1"], "whole numbers"),
+    (["--sweep=seed:1.5..2.5:1"], "whole numbers"),
+    (["--sweep=flows:-1..1:1"], "whole numbers"),
+    (["--topo=incast", "--sweep=fanout:1e30..1e30:1"], "whole numbers"),
+    (["--sweep=load:nan..nan:1"], "must be finite"),
+    (["--sweep=load:10..inf:10"], "must be finite"),
+    (["--sweep=load:1..100000:1"], "more than 10000 points"),
+    (["--sweep=load:1..100:1,seed:1..101:1"], "more than 10000 points"),
+    (["--sweep=load:10..20:0"], "step must be > 0"),
+    # --relaxed-lanes combinations.
+    (["--relaxed-lanes=2"], "--relaxed-lanes applies to --topo=fattree"),
+    (["--topo=fattree", "--relaxed-lanes=2", "--sweep=load:10..20:10"],
+     "--relaxed-lanes applies to single runs, not --sweep"),
+    (["--topo=fattree", "--k=4", "--relaxed-lanes=2", "--trace=on"],
+     "cannot run with tracing enabled"),
+    (["--topo=fattree", "--k=4", "--relaxed-lanes=2", "--sketch=on"],
+     "cannot run with sketch telemetry enabled"),
+    (["--topo=fattree", "--k=4", "--relaxed-lanes=2", "--fabric-delay-us=0"],
+     "needs a positive fabric_link_delay"),
+    (["--topo=fattree", "--relaxed-lanes=0"],
+     "config error: relaxed-lanes needs >= 2 lanes, got 0\n"),
+    (["--topo=fattree", "--relaxed-lanes=1"],
+     "config error: relaxed-lanes needs >= 2 lanes, got 1\n"),
+    (["--topo=fattree", "--k=4", "--relaxed-lanes=6"],
+     "lanes must be in [1, k + 1 = 5], got 6"),
+]
+
+ACCEPTED = [
+    ["--flows=20"],
+    ["--topo=incast", "--fanout=10"],
+    ["--topo=fattree", "--k=4", "--flows=50", "--relaxed-lanes=2"],
+]
+
+
+def run(cli, args):
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([cli] + args, cwd=cwd, capture_output=True,
+                              text=True, timeout=120)
+        results = os.path.join(cwd, "results")
+        written = os.listdir(results) if os.path.isdir(results) else []
+        return proc, written
+
+
+def main():
+    cli = os.path.abspath(sys.argv[1])
+    failures = []
+    for args, expected in REJECTED:
+        proc, written = run(cli, args)
+        if proc.returncode != 2:
+            failures.append(f"{args}: exit {proc.returncode}, want 2")
+        if expected not in proc.stderr:
+            failures.append(f"{args}: stderr {proc.stderr!r} lacks "
+                            f"{expected!r}")
+        if written:
+            failures.append(f"{args}: wrote results/{written}")
+    for args in ACCEPTED:
+        proc, _ = run(cli, args)
+        if proc.returncode != 0:
+            failures.append(f"{args}: exit {proc.returncode}, want 0; "
+                            f"stderr {proc.stderr!r}")
+    for failure in failures:
+        print("FAIL", failure)
+    print(f"{len(REJECTED) + len(ACCEPTED)} invocations, "
+          f"{len(failures)} failures")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

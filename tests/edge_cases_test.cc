@@ -3,6 +3,7 @@
 // host-path reordering, and DCQCN multiplexing.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <optional>
 
@@ -303,6 +304,43 @@ TEST(ConfigValidationDeathTest, ZeroSenderDumbbellExits) {
         RunDumbbell(config);
       },
       testing::ExitedWithCode(2), "needs >= 1 sender");
+}
+
+// A load that is not finite and positive has no Poisson gap (1 / rate is
+// infinite or negative and overflowed Time::FromSeconds); an RTT variation
+// below 1 gave hosts negative netem extras. Both used to run silently.
+TEST(ConfigValidationDeathTest, NonPositiveLoadExits) {
+  for (const double load : {0.0, -0.5, std::nan("")}) {
+    EXPECT_EXIT(
+        {
+          DumbbellExperimentConfig config;
+          config.load = load;
+          RunDumbbell(config);
+        },
+        testing::ExitedWithCode(2), "traffic load must be finite and > 0");
+  }
+}
+
+TEST(ConfigValidationDeathTest, SubUnitDumbbellRttVariationExits) {
+  for (const double variation : {0.0, -3.0, 0.5, std::nan("")}) {
+    EXPECT_EXIT(
+        {
+          DumbbellExperimentConfig config;
+          config.rtt_variation = variation;
+          RunDumbbell(config);
+        },
+        testing::ExitedWithCode(2), "rtt_variation must be finite and >= 1");
+  }
+}
+
+TEST(ConfigValidationDeathTest, SubUnitIncastRttVariationExits) {
+  EXPECT_EXIT(
+      {
+        IncastExperimentConfig config;
+        config.rtt_variation = 0.0;
+        RunIncast(config);
+      },
+      testing::ExitedWithCode(2), "rtt_variation must be finite and >= 1");
 }
 
 TEST(ConfigValidationDeathTest, OddFatTreeArityExits) {

@@ -1,11 +1,11 @@
-// Locality-sharded event lanes: LaneSet semantics and the relaxed-lanes
-// fat-tree runner.
+// Locality-sharded event lanes: LaneSet semantics and RunFatTree on more
+// than one lane (the `--relaxed-lanes` mode; one lane is the serial run).
 //
 // The relaxed mode's contract is run-to-run determinism (same config + lane
 // count => bit-identical results), NOT byte-parity with the single-lane
-// runner — same-timestamp ties across lanes may resolve differently. These
+// run — same-timestamp ties across lanes may resolve differently. These
 // tests pin exactly that contract, plus the conservative-window causality
-// guarantees of LaneSet and the runner's configuration restrictions.
+// guarantees of LaneSet and the session's multi-lane restrictions.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
-#include "harness/relaxed_lanes.h"
 #include "harness/schemes.h"
 #include "net/lane_bridge.h"
 #include "sim/lane_executor.h"
@@ -126,7 +125,7 @@ FatTreeExperimentConfig SmallRelaxedConfig() {
 }
 
 TEST(RelaxedLanesTest, CompletesEveryFlow) {
-  const ExperimentResult r = RunFatTreeRelaxed(SmallRelaxedConfig(), 2);
+  const ExperimentResult r = RunFatTree(SmallRelaxedConfig(), 2);
   EXPECT_EQ(r.flows_started, 150u);
   EXPECT_EQ(r.flows_completed, 150u);
   EXPECT_GT(r.overall.avg_us, 0.0);
@@ -134,8 +133,8 @@ TEST(RelaxedLanesTest, CompletesEveryFlow) {
 }
 
 TEST(RelaxedLanesTest, RunToRunBitIdentical) {
-  const ExperimentResult a = RunFatTreeRelaxed(SmallRelaxedConfig(), 3);
-  const ExperimentResult b = RunFatTreeRelaxed(SmallRelaxedConfig(), 3);
+  const ExperimentResult a = RunFatTree(SmallRelaxedConfig(), 3);
+  const ExperimentResult b = RunFatTree(SmallRelaxedConfig(), 3);
   EXPECT_EQ(a.flows_completed, b.flows_completed);
   EXPECT_EQ(a.timeouts, b.timeouts);
   EXPECT_EQ(a.overall.avg_us, b.overall.avg_us);
@@ -147,53 +146,60 @@ TEST(RelaxedLanesTest, RunToRunBitIdentical) {
 }
 
 TEST(RelaxedLanesTest, OffersTheSameWorkloadAsTheSingleLaneRunner) {
-  // The rng discipline matches ExperimentSession draw-for-draw, so both
-  // runners start the same flows; trajectories (and therefore FCTs) may
+  // Both runs draw the workload from the same session and generator, so
+  // they start the same flows; trajectories (and therefore FCTs) may
   // differ at cross-lane ties, but completion accounting must agree.
   FatTreeExperimentConfig config = SmallRelaxedConfig();
-  const ExperimentResult relaxed = RunFatTreeRelaxed(config, 2);
+  const ExperimentResult relaxed = RunFatTree(config, 2);
   const ExperimentResult single = RunFatTree(config);
   EXPECT_EQ(relaxed.flows_started, single.flows_started);
   EXPECT_EQ(relaxed.flows_completed, single.flows_completed);
 }
 
-TEST(RelaxedLanesDeathTest, RejectsFewerThanTwoLanes) {
-  EXPECT_EXIT(RunFatTreeRelaxed(SmallRelaxedConfig(), 1),
-              testing::ExitedWithCode(2), "needs >= 2 lanes");
+// One lane is the serial run; zero lanes, or more than the k + 1
+// localities of a k-ary fat-tree, are config errors.
+TEST(RelaxedLanesDeathTest, RejectsZeroLanes) {
+  EXPECT_EXIT(RunFatTree(SmallRelaxedConfig(), 0), testing::ExitedWithCode(2),
+              "lanes must be in \\[1, k \\+ 1 = 5\\], got 0");
+}
+
+TEST(RelaxedLanesDeathTest, RejectsMoreLanesThanLocalities) {
+  EXPECT_EXIT(RunFatTree(SmallRelaxedConfig(), 6), testing::ExitedWithCode(2),
+              "lanes must be in \\[1, k \\+ 1 = 5\\], got 6");
 }
 
 TEST(RelaxedLanesDeathTest, RejectsScenarioScripts) {
   FatTreeExperimentConfig config = SmallRelaxedConfig();
   config.scenario.actions.push_back(ScenarioAction{});
-  EXPECT_EXIT(RunFatTreeRelaxed(config, 2), testing::ExitedWithCode(2),
+  EXPECT_EXIT(RunFatTree(config, 2), testing::ExitedWithCode(2),
               "cannot run scenario scripts");
 }
 
 TEST(RelaxedLanesDeathTest, RejectsTracing) {
   FatTreeExperimentConfig config = SmallRelaxedConfig();
   config.trace.enabled = true;
-  EXPECT_EXIT(RunFatTreeRelaxed(config, 2), testing::ExitedWithCode(2),
+  EXPECT_EXIT(RunFatTree(config, 2), testing::ExitedWithCode(2),
               "tracing enabled");
 }
 
 TEST(RelaxedLanesDeathTest, RejectsSketchTelemetry) {
   FatTreeExperimentConfig config = SmallRelaxedConfig();
   config.sketch.enabled = true;
-  EXPECT_EXIT(RunFatTreeRelaxed(config, 2), testing::ExitedWithCode(2),
+  EXPECT_EXIT(RunFatTree(config, 2), testing::ExitedWithCode(2),
               "sketch telemetry");
 }
 
 TEST(RelaxedLanesDeathTest, RejectsQueueSampling) {
   FatTreeExperimentConfig config = SmallRelaxedConfig();
   config.queue_sample_period = Time::FromMicroseconds(100);
-  EXPECT_EXIT(RunFatTreeRelaxed(config, 2), testing::ExitedWithCode(2),
+  EXPECT_EXIT(RunFatTree(config, 2), testing::ExitedWithCode(2),
               "queue sampling");
 }
 
 TEST(RelaxedLanesDeathTest, RejectsNonPositiveFabricDelay) {
   FatTreeExperimentConfig config = SmallRelaxedConfig();
   config.topo.fabric_link_delay = Time::Zero();
-  EXPECT_EXIT(RunFatTreeRelaxed(config, 2), testing::ExitedWithCode(2),
+  EXPECT_EXIT(RunFatTree(config, 2), testing::ExitedWithCode(2),
               "positive fabric_link_delay");
 }
 

@@ -10,6 +10,7 @@
 // With --sweep, runs the whole grid through the parallel runner and also
 // exports results/<name>.json. Run with --help for all options.
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,13 +23,13 @@
 
 #include "harness/config_json.h"
 #include "harness/experiment.h"
-#include "harness/relaxed_lanes.h"
 #include "harness/sketch_export.h"
 #include "harness/table.h"
 #include "harness/trace_export.h"
 #include "runner/job.h"
 #include "runner/json_export.h"
 #include "runner/sweep.h"
+#include "sim/logging.h"
 #include "trace/trace_config.h"
 #include "trace/trace_recorder.h"
 #include "workload/empirical_cdf.h"
@@ -163,10 +164,10 @@ int Usage() {
       "  --fabric-delay-us=<us>             fat-tree switch<->switch hop\n"
       "                                     delay (default 10)\n"
       "  --relaxed-lanes=<n>                fat-tree only: execute pods on\n"
-      "                                     n >= 2 event lanes (threads)\n"
-      "                                     under the conservative-window\n"
-      "                                     scheme. Deterministic for a\n"
-      "                                     given config+n but not\n"
+      "                                     n event lanes (threads), 2 <= n\n"
+      "                                     <= k+1, under the conservative-\n"
+      "                                     window scheme. Deterministic for\n"
+      "                                     a given config+n but not\n"
       "                                     byte-comparable with the\n"
       "                                     single-lane run; rejects\n"
       "                                     --scenario/--trace/--sketch\n"
@@ -482,6 +483,11 @@ void InterDcShapeFromFlags(const Flags& flags,
   config.topo.border_rtt = Time::FromMicroseconds(border_rtt_us);
 }
 
+// Largest --sweep grid, and the largest swept seed/flows/fanout (every
+// whole number up to 2^53 is exact as a double).
+constexpr double kMaxSweepPoints = 10000;
+constexpr double kMaxWhole = 9007199254740992.0;
+
 // One swept parameter: `load:10..90:10` expands to {10, 20, ..., 90}.
 struct SweepAxis {
   std::string param;
@@ -517,10 +523,29 @@ SweepAxis ParseSweepAxis(const std::string& spec) {
   const double end =
       ParseDoubleOrDie("sweep", spec.substr(dots + 2, colon2 - dots - 2));
   const double step = ParseDoubleOrDie("sweep", spec.substr(colon2 + 1));
+  if (!std::isfinite(start) || !std::isfinite(end) || !std::isfinite(step)) {
+    SweepError(spec, "start, end and step must be finite");
+  }
   if (step <= 0) SweepError(spec, "step must be > 0");
   if (end < start) SweepError(spec, "end must be >= start");
-  // Epsilon absorbs accumulated floating-point error on non-integer steps.
-  for (double v = start; v <= end + step * 1e-9; v += step) {
+  // The point count is fixed up front: once step falls below v's precision,
+  // `v += step` no longer advances. Epsilon absorbs floating-point error on
+  // non-integer steps.
+  const double span = (end - start) / step + 1e-9;
+  if (!(span < kMaxSweepPoints)) SweepError(spec, "more than 10000 points");
+  const auto count = static_cast<std::size_t>(span) + 1;
+  const bool whole = axis.param == "seed" || axis.param == "flows" ||
+                     axis.param == "fanout";
+  double v = start;
+  for (std::size_t i = 0; i < count; ++i, v += step) {
+    if (whole && !(v >= 0 && v <= kMaxWhole && v == std::floor(v))) {
+      SweepError(spec, "seed, flows and fanout must be whole numbers in "
+                       "[0, 2^53]");
+    }
+    if (axis.param == "load" && !(v > 0)) SweepError(spec, "load must be > 0");
+    if (axis.param == "variation" && !(v >= 1)) {
+      SweepError(spec, "variation must be >= 1");
+    }
     axis.values.push_back(v);
   }
   return axis;
@@ -528,11 +553,16 @@ SweepAxis ParseSweepAxis(const std::string& spec) {
 
 std::vector<SweepAxis> ParseSweep(const std::string& value) {
   std::vector<SweepAxis> axes;
+  double points = 1;
   std::size_t pos = 0;
   while (pos <= value.size()) {
     std::size_t comma = value.find(',', pos);
     if (comma == std::string::npos) comma = value.size();
     axes.push_back(ParseSweepAxis(value.substr(pos, comma - pos)));
+    points *= static_cast<double>(axes.back().values.size());
+    if (points > kMaxSweepPoints) {
+      SweepError(value, "grid has more than 10000 points");
+    }
     pos = comma + 1;
   }
   return axes;
@@ -540,7 +570,7 @@ std::vector<SweepAxis> ParseSweep(const std::string& value) {
 
 // Human-readable value for job names: integers print without a decimal.
 std::string FmtValue(double v) {
-  if (v == static_cast<double>(static_cast<long long>(v))) {
+  if (std::fabs(v) <= kMaxWhole && v == std::floor(v)) {
     return std::to_string(static_cast<long long>(v));
   }
   return TablePrinter::Fmt(v, 3);
@@ -610,6 +640,9 @@ ExperimentConfig ConfigFromFlags(const Flags& flags, const std::string& topo,
   }
 
   common.load = flags.GetDouble("load", 0.5);
+  if (!(std::isfinite(common.load) && common.load > 0)) {
+    FlagError("load", flags.Get("load", ""), "a finite load > 0");
+  }
   common.flows = flags.GetU64("flows", 1000);
   if (point != nullptr) {
     // Sweep loads are in percent (load:10..90:10); single-run --load=0..1.
@@ -625,6 +658,10 @@ ExperimentConfig ConfigFromFlags(const Flags& flags, const std::string& topo,
   if (topo == "dumbbell") {
     auto config = WithCommon<DumbbellExperimentConfig>(common);
     config.rtt_variation = flags.GetDouble("variation", 3.0);
+    if (!(std::isfinite(config.rtt_variation) && config.rtt_variation >= 1)) {
+      FlagError("variation", flags.Get("variation", ""),
+                "a finite factor >= 1");
+    }
     if (point != nullptr) {
       config.rtt_variation = point->Get("variation", config.rtt_variation);
     }
@@ -844,12 +881,17 @@ int main(int argc, char** argv) {
   const std::string scheme = SchemeName(common.scheme);
   PrintBanner(Banner(topo, config, scheme, workload_name));
   if (flags.Has("relaxed-lanes")) {
-    // Validation of the mode's restrictions (scenario / trace / sketch /
-    // lane count) lives in RunFatTreeRelaxed and exits 2 on violation.
+    // One lane is the plain serial run. The mode's other restrictions
+    // (scenario / trace / sketch / the k+1 lane bound) live in RunFatTree
+    // and exit 2 on violation.
     const auto lanes =
         static_cast<std::size_t>(flags.GetU64("relaxed-lanes", 2));
+    if (lanes < 2) {
+      FatalConfigError("relaxed-lanes needs >= 2 lanes, got " +
+                       std::to_string(lanes));
+    }
     PrintFctResult(
-        RunFatTreeRelaxed(std::get<FatTreeExperimentConfig>(config), lanes));
+        RunFatTree(std::get<FatTreeExperimentConfig>(config), lanes));
     return 0;
   }
 
