@@ -91,9 +91,10 @@ Metric EventChurn(std::uint64_t events) {
 }
 
 // ---------------------------------------------------------------------------
-// Event engine under cancellation churn: the TCP RTO-restart pattern — every
-// dispatched event re-arms a far-future event and cancels the previous one,
-// so the cancellation bookkeeping is on the critical path.
+// Event engine under cancellation churn: every dispatched event re-arms a
+// far-future event and cancels the previous one, so the raw
+// Simulator::Cancel bookkeeping is on the critical path. (This was the
+// eager TCP RTO restart; Timer re-arms are now lazy and rarely cancel.)
 // ---------------------------------------------------------------------------
 
 struct CancelChurner {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -46,11 +47,20 @@ ExperimentSessionConfig SessionConfig(const ExperimentCommon& config,
 }
 
 // An RTT variation factor k gives per-sender extras of (k - 1) * base RTT;
-// below 1 they would be negative.
-void CheckRttVariation(double rtt_variation) {
+// below 1 they would be negative, and from 2^62 ns on they would overflow
+// Time once added to a clock.
+void CheckRttVariation(double rtt_variation, Time base_rtt) {
   if (!(std::isfinite(rtt_variation) && rtt_variation >= 1.0)) {
     FatalConfigError("rtt_variation must be finite and >= 1, got " +
                      std::to_string(rtt_variation));
+  }
+  if (!(static_cast<double>(base_rtt.ns()) * (rtt_variation - 1.0) <
+        0x1p62)) {
+    std::ostringstream message;
+    message << "rtt_variation " << rtt_variation << " over base RTT "
+            << base_rtt.ToString()
+            << " gives an extra delay of 2^62 ns or more";
+    FatalConfigError(message.str());
   }
 }
 
@@ -198,7 +208,7 @@ class SplitTraffic {
 }  // namespace
 
 ExperimentResult RunDumbbell(const DumbbellExperimentConfig& config) {
-  CheckRttVariation(config.rtt_variation);
+  CheckRttVariation(config.rtt_variation, config.base_rtt);
   DumbbellConfig topo;
   topo.senders = config.senders;
   topo.rate = config.rate;
@@ -267,7 +277,7 @@ ExperimentResult RunInterDc(const InterDcExperimentConfig& config) {
 }
 
 IncastResult RunIncast(const IncastExperimentConfig& config) {
-  CheckRttVariation(config.rtt_variation);
+  CheckRttVariation(config.rtt_variation, config.base_rtt);
   ExperimentSessionConfig session_config;
   session_config.seed = config.seed;
   // §5.4 setup mirrors the large-scale simulations' RTT distribution.

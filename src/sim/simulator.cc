@@ -131,6 +131,12 @@ EventId Simulator::ScheduleAt(Time when, UniqueFunction<void()> fn) {
   return ScheduleImpl(when, next_order_++, std::move(fn));
 }
 
+EventId Simulator::ScheduleAtOrdered(Time when, std::uint64_t order,
+                                     UniqueFunction<void()> fn) {
+  assert(order < next_order_);
+  return ScheduleImpl(when, order, std::move(fn));
+}
+
 void Simulator::Cancel(EventId id) {
   if (!id.valid()) return;
   const auto slot_plus_one = static_cast<std::uint32_t>(id.seq & 0xffffffffu);

@@ -13,8 +13,11 @@
 // same (when, order) key and the one pop routine takes the minimum across
 // the current bucket and the far heap, so the execution sequence is exactly
 // that of a single min-heap: sift cost scales with one bucket's occupancy,
-// not the whole pending set, and cancelled far-horizon timers are pruned
-// eagerly instead of rotting in the heap body.
+// not the whole pending set, and cancelled far-horizon events are pruned
+// eagerly instead of rotting in the heap body. Transport timers rarely
+// cancel at all: a Timer (sim/timer.h) keeps its armed event across later
+// re-arms and reaches the engine only when its deadline moves earlier or
+// its stale event fires.
 //
 // The hot path is allocation- and hash-free: callbacks are stored in a
 // recycled slot array, the heaps order POD entries only, and cancellation is
@@ -73,8 +76,14 @@ class Simulator {
   // at the instant the legacy code would have scheduled a per-packet event,
   // then later arm a pinned event at exactly that position via
   // SchedulePinnedAtOrdered — so batched delivery interleaves with all other
-  // same-timestamp events precisely as the unbatched code did.
+  // same-timestamp events precisely as the unbatched code did. Lazy timers
+  // (sim/timer.h) reserve the stamp on every re-arm and schedule at it only
+  // when the deadline is reached, via ScheduleAtOrdered.
   std::uint64_t ReserveOrder() { return next_order_++; }
+  // ScheduleAt with a stamp from ReserveOrder(): the one-shot counterpart
+  // of SchedulePinnedAtOrdered.
+  EventId ScheduleAtOrdered(Time when, std::uint64_t order,
+                            UniqueFunction<void()> fn);
 
   // Cancels a pending event. Cancelling an already-executed or invalid id is
   // a harmless no-op.

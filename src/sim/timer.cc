@@ -5,20 +5,34 @@ namespace ecnsharp {
 void Timer::Schedule(Time delay) { ScheduleAt(sim_.Now() + delay); }
 
 void Timer::ScheduleAt(Time when) {
-  Cancel();
-  pending_ = true;
+  if (when < sim_.Now()) when = sim_.Now();
   expiry_ = when;
-  event_ = sim_.ScheduleAt(when, [this] { Fire(); });
+  order_ = sim_.ReserveOrder();
+  pending_ = true;
+  if (event_.valid()) {
+    if (armed_at_ <= when) {
+      // The armed event fires first and forwards to the new target.
+      moved_ = true;
+      return;
+    }
+    sim_.Cancel(event_);
+  }
+  Arm();
 }
 
-void Timer::Cancel() {
-  if (pending_) {
-    sim_.Cancel(event_);
-    pending_ = false;
-  }
+void Timer::Arm() {
+  armed_at_ = expiry_;
+  moved_ = false;
+  event_ = sim_.ScheduleAtOrdered(expiry_, order_, [this] { Fire(); });
 }
 
 void Timer::Fire() {
+  event_ = EventId{};
+  if (!pending_) return;
+  if (moved_) {
+    Arm();
+    return;
+  }
   pending_ = false;
   callback_();
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <sstream>
 #include <string>
 
 #include "sim/logging.h"
@@ -37,7 +38,15 @@ void TrafficGenerator::Start() {
   const double mean_gap_s = 1.0 / ArrivalRate();
   Time at = config_.start_time;
   for (std::size_t i = 0; i < config_.flow_count; ++i) {
-    at += Time::FromSeconds(rng_.Exponential(mean_gap_s));
+    const double gap_s = rng_.Exponential(mean_gap_s);
+    // A vanishing load draws gaps past what Time's int64 ns can hold.
+    if (!(static_cast<double>(at.ns()) + gap_s * 1e9 < 0x1p62)) {
+      std::ostringstream message;
+      message << "traffic load " << config_.load
+              << " puts a flow arrival at 2^62 ns or later";
+      FatalConfigError(message.str());
+    }
+    at += Time::FromSeconds(gap_s);
     const auto size = static_cast<std::uint64_t>(
         std::max(1.0, sizes_.Sample(rng_)));
     auto [stack, dst] = pick_pair_(rng_);

@@ -25,6 +25,9 @@ REJECTED = [
     (["--variation=0"], "--variation"),
     (["--variation=-3"], "--variation"),
     (["--variation=nan"], "--variation"),
+    # Values that pass the range checks but overflow Time's int64 ns.
+    (["--variation=1e30"], "extra delay of 2^62 ns or more"),
+    (["--load=1e-300"], "traffic load 1e-300 puts a flow arrival"),
     # Sweep grammar: domains, whole numbers, finite bounds and grid size.
     (["--sweep=load:0..50:10"], "load must be > 0"),
     (["--sweep=variation:0..2:1"], "variation must be >= 1"),

@@ -343,6 +343,36 @@ TEST(ConfigValidationDeathTest, SubUnitIncastRttVariationExits) {
       testing::ExitedWithCode(2), "rtt_variation must be finite and >= 1");
 }
 
+// Extras of (k - 1) * base RTT at 2^62 ns or more would overflow Time.
+TEST(ConfigValidationDeathTest, OverflowingRttVariationExits) {
+  EXPECT_EXIT(
+      {
+        DumbbellExperimentConfig config;
+        config.rtt_variation = 1e30;
+        RunDumbbell(config);
+      },
+      testing::ExitedWithCode(2), "extra delay of 2\\^62 ns or more");
+  EXPECT_EXIT(
+      {
+        IncastExperimentConfig config;
+        config.rtt_variation = 1e30;
+        RunIncast(config);
+      },
+      testing::ExitedWithCode(2), "extra delay of 2\\^62 ns or more");
+}
+
+// A positive but vanishing load draws Poisson gaps past Time's range.
+TEST(ConfigValidationDeathTest, VanishingLoadExits) {
+  EXPECT_EXIT(
+      {
+        DumbbellExperimentConfig config;
+        config.load = 1e-300;
+        RunDumbbell(config);
+      },
+      testing::ExitedWithCode(2),
+      "traffic load 1e-300 puts a flow arrival at 2\\^62 ns or later");
+}
+
 TEST(ConfigValidationDeathTest, OddFatTreeArityExits) {
   EXPECT_EXIT(
       {
