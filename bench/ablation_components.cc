@@ -48,7 +48,7 @@ int main() {
                      fct});
   }
   const std::vector<runner::JobResult> sweep =
-      RunSweep("ablation_components", specs);
+      runner::RunSweep("ablation_components", specs);
 
   // (a) Standing queue (no burst) and (b) incast drops at fanout 125.
   TP incast_table({"variant", "standing queue(pkts)", "burst drops(N=125)",

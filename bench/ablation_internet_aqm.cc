@@ -45,7 +45,7 @@ int main() {
     }
   }
   const std::vector<runner::JobResult> sweep =
-      RunSweep("ablation_internet_aqm", specs);
+      runner::RunSweep("ablation_internet_aqm", specs);
   std::size_t job = 0;
 
   std::printf("\n(a) Dumbbell web search @70%% load\n");

@@ -11,24 +11,10 @@
 #include "harness/schemes.h"
 #include "core/equations.h"
 #include "harness/table.h"
-#include "runner/json_export.h"
 #include "runner/sweep.h"
 #include "topo/rtt_variation.h"
 
 namespace ecnsharp::bench {
-
-// Runs a named sweep through the parallel runner (ECNSHARP_JOBS workers,
-// default 1), exports results/<name>.json, and returns results in spec
-// order. The tables a bench prints from the returned vector are therefore
-// byte-identical for any job count.
-inline std::vector<runner::JobResult> RunSweep(
-    const std::string& name, const std::vector<runner::JobSpec>& specs) {
-  runner::SweepOptions options;
-  options.label = name;
-  std::vector<runner::JobResult> results = runner::RunJobs(specs, options);
-  runner::ExportSweep(name, specs, results);
-  return results;
-}
 
 // Loads (%) used by the FCT figures; the paper sweeps 10..90. The default
 // subset keeps the bench laptop-fast; ECNSHARP_FULL=1 runs the full sweep.

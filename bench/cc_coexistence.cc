@@ -107,7 +107,7 @@ int main() {
   }
 
   const std::vector<runner::JobResult> results =
-      RunSweep("cc_coexistence", specs);
+      runner::RunSweep("cc_coexistence", specs);
 
   TP table({"point", "cubic share", "cubic avg(us)", "dctcp avg(us)",
             "cubic p99(us)", "dctcp p99(us)", "drops", "marks"});

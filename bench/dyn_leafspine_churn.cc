@@ -19,12 +19,12 @@
 // to every job, so FCT deltas are attributable to the scheme alone. Queue
 // sampling is enabled to exercise the fabric-wide monitor aggregation.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "bench_common.h"
 #include "dynamics/scenario.h"
 #include "harness/trace_export.h"
+#include "runner/json_export.h"
 #include "trace/trace_recorder.h"
 
 namespace {
@@ -130,7 +130,7 @@ int main() {
     specs.push_back({variant.name, config});
   }
   const std::vector<runner::JobResult> sweep =
-      RunSweep("dyn_leafspine_churn", specs);
+      runner::RunSweep("dyn_leafspine_churn", specs);
 
   // Export the traced variant's flight recorder next to the sweep JSON
   // (results/dyn_leafspine_churn_trace.json unless redirected/disabled the
@@ -139,11 +139,10 @@ int main() {
     const std::shared_ptr<const TraceRecorder> trace =
         runner::FctResult(sweep[i]).trace;
     if (trace == nullptr) continue;
-    if (EnvFlag("ECNSHARP_NO_JSON")) break;
-    const char* dir = std::getenv("ECNSHARP_RESULTS_DIR");
-    const std::string path = std::string(dir != nullptr ? dir : "results") +
-                             "/dyn_leafspine_churn_trace.json";
-    if (runner::WriteJsonFile(path, TraceToJson(*trace))) {
+    const std::string path =
+        runner::ResultsPath("dyn_leafspine_churn_trace.json");
+    if (path.empty()) break;
+    if (runner::WriteTextFile(path, TraceToJson(*trace).Dump())) {
       std::printf("trace (%s): %llu events -> %s\n", specs[i].name.c_str(),
                   static_cast<unsigned long long>(trace->total_events()),
                   path.c_str());

@@ -82,7 +82,8 @@ int main() {
                        config});
     }
   }
-  const std::vector<runner::JobResult> sweep = RunSweep("dyn_link_flap", specs);
+  const std::vector<runner::JobResult> sweep =
+      runner::RunSweep("dyn_link_flap", specs);
 
   TP table({"variant", "overall avg(us)", "short p99(us)", "large avg(us)",
             "timeouts", "purged", "link-down drops"});

@@ -92,7 +92,8 @@ int main() {
     config.scenario = ChurnScript(config.senders, variant.reestimate);
     specs.push_back({variant.name, config});
   }
-  const std::vector<runner::JobResult> sweep = RunSweep("dyn_rtt_churn", specs);
+  const std::vector<runner::JobResult> sweep =
+      runner::RunSweep("dyn_rtt_churn", specs);
 
   TP table({"variant", "overall avg(us)", "short avg(us)", "short p90(us)",
             "short p99(us)", "large avg(us)", "timeouts"});

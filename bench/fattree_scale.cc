@@ -26,6 +26,7 @@
 
 #include "bench_common.h"
 #include "dynamics/scenario.h"
+#include "runner/json_export.h"
 
 namespace {
 
@@ -123,10 +124,8 @@ int main() {
   // concurrent jobs would contend for cores and poison it.
   runner::SweepOptions options;
   options.jobs = 1;
-  options.label = "fattree_scale";
   const std::vector<runner::JobResult> sweep =
-      runner::RunJobs(specs, options);
-  runner::ExportSweep("fattree_scale", specs, sweep);
+      runner::RunSweep("fattree_scale", specs, options);
 
   TP table({"k", "hosts", "sw ports", "flows", "sim(s)", "wall(s)",
             "sim/wall", "overall avg(us)", "short p99(us)", "large avg(us)",
@@ -177,7 +176,7 @@ int main() {
   const std::string gate_path = (gate_env == nullptr || *gate_env == '\0')
                                     ? "BENCH_fattree.json"
                                     : gate_env;
-  if (!runner::WriteJsonFile(gate_path, gate_doc)) {
+  if (!runner::WriteTextFile(gate_path, gate_doc.Dump())) {
     std::fprintf(stderr, "error: could not write %s\n", gate_path.c_str());
     return 1;
   }

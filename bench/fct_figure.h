@@ -44,7 +44,8 @@ inline void RunFctFigure(const char* title, const char* sweep_name,
                        config});
     }
   }
-  const std::vector<runner::JobResult> sweep = RunSweep(sweep_name, specs);
+  const std::vector<runner::JobResult> sweep =
+      runner::RunSweep(sweep_name, specs);
 
   std::map<int, std::map<Scheme, ExperimentResult>> results;
   std::size_t job = 0;

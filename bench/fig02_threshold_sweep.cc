@@ -32,7 +32,7 @@ int main() {
     specs.push_back({"K=" + std::to_string(kb) + "KB", config});
   }
   const std::vector<runner::JobResult> sweep =
-      RunSweep("fig02_threshold_sweep", specs);
+      runner::RunSweep("fig02_threshold_sweep", specs);
 
   struct Row {
     std::uint64_t threshold;

@@ -44,7 +44,7 @@ int main() {
     }
   }
   const std::vector<runner::JobResult> sweep =
-      RunSweep("fig03_variation_sweep", specs);
+      runner::RunSweep("fig03_variation_sweep", specs);
 
   TP table({"variation", "K(avg)KB", "K(p90)KB", "large avg: tail/avg",
             "short p99: tail/avg"});

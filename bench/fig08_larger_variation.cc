@@ -43,7 +43,7 @@ int main() {
     }
   }
   const std::vector<runner::JobResult> sweep =
-      RunSweep("fig08_larger_variation", specs);
+      runner::RunSweep("fig08_larger_variation", specs);
 
   // results[k][load] = (ecn# result, red-tail result)
   std::map<double, std::map<int, std::pair<ExperimentResult,

@@ -49,7 +49,7 @@ int main() {
     }
   }
   const std::vector<runner::JobResult> sweep =
-      RunSweep("fig09_leafspine", specs);
+      runner::RunSweep("fig09_leafspine", specs);
 
   std::map<int, std::map<Scheme, ExperimentResult>> results;
   std::size_t job = 0;

@@ -33,7 +33,7 @@ int main() {
     }
   }
   const std::vector<runner::JobResult> sweep =
-      RunSweep("fig10_queue_occupancy", specs);
+      runner::RunSweep("fig10_queue_occupancy", specs);
 
   std::vector<IncastResult> results;  // seed `seed` run, for the trace
   TP summary({"scheme", "standing queue(pkts)", "peak(pkts)", "drops",

@@ -35,7 +35,7 @@ int main() {
     }
   }
   const std::vector<runner::JobResult> sweep =
-      RunSweep("fig11_incast_query", specs);
+      runner::RunSweep("fig11_incast_query", specs);
 
   std::map<Scheme, std::map<std::size_t, IncastResult>> results;
   std::map<Scheme, std::size_t> first_loss;

@@ -72,7 +72,7 @@ int main() {
     }
   }
   const std::vector<ecnsharp::runner::JobResult> sweep =
-      ecnsharp::bench::RunSweep("fig12_param_sensitivity", specs);
+      runner::RunSweep("fig12_param_sensitivity", specs);
   std::size_t job = 0;
 
   std::printf("\n(a) Sensitivity to pst_interval (pst_target=%.0fus)\n",

@@ -113,7 +113,7 @@ int main() {
     specs.push_back({variant.name, config});
   }
   const std::vector<runner::JobResult> sweep =
-      RunSweep("interdc_disparity", specs);
+      runner::RunSweep("interdc_disparity", specs);
 
   // Per-scheme baseline: the no-WAN run is each block's first spec.
   double baseline_p99[2] = {0.0, 0.0};

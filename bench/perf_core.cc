@@ -352,7 +352,7 @@ int main() {
   const char* out_env = std::getenv("ECNSHARP_BENCH_OUT");
   const std::string path =
       (out_env == nullptr || *out_env == '\0') ? "BENCH_core.json" : out_env;
-  if (!runner::WriteJsonFile(path, doc)) {
+  if (!runner::WriteTextFile(path, doc.Dump())) {
     std::fprintf(stderr, "error: could not write %s\n", path.c_str());
     return 1;
   }

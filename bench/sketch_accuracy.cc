@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "bench_common.h"
 #include "dynamics/scenario.h"
 #include "net/packet_pool.h"
+#include "runner/json_export.h"
 #include "sim/random.h"
 #include "sketch/telemetry.h"
 
@@ -337,7 +337,8 @@ int main() {
       "the budget grows; by 64 KB the sketch-driven re-estimation holds\n"
       "large-flow FCT within 15%% of the oracle.\n");
 
-  if (!EnvFlag("ECNSHARP_NO_JSON")) {
+  const std::string path = runner::ResultsPath("sketch_accuracy.json");
+  if (!path.empty()) {
     Json doc = Json::Object()
                    .Set("schema_version", Json::Int(1))
                    .Set("bench", Json::Str("sketch_accuracy"))
@@ -353,10 +354,7 @@ int main() {
                                  Json::Num(oracle.short_flows.p99_us)))
                    .Set("synthetic", std::move(synthetic_rows))
                    .Set("sweep", std::move(rows));
-    const char* dir = std::getenv("ECNSHARP_RESULTS_DIR");
-    const std::string path = std::string(dir != nullptr ? dir : "results") +
-                             "/sketch_accuracy.json";
-    if (runner::WriteJsonFile(path, doc)) {
+    if (runner::WriteTextFile(path, doc.Dump())) {
       std::printf("wrote %s\n", path.c_str());
     } else {
       std::fprintf(stderr, "sketch_accuracy: could not write %s\n",

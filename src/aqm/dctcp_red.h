@@ -33,13 +33,6 @@ class DctcpRedAqm : public AqmPolicy {
   std::string name() const override { return "dctcp-red"; }
   std::uint64_t threshold_bytes() const { return threshold_bytes_; }
 
-  // Threshold marking is exactly the kThresholdMark fast-path family:
-  // discs inline the comparison and skip the virtual hooks per packet.
-  AqmFastPath fast_path() const override { return AqmFastPath::kThresholdMark; }
-  std::uint64_t fast_path_threshold() const override {
-    return threshold_bytes_;
-  }
-
  private:
   std::uint64_t threshold_bytes_;
 };

@@ -5,7 +5,7 @@
 // flows in FlowKeyLess order, and the event ring oldest-first — so a trace
 // of a fixed-seed run is byte-identical across runs and --jobs values.
 // Writing files is the caller's job (the CLI and benches go through
-// runner::WriteJsonFile); this layer only builds strings.
+// runner::WriteTextFile); this layer only builds strings.
 #ifndef ECNSHARP_HARNESS_TRACE_EXPORT_H_
 #define ECNSHARP_HARNESS_TRACE_EXPORT_H_
 

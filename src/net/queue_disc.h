@@ -34,17 +34,6 @@ struct QueueSnapshot {
   std::uint64_t bytes = 0;
 };
 
-// Classification of an AQM policy's hot-path behaviour, so queue discs can
-// inline the per-packet work of simple policies instead of paying two
-// virtual calls per packet.
-//
-//  * kGeneric       — the disc must call AllowEnqueue / OnDequeue.
-//  * kThresholdMark — the policy is exactly "CE-mark when queue bytes
-//    including this packet exceed fast_path_threshold(); never drop; no
-//    dequeue hook" (DCTCP-RED). The disc may inline that comparison and
-//    skip both virtual calls; behaviour is byte-identical by contract.
-enum class AqmFastPath : std::uint8_t { kGeneric, kThresholdMark };
-
 class AqmPolicy {
  public:
   virtual ~AqmPolicy() = default;
@@ -70,13 +59,6 @@ class AqmPolicy {
   }
 
   virtual std::string name() const = 0;
-
-  // See AqmFastPath. Policies whose per-packet work is expressible as one of
-  // the fast-path families advertise it here; everything else stays generic.
-  virtual AqmFastPath fast_path() const { return AqmFastPath::kGeneric; }
-  // For kThresholdMark: the byte threshold K. Re-queried by discs after any
-  // reconfiguration that changes it.
-  virtual std::uint64_t fast_path_threshold() const { return 0; }
 };
 
 struct QueueDiscStats {

@@ -4,9 +4,8 @@
 
 namespace ecnsharp::runner {
 
-JobResult RunJob(const JobSpec& spec, std::size_t index) {
+JobResult RunJob(const JobSpec& spec) {
   JobResult result;
-  result.index = index;
   result.name = spec.name;
   const auto start = std::chrono::steady_clock::now();
   result.result = RunExperiment(spec.config);

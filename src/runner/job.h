@@ -9,7 +9,6 @@
 #ifndef ECNSHARP_RUNNER_JOB_H_
 #define ECNSHARP_RUNNER_JOB_H_
 
-#include <cstddef>
 #include <string>
 
 #include "harness/experiment.h"
@@ -23,7 +22,6 @@ struct JobSpec {
 };
 
 struct JobResult {
-  std::size_t index = 0;  // position of the spec in the submitted list
   std::string name;
   ExperimentOutcome result;
   // Wall-clock seconds the job took (progress/ETA only; never exported).
@@ -31,8 +29,8 @@ struct JobResult {
 };
 
 // Runs the experiment described by `spec` synchronously on the calling
-// thread and returns its result (with `index` echoed back).
-JobResult RunJob(const JobSpec& spec, std::size_t index);
+// thread and returns its result.
+JobResult RunJob(const JobSpec& spec);
 
 // Typed accessors: fabric jobs yield an ExperimentResult, incast jobs an
 // IncastResult. Calling the wrong one aborts (programming error — the

@@ -1,6 +1,5 @@
 #include "runner/json_export.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -32,7 +31,14 @@ Json SweepToJson(const std::string& sweep_name,
       .Set("jobs", std::move(jobs));
 }
 
-bool WriteJsonFile(const std::string& path, const Json& doc) {
+std::string ResultsPath(const std::string& file) {
+  if (EnvFlag("ECNSHARP_NO_JSON")) return "";
+  const char* dir = std::getenv("ECNSHARP_RESULTS_DIR");
+  return std::string(dir == nullptr || *dir == '\0' ? "results" : dir) + "/" +
+         file;
+}
+
+bool WriteTextFile(const std::string& path, const std::string& text) {
   std::error_code ec;
   const std::filesystem::path target(path);
   if (target.has_parent_path()) {
@@ -41,29 +47,8 @@ bool WriteJsonFile(const std::string& path, const Json& doc) {
   }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
-  out << doc.Dump();
+  out << text;
   return static_cast<bool>(out);
-}
-
-bool WriteSweepJson(const std::string& path, const std::string& sweep_name,
-                    const std::vector<JobSpec>& specs,
-                    const std::vector<JobResult>& results) {
-  return WriteJsonFile(path, SweepToJson(sweep_name, specs, results));
-}
-
-std::string ExportSweep(const std::string& sweep_name,
-                        const std::vector<JobSpec>& specs,
-                        const std::vector<JobResult>& results) {
-  if (EnvFlag("ECNSHARP_NO_JSON")) return "";
-  const char* dir_env = std::getenv("ECNSHARP_RESULTS_DIR");
-  const std::string dir =
-      (dir_env == nullptr || *dir_env == '\0') ? "results" : dir_env;
-  const std::string path = dir + "/" + sweep_name + ".json";
-  if (!WriteSweepJson(path, sweep_name, specs, results)) {
-    std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
-    return "";
-  }
-  return path;
 }
 
 }  // namespace ecnsharp::runner

@@ -1,7 +1,7 @@
 // Structured JSON export of sweep results.
 //
-// Every sweep run through bench_common's RunSweep (or the CLI's --sweep)
-// lands in results/<sweep>.json next to the human-readable tables, so
+// Every sweep run through runner::RunSweep (every bench and the CLI) lands
+// in results/<sweep>.json next to the human-readable tables, so
 // plotting/regression tooling never has to scrape stdout. Schema (version
 // 1):
 //
@@ -30,31 +30,21 @@
 
 namespace ecnsharp::runner {
 
-// Writes any JSON document to `path`, creating parent directories. Returns
-// false on I/O error. Used by perf benches (BENCH_core.json) as well as the
-// sweep exporters below.
-bool WriteJsonFile(const std::string& path, const Json& doc);
+// Writes `text` to `path` (truncating), creating parent directories.
+// Returns false on I/O error. The one file writer behind every export: sweep
+// JSON, trace JSON/CSV, sketch JSON, and the perf benches' BENCH_*.json.
+bool WriteTextFile(const std::string& path, const std::string& text);
+
+// Where a result file named `file` goes: <dir>/<file>, with <dir> from
+// ECNSHARP_RESULTS_DIR (default "results" when unset or empty). Returns an
+// empty string when ECNSHARP_NO_JSON=1 disables result files.
+std::string ResultsPath(const std::string& file);
 
 // Builds the schema-version-1 document for a completed sweep. `specs` and
 // `results` must be parallel arrays (as produced by RunJobs).
 Json SweepToJson(const std::string& sweep_name,
                  const std::vector<JobSpec>& specs,
                  const std::vector<JobResult>& results);
-
-// Writes the document to `path`, creating parent directories. Returns false
-// on I/O error.
-bool WriteSweepJson(const std::string& path, const std::string& sweep_name,
-                    const std::vector<JobSpec>& specs,
-                    const std::vector<JobResult>& results);
-
-// Convenience used by the benches: writes <dir>/<sweep_name>.json where
-// <dir> is ECNSHARP_RESULTS_DIR (default "results"). Setting
-// ECNSHARP_NO_JSON=1 disables the export. Returns the path written, or an
-// empty string when disabled or on error (a warning goes to stderr on
-// error).
-std::string ExportSweep(const std::string& sweep_name,
-                        const std::vector<JobSpec>& specs,
-                        const std::vector<JobResult>& results);
 
 }  // namespace ecnsharp::runner
 

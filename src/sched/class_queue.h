@@ -7,9 +7,8 @@
 // class does per packet lives here, once:
 //
 //  * overflow/pool admission (Admit);
-//  * enqueue-time marking — the inlined AqmFastPath::kThresholdMark compare
-//    or the generic AllowEnqueue hook, whose veto releases the admission
-//    reservation — and the append (Accept);
+//  * enqueue-time marking — the AllowEnqueue hook, whose veto releases the
+//    admission reservation — and the append (Accept);
 //  * pop with the sojourn-time OnDequeue hook (Pop);
 //  * pop-then-notify purge.
 //
@@ -45,10 +44,6 @@ class ClassQueue {
   void Attach(std::unique_ptr<AqmPolicy> aqm, BufferPolicy* pool,
               std::uint8_t priority) {
     aqm_ = std::move(aqm);
-    // Thresholds are fixed at construction, so the verdict is cached.
-    threshold_mark_ =
-        aqm_ != nullptr && aqm_->fast_path() == AqmFastPath::kThresholdMark;
-    threshold_ = threshold_mark_ ? aqm_->fast_path_threshold() : 0;
     pool_ = pool;
     if (pool != nullptr) pool_queue_ = pool->RegisterQueue(priority);
   }
@@ -76,8 +71,6 @@ class ClassQueue {
 
   PacketRing ring_;
   std::unique_ptr<AqmPolicy> aqm_;
-  bool threshold_mark_ = false;  // AqmFastPath::kThresholdMark, inlined
-  std::uint64_t threshold_ = 0;
   BufferPolicy* pool_ = nullptr;  // non-owning; null = static capacity
   std::size_t pool_queue_ = 0;    // this class's queue id with the pool
   std::uint32_t packets_ = 0;
@@ -153,13 +146,8 @@ class ClassQueueDisc : public QueueDisc {
   // if the AQM vetoed the packet (its reservation is released).
   bool Accept(ClassQueue& cls, std::unique_ptr<Packet>&& pkt, Time now) {
     const bool was_ce = pkt->IsCeMarked();
-    if (cls.threshold_mark_) {
-      // Inlined kThresholdMark contract: CE-mark when occupancy including
-      // this packet exceeds K, never drop. Identical to running
-      // AqmPolicy::AllowEnqueue on a threshold marker.
-      if (cls.bytes_ + pkt->size_bytes > cls.threshold_) pkt->MarkCe();
-    } else if (cls.aqm_ != nullptr &&
-               !cls.aqm_->AllowEnqueue(*pkt, cls.Snapshot(), now)) {
+    if (cls.aqm_ != nullptr &&
+        !cls.aqm_->AllowEnqueue(*pkt, cls.Snapshot(), now)) {
       ++stats_.dropped_aqm;
       cls.Release(pkt->size_bytes);
       if (tracer_ != nullptr) tracer_->OnDrop(*pkt, now, DropReason::kAqm);
@@ -184,8 +172,7 @@ class ClassQueueDisc : public QueueDisc {
     ++stats_.dequeued;
     const Time sojourn = now - pkt->enqueue_time;
     if (tracer_ != nullptr) tracer_->OnDequeue(*pkt, now, Total(), sojourn);
-    // kThresholdMark policies have no dequeue hook by contract.
-    if (cls.aqm_ != nullptr && !cls.threshold_mark_) {
+    if (cls.aqm_ != nullptr) {
       const bool was_ce = pkt->IsCeMarked();
       cls.aqm_->OnDequeue(*pkt, cls.Snapshot(), now, sojourn);
       CountMark(*pkt, was_ce, now);

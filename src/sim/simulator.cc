@@ -18,74 +18,13 @@ constexpr std::uint64_t PackId(std::uint32_t slot, std::uint32_t gen) {
 
 }  // namespace
 
-// Capacity recycled between Simulator instances on the same thread. Sweeps
-// construct one Simulator per experiment on a worker thread; adopting the
-// previous instance's bucket vectors, slot array, pinned chunks, and free
-// lists means only the first experiment grows them.
-struct Simulator::Storage {
-  std::vector<std::vector<HeapEntry>> buckets;
-  std::vector<HeapEntry> far;
-  std::vector<Slot> slots;
-  std::vector<std::uint32_t> free_slots;
-  std::vector<std::unique_ptr<PinnedSlot[]>> pinned_chunks;
-  std::vector<std::uint32_t> free_pinned;
-};
+Simulator::Simulator() : buckets_(kWheelBuckets) {}
 
-Simulator::Storage& Simulator::ThreadStorageCache() {
-  thread_local Storage cache;
-  return cache;
-}
-
-Simulator::Simulator() {
-  Storage& cache = ThreadStorageCache();
-  buckets_.swap(cache.buckets);
-  far_.swap(cache.far);
-  slots_.swap(cache.slots);
-  free_slots_.swap(cache.free_slots);
-  pinned_chunks_.swap(cache.pinned_chunks);
-  free_pinned_.swap(cache.free_pinned);
-  buckets_.resize(kWheelBuckets);
-  for (auto& b : buckets_) b.clear();
-  far_.clear();
-  free_slots_.clear();
-  free_pinned_.clear();
-  // Recycled slots keep their generation counters (ids never cross
-  // Simulator instances, so stale tags are harmless) but start logically
-  // empty: every recycled slot re-enters the free list.
-  free_slots_.reserve(slots_.size());
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()) - 1 - i);
-  }
-  pinned_count_ = 0;
-  wheel_count_ = 0;
-}
-
+// Callbacks are destroyed while every member is still intact: a captured
+// object's destructor may cancel its own events (a Timer does).
 Simulator::~Simulator() {
   for (auto& s : slots_) s.fn = nullptr;
-  for (std::uint32_t i = 0; i < pinned_count_; ++i) {
-    PinnedSlot& p = pinned(i);
-    p.fn = nullptr;
-    p.armed = false;
-  }
-  for (auto& b : buckets_) b.clear();
-  far_.clear();
-  free_slots_.clear();
-  free_pinned_.clear();
-  Storage& cache = ThreadStorageCache();
-  if (buckets_.size() >= cache.buckets.size()) buckets_.swap(cache.buckets);
-  if (far_.capacity() > cache.far.capacity()) {
-    far_.swap(cache.far);
-  }
-  if (slots_.size() > cache.slots.size()) slots_.swap(cache.slots);
-  if (free_slots_.capacity() > cache.free_slots.capacity()) {
-    free_slots_.swap(cache.free_slots);
-  }
-  if (pinned_chunks_.size() > cache.pinned_chunks.size()) {
-    pinned_chunks_.swap(cache.pinned_chunks);
-  }
-  if (free_pinned_.capacity() > cache.free_pinned.capacity()) {
-    free_pinned_.swap(cache.free_pinned);
-  }
+  for (std::uint32_t i = 0; i < pinned_count_; ++i) pinned(i).fn = nullptr;
 }
 
 void Simulator::Push(const HeapEntry& e) {

@@ -24,9 +24,8 @@
 // an O(1) generation-tag bump (no hash-set bookkeeping). Recurring events
 // (egress serialization, wire arrivals) can be *pinned*: the callback is
 // registered once in chunk-stable storage and re-armed per occurrence, so a
-// million packet transmissions build zero closures. Slot, heap, and
-// free-list storage is recycled across Simulator instances on the same
-// thread, so the Nth experiment of a sweep pays no warm-up allocations.
+// million packet transmissions build zero closures. Each Simulator owns its
+// storage outright: nothing is cached across instances or threads.
 #ifndef ECNSHARP_SIM_SIMULATOR_H_
 #define ECNSHARP_SIM_SIMULATOR_H_
 
@@ -177,10 +176,6 @@ class Simulator {
   static constexpr std::uint32_t kPinnedChunkShift = 6;
   static constexpr std::uint32_t kPinnedChunkSize = 1u << kPinnedChunkShift;
   static constexpr std::uint32_t kPinnedChunkMask = kPinnedChunkSize - 1;
-
-  struct Storage;  // thread-local capacity cache, defined in simulator.cc
-
-  static Storage& ThreadStorageCache();
 
   PinnedSlot& pinned(std::uint32_t i) {
     return pinned_chunks_[i >> kPinnedChunkShift][i & kPinnedChunkMask];

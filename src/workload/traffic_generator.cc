@@ -25,6 +25,11 @@ TrafficGenerator::TrafficGenerator(
     FatalConfigError("traffic load must be finite and > 0, got " +
                      std::to_string(config_.load));
   }
+  // Above 1 every flow would silently run CUBIC; NaN, none.
+  if (!(config_.cubic_fraction >= 0.0 && config_.cubic_fraction <= 1.0)) {
+    FatalConfigError("cubic_fraction must be in [0, 1], got " +
+                     std::to_string(config_.cubic_fraction));
+  }
 }
 
 double TrafficGenerator::ArrivalRate() const {

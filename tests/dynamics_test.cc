@@ -649,7 +649,7 @@ TEST(DynamicDumbbellTest, StaticConfigReportsNoDynamics) {
   // dynamics keys).
   const std::string dump = runner::SweepToJson(
       "static", {{"static", config}},
-      {runner::RunJob({"static", config}, 0)}).Dump();
+      {runner::RunJob({"static", config})}).Dump();
   EXPECT_EQ(dump.find("\"scenario\""), std::string::npos);
   EXPECT_EQ(dump.find("\"injected_drops\""), std::string::npos);
 }
@@ -711,7 +711,7 @@ TEST(DynamicLeafSpineTest, ScenarioLandsInExportedRecord) {
   const LeafSpineExperimentConfig config = SmallDynamicLeafSpineConfig();
   const std::string dump = runner::SweepToJson(
       "lsdyn", {{"lsdyn", config}},
-      {runner::RunJob({"lsdyn", config}, 0)}).Dump();
+      {runner::RunJob({"lsdyn", config})}).Dump();
   EXPECT_NE(dump.find("\"topology\": \"leafspine\""), std::string::npos);
   EXPECT_NE(dump.find("\"scenario\""), std::string::npos);
   EXPECT_NE(dump.find("\"scenario_actions\""), std::string::npos);

@@ -321,6 +321,20 @@ TEST(ConfigValidationDeathTest, NonPositiveLoadExits) {
   }
 }
 
+// The CUBIC share of a mixed-CC run is a probability; 2 used to run every
+// flow on CUBIC and NaN none, both silently.
+TEST(ConfigValidationDeathTest, OutOfRangeCubicFractionExits) {
+  for (const double mix : {2.0, -0.5, std::nan("")}) {
+    EXPECT_EXIT(
+        {
+          DumbbellExperimentConfig config;
+          config.cc_mix = mix;
+          RunDumbbell(config);
+        },
+        testing::ExitedWithCode(2), "cubic_fraction must be in \\[0, 1\\]");
+  }
+}
+
 TEST(ConfigValidationDeathTest, SubUnitDumbbellRttVariationExits) {
   for (const double variation : {0.0, -3.0, 0.5, std::nan("")}) {
     EXPECT_EXIT(

@@ -1,5 +1,5 @@
-// Runner subsystem tests: thread pool, ordered collection, determinism
-// across worker counts, same-seed reproducibility, and JSON export.
+// Runner subsystem tests: ordered collection, determinism across worker
+// counts, same-seed reproducibility, and JSON export.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,57 +15,47 @@
 #include "runner/job.h"
 #include "runner/json_export.h"
 #include "runner/sweep.h"
-#include "runner/thread_pool.h"
 #include "sim/simulator.h"
 
 namespace ecnsharp {
 namespace {
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  runner::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  runner::ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    runner::ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(count.load(), 20);
-}
-
+// Covers an empty map (no worker may start: fn must never run) and more
+// workers than items (the surplus is capped away).
 TEST(ParallelMapTest, ResultsAreInIndexOrderRegardlessOfJobs) {
   const auto fn = [](std::size_t i) { return i * i + 7; };
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-    runner::SweepOptions options;
-    options.jobs = jobs;
-    options.progress = false;
-    const std::vector<std::size_t> out = runner::ParallelMap(32, fn, options);
-    ASSERT_EQ(out.size(), 32u);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(out[i], i * i + 7) << "jobs=" << jobs << " i=" << i;
+  for (const std::size_t count : {std::size_t{0}, std::size_t{3},
+                                  std::size_t{32}}) {
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
+      runner::SweepOptions options;
+      options.jobs = jobs;
+      options.progress = false;
+      const std::vector<std::size_t> out =
+          runner::ParallelMap(count, fn, options);
+      ASSERT_EQ(out.size(), count);
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(out[i], i * i + 7) << "jobs=" << jobs << " i=" << i;
+      }
     }
   }
+  runner::SweepOptions options;
+  options.jobs = 8;
+  EXPECT_EQ(runner::WorkerCount(options, 0), 0u);
+  EXPECT_EQ(runner::WorkerCount(options, 3), 3u);
+  std::atomic<int> calls{0};
+  runner::ParallelMap(0, [&calls](std::size_t) { return ++calls; }, options);
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ParallelMapTest, RethrowsAWorkerExceptionAfterJoining) {
+  runner::SweepOptions options;
+  options.jobs = 4;
+  options.progress = false;
+  const auto fn = [](std::size_t i) {
+    if (i == 5) throw std::runtime_error("job 5 failed");
+    return i;
+  };
+  EXPECT_THROW(runner::ParallelMap(16, fn, options), std::runtime_error);
 }
 
 std::vector<runner::JobSpec> SmallDumbbellSweep() {
@@ -102,8 +93,6 @@ TEST(RunJobsTest, Jobs1AndJobs8ProduceIdenticalResults) {
   ASSERT_EQ(r1.size(), specs.size());
   ASSERT_EQ(r8.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(r1[i].index, i);
-    EXPECT_EQ(r8[i].index, i);
     EXPECT_EQ(r1[i].name, specs[i].name);
     EXPECT_EQ(r8[i].name, specs[i].name);
   }
@@ -120,8 +109,8 @@ TEST(RunJobsTest, RepeatedSameSeedRunDumbbellIsBitwiseEqual) {
   config.seed = 7;
   const runner::JobSpec spec{"repeat", config};
 
-  const runner::JobResult a = runner::RunJob(spec, 0);
-  const runner::JobResult b = runner::RunJob(spec, 0);
+  const runner::JobResult a = runner::RunJob(spec);
+  const runner::JobResult b = runner::RunJob(spec);
   const ExperimentResult& ra = runner::FctResult(a);
   const ExperimentResult& rb = runner::FctResult(b);
   EXPECT_EQ(ToJson(ra).Dump(), ToJson(rb).Dump());
@@ -144,8 +133,8 @@ TEST(JsonExportTest, WritesParsableFileWithSchemaFields) {
       std::filesystem::temp_directory_path() / "ecnsharp_runner_test" /
       "export.json";
   std::filesystem::remove_all(path.parent_path());
-  ASSERT_TRUE(
-      runner::WriteSweepJson(path.string(), "unit", specs, results));
+  ASSERT_TRUE(runner::WriteTextFile(
+      path.string(), runner::SweepToJson("unit", specs, results).Dump()));
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

@@ -797,7 +797,7 @@ TEST(SchedulerGoldenTest, DwrrMqEcn) {
       {18261262052643292387ull, 8610, 1898, 463, 121, 83});
 }
 
-// DCTCP-RED classes take the inlined threshold-mark fast path.
+// DCTCP-RED classes: threshold marking through AllowEnqueue.
 TEST(SchedulerGoldenTest, DwrrDctcpRedPerClass) {
   const std::uint64_t k = SchedulerKBytes();
   ExpectSchedGolden(

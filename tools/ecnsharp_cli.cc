@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -317,13 +316,9 @@ void PrintFctResult(const ExperimentResult& r) {
 // a sweep over the same point would export.
 ExperimentOutcome RunSingleViaRunner(const Flags& flags, Scheme scheme,
                                      const ExperimentConfig& config) {
-  const std::string name = flags.Get("name", "cli_run");
-  const std::vector<runner::JobSpec> specs = {
-      {std::string(SchemeName(scheme)), config}};
-  runner::SweepOptions options;
-  options.label = name;
-  std::vector<runner::JobResult> results = runner::RunJobs(specs, options);
-  runner::ExportSweep(name, specs, results);
+  std::vector<runner::JobResult> results =
+      runner::RunSweep(flags.Get("name", "cli_run"),
+                       {{std::string(SchemeName(scheme)), config}});
   return std::move(results[0].result);
 }
 
@@ -342,21 +337,8 @@ void ExportTraceOrDie(const Flags& flags,
       flags.Get("trace-out", "results/" + name + "_trace.json");
   const bool csv =
       path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  bool ok = false;
-  if (csv) {
-    const std::filesystem::path parent =
-        std::filesystem::path(path).parent_path();
-    std::error_code ec;
-    if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (out) {
-      out << TraceToCsv(*trace);
-      ok = out.good();
-    }
-  } else {
-    ok = runner::WriteJsonFile(path, TraceToJson(*trace));
-  }
-  if (!ok) {
+  if (!runner::WriteTextFile(path, csv ? TraceToCsv(*trace)
+                                       : TraceToJson(*trace).Dump())) {
     std::fprintf(stderr, "cannot write --trace-out file '%s'\n", path.c_str());
     std::exit(1);
   }
@@ -379,8 +361,8 @@ void ExportSketchOrDie(const Flags& flags,
   const std::string name = flags.Get("name", "cli_run");
   const std::string path =
       flags.Get("sketch-out", "results/" + name + "_sketch.json");
-  if (!runner::WriteJsonFile(path,
-                             SketchToJson(*sketch, sketch->last_update()))) {
+  if (!runner::WriteTextFile(
+          path, SketchToJson(*sketch, sketch->last_update()).Dump())) {
     std::fprintf(stderr, "cannot write --sketch-out file '%s'\n",
                  path.c_str());
     std::exit(1);
@@ -704,13 +686,11 @@ int RunSweepMode(const Flags& flags, const std::string& topo,
   const std::string name = flags.Get("name", "cli_sweep");
   runner::SweepOptions options;
   options.jobs = static_cast<std::size_t>(flags.GetU64("jobs", 0));
-  options.label = name;
   PrintBanner("sweep / " + topo + " / " +
               std::string(SchemeName(common.scheme)) + " — " +
               std::to_string(specs.size()) + " jobs");
   const std::vector<runner::JobResult> results =
-      runner::RunJobs(specs, options);
-  runner::ExportSweep(name, specs, results);
+      runner::RunSweep(name, specs, options);
 
   if (topo == "incast") {
     TablePrinter table({"point", "standing q(pkts)", "peak q(pkts)", "drops",
