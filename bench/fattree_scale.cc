@@ -157,8 +157,12 @@ int main() {
   Json gate_metrics = Json::Object();
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const ExperimentResult r = runner::FctResult(sweep[i]);
+    // Appended, not `"k" + std::string`: GCC 12 at -O3 flags that with a
+    // false -Wrestrict.
+    std::string point = "k";
+    point += std::to_string(ks[i]);
     gate_metrics.Set(
-        "k" + std::to_string(ks[i]),
+        point,
         Json::Object()
             .Set("hosts", Json::UInt(host_counts[i]))
             .Set("sim_seconds", Json::Num(r.sim_seconds))

@@ -35,8 +35,10 @@ int main() {
       config.rtt_variation = k;
       config.base_rtt = base_rtt;
       config.seed = seed + static_cast<std::uint64_t>(run);
-      const std::string suffix = "@" + TP::Fmt(k, 0) + "x/run" +
-                                 std::to_string(run);
+      // Appended piecewise: GCC 12 at -O3 flags `"@" + std::string` with a
+      // false -Wrestrict.
+      std::string suffix = "@";
+      suffix += TP::Fmt(k, 0) + "x/run" + std::to_string(run);
       config.scheme = Scheme::kDctcpRedAvg;
       specs.push_back({"avg" + suffix, config});
       config.scheme = Scheme::kDctcpRedTail;

@@ -34,8 +34,10 @@ int main() {
       config.rtt_variation = k;
       config.base_rtt = base_rtt;
       config.seed = seed;
-      const std::string suffix = "@" + TP::Fmt(k, 0) + "x/" +
-                                 std::to_string(load) + "%";
+      // Appended piecewise: GCC 12 at -O3 flags `"@" + std::string` with a
+      // false -Wrestrict.
+      std::string suffix = "@";
+      suffix += TP::Fmt(k, 0) + "x/" + std::to_string(load) + "%";
       config.scheme = Scheme::kEcnSharp;
       specs.push_back({"ecn-sharp" + suffix, config});
       config.scheme = Scheme::kDctcpRedTail;

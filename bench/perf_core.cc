@@ -153,7 +153,7 @@ Metric PacketPathSketch(std::uint64_t packets) {
   const std::uint16_t site = telemetry.RegisterSite("bench");
 
   FifoQueueDisc disc(1ull << 30, std::make_unique<DctcpRedAqm>(250'000));
-  disc.SetTracer(telemetry.PortTap(site));
+  disc.AddTracer(telemetry.PortTap(site));
   Time now = Time::Zero();
   const auto start = Clock::now();
   for (std::uint64_t i = 0; i < packets; ++i) {

@@ -132,43 +132,28 @@ void ExperimentSession::Bind(Topology& topo) {
   }
   if (recorder_ != nullptr || telemetry_ != nullptr) {
     // One site per bottleneck port, in bottleneck order (labels and site
-    // ids are therefore deterministic for a given topology). When both
-    // observers are on, a TeeTracer shares the port's single tracer slot.
+    // ids are therefore deterministic for a given topology). Each port and
+    // host stack lists the recorder first, then the telemetry.
     for (std::size_t b = 0; b < topo.bottleneck_count(); ++b) {
       EgressPort& port = topo.bottleneck(b);
       const std::string label = "bottleneck" + std::to_string(b);
-      PacketTracer* trace_tap = nullptr;
-      PacketTracer* sketch_tap = nullptr;
+      site_ports_.push_back(&port);
       if (recorder_ != nullptr) {
-        trace_tap = recorder_->PortTap(recorder_->RegisterSite(label));
+        port.AddTracer(recorder_->PortTap(recorder_->RegisterSite(label)));
       }
       if (telemetry_ != nullptr) {
         const std::uint16_t site = telemetry_->RegisterSite(label);
-        sketch_tap = telemetry_->PortTap(site);
+        port.AddTracer(telemetry_->PortTap(site));
         // Border ports of a composed fabric annotate their WAN base RTT;
         // seed the sketch's histogram so sketch-driven re-estimation covers
         // the inter-DC paths from the first epoch.
         const Time hint = port.base_rtt_hint();
         if (hint > Time::Zero()) telemetry_->SetSiteBaseRtt(site, hint);
       }
-      if (trace_tap != nullptr && sketch_tap != nullptr) {
-        tee_taps_.emplace_back(trace_tap, sketch_tap);
-        port.SetTracer(&tee_taps_.back());
-      } else {
-        port.SetTracer(trace_tap != nullptr ? trace_tap : sketch_tap);
-      }
-    }
-    TransportTracer* transport = nullptr;
-    if (recorder_ != nullptr && telemetry_ != nullptr) {
-      tee_transport_.emplace(recorder_.get(), telemetry_.get());
-      transport = &*tee_transport_;
-    } else if (recorder_ != nullptr) {
-      transport = recorder_.get();
-    } else {
-      transport = telemetry_.get();
     }
     for (std::size_t i = 0; i < topo.host_count(); ++i) {
-      topo.stack(i).SetTransportTracer(transport);
+      topo.stack(i).AddTransportTracer(recorder_.get());
+      topo.stack(i).AddTransportTracer(telemetry_.get());
     }
   }
 
@@ -281,6 +266,13 @@ void ExperimentSession::Run(std::function<bool()> extra_pending) {
   };
   while (work_pending() && sim().Now() < config_.max_sim_time) {
     lanes_.Run(sim().Now() + Time::Milliseconds(10), config_.lane_window);
+  }
+  // The taps count nothing: each site reads its port's own counters.
+  for (std::size_t s = 0; s < site_ports_.size(); ++s) {
+    const PortCounts counts = site_ports_[s]->counts();
+    const auto site = static_cast<std::uint16_t>(s);
+    if (recorder_ != nullptr) recorder_->SetSiteCounts(site, counts);
+    if (telemetry_ != nullptr) telemetry_->SetSiteCounts(site, counts);
   }
 }
 

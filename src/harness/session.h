@@ -20,17 +20,15 @@
 #define ECNSHARP_HARNESS_SESSION_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "dynamics/scenario.h"
 #include "dynamics/scenario_engine.h"
 #include "harness/experiment.h"
-#include "net/packet_tracer.h"
+#include "net/egress_port.h"
 #include "sim/lane_executor.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -40,7 +38,6 @@
 #include "topo/rtt_variation.h"
 #include "topo/topology.h"
 #include "trace/trace_config.h"
-#include "trace/transport_tracer.h"
 #include "workload/empirical_cdf.h"
 #include "workload/traffic_generator.h"
 
@@ -85,7 +82,7 @@ struct ExperimentSessionConfig {
 
   // Optional sketch telemetry: when enabled, Bind() creates one
   // SketchTelemetry and taps the same bottleneck ports and host stacks
-  // (tee'd with the flight recorder when both are on).
+  // (beside the flight recorder when both are on).
   SketchConfig sketch;
 
   // Which measurement source ECN# re-estimation actions read. kSketch
@@ -128,7 +125,8 @@ class ExperimentSession {
   // Starts the generator (if any) and runs every lane in 10 ms slices until
   // the workload has drained, every scheduled scenario occurrence has fired,
   // every burst flow has completed, and `extra_pending` (if given) returns
-  // false — or the max_sim_time safety cap trips.
+  // false — or the max_sim_time safety cap trips. On return, every trace
+  // and sketch site holds a copy of its port's counts.
   void Run(std::function<bool()> extra_pending = nullptr);
 
   // Uniform metrics fill. Queue-occupancy fields are only populated when
@@ -154,10 +152,8 @@ class ExperimentSession {
   // (declaration order in the runners guarantees this).
   std::shared_ptr<TraceRecorder> recorder_;
   std::shared_ptr<SketchTelemetry> telemetry_;
-  // Tee glue when recorder and telemetry share a tracer slot; deque/optional
-  // for stable addresses, same lifetime rules as the recorder taps.
-  std::deque<TeeTracer> tee_taps_;
-  std::optional<TeeTransportTracer> tee_transport_;
+  // The port behind each trace/sketch site, indexed by site id.
+  std::vector<EgressPort*> site_ports_;
   Topology* topo_ = nullptr;
   // Scenario incast-burst bookkeeping: burst flows complete into the same
   // collector as the workload's, and Run() waits for them.

@@ -29,16 +29,16 @@ Json SketchToJson(const SketchTelemetry& telemetry, Time now) {
   Json sites = Json::Array();
   for (std::size_t s = 0; s < telemetry.site_count(); ++s) {
     const std::uint16_t site = static_cast<std::uint16_t>(s);
-    const SketchSiteCounters& counters = telemetry.site_counters(site);
+    const PortCounts& counts = telemetry.site_counts(site);
     const QueueOccupancyEwma& ewma = telemetry.queue_ewma(site);
     Json row = Json::Object();
     row.Set("label", Json::Str(telemetry.site_label(site)));
-    row.Set("enqueued", Json::UInt(counters.enqueued));
-    row.Set("enqueued_bytes", Json::UInt(counters.enqueued_bytes));
-    row.Set("dequeued", Json::UInt(counters.dequeued));
-    row.Set("transmitted", Json::UInt(counters.transmitted));
-    row.Set("marks", Json::UInt(counters.marks));
-    row.Set("drops", Json::UInt(counters.drops));
+    row.Set("enqueued", Json::UInt(counts.disc.enqueued));
+    row.Set("enqueued_bytes", Json::UInt(telemetry.site_enqueued_bytes(site)));
+    row.Set("dequeued", Json::UInt(counts.disc.dequeued));
+    row.Set("transmitted", Json::UInt(counts.port.tx_packets));
+    row.Set("marks", Json::UInt(counts.disc.ce_marked));
+    row.Set("drops", Json::UInt(counts.dropped_total()));
     row.Set("ewma_packets", Json::Num(ewma.ewma_packets()));
     row.Set("ewma_bytes", Json::Num(ewma.ewma_bytes()));
     row.Set("peak_packets", Json::UInt(ewma.peak_packets()));

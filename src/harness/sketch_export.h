@@ -15,9 +15,10 @@
 
 namespace ecnsharp {
 
-// Full telemetry document: config + memory, per-site counters and queue
-// EWMAs, the RTT estimate (quantiles + admission counters), and the
-// heavy-hitter table with rate estimates.
+// Full telemetry document: config + memory, per-site counters (the site's
+// PortCounts plus the sketch's enqueued bytes) and queue EWMAs, the RTT
+// estimate (quantiles + admission counters), and the heavy-hitter table
+// with rate estimates.
 Json SketchToJson(const SketchTelemetry& telemetry, Time now);
 
 }  // namespace ecnsharp

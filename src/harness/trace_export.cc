@@ -71,19 +71,19 @@ Json EventToJson(const TraceEvent& event) {
   return out;
 }
 
-Json SiteCountersToJson(const TraceSiteCounters& counters) {
+Json SiteCountsToJson(const PortCounts& counts) {
   Json drops = Json::Object();
   for (std::size_t r = 0; r < kDropReasons; ++r) {
-    drops.Set(DropReasonName(static_cast<DropReason>(r)),
-              Json::UInt(counters.drops[r]));
+    const auto reason = static_cast<DropReason>(r);
+    drops.Set(DropReasonName(reason), Json::UInt(counts.drops(reason)));
   }
   return Json::Object()
-      .Set("enqueued", Json::UInt(counters.enqueued))
-      .Set("dequeued", Json::UInt(counters.dequeued))
-      .Set("transmitted", Json::UInt(counters.transmitted))
-      .Set("marks", Json::UInt(counters.marks))
-      .Set("purged", Json::UInt(counters.purged))
-      .Set("dropped_total", Json::UInt(counters.DroppedTotal()))
+      .Set("enqueued", Json::UInt(counts.disc.enqueued))
+      .Set("dequeued", Json::UInt(counts.disc.dequeued))
+      .Set("transmitted", Json::UInt(counts.port.tx_packets))
+      .Set("marks", Json::UInt(counts.disc.ce_marked))
+      .Set("purged", Json::UInt(counts.disc.purged))
+      .Set("dropped_total", Json::UInt(counts.dropped_total()))
       .Set("drops", std::move(drops));
 }
 
@@ -119,7 +119,7 @@ Json TraceToJson(const TraceRecorder& trace) {
                      .Set("site", Json::UInt(site))
                      .Set("label", Json::Str(trace.site_label(site)))
                      .Set("counters",
-                          SiteCountersToJson(trace.site_counters(site)));
+                          SiteCountsToJson(trace.site_counts(site)));
     if (config.queue_series) {
       Json depth = Json::Array();
       for (const TraceRecorder::DepthSample& sample :

@@ -16,8 +16,9 @@
 
 namespace ecnsharp {
 
-// Full trace document: config, totals, per-site counters + depth series,
-// per-flow transport series, and the retained event ring.
+// Full trace document: config, totals, per-site counters (the site's
+// PortCounts) + depth series, per-flow transport series, and the retained
+// event ring.
 Json TraceToJson(const TraceRecorder& trace);
 
 // Flat event table: one row per retained ring event with the header

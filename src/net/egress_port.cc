@@ -25,9 +25,9 @@ EgressPort::~EgressPort() { sim_.DestroyPinned(tx_event_); }
 void EgressPort::Enqueue(std::unique_ptr<Packet> pkt) {
   if (!link_up_) {
     counters_.dropped_link_down++;
-    if (tracer_ != nullptr) {
-      tracer_->OnDrop(*pkt, sim_.Now(), DropReason::kLinkDown);
-    }
+    tracers_.Notify([&](PacketTracer& t) {
+      t.OnDrop(*pkt, sim_.Now(), DropReason::kLinkDown);
+    });
     return;
   }
   disc_->Enqueue(std::move(pkt), sim_.Now());
@@ -37,7 +37,7 @@ void EgressPort::Enqueue(std::unique_ptr<Packet> pkt) {
 void EgressPort::LinkDown(bool drop_queued) {
   // No early-out when the link is already down: a second LinkDown with
   // drop_queued=true must still purge whatever backlog accumulated, so the
-  // tracer sees the purge events (a drain-preserving LinkDown followed by a
+  // tracers see the purge events (a drain-preserving LinkDown followed by a
   // purging one used to be a silent no-op).
   //
   // The packet currently being serialized (busy_) was already committed to
@@ -69,9 +69,9 @@ void EgressPort::MaybeStartTx() {
       const auto verdict = fault_->Decide();
       if (verdict == LinkFaultInjector::Verdict::kDrop) {
         counters_.dropped_fault++;
-        if (tracer_ != nullptr) {
-          tracer_->OnDrop(*in_flight_, sim_.Now(), DropReason::kFaultLoss);
-        }
+        tracers_.Notify([&](PacketTracer& t) {
+          t.OnDrop(*in_flight_, sim_.Now(), DropReason::kFaultLoss);
+        });
         in_flight_.reset();
         continue;
       }
@@ -92,8 +92,8 @@ void EgressPort::FinishTx() {
   assert(busy_ && in_flight_ != nullptr && peer_ != nullptr);
   counters_.tx_packets++;
   counters_.tx_bytes += in_flight_->size_bytes;
-  if (in_flight_corrupt_) counters_.corrupted++;
-  if (tracer_ != nullptr) tracer_->OnTransmit(*in_flight_, sim_.Now());
+  tracers_.Notify(
+      [&](PacketTracer& t) { t.OnTransmit(*in_flight_, sim_.Now()); });
   // Hand the packet to the wire: it arrives at the peer after the
   // propagation delay.
   wire_.Push(propagation_delay_, std::move(in_flight_), in_flight_corrupt_);
@@ -104,9 +104,35 @@ void EgressPort::FinishTx() {
 void EgressPort::Deliver(std::unique_ptr<Packet> pkt, bool corrupt) {
   if (!corrupt) {
     peer_->HandlePacket(std::move(pkt));
-  } else if (tracer_ != nullptr) {
-    tracer_->OnDrop(*pkt, sim_.Now(), DropReason::kCorrupt);
+    return;
   }
+  counters_.corrupted++;
+  tracers_.Notify([&](PacketTracer& t) {
+    t.OnDrop(*pkt, sim_.Now(), DropReason::kCorrupt);
+  });
+}
+
+std::uint64_t PortCounts::drops(DropReason reason) const {
+  switch (reason) {
+    case DropReason::kOverflow:
+      return disc.dropped_overflow;
+    case DropReason::kAqm:
+      return disc.dropped_aqm;
+    case DropReason::kLinkDown:
+      return port.dropped_link_down;
+    case DropReason::kPurged:
+      return disc.purged;
+    case DropReason::kFaultLoss:
+      return port.dropped_fault;
+    case DropReason::kCorrupt:
+      return port.corrupted;
+  }
+  return 0;
+}
+
+std::uint64_t PortCounts::dropped_total() const {
+  return disc.dropped_overflow + disc.dropped_aqm + port.dropped_link_down +
+         disc.purged + port.dropped_fault + port.corrupted;
 }
 
 }  // namespace ecnsharp

@@ -44,7 +44,23 @@ struct PortCounters {
   std::uint64_t tx_bytes = 0;
   std::uint64_t dropped_link_down = 0;  // arrived while the link was down
   std::uint64_t dropped_fault = 0;      // injected loss (pre-serialization)
-  std::uint64_t corrupted = 0;          // injected corruption (post-wire)
+  // Injected corruption, counted when the frame fails its CRC at the far
+  // end (a corrupted frame still on the wire is not counted yet).
+  std::uint64_t corrupted = 0;
+};
+
+// Everything one port counts, as of one instant: its queue disc's stats and
+// the port's own counters. Trace and sketch sites hold a copy taken when a
+// session's run returns, so their exports read the owner's counts rather
+// than recounting packets.
+struct PortCounts {
+  QueueDiscStats disc;
+  PortCounters port;
+
+  // Packets this port lost for `reason`.
+  std::uint64_t drops(DropReason reason) const;
+  // Losses over every DropReason, purges included.
+  std::uint64_t dropped_total() const;
 };
 
 class EgressPort {
@@ -68,6 +84,7 @@ class EgressPort {
   DataRate rate() const { return rate_; }
   Time propagation_delay() const { return propagation_delay_; }
   const PortCounters& counters() const { return counters_; }
+  PortCounts counts() const { return PortCounts{disc_->stats(), counters_}; }
 
   // --- Runtime reconfiguration (dynamics hooks) ---------------------------
 
@@ -98,11 +115,12 @@ class EgressPort {
   void set_base_rtt_hint(Time hint) { base_rtt_hint_ = hint; }
   Time base_rtt_hint() const { return base_rtt_hint_; }
 
-  // Optional per-packet tracing (non-owning; null disables). Also forwarded
-  // to the queue disc so drop/mark events on this port are captured.
-  void SetTracer(PacketTracer* tracer) {
-    tracer_ = tracer;
-    disc_->SetTracer(tracer);
+  // Attaches a per-packet observer (non-owning; at most two: the flight
+  // recorder and the sketch telemetry). Also attached to the queue disc so
+  // drop/mark events on this port are captured.
+  void AddTracer(PacketTracer* tracer) {
+    tracers_.Add(tracer);
+    disc_->AddTracer(tracer);
   }
 
  private:
@@ -116,7 +134,7 @@ class EgressPort {
   Time propagation_delay_;
   std::unique_ptr<QueueDisc> disc_;
   PacketSink* peer_ = nullptr;
-  PacketTracer* tracer_ = nullptr;
+  PacketTracerList tracers_;
   LinkFaultInjector* fault_ = nullptr;
   std::unique_ptr<Packet> in_flight_;
   bool in_flight_corrupt_ = false;

@@ -1,9 +1,11 @@
 // Lightweight per-port packet tracing, tcpdump-style.
 //
-// An EgressPort optionally reports every transmitted packet to a tracer;
-// queue discs report drops and CE marks through the same interface, so a
-// dynamics run can audit *where* loss and marking happen (overflow vs AQM
-// veto vs injected fault vs link flap). The TextTracer renders events as one
+// An EgressPort optionally reports every transmitted packet to its tracers
+// (up to two, see PacketTracerList); queue discs report drops and CE marks
+// through the same interface, so a dynamics run can audit *where* loss and
+// marking happen (overflow vs AQM veto vs injected fault vs link flap).
+// Tracers only observe: per-port counts live in the disc's QueueDiscStats
+// and the port's PortCounters. The TextTracer renders events as one
 // line each ("12.345us TX 0->1 seq=1460 len=1500 CE") for debugging and for
 // golden-trace tests.
 #ifndef ECNSHARP_NET_PACKET_TRACER_H_
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "net/packet.h"
+#include "sim/observer_list.h"
 #include "sim/time.h"
 
 namespace ecnsharp {
@@ -75,45 +78,8 @@ class PacketTracer {
   }
 };
 
-// Fans every event out to two tracers, so two observers (e.g. the flight
-// recorder and the sketch telemetry) can share a port's single tracer slot.
-// Either side may be null; both pointers are borrowed.
-class TeeTracer : public PacketTracer {
- public:
-  TeeTracer(PacketTracer* first, PacketTracer* second)
-      : first_(first), second_(second) {}
-
-  void OnTransmit(const Packet& pkt, Time at) override {
-    if (first_ != nullptr) first_->OnTransmit(pkt, at);
-    if (second_ != nullptr) second_->OnTransmit(pkt, at);
-  }
-  void OnDrop(const Packet& pkt, Time at, DropReason reason) override {
-    if (first_ != nullptr) first_->OnDrop(pkt, at, reason);
-    if (second_ != nullptr) second_->OnDrop(pkt, at, reason);
-  }
-  void OnMark(const Packet& pkt, Time at) override {
-    if (first_ != nullptr) first_->OnMark(pkt, at);
-    if (second_ != nullptr) second_->OnMark(pkt, at);
-  }
-  void OnEnqueue(const Packet& pkt, Time at,
-                 const QueueSnapshot& after) override {
-    if (first_ != nullptr) first_->OnEnqueue(pkt, at, after);
-    if (second_ != nullptr) second_->OnEnqueue(pkt, at, after);
-  }
-  void OnDequeue(const Packet& pkt, Time at, const QueueSnapshot& after,
-                 Time sojourn) override {
-    if (first_ != nullptr) first_->OnDequeue(pkt, at, after, sojourn);
-    if (second_ != nullptr) second_->OnDequeue(pkt, at, after, sojourn);
-  }
-  void OnPurge(const Packet& pkt, Time at, const QueueSnapshot& after) override {
-    if (first_ != nullptr) first_->OnPurge(pkt, at, after);
-    if (second_ != nullptr) second_->OnPurge(pkt, at, after);
-  }
-
- private:
-  PacketTracer* first_;
-  PacketTracer* second_;
-};
+// The tracers attached to one port or queue disc.
+using PacketTracerList = ObserverList<PacketTracer>;
 
 // Collects formatted lines in memory (bounded).
 class TextTracer : public PacketTracer {

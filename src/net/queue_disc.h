@@ -83,7 +83,7 @@ class QueueDisc {
   // Drops every queued packet (a flapped port configured to drop its
   // backlog). Shared-buffer reservations are released, drops are counted in
   // stats().purged (NOT dequeued — AQM OnDequeue hooks must not run), and
-  // the tracer sees one OnPurge per packet (default forwards to
+  // each tracer sees one OnPurge per packet (default forwards to
   // OnDrop(kPurged)), with accounting updated before each callback so
   // Snapshot() is consistent mid-purge. Returns the number of packets
   // dropped. The accounting invariant becomes
@@ -103,13 +103,14 @@ class QueueDisc {
     return nullptr;
   }
 
-  // Optional drop/mark tracing (non-owning; null disables). Ports forward
-  // their tracer here so one SetTracer on the port covers the whole path.
-  void SetTracer(PacketTracer* tracer) { tracer_ = tracer; }
+  // Attaches a drop/mark/queue observer (non-owning; at most two). Ports
+  // forward their tracers here so one AddTracer on the port covers the
+  // whole path.
+  void AddTracer(PacketTracer* tracer) { tracers_.Add(tracer); }
 
  protected:
   QueueDiscStats stats_;
-  PacketTracer* tracer_ = nullptr;
+  PacketTracerList tracers_;
 };
 
 // Builds one switch egress queue disc, given the owning switch chip's

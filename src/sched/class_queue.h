@@ -12,7 +12,7 @@
 //  * pop with the sojourn-time OnDequeue hook (Pop);
 //  * pop-then-notify purge.
 //
-// AQMs see their class's snapshot; the tracer sees the disc-wide Snapshot().
+// AQMs see their class's snapshot; tracers see the disc-wide Snapshot().
 //
 // Hot-path layout: the backlog lives in a PacketRing (contiguous raw
 // pointers), the depth/byte counters are plain members beside it, and the
@@ -87,7 +87,7 @@ class ClassQueueDisc : public QueueDisc {
   QueueSnapshot Snapshot() const override { return Total(); }
 
   // Pop-then-notify: class, pool and disc accounting exclude each packet
-  // before its tracer callback, so Snapshot() is consistent mid-purge.
+  // before its tracer callbacks, so Snapshot() is consistent mid-purge.
   std::uint32_t PurgeAll(Time now) override {
     std::uint32_t n = 0;
     for (ClassQueue& cls : classes_) {
@@ -95,7 +95,8 @@ class ClassQueueDisc : public QueueDisc {
         std::unique_ptr<Packet> pkt = cls.Take();
         ++stats_.purged;
         ++n;
-        if (tracer_ != nullptr) tracer_->OnPurge(*pkt, now, Total());
+        tracers_.Notify(
+            [&](PacketTracer& t) { t.OnPurge(*pkt, now, Total()); });
       }
     }
     return n;
@@ -137,7 +138,9 @@ class ClassQueueDisc : public QueueDisc {
             : Total().bytes + pkt.size_bytes <= capacity_bytes_;
     if (!fits) {
       ++stats_.dropped_overflow;
-      if (tracer_ != nullptr) tracer_->OnDrop(pkt, now, DropReason::kOverflow);
+      tracers_.Notify([&](PacketTracer& t) {
+        t.OnDrop(pkt, now, DropReason::kOverflow);
+      });
     }
     return fits;
   }
@@ -150,7 +153,8 @@ class ClassQueueDisc : public QueueDisc {
         !cls.aqm_->AllowEnqueue(*pkt, cls.Snapshot(), now)) {
       ++stats_.dropped_aqm;
       cls.Release(pkt->size_bytes);
-      if (tracer_ != nullptr) tracer_->OnDrop(*pkt, now, DropReason::kAqm);
+      tracers_.Notify(
+          [&](PacketTracer& t) { t.OnDrop(*pkt, now, DropReason::kAqm); });
       return false;
     }
     CountMark(*pkt, was_ce, now);
@@ -159,9 +163,9 @@ class ClassQueueDisc : public QueueDisc {
     cls.bytes_ += pkt->size_bytes;
     cls.ring_.push_back(std::move(pkt));
     ++stats_.enqueued;
-    if (tracer_ != nullptr) {
-      tracer_->OnEnqueue(*cls.ring_.back(), now, Total());
-    }
+    tracers_.Notify([&](PacketTracer& t) {
+      t.OnEnqueue(*cls.ring_.back(), now, Total());
+    });
     return true;
   }
 
@@ -171,7 +175,8 @@ class ClassQueueDisc : public QueueDisc {
     std::unique_ptr<Packet> pkt = cls.Take();
     ++stats_.dequeued;
     const Time sojourn = now - pkt->enqueue_time;
-    if (tracer_ != nullptr) tracer_->OnDequeue(*pkt, now, Total(), sojourn);
+    tracers_.Notify(
+        [&](PacketTracer& t) { t.OnDequeue(*pkt, now, Total(), sojourn); });
     if (cls.aqm_ != nullptr) {
       const bool was_ce = pkt->IsCeMarked();
       cls.aqm_->OnDequeue(*pkt, cls.Snapshot(), now, sojourn);
@@ -184,7 +189,7 @@ class ClassQueueDisc : public QueueDisc {
   void CountMark(const Packet& pkt, bool was_ce, Time now) {
     if (!was_ce && pkt.IsCeMarked()) {
       ++stats_.ce_marked;
-      if (tracer_ != nullptr) tracer_->OnMark(pkt, now);
+      tracers_.Notify([&](PacketTracer& t) { t.OnMark(pkt, now); });
     }
   }
 

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
+
+#include "sim/logging.h"
+#include "trace/trace_event.h"
 
 namespace ecnsharp {
 
@@ -54,6 +58,12 @@ std::uint64_t SketchTelemetry::KeyOf(const FlowKey& flow) {
 }
 
 std::uint16_t SketchTelemetry::RegisterSite(std::string label) {
+  if (sites_.size() >= kNoTraceSite) {
+    FatalConfigError("sketch: cannot register port '" + label + "': " +
+                     std::to_string(sites_.size()) +
+                     " ports are already sketched, the most a 16-bit site "
+                     "id can name");
+  }
   Site site;
   site.label = std::move(label);
   site.ewma = QueueOccupancyEwma(config_.queue_alpha);
@@ -72,9 +82,17 @@ const std::string& SketchTelemetry::site_label(std::uint16_t site) const {
   return sites_.at(site).label;
 }
 
-const SketchSiteCounters& SketchTelemetry::site_counters(
-    std::uint16_t site) const {
-  return sites_.at(site).counters;
+std::uint64_t SketchTelemetry::site_enqueued_bytes(std::uint16_t site) const {
+  return sites_.at(site).enqueued_bytes;
+}
+
+void SketchTelemetry::SetSiteCounts(std::uint16_t site,
+                                    const PortCounts& counts) {
+  sites_.at(site).counts = counts;
+}
+
+const PortCounts& SketchTelemetry::site_counts(std::uint16_t site) const {
+  return sites_.at(site).counts;
 }
 
 const QueueOccupancyEwma& SketchTelemetry::queue_ewma(
@@ -102,19 +120,6 @@ Time SketchTelemetry::site_base_rtt_hint(std::uint16_t site) const {
   return sites_.at(site).rtt_hint;
 }
 
-void SketchTelemetry::Tap::OnTransmit(const Packet& /*pkt*/, Time /*at*/) {
-  ++owner_->sites_[site_].counters.transmitted;
-}
-
-void SketchTelemetry::Tap::OnDrop(const Packet& /*pkt*/, Time /*at*/,
-                                  DropReason /*reason*/) {
-  ++owner_->sites_[site_].counters.drops;
-}
-
-void SketchTelemetry::Tap::OnMark(const Packet& /*pkt*/, Time /*at*/) {
-  ++owner_->sites_[site_].counters.marks;
-}
-
 void SketchTelemetry::Tap::OnEnqueue(const Packet& pkt, Time at,
                                      const QueueSnapshot& after) {
   owner_->ObserveEnqueue(site_, pkt, at, after);
@@ -123,16 +128,13 @@ void SketchTelemetry::Tap::OnEnqueue(const Packet& pkt, Time at,
 void SketchTelemetry::Tap::OnDequeue(const Packet& /*pkt*/, Time /*at*/,
                                      const QueueSnapshot& after,
                                      Time /*sojourn*/) {
-  Site& site = owner_->sites_[site_];
-  ++site.counters.dequeued;
-  site.ewma.Observe(after.packets, after.bytes);
+  owner_->sites_[site_].ewma.Observe(after.packets, after.bytes);
 }
 
 void SketchTelemetry::ObserveEnqueue(std::uint16_t site, const Packet& pkt,
                                      Time at, const QueueSnapshot& after) {
   Site& s = sites_[site];
-  ++s.counters.enqueued;
-  s.counters.enqueued_bytes += pkt.size_bytes;
+  s.enqueued_bytes += pkt.size_bytes;
   s.ewma.Observe(after.packets, after.bytes);
   ++packets_observed_;
   last_update_ = std::max(last_update_, at);

@@ -4,9 +4,11 @@
 // its traffic: a conservative-update count-min of lifetime per-flow bytes, a
 // windowed rate ring (sketch/rate_sketch.h), a windowed base-RTT sketch
 // (sketch/rtt_sketch.h), a space-saving-style heavy-hitter candidate list,
-// and one queue-occupancy EWMA per registered port. All flow-keyed state is
-// sized once from SketchConfig::memory_kb (split 40/40/20 between count-min,
-// rate ring, and RTT sketch) and never grows.
+// and one queue-occupancy EWMA and enqueued-byte total per registered port.
+// All flow-keyed state is sized once from SketchConfig::memory_kb (split
+// 40/40/20 between count-min, rate ring, and RTT sketch) and never grows.
+// A site's packet, mark and drop counts are not counted here: they are a
+// copy of the port's own counters, handed in by SetSiteCounts.
 //
 // Ports attach exactly like they do to the flight recorder: RegisterSite()
 // then install PortTap() on the port, so all three queue discs and the
@@ -30,6 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/egress_port.h"
 #include "net/queue_disc.h"
 #include "sketch/count_min.h"
 #include "sketch/queue_ewma.h"
@@ -39,17 +42,6 @@
 #include "trace/transport_tracer.h"
 
 namespace ecnsharp {
-
-// Aggregate per-site totals (cheap scalars, kept beside the EWMA so the
-// export can report mark/drop context per port).
-struct SketchSiteCounters {
-  std::uint64_t enqueued = 0;
-  std::uint64_t enqueued_bytes = 0;
-  std::uint64_t dequeued = 0;
-  std::uint64_t transmitted = 0;
-  std::uint64_t marks = 0;
-  std::uint64_t drops = 0;
-};
 
 class SketchTelemetry : public TransportTracer {
  public:
@@ -70,13 +62,19 @@ class SketchTelemetry : public TransportTracer {
   static std::uint64_t KeyOf(const FlowKey& flow);
 
   // --- Sites ------------------------------------------------------------
+  // Site ids are 16-bit with the trace recorder's kNoTraceSite reserved, so
+  // registering more than kNoTraceSite sites exits 2 (FatalConfigError).
   std::uint16_t RegisterSite(std::string label);
   // PacketTracer to install on the port for `site`; stable address for the
   // telemetry's lifetime.
   PacketTracer* PortTap(std::uint16_t site);
   std::size_t site_count() const { return sites_.size(); }
   const std::string& site_label(std::uint16_t site) const;
-  const SketchSiteCounters& site_counters(std::uint16_t site) const;
+  // Bytes of the packets the site's tap saw enqueued.
+  std::uint64_t site_enqueued_bytes(std::uint16_t site) const;
+  // The site's port counts as last handed in (zero until then).
+  void SetSiteCounts(std::uint16_t site, const PortCounts& counts);
+  const PortCounts& site_counts(std::uint16_t site) const;
   const QueueOccupancyEwma& queue_ewma(std::uint16_t site) const;
 
   // Seeds the base-RTT histogram with a known path RTT through `site` (the
@@ -132,9 +130,9 @@ class SketchTelemetry : public TransportTracer {
    public:
     Tap(SketchTelemetry* owner, std::uint16_t site)
         : owner_(owner), site_(site) {}
-    void OnTransmit(const Packet& pkt, Time at) override;
-    void OnDrop(const Packet& pkt, Time at, DropReason reason) override;
-    void OnMark(const Packet& pkt, Time at) override;
+    // Transmits, drops and marks touch no sketch state (drops and marks
+    // keep the base no-ops).
+    void OnTransmit(const Packet& /*pkt*/, Time /*at*/) override {}
     void OnEnqueue(const Packet& pkt, Time at,
                    const QueueSnapshot& after) override;
     void OnDequeue(const Packet& pkt, Time at, const QueueSnapshot& after,
@@ -147,7 +145,8 @@ class SketchTelemetry : public TransportTracer {
 
   struct Site {
     std::string label;
-    SketchSiteCounters counters;
+    PortCounts counts;
+    std::uint64_t enqueued_bytes = 0;
     QueueOccupancyEwma ewma;
     Time rtt_hint = Time::Zero();  // zero = no annotation
   };

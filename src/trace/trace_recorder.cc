@@ -1,6 +1,8 @@
 #include "trace/trace_recorder.h"
 
-#include <cassert>
+#include <string>
+
+#include "sim/logging.h"
 
 namespace ecnsharp {
 
@@ -38,9 +40,14 @@ TraceRecorder::TraceRecorder(TraceConfig config) : config_(config) {
 TraceRecorder::~TraceRecorder() = default;
 
 std::uint16_t TraceRecorder::RegisterSite(std::string label) {
-  assert(sites_.size() < kNoTraceSite);
+  if (sites_.size() >= kNoTraceSite) {
+    FatalConfigError("trace: cannot register port '" + label + "': " +
+                     std::to_string(sites_.size()) +
+                     " ports are already traced, the most a 16-bit site id "
+                     "can name");
+  }
   const std::uint16_t site = static_cast<std::uint16_t>(sites_.size());
-  sites_.push_back(Site{std::move(label), TraceSiteCounters{}, {}});
+  sites_.push_back(Site{std::move(label), PortCounts{}, {}});
   taps_.emplace_back(this, site);
   return site;
 }
@@ -53,9 +60,13 @@ const std::string& TraceRecorder::site_label(std::uint16_t site) const {
   return sites_.at(site).label;
 }
 
-const TraceSiteCounters& TraceRecorder::site_counters(
-    std::uint16_t site) const {
-  return sites_.at(site).counters;
+void TraceRecorder::SetSiteCounts(std::uint16_t site,
+                                  const PortCounts& counts) {
+  sites_.at(site).counts = counts;
+}
+
+const PortCounts& TraceRecorder::site_counts(std::uint16_t site) const {
+  return sites_.at(site).counts;
 }
 
 const std::vector<TraceRecorder::DepthSample>& TraceRecorder::depth_series(
@@ -160,8 +171,6 @@ void TraceRecorder::OnRto(const FlowKey& flow, Time at,
 }
 
 void TraceRecorder::Tap::OnTransmit(const Packet& pkt, Time at) {
-  TraceSiteCounters& counters = recorder_->sites_[site_].counters;
-  ++counters.transmitted;
   TraceEvent event;
   event.at = at;
   event.kind = TraceEventKind::kTransmit;
@@ -174,8 +183,6 @@ void TraceRecorder::Tap::OnTransmit(const Packet& pkt, Time at) {
 
 void TraceRecorder::Tap::OnDrop(const Packet& pkt, Time at,
                                 DropReason reason) {
-  TraceSiteCounters& counters = recorder_->sites_[site_].counters;
-  ++counters.drops[static_cast<std::size_t>(reason)];
   TraceEvent event;
   event.at = at;
   event.kind = TraceEventKind::kDrop;
@@ -188,8 +195,6 @@ void TraceRecorder::Tap::OnDrop(const Packet& pkt, Time at,
 }
 
 void TraceRecorder::Tap::OnMark(const Packet& pkt, Time at) {
-  TraceSiteCounters& counters = recorder_->sites_[site_].counters;
-  ++counters.marks;
   TraceEvent event;
   event.at = at;
   event.kind = TraceEventKind::kMark;
@@ -202,8 +207,6 @@ void TraceRecorder::Tap::OnMark(const Packet& pkt, Time at) {
 
 void TraceRecorder::Tap::OnEnqueue(const Packet& pkt, Time at,
                                    const QueueSnapshot& after) {
-  TraceSiteCounters& counters = recorder_->sites_[site_].counters;
-  ++counters.enqueued;
   TraceEvent event;
   event.at = at;
   event.kind = TraceEventKind::kEnqueue;
@@ -217,8 +220,6 @@ void TraceRecorder::Tap::OnEnqueue(const Packet& pkt, Time at,
 
 void TraceRecorder::Tap::OnDequeue(const Packet& pkt, Time at,
                                    const QueueSnapshot& after, Time sojourn) {
-  TraceSiteCounters& counters = recorder_->sites_[site_].counters;
-  ++counters.dequeued;
   TraceEvent event;
   event.at = at;
   event.kind = TraceEventKind::kDequeue;
@@ -232,9 +233,6 @@ void TraceRecorder::Tap::OnDequeue(const Packet& pkt, Time at,
 
 void TraceRecorder::Tap::OnPurge(const Packet& pkt, Time at,
                                  const QueueSnapshot& after) {
-  TraceSiteCounters& counters = recorder_->sites_[site_].counters;
-  ++counters.purged;
-  ++counters.drops[static_cast<std::size_t>(DropReason::kPurged)];
   TraceEvent event;
   event.at = at;
   event.kind = TraceEventKind::kDrop;

@@ -3,10 +3,11 @@
 // A TraceRecorder owns:
 //   - a fixed-capacity ring buffer of TraceEvents (oldest overwritten first,
 //     per-kind totals survive overwrite),
-//   - per-site aggregate counters (a "site" is one traced egress port),
-//   - per-site queue-depth time series, and
+//   - per-site queue-depth time series (a "site" is one traced egress port),
 //   - per-flow transport series (cwnd/ssthresh and RTT samples, plus
-//     retransmit/RTO totals), keyed deterministically by FlowKey.
+//     retransmit/RTO totals), keyed deterministically by FlowKey, and
+//   - each site's PortCounts, a copy of the port's own counters handed in
+//     by SetSiteCounts (the taps record events and never count packets).
 //
 // Ports attach through PortTap objects (PacketTracer implementations with
 // stable addresses handed out by the recorder); transport stacks attach
@@ -23,29 +24,13 @@
 #include <string>
 #include <vector>
 
+#include "net/egress_port.h"
 #include "net/queue_disc.h"
 #include "trace/trace_config.h"
 #include "trace/trace_event.h"
 #include "trace/transport_tracer.h"
 
 namespace ecnsharp {
-
-// Aggregate per-site totals, immune to ring overwrite. `drops` is indexed
-// by DropReason and includes purges (also totalled separately in `purged`).
-struct TraceSiteCounters {
-  std::uint64_t enqueued = 0;
-  std::uint64_t dequeued = 0;
-  std::uint64_t transmitted = 0;
-  std::uint64_t marks = 0;
-  std::uint64_t purged = 0;
-  std::uint64_t drops[kDropReasons] = {};
-
-  std::uint64_t DroppedTotal() const {
-    std::uint64_t total = 0;
-    for (std::uint64_t d : drops) total += d;
-    return total;
-  }
-};
 
 class TraceRecorder : public TransportTracer {
  public:
@@ -85,13 +70,17 @@ class TraceRecorder : public TransportTracer {
 
   // --- Sites ------------------------------------------------------------
   // Registers a traced port under a stable label; returns its site id.
+  // Site ids are 16-bit and kNoTraceSite is reserved, so registering more
+  // than kNoTraceSite sites exits 2 (FatalConfigError).
   std::uint16_t RegisterSite(std::string label);
   // PacketTracer to install on the port for `site`. The pointer stays valid
   // for the recorder's lifetime.
   PacketTracer* PortTap(std::uint16_t site);
   std::size_t site_count() const { return sites_.size(); }
   const std::string& site_label(std::uint16_t site) const;
-  const TraceSiteCounters& site_counters(std::uint16_t site) const;
+  // The site's port counts as last handed in (zero until then).
+  void SetSiteCounts(std::uint16_t site, const PortCounts& counts);
+  const PortCounts& site_counts(std::uint16_t site) const;
   const std::vector<DepthSample>& depth_series(std::uint16_t site) const;
 
   // --- Scenario ---------------------------------------------------------
@@ -145,7 +134,7 @@ class TraceRecorder : public TransportTracer {
 
   struct Site {
     std::string label;
-    TraceSiteCounters counters;
+    PortCounts counts;
     std::vector<DepthSample> depth;
   };
 

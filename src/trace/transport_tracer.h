@@ -7,6 +7,7 @@
 #include <cstdint>
 
 #include "net/packet.h"
+#include "sim/observer_list.h"
 #include "sim/time.h"
 
 namespace ecnsharp {
@@ -47,38 +48,9 @@ class TransportTracer {
   }
 };
 
-// Fans transport events out to two tracers (either may be null), mirroring
-// TeeTracer for the port side: a host stack has one tracer slot, and the
-// flight recorder and the sketch telemetry may both want it.
-class TeeTransportTracer : public TransportTracer {
- public:
-  TeeTransportTracer(TransportTracer* first, TransportTracer* second)
-      : first_(first), second_(second) {}
-
-  void OnCwnd(const FlowKey& flow, Time at, double cwnd_bytes,
-              double ssthresh_bytes) override {
-    if (first_ != nullptr) first_->OnCwnd(flow, at, cwnd_bytes, ssthresh_bytes);
-    if (second_ != nullptr) {
-      second_->OnCwnd(flow, at, cwnd_bytes, ssthresh_bytes);
-    }
-  }
-  void OnRttSample(const FlowKey& flow, Time at, Time sample) override {
-    if (first_ != nullptr) first_->OnRttSample(flow, at, sample);
-    if (second_ != nullptr) second_->OnRttSample(flow, at, sample);
-  }
-  void OnRetransmit(const FlowKey& flow, Time at, std::uint64_t seq) override {
-    if (first_ != nullptr) first_->OnRetransmit(flow, at, seq);
-    if (second_ != nullptr) second_->OnRetransmit(flow, at, seq);
-  }
-  void OnRto(const FlowKey& flow, Time at, std::uint32_t consecutive) override {
-    if (first_ != nullptr) first_->OnRto(flow, at, consecutive);
-    if (second_ != nullptr) second_->OnRto(flow, at, consecutive);
-  }
-
- private:
-  TransportTracer* first_;
-  TransportTracer* second_;
-};
+// The transport tracers attached to one host stack; its senders notify
+// through the stack's list.
+using TransportTracerList = ObserverList<TransportTracer>;
 
 }  // namespace ecnsharp
 

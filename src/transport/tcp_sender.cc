@@ -8,6 +8,8 @@
 
 namespace ecnsharp {
 
+const TransportTracerList TcpSender::kNoTracers;
+
 TcpSender::TcpSender(Host& host, const TcpConfig& config, FlowKey flow,
                      std::uint64_t flow_size, std::uint8_t traffic_class,
                      CompletionCallback on_complete)
@@ -94,9 +96,9 @@ void TcpSender::SendSegment(std::uint64_t seq, bool is_retransmit) {
   pkt->sent_time = host_.sim().Now();
 
   if (is_retransmit) {
-    if (tracer_ != nullptr) {
-      tracer_->OnRetransmit(flow_, host_.sim().Now(), seq);
-    }
+    tracers_->Notify([&](TransportTracer& t) {
+      t.OnRetransmit(flow_, host_.sim().Now(), seq);
+    });
     // Karn: never sample RTT across a retransmission.
     probe_armed_ = false;
   } else if (!probe_armed_ && seq >= sent_high_) {
@@ -209,9 +211,9 @@ void TcpSender::OnRtoExpired() {
   if (complete_) return;
   ++record_.timeouts;
   ++rto_backoff_;
-  if (tracer_ != nullptr) {
-    tracer_->OnRto(flow_, host_.sim().Now(), rto_backoff_);
-  }
+  tracers_->Notify([&](TransportTracer& t) {
+    t.OnRto(flow_, host_.sim().Now(), rto_backoff_);
+  });
   ssthresh_ = SsthreshAfterLoss();
   cwnd_ = config_.mss;
   dupacks_ = 0;
@@ -240,9 +242,9 @@ Time TcpSender::CurrentRto() const {
 }
 
 void TcpSender::UpdateRttEstimate(Time sample) {
-  if (tracer_ != nullptr) {
-    tracer_->OnRttSample(flow_, host_.sim().Now(), sample);
-  }
+  tracers_->Notify([&](TransportTracer& t) {
+    t.OnRttSample(flow_, host_.sim().Now(), sample);
+  });
   if (!rtt_valid_) {
     rtt_valid_ = true;
     srtt_ = sample;
@@ -299,13 +301,15 @@ void TcpSender::ReduceWindowOnEcn(double factor) {
 }
 
 void TcpSender::EmitCwnd() {
-  if (tracer_ == nullptr) return;
+  if (tracers_->empty()) return;
   if (cwnd_ == last_cwnd_emitted_ && ssthresh_ == last_ssthresh_emitted_) {
     return;
   }
   last_cwnd_emitted_ = cwnd_;
   last_ssthresh_emitted_ = ssthresh_;
-  tracer_->OnCwnd(flow_, host_.sim().Now(), cwnd_, ssthresh_);
+  tracers_->Notify([&](TransportTracer& t) {
+    t.OnCwnd(flow_, host_.sim().Now(), cwnd_, ssthresh_);
+  });
 }
 
 void TcpSender::Complete() {

@@ -44,9 +44,10 @@ class TcpSender {
             CompletionCallback on_complete);
   virtual ~TcpSender() = default;
 
-  // Optional transport tracing (non-owning; null disables). Must be set
-  // before Start() so the initial window is recorded.
-  void set_tracer(TransportTracer* tracer) { tracer_ = tracer; }
+  // The transport observers to report to: the owning stack's list (not
+  // owned; it must outlive the sender). Set before Start() so the initial
+  // window is recorded. A bare sender reports to none.
+  void set_tracers(const TransportTracerList& tracers) { tracers_ = &tracers; }
 
   // Begins transmission (sends the initial window).
   void Start();
@@ -101,7 +102,7 @@ class TcpSender {
   void HandleEceClassic();
   void DctcpWindowUpdate(std::uint64_t newly_acked, bool ece);
   void Complete();
-  // Reports cwnd_/ssthresh_ to the tracer if they changed since last emit.
+  // Reports cwnd_/ssthresh_ to the tracers if they changed since last emit.
   void EmitCwnd();
 
   FlowKey flow_;
@@ -144,7 +145,8 @@ class TcpSender {
   bool complete_ = false;
 
   // Transport tracing.
-  TransportTracer* tracer_ = nullptr;
+  static const TransportTracerList kNoTracers;
+  const TransportTracerList* tracers_ = &kNoTracers;
   double last_cwnd_emitted_ = -1.0;
   double last_ssthresh_emitted_ = -1.0;
 };

@@ -54,7 +54,7 @@ TcpSender& TcpStack::StartFlow(std::uint32_t dst, std::uint64_t size_bytes,
                                          traffic_class, std::move(on_complete));
   }
   TcpSender& ref = *sender;
-  ref.set_tracer(transport_tracer_);
+  ref.set_tracers(transport_tracers_);
   ++flows_started_;
   senders_.emplace(key, std::move(sender));
   ref.Start();

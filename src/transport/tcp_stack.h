@@ -45,17 +45,19 @@ class TcpStack : public PacketSink {
   // perfbench calls flow_count() directly.
   const TcpStack& flow_hot_state() const { return *this; }
 
-  // Optional transport tracing (non-owning; null disables). Applies to
-  // flows started after the call.
-  void SetTransportTracer(TransportTracer* tracer) {
-    transport_tracer_ = tracer;
+  // Attaches a transport observer (non-owning; at most two: the flight
+  // recorder and the sketch telemetry). Every sender of this stack reports
+  // to the stack's list, so attach before the first flow starts for the
+  // initial windows to be recorded.
+  void AddTransportTracer(TransportTracer* tracer) {
+    transport_tracers_.Add(tracer);
   }
 
  private:
   Host& host_;
   TcpConfig config_;
   std::size_t flows_started_ = 0;
-  TransportTracer* transport_tracer_ = nullptr;
+  TransportTracerList transport_tracers_;
   std::uint16_t next_port_ = 1;
   std::unordered_map<FlowKey, std::unique_ptr<TcpSender>, FlowKeyHash>
       senders_;

@@ -247,7 +247,7 @@ TEST(EgressPortFaultTest, CertainLossDropsEverythingWithoutTransmitting) {
   CountingSink sink;
   port.ConnectTo(sink);
   TextTracer tracer;
-  port.SetTracer(&tracer);
+  port.AddTracer(&tracer);
   LinkFaultInjector fault(3, /*drop_prob=*/1.0, /*corrupt_prob=*/0.0);
   port.SetFaultInjector(&fault);
 
@@ -269,7 +269,7 @@ TEST(EgressPortFaultTest, CertainCorruptionTransmitsButNeverDelivers) {
   CountingSink sink;
   port.ConnectTo(sink);
   TextTracer tracer;
-  port.SetTracer(&tracer);
+  port.AddTracer(&tracer);
   LinkFaultInjector fault(3, /*drop_prob=*/0.0, /*corrupt_prob=*/1.0);
   port.SetFaultInjector(&fault);
 
@@ -282,6 +282,34 @@ TEST(EgressPortFaultTest, CertainCorruptionTransmitsButNeverDelivers) {
   EXPECT_EQ(port.counters().corrupted, 10u);
   EXPECT_EQ(fault.corruptions(), 10u);
   EXPECT_EQ(tracer.drops(), 10u);  // one kCorrupt drop per packet
+}
+
+// A corrupted frame is lost only when it fails its CRC at the far end: on a
+// long wire it is transmitted long before it is counted, and the count
+// lands together with the tracer's kCorrupt drop.
+TEST(EgressPortFaultTest, CorruptionIsCountedWhenTheFrameReachesTheFarEnd) {
+  Simulator sim;
+  EgressPort port(sim, DataRate::GigabitsPerSecond(10),
+                  Time::Milliseconds(1),
+                  std::make_unique<FifoQueueDisc>(1ull << 20, nullptr));
+  CountingSink sink;
+  port.ConnectTo(sink);
+  TextTracer tracer;
+  port.AddTracer(&tracer);
+  LinkFaultInjector fault(3, /*drop_prob=*/0.0, /*corrupt_prob=*/1.0);
+  port.SetFaultInjector(&fault);
+
+  port.Enqueue(MakePacket());
+  sim.RunUntil(Time::FromMicroseconds(500));  // serialized, still on the wire
+  EXPECT_EQ(port.counters().tx_packets, 1u);
+  EXPECT_EQ(fault.corruptions(), 1u);
+  EXPECT_EQ(port.counters().corrupted, 0u);
+  EXPECT_EQ(tracer.drops(), 0u);
+
+  sim.Run();
+  EXPECT_EQ(port.counters().corrupted, 1u);
+  EXPECT_EQ(tracer.drops(), 1u);
+  EXPECT_EQ(sink.received, 0u);
 }
 
 TEST(EgressPortFlapTest, DropQueuedPurgesBacklogAndReleasesSharedBuffer) {
@@ -407,7 +435,7 @@ TEST(EgressPortFlapTest, TracerSeesEveryPurgeWithConsistentSnapshots) {
 
   PurgeAuditor auditor;
   auditor.disc = fifo;
-  port.SetTracer(&auditor);
+  port.AddTracer(&auditor);
   for (int i = 0; i < 8; ++i) port.Enqueue(MakePacket(1500));
   port.LinkDown(/*drop_queued=*/true);
   EXPECT_EQ(auditor.purges, 7u);  // 1 of 8 was already in flight
@@ -417,7 +445,7 @@ TEST(EgressPortFlapTest, TracerSeesEveryPurgeWithConsistentSnapshots) {
   // The default OnPurge forwards to OnDrop(kPurged), so text tracers see
   // purges as drop lines without overriding the hook.
   TextTracer text;
-  port.SetTracer(&text);
+  port.AddTracer(&text);
   port.LinkUp();
   sim.Run();  // deliver the surviving in-flight packet
   for (int i = 0; i < 4; ++i) port.Enqueue(MakePacket(1500));

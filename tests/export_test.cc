@@ -1,82 +1,19 @@
-// CSV export, fairness index, pacing, and queue-length ECN# tests.
+// Pacing and queue-length ECN# tests.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
+#include <vector>
 
 #include "core/ecn_sharp.h"
 #include "net/host.h"
 #include "net/switch_node.h"
 #include "sched/fifo_queue_disc.h"
 #include "sim/simulator.h"
-#include "stats/csv_export.h"
-#include "stats/fairness.h"
-#include "stats/queue_monitor.h"
 #include "transport/tcp_stack.h"
 
 namespace ecnsharp {
 namespace {
-
-std::string ReadAll(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-TEST(CsvExportTest, FctCsvRoundTrip) {
-  FctCollector collector;
-  FlowRecord record;
-  record.size_bytes = 12345;
-  record.start_time = Time::Zero();
-  record.completion_time = Time::FromMicroseconds(678.5);
-  record.timeouts = 2;
-  collector.Record(record);
-
-  const std::string path = ::testing::TempDir() + "/fct.csv";
-  ASSERT_TRUE(WriteFctCsv(path, collector));
-  const std::string content = ReadAll(path);
-  EXPECT_NE(content.find("size_bytes,fct_us,timeouts"), std::string::npos);
-  EXPECT_NE(content.find("12345,678.500,2"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(CsvExportTest, QueueTraceCsv) {
-  Simulator sim;
-  FifoQueueDisc disc(1 << 20, nullptr);
-  QueueMonitor monitor(sim, disc, Time::Microseconds(10));
-  monitor.Run(Time::Zero(), Time::Microseconds(20));
-  auto pkt = std::make_unique<Packet>();
-  pkt->size_bytes = 1500;
-  disc.Enqueue(std::move(pkt), Time::Zero());
-  sim.Run();
-
-  const std::string path = ::testing::TempDir() + "/queue.csv";
-  ASSERT_TRUE(WriteQueueTraceCsv(path, monitor));
-  const std::string content = ReadAll(path);
-  EXPECT_NE(content.find("time_us,packets,bytes"), std::string::npos);
-  EXPECT_NE(content.find("10.000,1,1500"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(CsvExportTest, BadPathFails) {
-  FctCollector collector;
-  EXPECT_FALSE(WriteFctCsv("/nonexistent-dir/x/y.csv", collector));
-}
-
-TEST(FairnessTest, JainIndexProperties) {
-  EXPECT_DOUBLE_EQ(JainIndex({5.0, 5.0, 5.0}), 1.0);
-  EXPECT_DOUBLE_EQ(JainIndex({1.0}), 1.0);
-  EXPECT_DOUBLE_EQ(JainIndex({}), 0.0);
-  EXPECT_DOUBLE_EQ(JainIndex({0.0, 0.0}), 0.0);
-  // One flow hogging: index -> 1/n.
-  EXPECT_NEAR(JainIndex({10.0, 0.0, 0.0, 0.0}), 0.25, 1e-12);
-  // Mild imbalance stays high.
-  EXPECT_GT(JainIndex({4.0, 5.0, 6.0}), 0.95);
-}
 
 // ------------------------------ pacing -------------------------------------
 

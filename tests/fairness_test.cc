@@ -7,11 +7,23 @@
 
 #include "harness/schemes.h"
 #include "sim/simulator.h"
-#include "stats/fairness.h"
 #include "topo/dumbbell.h"
 
 namespace ecnsharp {
 namespace {
+
+// Jain's fairness index: (sum x)^2 / (n * sum x^2), 1.0 = perfectly fair.
+double JainIndex(const std::vector<double>& allocations) {
+  if (allocations.empty()) return 0.0;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (const double x : allocations) {
+    sum += x;
+    sum_sq += x * x;
+  }
+  if (sum_sq == 0.0) return 0.0;
+  return sum * sum / (static_cast<double>(allocations.size()) * sum_sq);
+}
 
 // N long-lived flows from N senders with EQUAL base RTTs; returns the Jain
 // index of delivered bytes over the measurement window.

@@ -102,7 +102,7 @@ TEST(TracerTest, RecordsTransmissions) {
   EgressPort port(sim, DataRate::GigabitsPerSecond(10), Time::Zero(),
                   std::make_unique<FifoQueueDisc>(1 << 20, nullptr));
   port.ConnectTo(sink);
-  port.SetTracer(&tracer);
+  port.AddTracer(&tracer);
 
   auto pkt = std::make_unique<Packet>();
   pkt->flow = FlowKey{3, 4, 55, 80};

@@ -1,21 +1,29 @@
 // Unit tests for the sketch telemetry subsystem: count-min, windowed rate
 // ring, RTT min-filter sketch, queue EWMA, spec parsing, the telemetry
 // aggregate (taps, heavy hitters, exact mirror), the sketch-driven ECN#
-// estimator, and the session/CLI integration seams (tee tracers, export,
-// FCT parity with sketches disabled).
+// estimator, and the session/CLI integration seams (two-observer lists on
+// ports and stacks, export, FCT parity with sketches disabled).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "aqm/dctcp_red.h"
 #include "core/ecn_sharp.h"
 #include "harness/experiment.h"
 #include "harness/json.h"
 #include "harness/sketch_export.h"
 #include "hostpath/rtt_probe.h"
+#include "net/egress_port.h"
+#include "net/host.h"
+#include "net/link_fault.h"
 #include "net/packet.h"
 #include "net/packet_tracer.h"
+#include "sched/fifo_queue_disc.h"
+#include "sim/simulator.h"
 #include "sketch/count_min.h"
 #include "sketch/estimator.h"
 #include "sketch/queue_ewma.h"
@@ -26,6 +34,7 @@
 #include "stats/percentile.h"
 #include "trace/trace_recorder.h"
 #include "trace/transport_tracer.h"
+#include "transport/tcp_stack.h"
 
 namespace ecnsharp {
 namespace {
@@ -304,13 +313,19 @@ TEST(TelemetryTest, SiteCountersAndEwmaThroughTap) {
   tap->OnMark(pkt, Time::FromMicroseconds(21));
   tap->OnDrop(pkt, Time::FromMicroseconds(22), DropReason::kOverflow);
 
-  const SketchSiteCounters& counters = telemetry.site_counters(site);
-  EXPECT_EQ(counters.enqueued, 1u);
-  EXPECT_EQ(counters.enqueued_bytes, 1500u);
-  EXPECT_EQ(counters.dequeued, 1u);
-  EXPECT_EQ(counters.transmitted, 1u);
-  EXPECT_EQ(counters.marks, 1u);
-  EXPECT_EQ(counters.drops, 1u);
+  // The tap keeps the sketch's own state only; packet, mark and drop counts
+  // are the port's, zero until handed in and then exactly the copy.
+  EXPECT_EQ(telemetry.site_enqueued_bytes(site), 1500u);
+  EXPECT_EQ(telemetry.site_counts(site).disc.enqueued, 0u);
+  EXPECT_EQ(telemetry.site_counts(site).dropped_total(), 0u);
+  PortCounts counts;
+  counts.disc.enqueued = 3;
+  counts.disc.ce_marked = 2;
+  counts.port.corrupted = 1;
+  telemetry.SetSiteCounts(site, counts);
+  EXPECT_EQ(telemetry.site_counts(site).disc.enqueued, 3u);
+  EXPECT_EQ(telemetry.site_counts(site).disc.ce_marked, 2u);
+  EXPECT_EQ(telemetry.site_counts(site).dropped_total(), 1u);
   EXPECT_EQ(telemetry.queue_ewma(site).samples(), 2u);
   EXPECT_EQ(telemetry.queue_ewma(site).peak_packets(), 3u);
   EXPECT_EQ(telemetry.packets_observed(), 1u);
@@ -473,53 +488,187 @@ TEST(RttStatsTest, CarriesPercentileRankMetadata) {
   EXPECT_EQ(empty.p99_rank, 0u);
 }
 
-// --- Tee tracers ----------------------------------------------------------
+// --- Observer lists -------------------------------------------------------
 
-class CountingTracer : public PacketTracer {
+// Logs every PacketTracer hook as one line, so two observers' views of a
+// port can be compared event for event.
+class RecordingTracer : public PacketTracer {
  public:
-  void OnTransmit(const Packet&, Time) override { ++transmits; }
-  void OnEnqueue(const Packet&, Time, const QueueSnapshot&) override {
-    ++enqueues;
+  void OnTransmit(const Packet& pkt, Time at) override {
+    Log("tx", pkt, at);
   }
-  int transmits = 0;
-  int enqueues = 0;
+  void OnDrop(const Packet& pkt, Time at, DropReason reason) override {
+    Log(std::string("drop:") + DropReasonName(reason), pkt, at);
+  }
+  void OnMark(const Packet& pkt, Time at) override { Log("mark", pkt, at); }
+  void OnEnqueue(const Packet& pkt, Time at,
+                 const QueueSnapshot& after) override {
+    Log("enq/" + std::to_string(after.packets), pkt, at);
+  }
+  void OnDequeue(const Packet& pkt, Time at, const QueueSnapshot& after,
+                 Time sojourn) override {
+    Log("deq/" + std::to_string(after.packets) + "/" +
+            std::to_string(sojourn.ns()),
+        pkt, at);
+  }
+  void OnPurge(const Packet& pkt, Time at,
+               const QueueSnapshot& after) override {
+    Log("purge/" + std::to_string(after.packets), pkt, at);
+  }
+
+  std::vector<std::string> events;
+
+ private:
+  void Log(const std::string& what, const Packet& pkt, Time at) {
+    events.push_back(std::to_string(at.ns()) + " " + what + " seq=" +
+                     std::to_string(pkt.seq));
+  }
 };
 
-TEST(TeeTracerTest, ForwardsToBothAndToleratesNull) {
-  CountingTracer a;
-  CountingTracer b;
-  TeeTracer tee(&a, &b);
-  const Packet pkt = MakePacket(1, 100);
-  tee.OnTransmit(pkt, Time::Zero());
-  tee.OnEnqueue(pkt, Time::Zero(), QueueSnapshot{1, 100});
-  EXPECT_EQ(a.transmits, 1);
-  EXPECT_EQ(b.transmits, 1);
-  EXPECT_EQ(a.enqueues, 1);
-  EXPECT_EQ(b.enqueues, 1);
-
-  TeeTracer half(&a, nullptr);
-  half.OnTransmit(pkt, Time::Zero());  // must not crash
-  EXPECT_EQ(a.transmits, 2);
+// True if some logged event's tag starts with `what`.
+bool HasEvent(const std::vector<std::string>& events,
+              const std::string& what) {
+  for (const std::string& e : events) {
+    if (e.find(" " + what) != std::string::npos) return true;
+  }
+  return false;
 }
 
-class CountingTransportTracer : public TransportTracer {
- public:
-  void OnRttSample(const FlowKey&, Time, Time) override { ++samples; }
-  int samples = 0;
+struct DiscardSink : PacketSink {
+  void HandlePacket(std::unique_ptr<Packet>) override {}
 };
 
-TEST(TeeTransportTracerTest, ForwardsToBothAndToleratesNull) {
-  CountingTransportTracer a;
-  CountingTransportTracer b;
-  TeeTransportTracer tee(&a, &b);
-  tee.OnRttSample(FlowKey{1, 2, 3, 4}, Time::Zero(),
-                  Time::FromMicroseconds(100));
-  EXPECT_EQ(a.samples, 1);
-  EXPECT_EQ(b.samples, 1);
-  TeeTransportTracer half(nullptr, &b);
-  half.OnRttSample(FlowKey{1, 2, 3, 4}, Time::Zero(),
-                   Time::FromMicroseconds(100));
-  EXPECT_EQ(b.samples, 2);
+TEST(ObserverListTest, EgressPortNotifiesBothTracersAlike) {
+  Simulator sim;
+  // A 4-packet buffer marking above 2 packets: a 12-packet arrival burst
+  // overflows, marks and queues.
+  EgressPort port(sim, DataRate::GigabitsPerSecond(10),
+                  Time::FromMicroseconds(1),
+                  std::make_unique<FifoQueueDisc>(
+                      6000, std::make_unique<DctcpRedAqm>(3000)));
+  DiscardSink sink;
+  port.ConnectTo(sink);
+  LinkFaultInjector fault(11, /*drop_prob=*/0.3, /*corrupt_prob=*/0.3);
+  port.SetFaultInjector(&fault);
+  RecordingTracer first;
+  RecordingTracer second;
+  port.AddTracer(&first);
+  port.AddTracer(&second);
+
+  std::uint64_t seq = 0;
+  const auto burst = [&](int packets) {
+    for (int i = 0; i < packets; ++i) {
+      auto pkt = std::make_unique<Packet>();
+      pkt->size_bytes = 1500;
+      pkt->ecn = EcnCodepoint::kEct0;
+      pkt->seq = seq++;
+      port.Enqueue(std::move(pkt));
+    }
+  };
+  for (int round = 0; round < 6; ++round) {
+    sim.ScheduleAt(Time::FromMicroseconds(10 * round), [&] { burst(12); });
+  }
+  // A purging flap while a backlog stands, then arrivals on the dead link.
+  sim.ScheduleAt(Time::FromMicroseconds(30), [&] {
+    burst(4);
+    port.LinkDown(/*drop_queued=*/true);
+    burst(3);
+  });
+  sim.ScheduleAt(Time::FromMicroseconds(35), [&] { port.LinkUp(); });
+  sim.Run();
+
+  EXPECT_EQ(first.events, second.events);
+  for (const char* what :
+       {"enq/", "deq/", "tx", "mark", "purge/", "drop:overflow",
+        "drop:link-down", "drop:fault-loss", "drop:corrupt"}) {
+    EXPECT_TRUE(HasEvent(first.events, what)) << what;
+  }
+}
+
+// Logs every TransportTracer hook as one line.
+class RecordingTransportTracer : public TransportTracer {
+ public:
+  void OnCwnd(const FlowKey&, Time at, double cwnd_bytes,
+              double ssthresh_bytes) override {
+    events.push_back(std::to_string(at.ns()) + " cwnd " +
+                     std::to_string(cwnd_bytes) + "/" +
+                     std::to_string(ssthresh_bytes));
+  }
+  void OnRttSample(const FlowKey&, Time at, Time sample) override {
+    events.push_back(std::to_string(at.ns()) + " rtt " +
+                     std::to_string(sample.ns()));
+  }
+  void OnRetransmit(const FlowKey&, Time at, std::uint64_t seq) override {
+    events.push_back(std::to_string(at.ns()) + " retransmit " +
+                     std::to_string(seq));
+  }
+  void OnRto(const FlowKey&, Time at, std::uint32_t consecutive) override {
+    events.push_back(std::to_string(at.ns()) + " rto " +
+                     std::to_string(consecutive));
+  }
+
+  std::vector<std::string> events;
+};
+
+TEST(ObserverListTest, TcpStackNotifiesBothTransportTracersAlike) {
+  Simulator sim;
+  Host a(sim, 0);
+  Host b(sim, 1);
+  const auto link = [&sim](Host& from, Host& to) -> EgressPort& {
+    auto nic = std::make_unique<EgressPort>(
+        sim, DataRate::GigabitsPerSecond(10), Time::Microseconds(5),
+        std::make_unique<FifoQueueDisc>(1ull << 26, nullptr));
+    nic->ConnectTo(to);
+    return from.AttachNic(std::move(nic));
+  };
+  // Lossy a->b wire: the flow retransmits, so every hook fires.
+  LinkFaultInjector fault(5, /*drop_prob=*/0.05);
+  link(a, b).SetFaultInjector(&fault);
+  link(b, a);
+  TcpConfig config;
+  TcpStack stack_a(a, config);
+  TcpStack stack_b(b, config);
+  RecordingTransportTracer first;
+  RecordingTransportTracer second;
+  stack_a.AddTransportTracer(&first);
+  stack_a.AddTransportTracer(&second);
+
+  bool done = false;
+  stack_a.StartFlow(1, 400'000, [&done](const FlowRecord&) { done = true; });
+  sim.RunUntil(Time::Seconds(2));
+
+  ASSERT_TRUE(done);
+  EXPECT_EQ(first.events, second.events);
+  for (const char* what : {"cwnd", "rtt", "retransmit"}) {
+    EXPECT_TRUE(HasEvent(first.events, what)) << what;
+  }
+}
+
+TEST(ObserverListDeathTest, ThirdObserverExits) {
+  RecordingTracer a;
+  RecordingTracer b;
+  RecordingTracer c;
+  PacketTracerList list;
+  list.Add(&a);
+  list.Add(nullptr);  // ignored
+  list.Add(&b);
+  EXPECT_EXIT(list.Add(&c), ::testing::ExitedWithCode(2),
+              "at most two observers");
+}
+
+// Sketch site ids share the trace recorder's 16-bit space: one more than
+// 65,535 ports must exit rather than wrap onto site 0.
+TEST(TelemetryDeathTest, RegisteringPastSixteenBitSiteIdsExits) {
+  SketchConfig config;
+  config.enabled = true;
+  SketchTelemetry telemetry(config);
+  for (std::uint32_t i = 0; i < kNoTraceSite; ++i) {
+    telemetry.RegisterSite("port");
+  }
+  EXPECT_EQ(telemetry.site_count(), 65535u);
+  EXPECT_EXIT(telemetry.RegisterSite("one-too-many"),
+              ::testing::ExitedWithCode(2),
+              "one-too-many.*65535 ports are already sketched");
 }
 
 // --- Experiment integration ----------------------------------------------
@@ -565,9 +714,12 @@ TEST(SketchIntegrationTest, SketchCoexistsWithFlightRecorder) {
   const ExperimentResult result = RunDumbbell(config);
   ASSERT_NE(result.sketch, nullptr);
   ASSERT_NE(result.trace, nullptr);
-  // Both observers saw the same port traffic through the tee.
+  // Both observers on each port's list saw the same enqueues.
   EXPECT_GT(result.sketch->packets_observed(), 0u);
-  EXPECT_GT(result.trace->total_events(), 0u);
+  EXPECT_EQ(result.sketch->packets_observed(),
+            result.trace->kind_count(TraceEventKind::kEnqueue));
+  EXPECT_EQ(result.sketch->site_counts(0).disc.enqueued,
+            result.trace->site_counts(0).disc.enqueued);
 }
 
 TEST(SketchIntegrationTest, SketchEstimatorRunCompletes) {

@@ -6,9 +6,9 @@
 //   enqueued == dequeued + purged + queued
 //
 // must hold, shared-buffer reservations must equal the queue's byte
-// occupancy, and the trace tap's tallies must agree with the disc's own
-// stats — the tap observes each packet at a different code path than the
-// stats counters, so agreement pins the drain-vs-purge interleave.
+// occupancy, and the trace's event stream must agree with the port's own
+// counts — the tap observes each packet at a different code path than the
+// counters, so agreement pins the drain-vs-purge interleave.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,10 +21,14 @@
 #include "dynamics/scenario.h"
 #include "dynamics/scenario_engine.h"
 #include "harness/experiment.h"
+#include "harness/json.h"
+#include "harness/schemes.h"
+#include "harness/session.h"
+#include "harness/sketch_export.h"
+#include "harness/trace_export.h"
 #include "net/egress_port.h"
 #include "net/packet_tracer.h"
 #include "net/queue_disc.h"
-#include "buffer/policies.h"
 #include "sched/dwrr_queue_disc.h"
 #include "sched/fifo_queue_disc.h"
 #include "sched/sp_queue_disc.h"
@@ -33,9 +37,11 @@
 #include "sim/simulator.h"
 #include "sketch/telemetry.h"
 #include "topo/composed.h"
+#include "topo/dumbbell.h"
 #include "topo/fat_tree.h"
 #include "trace/trace_config.h"
 #include "trace/trace_recorder.h"
+#include "workload/empirical_cdf.h"
 
 namespace ecnsharp {
 namespace {
@@ -53,28 +59,28 @@ std::unique_ptr<Packet> MakePacket(Rng& rng) {
   return pkt;
 }
 
-// Asserts the accounting invariant and that the trace tap agrees with the
-// disc's stats counter for counter. `pool` is null for a statically
-// buffered disc.
-void CheckInvariants(const QueueDisc& disc, const TraceRecorder& trace,
+// Asserts the accounting invariant and that the trace's event totals (one
+// traced port) agree with the port's own counts. `pool` is null for a
+// statically buffered disc.
+void CheckInvariants(const EgressPort& port, const TraceRecorder& trace,
                      const BufferPolicy* pool, const char* when) {
-  const QueueDiscStats& stats = disc.stats();
-  const QueueSnapshot snapshot = disc.Snapshot();
+  const PortCounts counts = port.counts();
+  const QueueDiscStats& stats = counts.disc;
+  const QueueSnapshot snapshot = port.queue_disc().Snapshot();
   ASSERT_EQ(stats.enqueued, stats.dequeued + stats.purged + snapshot.packets)
       << when;
   if (pool != nullptr) {
     ASSERT_EQ(pool->used_bytes(), snapshot.bytes) << when;
   }
-  const TraceSiteCounters& c = trace.site_counters(0);
-  ASSERT_EQ(c.enqueued, stats.enqueued) << when;
-  ASSERT_EQ(c.dequeued, stats.dequeued) << when;
-  ASSERT_EQ(c.purged, stats.purged) << when;
-  ASSERT_EQ(c.marks, stats.ce_marked) << when;
-  ASSERT_EQ(c.drops[static_cast<std::size_t>(DropReason::kOverflow)],
-            stats.dropped_overflow)
+  ASSERT_EQ(trace.kind_count(TraceEventKind::kEnqueue), stats.enqueued)
       << when;
-  ASSERT_EQ(c.drops[static_cast<std::size_t>(DropReason::kAqm)],
-            stats.dropped_aqm)
+  ASSERT_EQ(trace.kind_count(TraceEventKind::kDequeue), stats.dequeued)
+      << when;
+  ASSERT_EQ(trace.kind_count(TraceEventKind::kMark), stats.ce_marked) << when;
+  ASSERT_EQ(trace.kind_count(TraceEventKind::kTransmit),
+            counts.port.tx_packets)
+      << when;
+  ASSERT_EQ(trace.kind_count(TraceEventKind::kDrop), counts.dropped_total())
       << when;
 }
 
@@ -87,7 +93,7 @@ void SoakPort(Simulator& sim, EgressPort& port, BufferPolicy* pool,
   config.enabled = true;
   TraceRecorder trace(config);
   trace.RegisterSite("soak");
-  port.SetTracer(trace.PortTap(0));
+  port.AddTracer(trace.PortTap(0));
 
   Rng rng(seed);
   Time at = Time::Zero();
@@ -103,20 +109,20 @@ void SoakPort(Simulator& sim, EgressPort& port, BufferPolicy* pool,
           port.Enqueue(MakePacket(rng));
         }
         ++steps;
-        CheckInvariants(port.queue_disc(), trace, pool, "after burst");
+        CheckInvariants(port, trace, pool, "after burst");
       });
     } else if (dice < 8) {
       const bool drop_queued = rng.UniformInt(2) == 0;
       sim.ScheduleAt(at, [&, drop_queued] {
         port.LinkDown(drop_queued);
         ++steps;
-        CheckInvariants(port.queue_disc(), trace, pool, "after link down");
+        CheckInvariants(port, trace, pool, "after link down");
       });
     } else {
       sim.ScheduleAt(at, [&] {
         port.LinkUp();
         ++steps;
-        CheckInvariants(port.queue_disc(), trace, pool, "after link up");
+        CheckInvariants(port, trace, pool, "after link up");
       });
     }
   }
@@ -126,7 +132,7 @@ void SoakPort(Simulator& sim, EgressPort& port, BufferPolicy* pool,
   // holding a backlog — bring it up and let it finish).
   port.LinkUp();
   sim.Run();
-  CheckInvariants(port.queue_disc(), trace, pool, "after drain");
+  CheckInvariants(port, trace, pool, "after drain");
   const QueueDiscStats& stats = port.queue_disc().stats();
   EXPECT_EQ(port.queue_disc().Snapshot().packets, 0u);
   EXPECT_EQ(stats.enqueued, stats.dequeued + stats.purged);
@@ -226,7 +232,7 @@ TEST(TraceSoakTest, ScenarioEngineActionsPreserveInvariants) {
   config.enabled = true;
   TraceRecorder trace(config);
   trace.RegisterSite("soak");
-  port.SetTracer(trace.PortTap(0));
+  port.AddTracer(trace.PortTap(0));
 
   // Keep a standing queue so every flap has a backlog to purge or park.
   Rng rng(99);
@@ -260,7 +266,7 @@ TEST(TraceSoakTest, ScenarioEngineActionsPreserveInvariants) {
                            action.target);
     sim.ScheduleAt(at, [&] {
       ++checks;
-      CheckInvariants(port.queue_disc(), trace, &pool, "post-action");
+      CheckInvariants(port, trace, &pool, "post-action");
     });
   };
   ScenarioEngine engine(sim, script, hooks);
@@ -273,7 +279,7 @@ TEST(TraceSoakTest, ScenarioEngineActionsPreserveInvariants) {
   EXPECT_EQ(checks, 12u);
   EXPECT_EQ(trace.kind_count(TraceEventKind::kScenario), 12u);
   EXPECT_GT(port.queue_disc().stats().purged, 0u);
-  CheckInvariants(port.queue_disc(), trace, &pool, "final");
+  CheckInvariants(port, trace, &pool, "final");
 }
 
 // Full-stack soak: the dumbbell dynamics scenario (loss injection, incast
@@ -313,25 +319,105 @@ TEST(TraceSoakTest, DynamicDumbbellTraceAgreesWithHarnessCounters) {
   const ExperimentResult r = RunDumbbell(config);
   ASSERT_NE(r.trace, nullptr);
   const TraceRecorder& trace = *r.trace;
-  const TraceSiteCounters& c = trace.site_counters(0);
+  const PortCounts& c = trace.site_counts(0);
 
-  EXPECT_EQ(c.enqueued, r.bottleneck.enqueued);
-  EXPECT_EQ(c.dequeued, r.bottleneck.dequeued);
-  EXPECT_EQ(c.purged, r.bottleneck.purged);
-  EXPECT_EQ(c.marks, r.bottleneck.ce_marked);
-  EXPECT_EQ(c.enqueued, c.dequeued + c.purged);  // drained
-  EXPECT_EQ(c.drops[static_cast<std::size_t>(DropReason::kFaultLoss)],
-            r.injected_drops);
-  EXPECT_EQ(c.drops[static_cast<std::size_t>(DropReason::kLinkDown)],
-            r.link_down_drops);
+  EXPECT_EQ(c.disc.enqueued, r.bottleneck.enqueued);
+  EXPECT_EQ(c.disc.dequeued, r.bottleneck.dequeued);
+  EXPECT_EQ(c.disc.purged, r.bottleneck.purged);
+  EXPECT_EQ(c.disc.ce_marked, r.bottleneck.ce_marked);
+  EXPECT_EQ(c.disc.enqueued, c.disc.dequeued + c.disc.purged);  // drained
+  EXPECT_EQ(c.drops(DropReason::kFaultLoss), r.injected_drops);
+  EXPECT_EQ(c.drops(DropReason::kLinkDown), r.link_down_drops);
   // Every dequeued packet either hit the injected loss or made it onto the
   // wire (corrupted packets transmit and are discarded at the far end).
-  EXPECT_EQ(c.dequeued,
-            c.transmitted +
-                c.drops[static_cast<std::size_t>(DropReason::kFaultLoss)]);
+  EXPECT_EQ(c.disc.dequeued,
+            c.port.tx_packets + c.drops(DropReason::kFaultLoss));
+  // The event stream is an independent tally of the same packets.
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kEnqueue), c.disc.enqueued);
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kDequeue), c.disc.dequeued);
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kMark), c.disc.ce_marked);
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kTransmit), c.port.tx_packets);
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kDrop), c.dropped_total());
   EXPECT_EQ(trace.kind_count(TraceEventKind::kScenario), r.scenario_actions);
   EXPECT_GT(r.injected_drops, 0u);
   EXPECT_GT(r.bottleneck.purged, 0u);
+}
+
+// One dumbbell bottleneck with the flight recorder and the sketch both on
+// meets every port-side loss in one run: a purging flap with a standing
+// queue, arrivals while the link is down, injected loss and injected
+// corruption. Every per-reason drop count the two exports render must be
+// nonzero and equal the bottleneck's own counter.
+TEST(TraceSoakTest, ExportedDropCountsAreTheBottlenecksOwn) {
+  ExperimentSessionConfig session_config;
+  session_config.workload = &WebSearchWorkload();
+  session_config.load = 0.7;
+  session_config.flows = 60;
+  session_config.seed = 5;
+  session_config.trace.enabled = true;
+  session_config.sketch.enabled = true;
+  ScenarioScript script;
+  script.seed = 21;
+  ScenarioAction loss;
+  loss.kind = ScenarioActionKind::kInjectLoss;
+  loss.at = Time::Milliseconds(1);
+  loss.target = -1;
+  loss.drop_prob = 0.02;
+  loss.corrupt_prob = 0.02;
+  script.actions.push_back(loss);
+  ScenarioAction burst;
+  burst.kind = ScenarioActionKind::kIncastBurst;
+  burst.at = Time::Milliseconds(2);
+  burst.flows = 8;
+  burst.bytes = 100000;
+  script.actions.push_back(burst);
+  ScenarioAction down;
+  down.kind = ScenarioActionKind::kLinkDown;
+  down.at = Time::Milliseconds(2) + Time::FromMicroseconds(100);
+  down.target = -1;
+  down.drop_queued = true;
+  script.actions.push_back(down);
+  ScenarioAction up = down;
+  up.kind = ScenarioActionKind::kLinkUp;
+  up.at = down.at + Time::FromMicroseconds(300);
+  script.actions.push_back(up);
+  session_config.scenario = script;
+
+  ExperimentSession session(session_config);
+  Dumbbell topo(session.sim(), DumbbellConfig(),
+                FifoDiscFactory(Scheme::kEcnSharp, SimulationSchemeParams()));
+  session.Bind(topo);
+  session.Run();
+  ASSERT_EQ(topo.bottleneck_count(), 1u);
+  const PortCounts owner = topo.bottleneck(0).counts();
+
+  const Json trace = TraceToJson(*session.trace());
+  const Json& counters = *trace.Find("sites")->items()[0].Find("counters");
+  const Json& drops = *counters.Find("drops");
+  for (std::size_t r = 0; r < kDropReasons; ++r) {
+    const auto reason = static_cast<DropReason>(r);
+    EXPECT_EQ(drops.Find(DropReasonName(reason))->AsUInt(),
+              owner.drops(reason))
+        << DropReasonName(reason);
+  }
+  for (const DropReason reason :
+       {DropReason::kPurged, DropReason::kLinkDown, DropReason::kFaultLoss,
+        DropReason::kCorrupt}) {
+    EXPECT_GT(owner.drops(reason), 0u) << DropReasonName(reason);
+  }
+  EXPECT_EQ(counters.Find("dropped_total")->AsUInt(), owner.dropped_total());
+  EXPECT_EQ(counters.Find("purged")->AsUInt(), owner.disc.purged);
+  EXPECT_EQ(counters.Find("transmitted")->AsUInt(), owner.port.tx_packets);
+  // The recorder's own drop events tally the same losses.
+  EXPECT_EQ(session.trace()->kind_count(TraceEventKind::kDrop),
+            owner.dropped_total());
+
+  const Json sketch =
+      SketchToJson(*session.sketch(), session.sketch()->last_update());
+  const Json& site = sketch.Find("sites")->items()[0];
+  EXPECT_EQ(site.Find("drops")->AsUInt(), owner.dropped_total());
+  EXPECT_EQ(site.Find("enqueued")->AsUInt(), owner.disc.enqueued);
+  EXPECT_EQ(site.Find("marks")->AsUInt(), owner.disc.ce_marked);
 }
 
 // The same churn timeline run against a real fat-tree fabric port: edge 0's
@@ -351,8 +437,48 @@ TEST(TraceSoakTest, FatTreeBottleneckInvariantHoldsUnderChurn) {
   }
 }
 
+// The per-site counts of the trace and the sketch, summed over every site,
+// must equal the fabric-wide aggregate the harness reports (both read the
+// same discs, so a site the session skipped or mislabelled shows here), and
+// the trace's and sketch's own event tallies must agree with them.
+void ExpectSitesSumToHarnessCounters(const ExperimentResult& r,
+                                     std::size_t sites) {
+  QueueDiscStats trace_total;
+  QueueDiscStats sketch_total;
+  std::uint64_t transmitted = 0;
+  std::uint64_t dropped = 0;
+  for (std::size_t i = 0; i < sites; ++i) {
+    const auto s = static_cast<std::uint16_t>(i);
+    const PortCounts& c = r.trace->site_counts(s);
+    trace_total.enqueued += c.disc.enqueued;
+    trace_total.dequeued += c.disc.dequeued;
+    trace_total.purged += c.disc.purged;
+    trace_total.ce_marked += c.disc.ce_marked;
+    transmitted += c.port.tx_packets;
+    dropped += c.dropped_total();
+    const PortCounts& sc = r.sketch->site_counts(s);
+    sketch_total.enqueued += sc.disc.enqueued;
+    sketch_total.dequeued += sc.disc.dequeued;
+    sketch_total.ce_marked += sc.disc.ce_marked;
+  }
+  EXPECT_EQ(trace_total.enqueued, r.bottleneck.enqueued);
+  EXPECT_EQ(trace_total.dequeued, r.bottleneck.dequeued);
+  EXPECT_EQ(trace_total.purged, r.bottleneck.purged);
+  EXPECT_EQ(trace_total.ce_marked, r.bottleneck.ce_marked);
+  EXPECT_EQ(sketch_total.enqueued, r.bottleneck.enqueued);
+  EXPECT_EQ(sketch_total.dequeued, r.bottleneck.dequeued);
+  EXPECT_EQ(sketch_total.ce_marked, r.bottleneck.ce_marked);
+  const TraceRecorder& trace = *r.trace;
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kEnqueue), r.bottleneck.enqueued);
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kDequeue), r.bottleneck.dequeued);
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kMark), r.bottleneck.ce_marked);
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kTransmit), transmitted);
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kDrop), dropped);
+  EXPECT_EQ(r.sketch->packets_observed(), r.bottleneck.enqueued);
+}
+
 // Full-stack fat-tree soak: k=4 under repeated purge-flaps with both the
-// flight recorder and the sketch telemetry enabled. The per-site tallies
+// flight recorder and the sketch telemetry enabled. The per-site counts
 // summed over all 5k^3/4 = 80 fabric ports must agree with the fabric-wide
 // aggregate the harness reports, and the fabric must drain to
 // enqueued == dequeued + purged (the queued term is zero at exit).
@@ -399,26 +525,7 @@ TEST(TraceSoakTest, DynamicFatTreeTraceAndSketchAgreeWithHarnessCounters) {
   ASSERT_EQ(r.trace->site_count(), 80u);
   ASSERT_EQ(r.sketch->site_count(), 80u);
 
-  TraceSiteCounters total;
-  SketchSiteCounters sketch_total;
-  for (std::uint16_t s = 0; s < 80; ++s) {
-    const TraceSiteCounters& c = r.trace->site_counters(s);
-    total.enqueued += c.enqueued;
-    total.dequeued += c.dequeued;
-    total.purged += c.purged;
-    total.marks += c.marks;
-    const SketchSiteCounters& sc = r.sketch->site_counters(s);
-    sketch_total.enqueued += sc.enqueued;
-    sketch_total.dequeued += sc.dequeued;
-    sketch_total.marks += sc.marks;
-  }
-  EXPECT_EQ(total.enqueued, r.bottleneck.enqueued);
-  EXPECT_EQ(total.dequeued, r.bottleneck.dequeued);
-  EXPECT_EQ(total.purged, r.bottleneck.purged);
-  EXPECT_EQ(total.marks, r.bottleneck.ce_marked);
-  EXPECT_EQ(sketch_total.enqueued, r.bottleneck.enqueued);
-  EXPECT_EQ(sketch_total.dequeued, r.bottleneck.dequeued);
-  EXPECT_EQ(sketch_total.marks, r.bottleneck.ce_marked);
+  ExpectSitesSumToHarnessCounters(r, 80);
   // Drained fabric: the `queued` term of the invariant is zero.
   EXPECT_EQ(r.bottleneck.enqueued, r.bottleneck.dequeued + r.bottleneck.purged);
   EXPECT_GT(r.bottleneck.purged, 0u);  // the flaps really purged a backlog
@@ -476,7 +583,7 @@ TEST(TraceSoakTest, ComposedBorderSpInvariantHoldsUnderChurn) {
 // border under a split traffic matrix, with both the flight recorder and
 // the sketch telemetry on. The scenario combines border purge-flaps with an
 // RTT shift (border propagation change + ECN# re-estimation) — the two
-// stressors the inter-DC regime composes. Per-site tallies summed over all
+// stressors the inter-DC regime composes. Per-site counts summed over all
 // 38 sites (16 per side + 3 per gateway) must equal the fabric-wide
 // aggregates, and the fabric must drain to enqueued == dequeued + purged.
 TEST(TraceSoakTest, DynamicInterDcTraceAndSketchAgreeWithHarnessCounters) {
@@ -535,26 +642,7 @@ TEST(TraceSoakTest, DynamicInterDcTraceAndSketchAgreeWithHarnessCounters) {
   ASSERT_EQ(r.trace->site_count(), 38u);
   ASSERT_EQ(r.sketch->site_count(), 38u);
 
-  TraceSiteCounters total;
-  SketchSiteCounters sketch_total;
-  for (std::uint16_t s = 0; s < 38; ++s) {
-    const TraceSiteCounters& c = r.trace->site_counters(s);
-    total.enqueued += c.enqueued;
-    total.dequeued += c.dequeued;
-    total.purged += c.purged;
-    total.marks += c.marks;
-    const SketchSiteCounters& sc = r.sketch->site_counters(s);
-    sketch_total.enqueued += sc.enqueued;
-    sketch_total.dequeued += sc.dequeued;
-    sketch_total.marks += sc.marks;
-  }
-  EXPECT_EQ(total.enqueued, r.bottleneck.enqueued);
-  EXPECT_EQ(total.dequeued, r.bottleneck.dequeued);
-  EXPECT_EQ(total.purged, r.bottleneck.purged);
-  EXPECT_EQ(total.marks, r.bottleneck.ce_marked);
-  EXPECT_EQ(sketch_total.enqueued, r.bottleneck.enqueued);
-  EXPECT_EQ(sketch_total.dequeued, r.bottleneck.dequeued);
-  EXPECT_EQ(sketch_total.marks, r.bottleneck.ce_marked);
+  ExpectSitesSumToHarnessCounters(r, 38);
   // Drained fabric: the `queued` term of the invariant is zero.
   EXPECT_EQ(r.bottleneck.enqueued, r.bottleneck.dequeued + r.bottleneck.purged);
   EXPECT_GT(r.bottleneck.purged, 0u);  // the flaps really purged a backlog

@@ -1,7 +1,7 @@
 // Flight-recorder tracing subsystem tests: --trace spec parsing, the
-// TraceRecorder ring (overwrite, per-kind totals), per-site counters and
-// depth series, per-flow transport series, JSON/CSV export determinism,
-// and the end-to-end RunDumbbell surface (result.trace).
+// TraceRecorder ring (overwrite, per-kind totals), per-site depth series and
+// port counts, per-flow transport series, JSON/CSV export determinism, and
+// the end-to-end RunDumbbell surface (result.trace).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,6 +11,7 @@
 #include "harness/experiment.h"
 #include "harness/json.h"
 #include "harness/trace_export.h"
+#include "net/egress_port.h"
 #include "net/packet.h"
 #include "net/queue_disc.h"
 #include "sim/time.h"
@@ -162,19 +163,15 @@ TEST(TraceRecorderTest, PortTapFillsCountersEventsAndDepthSeries) {
   tap->OnDrop(pkt, Time::FromMicroseconds(4), DropReason::kOverflow);
   tap->OnPurge(pkt, Time::FromMicroseconds(5), empty);
 
-  const TraceSiteCounters& c = recorder.site_counters(site);
-  EXPECT_EQ(c.enqueued, 1u);
-  EXPECT_EQ(c.dequeued, 1u);
-  EXPECT_EQ(c.transmitted, 1u);
-  EXPECT_EQ(c.marks, 1u);
-  EXPECT_EQ(c.purged, 1u);
-  EXPECT_EQ(c.drops[static_cast<std::size_t>(DropReason::kOverflow)], 1u);
-  EXPECT_EQ(c.drops[static_cast<std::size_t>(DropReason::kPurged)], 1u);
-  EXPECT_EQ(c.DroppedTotal(), 2u);
-  // The second site saw nothing.
-  EXPECT_EQ(recorder.site_counters(1).enqueued, 0u);
+  // The tap records events only: the site's port counts stay zero until
+  // the port's own counters are handed in.
+  EXPECT_EQ(recorder.site_counts(site).disc.enqueued, 0u);
+  EXPECT_EQ(recorder.site_counts(site).dropped_total(), 0u);
 
   EXPECT_EQ(recorder.kind_count(TraceEventKind::kEnqueue), 1u);
+  EXPECT_EQ(recorder.kind_count(TraceEventKind::kDequeue), 1u);
+  EXPECT_EQ(recorder.kind_count(TraceEventKind::kTransmit), 1u);
+  EXPECT_EQ(recorder.kind_count(TraceEventKind::kMark), 1u);
   EXPECT_EQ(recorder.kind_count(TraceEventKind::kDrop), 2u);  // drop + purge
   const std::vector<TraceEvent> events = recorder.Events();
   ASSERT_EQ(events.size(), 6u);
@@ -185,8 +182,11 @@ TEST(TraceRecorderTest, PortTapFillsCountersEventsAndDepthSeries) {
   EXPECT_EQ(events[0].flow, pkt.flow);
   EXPECT_EQ(events[2].kind, TraceEventKind::kDequeue);
   EXPECT_EQ(events[2].b, 1000u);  // sojourn ns
+  EXPECT_EQ(events[4].kind, TraceEventKind::kDrop);
+  EXPECT_EQ(events[4].reason, DropReason::kOverflow);
   EXPECT_EQ(events[5].kind, TraceEventKind::kDrop);
   EXPECT_EQ(events[5].reason, DropReason::kPurged);
+  for (const TraceEvent& event : events) EXPECT_EQ(event.site, site);
 
   // Depth sampled on enqueue, dequeue, and purge.
   const auto& depth = recorder.depth_series(site);
@@ -194,6 +194,21 @@ TEST(TraceRecorderTest, PortTapFillsCountersEventsAndDepthSeries) {
   EXPECT_EQ(depth[0].packets, 1u);
   EXPECT_EQ(depth[0].bytes, 1500u);
   EXPECT_EQ(depth[1].packets, 0u);
+}
+
+// Site ids are 16-bit and kNoTraceSite marks port-less events, so the
+// recorder names at most 65,535 ports; one more must not wrap onto site 0.
+TEST(TraceRecorderDeathTest, RegisteringPastSixteenBitSiteIdsExits) {
+  TraceConfig config;
+  config.enabled = true;
+  TraceRecorder recorder(config);
+  for (std::uint32_t i = 0; i < kNoTraceSite; ++i) {
+    recorder.RegisterSite("port");
+  }
+  EXPECT_EQ(recorder.site_count(), 65535u);
+  EXPECT_EXIT(recorder.RegisterSite("one-too-many"),
+              ::testing::ExitedWithCode(2),
+              "one-too-many.*65535 ports are already traced");
 }
 
 TEST(TraceRecorderTest, SeriesCapSuppressesPointsNotEvents) {
@@ -212,9 +227,9 @@ TEST(TraceRecorderTest, SeriesCapSuppressesPointsNotEvents) {
   }
   EXPECT_EQ(recorder.depth_series(site).size(), 4u);
   EXPECT_EQ(recorder.suppressed_points(), 6u);
-  // Events and counters are unaffected by the series cap.
+  // Events are unaffected by the series cap.
   EXPECT_EQ(recorder.kind_count(TraceEventKind::kEnqueue), 10u);
-  EXPECT_EQ(recorder.site_counters(site).enqueued, 10u);
+  EXPECT_EQ(recorder.Events().size(), 10u);
 
   // Flow series respect the same cap (per series, cwnd and rtt separately).
   const FlowKey flow{1, 2, 3, 4};
@@ -325,6 +340,41 @@ TEST(TraceExportTest, JsonIsByteIdenticalAcrossIdenticalRecorders) {
   EXPECT_NE(dump_a.find("\"overflow\""), std::string::npos);
 }
 
+TEST(TraceExportTest, SiteCountersRenderThePortsOwnCounts) {
+  TraceConfig config;
+  config.enabled = true;
+  TraceRecorder recorder(config);
+  const std::uint16_t site = recorder.RegisterSite("bottleneck0");
+  PortCounts counts;
+  counts.disc.enqueued = 40;
+  counts.disc.dequeued = 31;
+  counts.disc.dropped_overflow = 2;
+  counts.disc.dropped_aqm = 3;
+  counts.disc.purged = 5;
+  counts.disc.ce_marked = 7;
+  counts.port.tx_packets = 29;
+  counts.port.dropped_link_down = 11;
+  counts.port.dropped_fault = 17;
+  counts.port.corrupted = 13;
+  recorder.SetSiteCounts(site, counts);
+
+  const Json doc = TraceToJson(recorder);
+  const Json& c = *doc.Find("sites")->items()[0].Find("counters");
+  EXPECT_EQ(c.Find("enqueued")->AsUInt(), 40u);
+  EXPECT_EQ(c.Find("dequeued")->AsUInt(), 31u);
+  EXPECT_EQ(c.Find("transmitted")->AsUInt(), 29u);
+  EXPECT_EQ(c.Find("marks")->AsUInt(), 7u);
+  EXPECT_EQ(c.Find("purged")->AsUInt(), 5u);
+  EXPECT_EQ(c.Find("dropped_total")->AsUInt(), 2u + 3u + 11u + 5u + 17u + 13u);
+  const Json& drops = *c.Find("drops");
+  EXPECT_EQ(drops.Find("overflow")->AsUInt(), 2u);
+  EXPECT_EQ(drops.Find("aqm")->AsUInt(), 3u);
+  EXPECT_EQ(drops.Find("link-down")->AsUInt(), 11u);
+  EXPECT_EQ(drops.Find("purged")->AsUInt(), 5u);
+  EXPECT_EQ(drops.Find("fault-loss")->AsUInt(), 17u);
+  EXPECT_EQ(drops.Find("corrupt")->AsUInt(), 13u);
+}
+
 TEST(TraceExportTest, CsvHasHeaderAndOneRowPerRetainedEvent) {
   TraceConfig config;
   config.enabled = true;
@@ -368,21 +418,22 @@ TEST(TraceSessionTest, DumbbellTraceMatchesBottleneckStats) {
   ASSERT_EQ(trace.site_count(), 1u);
   EXPECT_EQ(trace.site_label(0), "bottleneck0");
 
-  // The tap's aggregates are an independent tally of the same run — they
-  // must agree with the queue disc's own counters exactly.
-  const TraceSiteCounters& c = trace.site_counters(0);
-  EXPECT_EQ(c.enqueued, r.bottleneck.enqueued);
-  EXPECT_EQ(c.dequeued, r.bottleneck.dequeued);
-  EXPECT_EQ(c.marks, r.bottleneck.ce_marked);
-  EXPECT_EQ(c.purged, r.bottleneck.purged);
-  EXPECT_EQ(c.drops[static_cast<std::size_t>(DropReason::kOverflow)],
-            r.bottleneck.dropped_overflow);
-  EXPECT_EQ(c.drops[static_cast<std::size_t>(DropReason::kAqm)],
-            r.bottleneck.dropped_aqm);
+  // The site carries the bottleneck's own counts, and the tap's event
+  // stream (an independent tally of the same run) agrees with them.
+  const PortCounts& c = trace.site_counts(0);
+  EXPECT_EQ(c.disc.enqueued, r.bottleneck.enqueued);
+  EXPECT_EQ(c.disc.dequeued, r.bottleneck.dequeued);
+  EXPECT_EQ(c.disc.ce_marked, r.bottleneck.ce_marked);
+  EXPECT_EQ(c.disc.dropped_overflow, r.bottleneck.dropped_overflow);
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kEnqueue), c.disc.enqueued);
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kDequeue), c.disc.dequeued);
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kMark), c.disc.ce_marked);
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kTransmit), c.port.tx_packets);
+  EXPECT_EQ(trace.kind_count(TraceEventKind::kDrop), c.dropped_total());
   // Drained run: enqueued == dequeued + purged (+ 0 queued).
-  EXPECT_EQ(c.enqueued, c.dequeued + c.purged);
-  EXPECT_GT(c.enqueued, 0u);
-  EXPECT_GT(c.transmitted, 0u);
+  EXPECT_EQ(c.disc.enqueued, c.disc.dequeued + c.disc.purged);
+  EXPECT_GT(c.disc.enqueued, 0u);
+  EXPECT_GT(c.port.tx_packets, 0u);
 
   // Transport tracing produced per-flow series for the workload's flows.
   EXPECT_GT(trace.flows().size(), 0u);
