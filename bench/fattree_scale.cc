@@ -26,7 +26,6 @@
 
 #include "bench_common.h"
 #include "dynamics/scenario.h"
-#include "runner/json_export.h"
 
 namespace {
 
@@ -147,44 +146,6 @@ int main() {
                   std::to_string(r.bottleneck.dropped_overflow)});
   }
   table.Print();
-
-  // Gate-compatible export: one metrics section per scale point with the
-  // sim-to-wall ratio as a *_per_sec metric (simulated seconds per wall
-  // second), so tools/perf_gate can hold the intra-run parallelism
-  // trajectory. CI gates the k=16 point against the committed
-  // BENCH_fattree.json; extra local points (k=8/32, ECNSHARP_FATTREE_KS)
-  // ride through the gate's NEW-metric path.
-  Json gate_metrics = Json::Object();
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const ExperimentResult r = runner::FctResult(sweep[i]);
-    // Appended, not `"k" + std::string`: GCC 12 at -O3 flags that with a
-    // false -Wrestrict.
-    std::string point = "k";
-    point += std::to_string(ks[i]);
-    gate_metrics.Set(
-        point,
-        Json::Object()
-            .Set("hosts", Json::UInt(host_counts[i]))
-            .Set("sim_seconds", Json::Num(r.sim_seconds))
-            .Set("wall_seconds", Json::Num(sweep[i].wall_seconds))
-            .Set("sim_seconds_per_sec",
-                 Json::Num(sweep[i].wall_seconds > 0.0
-                               ? r.sim_seconds / sweep[i].wall_seconds
-                               : 0.0)));
-  }
-  const Json gate_doc = Json::Object()
-                            .Set("schema_version", Json::Int(1))
-                            .Set("bench", Json::Str("fattree_scale"))
-                            .Set("metrics", gate_metrics);
-  const char* gate_env = std::getenv("ECNSHARP_FATTREE_BENCH_OUT");
-  const std::string gate_path = (gate_env == nullptr || *gate_env == '\0')
-                                    ? "BENCH_fattree.json"
-                                    : gate_env;
-  if (!runner::WriteTextFile(gate_path, gate_doc.Dump())) {
-    std::fprintf(stderr, "error: could not write %s\n", gate_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", gate_path.c_str());
 
   std::printf(
       "\nExpected shape: FCTs are roughly scale-invariant (same per-link\n"

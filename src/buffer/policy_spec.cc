@@ -1,5 +1,6 @@
 #include "buffer/policy_spec.h"
 
+#include <cmath>
 #include <string>
 
 #include "buffer/policies.h"
@@ -8,8 +9,9 @@
 namespace ecnsharp {
 
 namespace {
-// One full-sized packet (buffer/ sits below net/, so no net/packet.h here).
-constexpr std::uint64_t kDefaultHeadroomBytes = 1500;
+// One full-sized packet (buffer/ sits below net/, so no net/packet.h here):
+// the smallest usable pool or static slice, and the default DT headroom.
+constexpr std::uint64_t kOnePacketBytes = 1500;
 }  // namespace
 
 const char* BufferPolicyKindName(BufferPolicyKind kind) {
@@ -42,33 +44,46 @@ std::unique_ptr<BufferPolicy> MakeBufferPolicy(const BufferPolicyConfig& config,
       config.total_bytes != 0
           ? config.total_bytes
           : per_queue_fallback * static_cast<std::uint64_t>(queue_count);
-  if (total == 0) {
+  // A pool or slice smaller than one packet can never admit one: every
+  // flow would stall until the run's time cap.
+  if (total < kOnePacketBytes) {
     FatalConfigError("buffer policy needs a non-zero pool (total_bytes or "
-                     "per-port fallback)");
+                     "per-port fallback) of at least one full packet "
+                     "(1500 B), got " +
+                     std::to_string(total) + " B");
   }
-  if (config.alpha <= 0.0) {
-    FatalConfigError("buffer policy alpha must be > 0, got " +
+  const std::uint64_t static_share =
+      queue_count != 0 ? total / queue_count : total;
+  if (config.kind == BufferPolicyKind::kStatic &&
+      static_share < kOnePacketBytes) {
+    FatalConfigError("static buffer slice of " +
+                     std::to_string(static_share) +
+                     " B (pool / queue count) cannot hold one full packet "
+                     "(1500 B)");
+  }
+  // NaN passes a plain `<= 0` check, and an infinite alpha overflows the DT
+  // limit's conversion to a byte count: refuse both.
+  if (!(std::isfinite(config.alpha) && config.alpha > 0.0)) {
+    FatalConfigError("buffer policy alpha must be > 0 and finite, got " +
                      std::to_string(config.alpha));
   }
   for (double alpha : config.priority_alpha) {
-    if (alpha <= 0.0) {
-      FatalConfigError("buffer policy per-priority alpha must be > 0, got " +
-                       std::to_string(alpha));
+    if (!(std::isfinite(alpha) && alpha > 0.0)) {
+      FatalConfigError(
+          "buffer policy per-priority alpha must be > 0 and finite, got " +
+          std::to_string(alpha));
     }
   }
   switch (config.kind) {
-    case BufferPolicyKind::kStatic: {
-      const std::uint64_t share =
-          queue_count != 0 ? total / queue_count : total;
-      return std::make_unique<StaticSplitPolicy>(total, share);
-    }
+    case BufferPolicyKind::kStatic:
+      return std::make_unique<StaticSplitPolicy>(total, static_share);
     case BufferPolicyKind::kDynamicThreshold:
       return std::make_unique<DynamicThresholdPolicy>(total, config.alpha,
                                                       config.priority_alpha);
     case BufferPolicyKind::kDtHeadroom: {
       const std::uint64_t headroom = config.headroom_bytes != 0
                                          ? config.headroom_bytes
-                                         : kDefaultHeadroomBytes;
+                                         : kOnePacketBytes;
       return std::make_unique<HeadroomDtPolicy>(total, config.alpha, headroom,
                                                 config.priority_alpha);
     }

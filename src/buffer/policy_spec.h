@@ -39,8 +39,9 @@ std::optional<BufferPolicyKind> ParseBufferPolicyKind(std::string_view name);
 // Builds the policy for one switch with `queue_count` egress queues.
 // `per_queue_fallback` is the topology's legacy per-port buffer, used when
 // config.total_bytes == 0 (and as the static split's slice size). Returns
-// nullptr for kNone. Fails fast (exit 2) on non-positive alpha or a zero
-// pool.
+// nullptr for kNone. Fails fast (exit 2) on an alpha or per-priority alpha
+// that is not finite and > 0, and on a pool or static slice smaller than one
+// full packet.
 std::unique_ptr<BufferPolicy> MakeBufferPolicy(const BufferPolicyConfig& config,
                                                std::size_t queue_count,
                                                std::uint64_t per_queue_fallback);

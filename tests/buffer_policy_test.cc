@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -77,6 +78,75 @@ TEST(BufferPolicyDeathTest, FactoryRejectsZeroPool) {
         MakeBufferPolicy(config, 8, 0);
       },
       testing::ExitedWithCode(2), "non-zero pool");
+}
+
+TEST(BufferPolicyDeathTest, FactoryRejectsNonFiniteAlpha) {
+  for (const double alpha : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    EXPECT_EXIT(
+        {
+          BufferPolicyConfig config;
+          config.kind = BufferPolicyKind::kDynamicThreshold;
+          config.alpha = alpha;
+          MakeBufferPolicy(config, 8, kPkt);
+        },
+        testing::ExitedWithCode(2), "alpha must be > 0 and finite");
+  }
+}
+
+TEST(BufferPolicyDeathTest, FactoryRejectsNonFinitePriorityAlpha) {
+  for (const double alpha : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    EXPECT_EXIT(
+        {
+          BufferPolicyConfig config;
+          config.kind = BufferPolicyKind::kDtHeadroom;
+          config.priority_alpha.push_back(1.0);
+          config.priority_alpha.push_back(alpha);
+          MakeBufferPolicy(config, 8, kPkt);
+        },
+        testing::ExitedWithCode(2),
+        "per-priority alpha must be > 0 and finite");
+  }
+}
+
+TEST(BufferPolicyDeathTest, FactoryRejectsPoolBelowOnePacket) {
+  EXPECT_EXIT(
+      {
+        BufferPolicyConfig config;
+        config.kind = BufferPolicyKind::kDynamicThreshold;
+        config.total_bytes = kPkt - 1;
+        MakeBufferPolicy(config, 8, kPkt);
+      },
+      testing::ExitedWithCode(2),
+      "at least one full packet \\(1500 B\\), got 1499 B");
+}
+
+TEST(BufferPolicyDeathTest, FactoryRejectsStaticSliceBelowOnePacket) {
+  EXPECT_EXIT(
+      {
+        BufferPolicyConfig config;
+        config.kind = BufferPolicyKind::kStatic;
+        config.total_bytes = 8 * kPkt - 1;  // 8 slices of 1499 B
+        MakeBufferPolicy(config, 8, kPkt);
+      },
+      testing::ExitedWithCode(2), "static buffer slice of 1499 B");
+}
+
+TEST(MakeBufferPolicyTest, OnePacketPoolAndSliceAreAccepted) {
+  BufferPolicyConfig config;
+  config.kind = BufferPolicyKind::kStatic;
+  config.total_bytes = 8 * kPkt;
+  std::unique_ptr<BufferPolicy> policy = MakeBufferPolicy(config, 8, kPkt);
+  ASSERT_NE(policy, nullptr);
+  EXPECT_EQ(static_cast<StaticSplitPolicy&>(*policy).per_queue_bytes(), kPkt);
+
+  // A DT pool is shared, so one packet in total suffices.
+  config.kind = BufferPolicyKind::kDynamicThreshold;
+  config.total_bytes = kPkt;
+  policy = MakeBufferPolicy(config, 8, kPkt);
+  ASSERT_NE(policy, nullptr);
+  EXPECT_EQ(policy->total_bytes(), kPkt);
 }
 
 // ------------------------------ static split --------------------------------

@@ -56,11 +56,50 @@ REJECTED = [
      "config error: relaxed-lanes needs >= 2 lanes, got 1\n"),
     (["--topo=fattree", "--k=4", "--relaxed-lanes=6"],
      "lanes must be in [1, k + 1 = 5], got 6"),
+    # Shared-buffer inputs the policy factory refuses: a non-finite or
+    # non-positive alpha, and a pool or static slice below one packet.
+    (["--buffer-policy=dt", "--alpha=nan"], "alpha must be > 0 and finite"),
+    (["--buffer-policy=dt", "--alpha=inf"], "alpha must be > 0 and finite"),
+    (["--buffer-policy=dt", "--alpha=0"], "alpha must be > 0 and finite"),
+    (["--buffer-policy=dt", "--buffer-kb=1"],
+     "at least one full packet (1500 B), got 1024 B"),
+    (["--buffer-policy=static", "--buffer-kb=8"],
+     "static buffer slice of 1024 B"),
+    # A --buffer-kb whose byte count wraps 64 bits (2^54 KiB and one more).
+    (["--buffer-policy=dt", "--buffer-kb=18014398509481984"], "--buffer-kb"),
+    (["--buffer-policy=dt", "--buffer-kb=18014398509481985"], "--buffer-kb"),
+    # Flags the chosen topology would silently ignore.
+    (["--workload=bogus"], "invalid value for --workload: 'bogus'"),
+    (["--topo=leafspine", "--variation=9"],
+     "--variation applies to --topo=dumbbell"),
+    (["--topo=incast", "--variation=2"],
+     "--variation applies to --topo=dumbbell"),
+    (["--topo=leafspine", "--k=6"],
+     "--k/--rate-gbps/--host-delay-us/--fabric-delay-us apply to "
+     "--topo=fattree"),
+    (["--topo=interdc", "--rate-gbps=40"], "apply to --topo=fattree"),
+    (["--host-delay-us=5"], "apply to --topo=fattree"),
+    (["--topo=incast", "--fabric-delay-us=5"], "apply to --topo=fattree"),
+    (["--topo=leafspine", "--fanout=3"], "--fanout applies to --topo=incast"),
+    (["--topology=fattree", "--fanout=3"], "--fanout applies to --topo=incast"),
+    (["--topo=incast", "--workload=datamining"],
+     "--workload/--load/--flows/--variation/--sim-params do not apply to "
+     "--topo=incast"),
+    (["--topo=incast", "--load=0.5"], "do not apply to --topo=incast"),
+    (["--topo=incast", "--flows=10"], "do not apply to --topo=incast"),
+    (["--topo=incast", "--sim-params"], "do not apply to --topo=incast"),
+    # The scenario and mixed-CC/buffer flags name every topology they take.
+    (["--topo=incast", "--scenario={}"],
+     "--scenario applies to --topo=dumbbell, leafspine, fattree or interdc"),
+    (["--topo=incast", "--cc-mix=0.5"],
+     "--cc-mix/--buffer-policy apply to --topo=dumbbell, leafspine, fattree "
+     "or interdc"),
 ]
 
 ACCEPTED = [
     ["--flows=20"],
     ["--topo=incast", "--fanout=10"],
+    ["--topo=leafspine", "--workload=datamining", "--flows=20"],
     ["--topo=fattree", "--k=4", "--flows=50", "--relaxed-lanes=2"],
 ]
 

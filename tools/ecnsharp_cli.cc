@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -175,22 +176,27 @@ int Usage() {
       "                                     ecn-sharp-tofino, droptail, pie,\n"
       "                                     ecn-sharp-inst-only,\n"
       "                                     ecn-sharp-pst-only\n"
-      "  --workload=websearch|datamining    flow size distribution\n"
-      "  --load=<0..1>                      offered load (default 0.5)\n"
-      "  --flows=<n>                        flow count (default 1000)\n"
-      "  --variation=<k>                    RTT variation factor (default 3)\n"
-      "  --fanout=<n>                       incast query flows (default "
-      "100)\n"
+      "  --workload=websearch|datamining    flow size distribution (not\n"
+      "                                     incast)\n"
+      "  --load=<0..1>                      offered load (default 0.5; not\n"
+      "                                     incast)\n"
+      "  --flows=<n>                        flow count (default 1000; not\n"
+      "                                     incast)\n"
+      "  --variation=<k>                    dumbbell: RTT variation factor\n"
+      "                                     (default 3)\n"
+      "  --fanout=<n>                       incast: query flows (default\n"
+      "                                     100)\n"
       "  --seed=<n>                         RNG seed (default 1)\n"
       "  --sim-params                       use the paper's simulation\n"
-      "                                     parameter preset (§5.3)\n"
+      "                                     parameter preset (§5.3; not\n"
+      "                                     incast)\n"
       "  --scenario=<file.json|{inline}>    mid-run network dynamics script\n"
       "                                     (link churn, loss injection,\n"
       "                                     RTT shifts, incast bursts) for\n"
-      "                                     dumbbell or leafspine; see\n"
-      "                                     docs/extending.md. Single runs\n"
-      "                                     with a scenario also export\n"
-      "                                     results/<name>.json\n"
+      "                                     dumbbell, leafspine, fattree or\n"
+      "                                     interdc; see docs/extending.md.\n"
+      "                                     Single runs with a scenario also\n"
+      "                                     export results/<name>.json\n"
       "  --sweep=<param:lo..hi:step[,...]>  run a grid instead of a single\n"
       "                                     experiment; params: load (in\n"
       "                                     percent), flows, variation,\n"
@@ -397,11 +403,14 @@ BufferPolicyConfig BufferPolicyFromFlags(const Flags& flags) {
     std::fprintf(stderr, "--buffer-kb/--alpha require --buffer-policy\n");
     std::exit(2);
   }
-  policy.total_bytes = flags.GetU64("buffer-kb", 0) * 1024;
-  policy.alpha = flags.GetDouble("alpha", 1.0);
-  if (policy.alpha <= 0.0) {
-    FlagError("alpha", flags.Get("alpha", ""), "a positive number");
+  const std::uint64_t buffer_kb = flags.GetU64("buffer-kb", 0);
+  if (buffer_kb > std::numeric_limits<std::uint64_t>::max() / 1024) {
+    FlagError("buffer-kb", flags.Get("buffer-kb", ""),
+              "a pool size whose byte count fits in 64 bits");
   }
+  policy.total_bytes = buffer_kb * 1024;
+  // MakeBufferPolicy validates alpha and the pool size for every caller.
+  policy.alpha = flags.GetDouble("alpha", 1.0);
   return policy;
 }
 
@@ -777,8 +786,13 @@ int main(int argc, char** argv) {
   RejectIf(!ParseScheme(flags.Get("scheme", "ecn-sharp"), common.scheme),
            "unknown scheme '" + flags.Get("scheme", "") + "' (see --help)");
   const std::string workload_name = flags.Get("workload", "websearch");
-  common.workload = workload_name == "datamining" ? &DataMiningWorkload()
-                                                  : &WebSearchWorkload();
+  if (workload_name == "websearch") {
+    common.workload = &WebSearchWorkload();
+  } else if (workload_name == "datamining") {
+    common.workload = &DataMiningWorkload();
+  } else {
+    FlagError("workload", workload_name, "websearch or datamining");
+  }
   std::string topo = flags.Get("topo", "dumbbell");
   RejectIf(topo != "dumbbell" && topo != "leafspine" && topo != "fattree" &&
                topo != "interdc" && topo != "incast",
@@ -801,14 +815,29 @@ int main(int argc, char** argv) {
                 flags.Has("inter-workload")),
            "--border-rtt-us/--border-gbps/--border-links/--inter-fraction/"
            "--inter-workload apply to --topo=interdc");
+  RejectIf(topo != "fattree" &&
+               (flags.Has("k") || flags.Has("rate-gbps") ||
+                flags.Has("host-delay-us") || flags.Has("fabric-delay-us")),
+           "--k/--rate-gbps/--host-delay-us/--fabric-delay-us apply to "
+           "--topo=fattree");
+  RejectIf(topo != "dumbbell" && flags.Has("variation"),
+           "--variation applies to --topo=dumbbell");
+  RejectIf(topo != "incast" && flags.Has("fanout"),
+           "--fanout applies to --topo=incast");
+  RejectIf(topo == "incast" &&
+               (flags.Has("workload") || flags.Has("load") ||
+                flags.Has("flows") || flags.Has("sim-params")),
+           "--workload/--load/--flows/--variation/--sim-params do not apply "
+           "to --topo=incast");
   RejectIf(topo == "incast" &&
                (flags.Has("cc-mix") || flags.Has("buffer-policy") ||
                 flags.Has("buffer-kb") || flags.Has("alpha")),
-           "--cc-mix/--buffer-policy apply to --topo=dumbbell, leafspine or "
-           "fattree");
+           "--cc-mix/--buffer-policy apply to --topo=dumbbell, leafspine, "
+           "fattree or interdc");
   if (flags.Has("scenario")) {
     RejectIf(topo == "incast",
-             "--scenario applies to --topo=dumbbell, leafspine or fattree");
+             "--scenario applies to --topo=dumbbell, leafspine, fattree or "
+             "interdc");
     common.scenario = LoadScenarioOrDie(flags.Get("scenario", ""));
   }
 
