@@ -20,7 +20,7 @@
 //     within 15% at a 64 KB budget.
 //
 // Exports results/sketch_accuracy.json (ECNSHARP_RESULTS_DIR to redirect,
-// ECNSHARP_NO_JSON=1 to suppress), consumed by CI's perf-smoke artifact
+// ECNSHARP_NO_JSON=1 to suppress), consumed by CI's release-smoke artifact
 // upload and the EXPERIMENTS.md tables.
 #include <algorithm>
 #include <cmath>
