@@ -76,6 +76,17 @@ Json ToJson(const BufferPolicyConfig& policy) {
   return json;
 }
 
+Json ToJson(const SketchConfig& sketch) {
+  return Json::Object()
+      .Set("memory_kb", Json::UInt(sketch.memory_kb))
+      .Set("depth", Json::UInt(sketch.depth))
+      .Set("epoch_us", TimeUs(sketch.epoch))
+      .Set("window_epochs", Json::UInt(sketch.window_epochs))
+      .Set("decay", Json::Num(sketch.decay))
+      .Set("heavy_hitters", Json::UInt(sketch.heavy_hitters))
+      .Set("track_exact", Json::Bool(sketch.track_exact));
+}
+
 Json ToJson(const ScenarioAction& action) {
   return Json::Object()
       .Set("kind", Json::Str(ScenarioActionKindName(action.kind)))
@@ -322,7 +333,8 @@ Json ConfigRecord(const Config& config) {
   if (shape.tcp != nullptr) json.Set("tcp", ToJson(*shape.tcp));
   json.Set("params", ToJson(config.params));
   // Optional keys are omitted at their defaults so records of static,
-  // pure-DCTCP, statically buffered runs are unchanged.
+  // pure-DCTCP, statically buffered, oracle-estimated runs without sketch
+  // telemetry are unchanged.
   if (!config.scenario.empty()) {
     json.Set("scenario", ToJson(config.scenario));
   }
@@ -330,6 +342,10 @@ Json ConfigRecord(const Config& config) {
   if (config.buffer_policy.kind != BufferPolicyKind::kNone) {
     json.Set("buffer_policy", ToJson(config.buffer_policy));
   }
+  if (config.estimator != EcnEstimator::kOracle) {
+    json.Set("estimator", Json::Str("sketch"));
+  }
+  if (config.sketch.enabled) json.Set("sketch", ToJson(config.sketch));
   return json;
 }
 

@@ -22,6 +22,8 @@ const char* WorkloadName(const EmpiricalCdf* workload);
 Json ToJson(const SchemeParams& params);
 Json ToJson(const TcpConfig& tcp);
 Json ToJson(const BufferPolicyConfig& policy);
+// The fields a --sketch spec sets.
+Json ToJson(const SketchConfig& sketch);
 
 // Scenario scripts round-trip through JSON: ToJson emits the canonical form
 // and the two readers accept it back (plus defaults for omitted fields).
@@ -39,7 +41,7 @@ bool ParseScenarioScript(const std::string& text, ScenarioScript* out,
 
 // Any experiment's config record. Keys are fixed per family: the shared
 // fields in one order around the family's shape keys, and optional keys
-// (scenario, cc_mix, buffer_policy) only when set.
+// (scenario, cc_mix, buffer_policy, estimator, sketch) only when set.
 Json ToJson(const ExperimentConfig& config);
 
 Json ToJson(const FctSummary& summary);

@@ -49,12 +49,6 @@ class Host : public PacketSink {
   void set_extra_egress_delay(Time delay) { extra_egress_delay_ = delay; }
   Time extra_egress_delay() const { return extra_egress_delay_; }
 
-  // Logical locality (host group / pod) annotated by the topology builder;
-  // the relaxed-lanes executor maps localities onto event lanes. 0 = the
-  // shared/core locality.
-  void set_locality_id(std::uint32_t id) { locality_id_ = id; }
-  std::uint32_t locality_id() const { return locality_id_; }
-
   // Entry point for the transport layer: applies the extra egress delay and
   // hands the packet to the NIC queue.
   void SendPacket(std::unique_ptr<Packet> pkt) {
@@ -87,7 +81,6 @@ class Host : public PacketSink {
   // Packets held by the extra egress delay, built on the first delayed send
   // so that hosts which never delay allocate nothing.
   std::unique_ptr<InFlightQueue> netem_;
-  std::uint32_t locality_id_ = 0;
   PacketSink* upper_ = nullptr;
 };
 

@@ -1,62 +1,68 @@
 #include "net/switch_node.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
+
+#include "sim/logging.h"
 
 namespace ecnsharp {
 
+namespace {
+
+std::string BlockError(const std::string& name, std::uint32_t lo,
+                       std::uint32_t hi, const std::string& what) {
+  return "switch " + name + ": route block [" + std::to_string(lo) + ", " +
+         std::to_string(hi) + "] " + what;
+}
+
+}  // namespace
+
 void SwitchNode::AddRouteRange(std::uint32_t lo, std::uint32_t hi,
                                EgressPort& port) {
-  assert(lo <= hi);
+  if (lo > hi) FatalConfigError(BlockError(name_, lo, hi, "is empty"));
+  // First block whose lo >= lo; it and its predecessor are the only ones
+  // that can overlap [lo, hi].
   const auto it = std::lower_bound(
-      range_routes_.begin(), range_routes_.end(), lo,
-      [](const RangeRoute& r, std::uint32_t value) { return r.lo < value; });
-  if (it != range_routes_.end() && it->lo == lo && it->hi == hi) {
+      blocks_.begin(), blocks_.end(), lo,
+      [](const Block& b, std::uint32_t value) { return b.lo < value; });
+  if (it != blocks_.end() && it->lo == lo && it->hi == hi) {
     it->ports.push_back(&port);  // same block: widen the ECMP set
     return;
   }
-  assert((it == range_routes_.end() || hi < it->lo) &&
-         (it == range_routes_.begin() || std::prev(it)->hi < lo) &&
-         "range routes must be disjoint");
-  range_routes_.insert(it, RangeRoute{lo, hi, {&port}});
+  const Block* clash = nullptr;
+  if (it != blocks_.end() && it->lo <= hi) clash = &*it;
+  if (it != blocks_.begin() && std::prev(it)->hi >= lo) clash = &*std::prev(it);
+  if (clash != nullptr) {
+    FatalConfigError(BlockError(
+        name_, lo, hi,
+        "overlaps block [" + std::to_string(clash->lo) + ", " +
+            std::to_string(clash->hi) + "] without coinciding"));
+  }
+  blocks_.insert(it, Block{lo, hi, {&port}});
 }
 
-const std::vector<EgressPort*>* SwitchNode::LookupRange(
-    std::uint32_t dst) const {
-  // First range whose lo > dst; the candidate (if any) is the one before it.
+const std::vector<EgressPort*>& SwitchNode::Lookup(std::uint32_t dst) const {
+  // First block whose lo > dst; the candidate (if any) is the one before it.
   const auto it = std::upper_bound(
-      range_routes_.begin(), range_routes_.end(), dst,
-      [](std::uint32_t value, const RangeRoute& r) { return value < r.lo; });
-  if (it == range_routes_.begin()) return nullptr;
-  const RangeRoute& r = *std::prev(it);
-  return dst <= r.hi ? &r.ports : nullptr;
+      blocks_.begin(), blocks_.end(), dst,
+      [](std::uint32_t value, const Block& b) { return value < b.lo; });
+  if (it == blocks_.begin() || std::prev(it)->hi < dst) return default_route_;
+  return std::prev(it)->ports;
 }
 
 void SwitchNode::HandlePacket(std::unique_ptr<Packet> pkt) {
   ++rx_packets_;
-  const auto it = routes_.find(pkt->flow.dst);
-  if (it != routes_.end() && !it->second.empty()) {
-    SelectEcmp(it->second, pkt->flow).Enqueue(std::move(pkt));
-    return;
+  const std::vector<EgressPort*>& ports = Lookup(pkt->flow.dst);
+  if (ports.empty()) {
+    ++no_route_drops_;
+    return;  // packet destroyed: no route
   }
-  if (const std::vector<EgressPort*>* ports = LookupRange(pkt->flow.dst)) {
-    SelectEcmp(*ports, pkt->flow).Enqueue(std::move(pkt));
-    return;
+  EgressPort* out = ports.front();
+  if (ports.size() > 1) {
+    out = ports[EcmpBucket(FlowKeyHash{}(pkt->flow), ecmp_salt_,
+                           ports.size())];
   }
-  if (!default_route_.empty()) {
-    SelectEcmp(default_route_, pkt->flow).Enqueue(std::move(pkt));
-    return;
-  }
-  ++no_route_drops_;
-  // packet destroyed: no route
-}
-
-EgressPort& SwitchNode::SelectEcmp(const std::vector<EgressPort*>& candidates,
-                                   const FlowKey& flow) const {
-  if (candidates.size() == 1) return *candidates.front();
-  return *candidates[EcmpBucket(FlowKeyHash{}(flow), ecmp_salt_,
-                                candidates.size())];
+  out->Enqueue(std::move(pkt));
 }
 
 }  // namespace ecnsharp

@@ -6,22 +6,20 @@
 // so every packet of a flow takes the same path (per-flow ECMP, as in the
 // paper's leaf-spine simulations). Queueing happens only at egress ports.
 //
-// Three route granularities, consulted most-specific-first:
-//   * exact:   AddRoute(dst, port) — one destination address,
-//   * range:   AddRouteRange(lo, hi, port) — a contiguous address block
-//              (a fat-tree pod or edge subnet),
-//   * default: AddDefaultRoute(port) — everything else (the "up" route of
-//              an edge/aggregation switch).
-// Range and default routes keep table memory independent of host count: a
-// k=32 fat-tree edge switch carries 16 exact routes plus one 16-way default
-// set instead of 8192 per-host entries per uplink.
+// One route table: a sorted list of disjoint, inclusive address blocks,
+// each with its ECMP port set, and a default set for every address no block
+// holds. A ToR routes each of its hosts as a one-address block (AddRoute)
+// and sends everything else up its default set (AddDefaultRoute); the tiers
+// above route one block per subnet down (AddRouteRange: a leaf's or edge's
+// hosts, a pod, a peer datacenter). Table size is independent of host
+// count: a k=32 fat-tree edge switch carries 16 one-address blocks plus one
+// 16-way default set instead of 8192 per-host entries per uplink.
 #ifndef ECNSHARP_NET_SWITCH_NODE_H_
 #define ECNSHARP_NET_SWITCH_NODE_H_
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/egress_port.h"
@@ -46,18 +44,18 @@ class SwitchNode : public PacketSink {
   EgressPort& port(std::size_t i) { return *ports_.at(i); }
   const EgressPort& port(std::size_t i) const { return *ports_.at(i); }
 
-  // Adds `port` to the ECMP set for destination address `dst`.
+  // Adds `port` to the ECMP set of the one-address block [dst, dst].
   void AddRoute(std::uint32_t dst, EgressPort& port) {
-    routes_[dst].push_back(&port);
+    AddRouteRange(dst, dst, port);
   }
 
-  // Adds `port` to the ECMP set for every destination in [lo, hi]
-  // (inclusive) that has no exact route. Ranges must either coincide with an
-  // existing range (extending its ECMP set) or be disjoint from all others.
+  // Adds `port` to the ECMP set of the block [lo, hi] (inclusive). A block
+  // either coincides with an existing one (widening its ECMP set) or is
+  // disjoint from all others; an empty or partially overlapping block exits
+  // 2 (FatalConfigError).
   void AddRouteRange(std::uint32_t lo, std::uint32_t hi, EgressPort& port);
 
-  // Adds `port` to the ECMP set used when neither an exact nor a range
-  // route matches.
+  // Adds `port` to the ECMP set used when no block holds the destination.
   void AddDefaultRoute(EgressPort& port) { default_route_.push_back(&port); }
 
   void HandlePacket(std::unique_ptr<Packet> pkt) override;
@@ -81,32 +79,25 @@ class SwitchNode : public PacketSink {
   std::uint64_t rx_packets() const { return rx_packets_; }
   std::uint64_t no_route_drops() const { return no_route_drops_; }
 
-  // Locality tag for sharded event lanes: topologies annotate each switch
-  // with the lane its events belong to (e.g. the fat-tree pod index).
-  void set_locality_id(std::uint32_t id) { locality_id_ = id; }
-  std::uint32_t locality_id() const { return locality_id_; }
-
  private:
-  struct RangeRoute {
+  struct Block {
     std::uint32_t lo;
     std::uint32_t hi;  // inclusive
     std::vector<EgressPort*> ports;
   };
 
-  EgressPort& SelectEcmp(const std::vector<EgressPort*>& candidates,
-                         const FlowKey& flow) const;
-  const std::vector<EgressPort*>* LookupRange(std::uint32_t dst) const;
+  // The ECMP set of the block holding `dst`, else the default set (empty
+  // when the switch has no default route).
+  const std::vector<EgressPort*>& Lookup(std::uint32_t dst) const;
 
   Simulator& sim_;
   std::string name_;
   std::uint64_t ecmp_salt_;
   std::vector<std::unique_ptr<EgressPort>> ports_;
-  std::unordered_map<std::uint32_t, std::vector<EgressPort*>> routes_;
-  std::vector<RangeRoute> range_routes_;  // sorted by lo, pairwise disjoint
+  std::vector<Block> blocks_;  // sorted by lo, pairwise disjoint
   std::vector<EgressPort*> default_route_;
   std::uint64_t rx_packets_ = 0;
   std::uint64_t no_route_drops_ = 0;
-  std::uint32_t locality_id_ = 0;
 };
 
 }  // namespace ecnsharp

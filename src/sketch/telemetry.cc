@@ -44,19 +44,6 @@ SketchTelemetry::SketchTelemetry(SketchConfig config)
   candidates_.reserve(config_.heavy_hitters);
 }
 
-std::uint64_t SketchTelemetry::KeyOf(const FlowKey& flow) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(flow.src);
-  mix(flow.dst);
-  mix(flow.src_port);
-  mix(flow.dst_port);
-  return h;
-}
-
 std::uint16_t SketchTelemetry::RegisterSite(std::string label) {
   if (sites_.size() >= kNoTraceSite) {
     FatalConfigError("sketch: cannot register port '" + label + "': " +

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "net/egress_port.h"
+#include "net/packet.h"
 #include "net/queue_disc.h"
 #include "sketch/count_min.h"
 #include "sketch/queue_ewma.h"
@@ -57,9 +58,11 @@ class SketchTelemetry : public TransportTracer {
 
   const SketchConfig& config() const { return config_; }
 
-  // Deterministic 64-bit sketch key for a flow (FNV-1a over the 4-tuple,
-  // same mixing as FlowKeyHash).
-  static std::uint64_t KeyOf(const FlowKey& flow);
+  // Deterministic 64-bit sketch key for a flow: FlowKeyHash, the FNV-1a
+  // hash over the 4-tuple.
+  static std::uint64_t KeyOf(const FlowKey& flow) {
+    return FlowKeyHash{}(flow);
+  }
 
   // --- Sites ------------------------------------------------------------
   // Site ids are 16-bit with the trace recorder's kNoTraceSite reserved, so

@@ -131,7 +131,6 @@ ComposedTopology::ComposedTopology(Simulator& sim, const ComposedConfig& config,
   for (std::size_t s = 0; s < 2; ++s) {
     gateways_[s] = std::make_unique<SwitchNode>(
         sim_, s == 0 ? "gwA" : "gwB", /*ecmp_salt=*/0x40000 + s);
-    gateways_[s]->set_locality_id(0);
   }
 
   BuildSide(0, make_disc);
@@ -207,20 +206,13 @@ void ComposedTopology::AttachSide(std::size_t s,
   // one gateway down port back. The uplink lives in the side's switch but
   // deliberately takes no side buffer pool — the side's per-chip pool
   // accounting must match its standalone build exactly (the reduction-parity
-  // contract). Remote traffic reaches the top tier through a range route
-  // over the existing uplink ECMP sets (leaf-spine) or the default up-routes
-  // (fat-tree edges/aggs).
+  // contract). Remote traffic reaches the top tier through the side's
+  // default up-routes (leaves, fat-tree edges and aggs); the top tier routes
+  // the peer's block to the gateway.
   std::vector<SwitchNode*> top_tier;
   DataRate rate;
   if (sc.kind == ComposedSideConfig::Kind::kLeafSpine) {
     LeafSpine& ls = *leaf_spine_[s];
-    for (std::size_t l = 0; l < ls.leaf_count(); ++l) {
-      for (std::size_t sp = 0; sp < ls.spine_count(); ++sp) {
-        ls.leaf(l).AddRouteRange(
-            remote_lo, remote_hi,
-            ls.leaf(l).port(sc.leaf_spine.hosts_per_leaf + sp));
-      }
-    }
     for (std::size_t sp = 0; sp < ls.spine_count(); ++sp) {
       top_tier.push_back(&ls.spine(sp));
     }

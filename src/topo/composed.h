@@ -17,11 +17,11 @@
 //   side B hosts: [base_b, base_b + nB)   (base_b = base_a + nA when
 //                                          auto_address, validated disjoint
 //                                          otherwise)
-// Remote traffic routes on the peer's contiguous block: leaves/cores add one
-// range route over their uplinks, top-tier switches range-route the block to
-// their gateway attach port, and each gateway ECMPs the block over the
-// border links. Everything below the top tier is untouched — fat-tree edges
-// and aggs reach the border through their existing default routes.
+// Remote traffic routes on the peer's contiguous block: top-tier switches
+// (spines / cores) route the block to their gateway attach port, and each
+// gateway ECMPs it over the border links. Everything below the top tier is
+// untouched — leaves, fat-tree edges and aggs reach the top tier through
+// their existing default routes.
 //
 // Unified target-id space (ResolvePort / scenarios / tracing / sketching):
 //   -1                      first border link's egress on gateway A

@@ -34,7 +34,7 @@ Dumbbell::Dumbbell(Simulator& sim, const DumbbellConfig& config,
   for (std::size_t i = 0; i <= config_.senders; ++i) {
     const bool is_receiver = (i == config_.senders);
     EgressPort& down = BuildAccessHost(
-        sim_, *switch_, static_cast<std::uint32_t>(i), /*locality=*/0, link,
+        sim_, *switch_, static_cast<std::uint32_t>(i), link,
         is_receiver ? make_disc : drop_tail, pool_.get(), hosts_, stacks_);
     if (is_receiver) {
       bottleneck_port_ = &down;

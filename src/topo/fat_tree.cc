@@ -41,15 +41,12 @@ FatTree::FatTree(Simulator& sim, const FatTreeConfig& config,
     const std::size_t pod = g / half_k;
     edges_.push_back(std::make_unique<SwitchNode>(
         PodSim(pod), "edge" + std::to_string(g), /*ecmp_salt=*/0x10000 + g));
-    edges_.back()->set_locality_id(LocalityOfPod(pod));
     aggs_.push_back(std::make_unique<SwitchNode>(
         PodSim(pod), "agg" + std::to_string(g), /*ecmp_salt=*/0x20000 + g));
-    aggs_.back()->set_locality_id(LocalityOfPod(pod));
   }
   for (std::size_t c = 0; c < half_k * half_k; ++c) {
     cores_.push_back(std::make_unique<SwitchNode>(
         sim_, "core" + std::to_string(c), /*ecmp_salt=*/0x30000 + c));
-    cores_.back()->set_locality_id(0);
   }
 
   // One shared-buffer pool per switch chip: every switch carries k egress
@@ -82,8 +79,8 @@ FatTree::FatTree(Simulator& sim, const FatTreeConfig& config,
   for (std::size_t h = 0; h < host_count; ++h) {
     BuildAccessHost(PodSim(PodOfHost(h)), *edges_[EdgeOfHost(h)],
                     config_.base_address + static_cast<std::uint32_t>(h),
-                    LocalityOfPod(PodOfHost(h)), link, make_disc,
-                    buffer_pool(EdgeOfHost(h)), hosts_, stacks_);
+                    link, make_disc, buffer_pool(EdgeOfHost(h)), hosts_,
+                    stacks_);
     AddHost(*hosts_[h], *stacks_[h], path_rtt);
   }
 

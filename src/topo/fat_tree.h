@@ -89,9 +89,9 @@ class FatTree : public Topology {
     return host_index / hosts_per_edge();  // global edge index
   }
 
-  // Logical locality ids (annotated on every node): pod p is locality
-  // 1 + p, the core tier is locality 0. In a lane-sharded build locality
-  // `l` executes on lane l % lane_count.
+  // Logical locality ids: pod p is locality 1 + p, the core tier is
+  // locality 0. In a lane-sharded build locality `l` executes on lane
+  // l % lane_count.
   std::uint32_t LocalityOfPod(std::size_t pod) const {
     return static_cast<std::uint32_t>(1 + pod);
   }

@@ -38,18 +38,14 @@ LeafSpine::LeafSpine(Simulator& sim, const LeafSpineConfig& config,
   // buffer_pool(i) is null while the pool table is empty (no policy), so
   // the wiring below hands every disc its chip's pool or null.
 
-  // Locality annotations: leaf l and its hosts form locality 1 + l; the
-  // spine tier is the shared locality 0 (mirrors the fat-tree pod scheme).
   for (std::size_t l = 0; l < config_.leaves; ++l) {
     leaves_.push_back(std::make_unique<SwitchNode>(
         sim_, "leaf" + std::to_string(l), /*ecmp_salt=*/0x1000 + l));
-    leaves_.back()->set_locality_id(static_cast<std::uint32_t>(1 + l));
     tables_.switches.push_back(leaves_.back().get());
   }
   for (std::size_t s = 0; s < config_.spines; ++s) {
     spines_.push_back(std::make_unique<SwitchNode>(
         sim_, "spine" + std::to_string(s), /*ecmp_salt=*/0x2000 + s));
-    spines_.back()->set_locality_id(0);
     tables_.switches.push_back(spines_.back().get());
   }
 
@@ -63,14 +59,20 @@ LeafSpine::LeafSpine(Simulator& sim, const LeafSpineConfig& config,
     const std::size_t l = LeafOfHost(h);
     BuildAccessHost(sim_, *leaves_[l],
                     config_.base_address + static_cast<std::uint32_t>(h),
-                    static_cast<std::uint32_t>(1 + l), link, make_disc,
-                    buffer_pool(l), hosts_, stacks_);
+                    link, make_disc, buffer_pool(l), hosts_, stacks_);
     AddHost(*hosts_[h], *stacks_[h], path_rtt);
   }
 
-  // Leaf <-> spine fabric.
+  // Leaf <-> spine fabric. A leaf sends everything but its own hosts up its
+  // ECMP default set over all spines; a spine routes each leaf's contiguous
+  // host block down.
   for (std::size_t l = 0; l < config_.leaves; ++l) {
     SwitchNode& leaf = *leaves_[l];
+    const auto block_lo =
+        config_.base_address +
+        static_cast<std::uint32_t>(l * config_.hosts_per_leaf);
+    const auto block_hi =
+        static_cast<std::uint32_t>(block_lo + config_.hosts_per_leaf - 1);
     for (std::size_t s = 0; s < config_.spines; ++s) {
       SwitchNode& spine = *spines_[s];
 
@@ -78,27 +80,13 @@ LeafSpine::LeafSpine(Simulator& sim, const LeafSpineConfig& config,
           sim_, config_.rate, config_.spine_link_delay,
           make_disc(buffer_pool(l)));
       up->ConnectTo(spine);
-      EgressPort& up_ref = leaf.AddPort(std::move(up));
+      leaf.AddDefaultRoute(leaf.AddPort(std::move(up)));
 
       auto down = std::make_unique<EgressPort>(
           sim_, config_.rate, config_.spine_link_delay,
           make_disc(buffer_pool(config_.leaves + s)));
       down->ConnectTo(leaf);
-      EgressPort& down_ref = spine.AddPort(std::move(down));
-
-      // Spine routes to every host under this leaf via the down port.
-      for (std::size_t h = 0; h < config_.hosts_per_leaf; ++h) {
-        const auto addr =
-            config_.base_address +
-            static_cast<std::uint32_t>(l * config_.hosts_per_leaf + h);
-        spine.AddRoute(addr, down_ref);
-      }
-      // Leaf routes to every non-local host via all uplinks (ECMP).
-      for (std::size_t h = 0; h < host_count; ++h) {
-        if (LeafOfHost(h) == l) continue;
-        leaf.AddRoute(config_.base_address + static_cast<std::uint32_t>(h),
-                      up_ref);
-      }
+      spine.AddRouteRange(block_lo, block_hi, spine.AddPort(std::move(down)));
     }
   }
   IndexSwitchPorts(*this);

@@ -107,12 +107,10 @@ void Topology::AppendTables(const Topology& part) {
 
 EgressPort& Topology::BuildAccessHost(
     Simulator& sim, SwitchNode& tor, std::uint32_t address,
-    std::uint32_t locality, const AccessLink& link,
-    const DiscFactory& make_down_disc, BufferPolicy* pool,
-    std::vector<std::unique_ptr<Host>>& hosts,
+    const AccessLink& link, const DiscFactory& make_down_disc,
+    BufferPolicy* pool, std::vector<std::unique_ptr<Host>>& hosts,
     std::vector<std::unique_ptr<TcpStack>>& stacks) {
   auto host = std::make_unique<Host>(sim, address);
-  host->set_locality_id(locality);
 
   // Host NIC toward the ToR: large drop-tail, never the intended bottleneck.
   auto nic = std::make_unique<EgressPort>(

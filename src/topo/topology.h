@@ -140,8 +140,9 @@ class Topology {
 
   // Builds one host on `sim` and its access link to `tor`: the host's FIFO
   // NIC toward the ToR, the ToR's down port running make_down_disc(pool),
-  // the ToR's route to the host, and the host's TcpStack. The host and
-  // stack are appended to the owning vectors; returns the down port.
+  // the ToR's one-address route block to the host, and the host's
+  // TcpStack. The host and stack are appended to the owning vectors;
+  // returns the down port.
   struct AccessLink {
     DataRate rate;
     Time delay;
@@ -150,9 +151,8 @@ class Topology {
   };
   static EgressPort& BuildAccessHost(
       Simulator& sim, SwitchNode& tor, std::uint32_t address,
-      std::uint32_t locality, const AccessLink& link,
-      const DiscFactory& make_down_disc, BufferPolicy* pool,
-      std::vector<std::unique_ptr<Host>>& hosts,
+      const AccessLink& link, const DiscFactory& make_down_disc,
+      BufferPolicy* pool, std::vector<std::unique_ptr<Host>>& hosts,
       std::vector<std::unique_ptr<TcpStack>>& stacks);
 
   Tables tables_;

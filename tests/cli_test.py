@@ -88,6 +88,12 @@ REJECTED = [
     (["--topo=incast", "--load=0.5"], "do not apply to --topo=incast"),
     (["--topo=incast", "--flows=10"], "do not apply to --topo=incast"),
     (["--topo=incast", "--sim-params"], "do not apply to --topo=incast"),
+    (["--topo=leafspine", "--sim-params"],
+     "--sim-params applies to --topo=dumbbell"),
+    (["--topo=fattree", "--sim-params"],
+     "--sim-params applies to --topo=dumbbell"),
+    (["--topo=interdc", "--sim-params"],
+     "--sim-params applies to --topo=dumbbell"),
     # The scenario and mixed-CC/buffer flags name every topology they take.
     (["--topo=incast", "--scenario={}"],
      "--scenario applies to --topo=dumbbell, leafspine, fattree or interdc"),

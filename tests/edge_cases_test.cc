@@ -113,32 +113,67 @@ TEST(SimulatorDeterminismTest, HighVolumeEventOrdering) {
 // --------------------------- leaf-spine routing -----------------------------
 
 TEST(LeafSpineRoutingTest, NoPacketIsEverUnroutable) {
-  Simulator sim;
+  // Every ordered host pair exchanges one small flow; every flow completes
+  // and no switch drops a packet for want of a route.
+  const auto expect_all_pairs_routable =
+      [](Simulator& sim, Topology& topo,
+         const std::vector<const SwitchNode*>& switches) {
+        int done = 0;
+        int flows = 0;
+        for (std::size_t src = 0; src < topo.host_count(); ++src) {
+          for (std::size_t dst = 0; dst < topo.host_count(); ++dst) {
+            if (src == dst) continue;
+            ++flows;
+            topo.stack(src).StartFlow(topo.host(dst).address(), 5000,
+                                      [&done](const FlowRecord&) { ++done; });
+          }
+        }
+        sim.RunUntil(Time::Seconds(5));
+        EXPECT_EQ(done, flows);
+        for (const SwitchNode* sw : switches) {
+          EXPECT_EQ(sw->no_route_drops(), 0u) << sw->name();
+        }
+      };
+  const auto fifo = [](BufferPolicy*) {
+    return std::make_unique<FifoQueueDisc>(1ull << 24, nullptr);
+  };
+  const auto fabric_switches = [](LeafSpine& topo,
+                                  std::vector<const SwitchNode*>& out) {
+    for (std::size_t l = 0; l < topo.leaf_count(); ++l) {
+      out.push_back(&topo.leaf(l));
+    }
+    for (std::size_t s = 0; s < topo.spine_count(); ++s) {
+      out.push_back(&topo.spine(s));
+    }
+  };
   LeafSpineConfig config;
   config.spines = 2;
   config.leaves = 3;
   config.hosts_per_leaf = 2;
-  LeafSpine topo(sim, config, [](BufferPolicy*) {
-    return std::make_unique<FifoQueueDisc>(1ull << 24, nullptr);
-  });
-  // Every ordered pair exchanges one small flow.
-  int done = 0;
-  int flows = 0;
-  for (std::size_t src = 0; src < topo.host_count(); ++src) {
-    for (std::size_t dst = 0; dst < topo.host_count(); ++dst) {
-      if (src == dst) continue;
-      ++flows;
-      topo.stack(src).StartFlow(static_cast<std::uint32_t>(dst), 5000,
-                                [&done](const FlowRecord&) { ++done; });
+  {
+    SCOPED_TRACE("leaf-spine");
+    Simulator sim;
+    LeafSpine topo(sim, config, fifo);
+    std::vector<const SwitchNode*> switches;
+    fabric_switches(topo, switches);
+    expect_all_pairs_routable(sim, topo, switches);
+  }
+  {
+    // Cross-side pairs leave each leaf through its default set, cross the
+    // spines' peer block and both gateways.
+    SCOPED_TRACE("composed");
+    Simulator sim;
+    ComposedConfig composed;
+    composed.side_a.leaf_spine = config;
+    composed.side_b.leaf_spine = config;
+    composed.border_links = 2;
+    ComposedTopology topo(sim, composed, fifo);
+    std::vector<const SwitchNode*> switches;
+    for (std::size_t s = 0; s < 2; ++s) {
+      fabric_switches(static_cast<LeafSpine&>(topo.side(s)), switches);
+      switches.push_back(&topo.gateway(s));
     }
-  }
-  sim.RunUntil(Time::Seconds(5));
-  EXPECT_EQ(done, flows);
-  for (std::size_t l = 0; l < topo.leaf_count(); ++l) {
-    EXPECT_EQ(topo.leaf(l).no_route_drops(), 0u);
-  }
-  for (std::size_t s = 0; s < topo.spine_count(); ++s) {
-    EXPECT_EQ(topo.spine(s).no_route_drops(), 0u);
+    expect_all_pairs_routable(sim, topo, switches);
   }
 }
 

@@ -253,14 +253,28 @@ TEST(ConfigJsonTest, RecordKeysFollowTheFamilyOrder) {
 TEST(ConfigJsonTest, OptionalKeysAppearOnlyWhenSet) {
   FatTreeExperimentConfig config;
   const std::vector<std::string> plain = Keys(ToJson(config));
+  // Sketch telemetry alone, estimating from the oracle.
+  config.sketch.enabled = true;
+  std::vector<std::string> expected = plain;
+  expected.push_back("sketch");
+  EXPECT_EQ(Keys(ToJson(config)), expected);
+
   ScenarioAction reestimate;
   reestimate.kind = ScenarioActionKind::kReestimateEcnSharp;
   config.scenario.actions.push_back(reestimate);
   config.cc_mix = 0.25;
   config.buffer_policy.kind = BufferPolicyKind::kDynamicThreshold;
-  std::vector<std::string> expected = plain;
-  expected.insert(expected.end(), {"scenario", "cc_mix", "buffer_policy"});
-  EXPECT_EQ(Keys(ToJson(config)), expected);
+  config.estimator = EcnEstimator::kSketch;
+  expected = plain;
+  expected.insert(expected.end(), {"scenario", "cc_mix", "buffer_policy",
+                                   "estimator", "sketch"});
+  const Json record = ToJson(config);
+  EXPECT_EQ(Keys(record), expected);
+  EXPECT_EQ(record.Find("estimator")->AsString(), "sketch");
+  EXPECT_EQ(Keys(*record.Find("sketch")),
+            (std::vector<std::string>{"memory_kb", "depth", "epoch_us",
+                                      "window_epochs", "decay",
+                                      "heavy_hitters", "track_exact"}));
 }
 
 }  // namespace

@@ -234,9 +234,9 @@ TEST(SwitchTest, EcmpSpreadsFlows) {
   EXPECT_GT(sink_b.count(), 50u);
 }
 
-// Range routes match their inclusive [lo, hi] block; exact routes win over
-// an overlapping range (a fat-tree edge routes its own hosts exactly while
-// an agg above it routes the whole edge block as one range).
+// Range routes match their inclusive [lo, hi] block, and a one-address
+// route is the block [dst, dst] beside them (a fat-tree edge routes its own
+// hosts one by one while an agg above it routes the whole edge block).
 TEST(SwitchTest, RangeRoutesMatchInclusiveBlocks) {
   Simulator sim;
   SwitchNode sw(sim, "sw");
@@ -254,14 +254,14 @@ TEST(SwitchTest, RangeRoutesMatchInclusiveBlocks) {
   EgressPort& hi = mk(sink_hi);
   sw.AddRouteRange(10, 19, lo);
   sw.AddRouteRange(20, 29, hi);
-  sw.AddRoute(15, exact);
+  sw.AddRoute(35, exact);
 
   sw.HandlePacket(MakePacket(1, 10, 100));  // lo edge of first block
   sw.HandlePacket(MakePacket(1, 19, 100));  // hi edge of first block
-  sw.HandlePacket(MakePacket(1, 15, 100));  // exact beats range
+  sw.HandlePacket(MakePacket(1, 35, 100));  // one-address block
   sw.HandlePacket(MakePacket(1, 20, 100));  // second block
   sw.HandlePacket(MakePacket(1, 29, 100));
-  sw.HandlePacket(MakePacket(1, 30, 100));  // past the last block: dropped
+  sw.HandlePacket(MakePacket(1, 30, 100));  // between blocks: dropped
   sw.HandlePacket(MakePacket(1, 9, 100));   // before the first: dropped
   sim.Run();
   EXPECT_EQ(sink_lo.count(), 2u);
@@ -270,7 +270,7 @@ TEST(SwitchTest, RangeRoutesMatchInclusiveBlocks) {
   EXPECT_EQ(sw.no_route_drops(), 2u);
 }
 
-// The default route catches everything no exact or range entry claims, and
+// The default route catches everything no block claims, and
 // spreads over its ECMP set (a fat-tree edge's uplinks are exactly this).
 TEST(SwitchTest, DefaultRouteCatchesUnmatchedAndSpreads) {
   Simulator sim;
@@ -288,7 +288,7 @@ TEST(SwitchTest, DefaultRouteCatchesUnmatchedAndSpreads) {
   sw.AddDefaultRoute(mk(sink_up_a));
   sw.AddDefaultRoute(mk(sink_up_b));
 
-  sw.HandlePacket(MakePacket(1, 5, 100));  // exact route still wins
+  sw.HandlePacket(MakePacket(1, 5, 100));  // the block still wins
   for (std::uint16_t sport = 0; sport < 200; ++sport) {
     sw.HandlePacket(MakePacket(1, 77, 100, sport));  // all default-routed
   }
@@ -298,6 +298,28 @@ TEST(SwitchTest, DefaultRouteCatchesUnmatchedAndSpreads) {
   EXPECT_GT(sink_up_a.count(), 50u);
   EXPECT_GT(sink_up_b.count(), 50u);
   EXPECT_EQ(sw.no_route_drops(), 0u);
+}
+
+// Blocks either coincide or are disjoint: a range straddling a block's edge
+// and a one-address route inside a range both exit 2, in every build type.
+TEST(SwitchDeathTest, PartialOverlapExits2) {
+  const auto add_routes = [](std::uint32_t lo, std::uint32_t hi,
+                             std::uint32_t lo2, std::uint32_t hi2) {
+    Simulator sim;
+    SwitchNode sw(sim, "sw");
+    EgressPort& port = sw.AddPort(std::make_unique<EgressPort>(
+        sim, DataRate::GigabitsPerSecond(10), Time::Zero(), BigFifo()));
+    sw.AddRouteRange(lo, hi, port);
+    sw.AddRouteRange(lo2, hi2, port);
+  };
+  EXPECT_EXIT(add_routes(10, 19, 15, 24), testing::ExitedWithCode(2),
+              "route block \\[15, 24\\] overlaps block \\[10, 19\\]");
+  EXPECT_EXIT(add_routes(10, 19, 5, 10), testing::ExitedWithCode(2),
+              "route block \\[5, 10\\] overlaps block \\[10, 19\\]");
+  EXPECT_EXIT(add_routes(10, 19, 15, 15), testing::ExitedWithCode(2),
+              "route block \\[15, 15\\] overlaps block \\[10, 19\\]");
+  EXPECT_EXIT(add_routes(15, 15, 10, 19), testing::ExitedWithCode(2),
+              "route block \\[10, 19\\] overlaps block \\[15, 15\\]");
 }
 
 // ---------------------------------------------------------------------------

@@ -187,9 +187,9 @@ int Usage() {
       "  --fanout=<n>                       incast: query flows (default\n"
       "                                     100)\n"
       "  --seed=<n>                         RNG seed (default 1)\n"
-      "  --sim-params                       use the paper's simulation\n"
-      "                                     parameter preset (§5.3; not\n"
-      "                                     incast)\n"
+      "  --sim-params                       dumbbell: use the paper's\n"
+      "                                     simulation parameter preset\n"
+      "                                     (§5.3; the fabrics always do)\n"
       "  --scenario=<file.json|{inline}>    mid-run network dynamics script\n"
       "                                     (link churn, loss injection,\n"
       "                                     RTT shifts, incast bursts) for\n"
@@ -642,7 +642,8 @@ ExperimentConfig ConfigFromFlags(const Flags& flags, const std::string& topo,
         point->Get("flows", static_cast<double>(common.flows)));
   }
   // The fabrics run the paper's simulation parameters; the dumbbell runs
-  // the testbed's unless --sim-params asks otherwise.
+  // the testbed's unless --sim-params asks otherwise (main() rejects the
+  // flag off the dumbbell).
   if (topo != "dumbbell" || flags.Has("sim-params")) {
     common.params = SimulationSchemeParams();
   }
@@ -829,6 +830,8 @@ int main(int argc, char** argv) {
                 flags.Has("flows") || flags.Has("sim-params")),
            "--workload/--load/--flows/--variation/--sim-params do not apply "
            "to --topo=incast");
+  RejectIf(topo != "dumbbell" && flags.Has("sim-params"),
+           "--sim-params applies to --topo=dumbbell");
   RejectIf(topo == "incast" &&
                (flags.Has("cc-mix") || flags.Has("buffer-policy") ||
                 flags.Has("buffer-kb") || flags.Has("alpha")),
