@@ -28,14 +28,6 @@ const char* BufferPolicyKindName(BufferPolicyKind kind) {
   return "?";
 }
 
-std::optional<BufferPolicyKind> ParseBufferPolicyKind(std::string_view name) {
-  if (name == "none") return BufferPolicyKind::kNone;
-  if (name == "static") return BufferPolicyKind::kStatic;
-  if (name == "dt") return BufferPolicyKind::kDynamicThreshold;
-  if (name == "dt-headroom") return BufferPolicyKind::kDtHeadroom;
-  return std::nullopt;
-}
-
 std::unique_ptr<BufferPolicy> MakeBufferPolicy(const BufferPolicyConfig& config,
                                                std::size_t queue_count,
                                                std::uint64_t per_queue_fallback) {

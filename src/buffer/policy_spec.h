@@ -1,14 +1,11 @@
 // Configuration surface for shared-buffer policies: the kind/parameters
-// struct carried on topology and experiment configs, name<->enum mapping for
-// the CLI and JSON export, and the factory that builds a policy for one
-// switch chip.
+// struct carried on topology and experiment configs, each kind's name in the
+// config record, and the factory that builds a policy for one switch chip.
 #ifndef ECNSHARP_BUFFER_POLICY_SPEC_H_
 #define ECNSHARP_BUFFER_POLICY_SPEC_H_
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "buffer/buffer_policy.h"
@@ -32,9 +29,6 @@ struct BufferPolicyConfig {
 };
 
 const char* BufferPolicyKindName(BufferPolicyKind kind);
-// Accepts the CLI spellings {none, static, dt, dt-headroom}; nullopt on
-// anything else.
-std::optional<BufferPolicyKind> ParseBufferPolicyKind(std::string_view name);
 
 // Builds the policy for one switch with `queue_count` egress queues.
 // `per_queue_fallback` is the topology's legacy per-port buffer, used when

@@ -24,22 +24,4 @@ const char* ScenarioActionKindName(ScenarioActionKind kind) {
   return "?";
 }
 
-bool ParseScenarioActionKind(const std::string& name,
-                             ScenarioActionKind* out) {
-  static constexpr ScenarioActionKind kAll[] = {
-      ScenarioActionKind::kSetHostDelay,    ScenarioActionKind::kSetLinkRate,
-      ScenarioActionKind::kSetLinkDelay,    ScenarioActionKind::kLinkDown,
-      ScenarioActionKind::kLinkUp,          ScenarioActionKind::kInjectLoss,
-      ScenarioActionKind::kIncastBurst,
-      ScenarioActionKind::kReestimateEcnSharp,
-  };
-  for (const ScenarioActionKind kind : kAll) {
-    if (name == ScenarioActionKindName(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace ecnsharp

@@ -49,8 +49,6 @@ enum class ScenarioActionKind : std::uint8_t {
 
 // Stable wire names ("set_host_delay", "link_down", ...) for JSON scripts.
 const char* ScenarioActionKindName(ScenarioActionKind kind);
-// Returns true and sets `out` if `name` is a known kind name.
-bool ParseScenarioActionKind(const std::string& name, ScenarioActionKind* out);
 
 struct ScenarioAction {
   ScenarioActionKind kind = ScenarioActionKind::kSetHostDelay;

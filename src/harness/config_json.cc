@@ -1,6 +1,13 @@
 #include "harness/config_json.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "harness/schemes.h"
 #include "workload/empirical_cdf.h"
@@ -9,216 +16,669 @@ namespace ecnsharp {
 
 namespace {
 
-Json TimeUs(Time t) { return Json::Num(t.ToMicroseconds()); }
+// ---------------------------------------------------------------------------
+// Codecs: how a C++ value is spelt in a record and the range it must lie in.
+// Write returns the JSON value. Read stores a JSON value into *out and
+// returns "" or why it refused: " must ..." about the value itself, or the
+// path of the refused key inside it ("alpha must ...").
+// ---------------------------------------------------------------------------
 
-const char* EcnModeName(EcnMode mode) {
-  switch (mode) {
-    case EcnMode::kDctcp:
-      return "dctcp";
-    case EcnMode::kClassic:
-      return "classic";
-    case EcnMode::kNone:
-      return "none";
+std::string Show(const Json& v) {
+  if (v.IsObject()) return "an object";
+  if (v.IsArray()) return "an array";
+  const double d = v.AsDouble();
+  if (v.IsNumber() && !std::isfinite(d)) {
+    return std::isnan(d) ? "nan" : d > 0 ? "inf" : "-inf";
   }
-  return "?";
+  std::string text = v.Dump();
+  text.pop_back();  // Dump() ends a document with a newline
+  return text;
+}
+
+// Prefixes a refusal with the key it was read from.
+std::string Nest(const std::string& key, const std::string& why) {
+  if (why.empty()) return why;
+  return key + (why[0] == ' ' || why[0] == '[' ? "" : ".") + why;
+}
+
+template <typename T>
+Json Record(const T& value);
+template <typename T>
+std::string ReadRecord(const Json& json, T* out,
+                       const char* also_known = nullptr);
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Integers in [lo, hi] (and within T) that are multiples of `step`.
+struct Whole {
+  double lo = 0;
+  double hi = kInf;
+  std::uint64_t step = 1;
+
+  template <typename T>
+  Json Write(T v) const {
+    if constexpr (std::is_signed_v<T>) return Json::Int(v);
+    return Json::UInt(v);
+  }
+  template <typename T>
+  std::string Read(const Json& v, T* out) const {
+    using Limits = std::numeric_limits<T>;
+    const double top = std::min(hi, static_cast<double>(Limits::max()));
+    const double bottom = std::max(lo, static_cast<double>(Limits::min()));
+    const double d = v.AsDouble();
+    // Exact for written integers; a fractional spelling only below 2^53.
+    if (!v.IsNumber() || d != std::floor(d) || d < bottom || d > top ||
+        (!v.IsInteger() && !(std::fabs(d) < 0x1p53)) ||
+        (d < 0 ? v.AsInt() : v.AsUInt()) % step != 0) {
+      const std::string low = lo >= static_cast<double>(Limits::min())
+                                  ? Show(Json::Num(lo))
+                                  : std::to_string(Limits::min());
+      const std::string high = hi <= static_cast<double>(Limits::max())
+                                   ? Show(Json::Num(hi))
+                                   : std::to_string(Limits::max());
+      return std::string(step == 2 ? " must be an even" : " must be a whole") +
+             " number in [" + low + ", " + high + "], got " + Show(v);
+    }
+    *out = d < 0 ? static_cast<T>(v.AsInt()) : static_cast<T>(v.AsUInt());
+    return "";
+  }
+};
+
+// Time keeps 2^62 ns of headroom below int64 so sums of delays cannot wrap.
+constexpr double kMaxUs = 0x1p62 / 1e3;
+constexpr double kMaxBps = DataRate::kMaxGbps * 1e9;
+
+// Finite numbers from lo (excluded when `open`) to hi, read into a double,
+// a Time (in us, below 2^62 ns) or a DataRate (in bps, in [1, 1e15],
+// rounded to the nearest bps).
+struct Real {
+  double lo = 0;
+  double hi = kInf;
+  bool open = false;
+
+  Json Write(double v) const { return Json::Num(v); }
+  Json Write(Time t) const { return Json::Num(t.ToMicroseconds()); }
+  Json Write(DataRate r) const { return Json::Int(r.bps()); }
+  template <typename T>
+  std::string Read(const Json& v, T* out) const {
+    constexpr bool kTime = std::is_same_v<T, Time>;
+    constexpr bool kRate = std::is_same_v<T, DataRate>;
+    const double top = kTime ? std::min(hi, kMaxUs) : kRate ? kMaxBps : hi;
+    const double bottom = kRate ? 1 : lo;
+    const double d = v.AsDouble();
+    if (!v.IsNumber() || !std::isfinite(d) ||
+        (open ? d <= bottom : d < bottom) || d > top || d == kMaxUs) {
+      std::string why = " must ";
+      why += top == kInf || top == kMaxUs
+                 ? std::string("be ") + (open ? "> " : ">= ") +
+                       Show(Json::Num(bottom))
+                 : std::string("lie in ") + (open ? "(" : "[") +
+                       Show(Json::Num(bottom)) + ", " + Show(Json::Num(top)) +
+                       "]";
+      why += top == kMaxUs ? " us and below 2^62 ns"
+             : kTime       ? " us"
+             : kRate       ? " bps"
+             : top == kInf ? " and finite"
+                           : "";
+      return why + ", got " + Show(v);
+    }
+    if constexpr (kTime) {
+      *out = Time::FromMicroseconds(d);
+    } else if constexpr (kRate) {
+      *out = DataRate::BitsPerSecond(static_cast<std::int64_t>(d + 0.5));
+    } else {
+      *out = d;
+    }
+    return "";
+  }
+};
+
+struct Flag {
+  Json Write(bool b) const { return Json::Bool(b); }
+  std::string Read(const Json& v, bool* out) const {
+    if (!v.IsBool()) return " must be true or false, got " + Show(v);
+    *out = v.AsBool();
+    return "";
+  }
+};
+
+// An enum (or a built-in workload) by name. A value outside `names` is
+// written as `other`, which Read refuses with the reason `unreadable`.
+template <typename E>
+struct Names {
+  std::vector<std::pair<E, const char*>> names;
+  const char* other = "?";
+  const char* unreadable = nullptr;
+
+  Json Write(E e) const {
+    for (const auto& [value, name] : names) {
+      if (value == e) return Json::Str(name);
+    }
+    return Json::Str(other);
+  }
+  std::string Read(const Json& v, E* out) const {
+    std::string why = " must be one of ";
+    for (const auto& [value, name] : names) {
+      if (v.IsString() && v.AsString() == name) {
+        *out = value;
+        return "";
+      }
+      why += name + std::string(", ");
+    }
+    why += "got " + Show(v);
+    if (unreadable != nullptr && v.AsString() == other) {
+      why += std::string(" (") + unreadable + ")";
+    }
+    return why;
+  }
+};
+
+// A nested struct, as the record of its own table.
+struct Sub {
+  template <typename T>
+  Json Write(const T& v) const {
+    return Record(v);
+  }
+  template <typename T>
+  std::string Read(const Json& v, T* out) const {
+    return ReadRecord(v, out);
+  }
+};
+
+// An array whose elements each use the codec `Each`.
+template <typename Each>
+struct List {
+  Each each;
+
+  template <typename T>
+  Json Write(const std::vector<T>& items) const {
+    Json array = Json::Array();
+    for (const T& item : items) array.Push(each.Write(item));
+    return array;
+  }
+  template <typename T>
+  std::string Read(const Json& v, std::vector<T>* out) const {
+    if (!v.IsArray()) return " must be an array, got " + Show(v);
+    std::vector<T> items(v.items().size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const std::string why = each.Read(v.items()[i], &items[i]);
+      if (!why.empty()) return Nest("[" + std::to_string(i) + "]", why);
+    }
+    *out = std::move(items);
+    return "";
+  }
+};
+
+constexpr Real kPositive{.open = true};
+constexpr Real kShare{.hi = 1};
+
+const Names<Scheme> kSchemes = [] {
+  Names<Scheme> all;
+  for (const Scheme scheme : kAllSchemes) {
+    all.names.emplace_back(scheme, SchemeName(scheme));
+  }
+  return all;
+}();
+const Names<ScenarioActionKind> kActionKinds = [] {
+  Names<ScenarioActionKind> all;
+  for (int i = 0;
+       i <= static_cast<int>(ScenarioActionKind::kReestimateEcnSharp); ++i) {
+    const auto kind = static_cast<ScenarioActionKind>(i);
+    all.names.emplace_back(kind, ScenarioActionKindName(kind));
+  }
+  return all;
+}();
+const Names<EcnMode> kEcnModes{{{EcnMode::kDctcp, "dctcp"},
+                                {EcnMode::kClassic, "classic"},
+                                {EcnMode::kNone, "none"}}};
+const Names<CcKind> kCcKinds{
+    {{CcKind::kNewReno, "newreno"}, {CcKind::kCubic, "cubic"}}};
+const Names<EcnEstimator> kEstimators{
+    {{EcnEstimator::kOracle, "oracle"}, {EcnEstimator::kSketch, "sketch"}}};
+// A buffer_policy record names a pool; "none" is the record left out.
+const Names<BufferPolicyKind> kPolicyKinds = [] {
+  Names<BufferPolicyKind> all;
+  for (const BufferPolicyKind kind :
+       {BufferPolicyKind::kStatic, BufferPolicyKind::kDynamicThreshold,
+        BufferPolicyKind::kDtHeadroom}) {
+    all.names.emplace_back(kind, BufferPolicyKindName(kind));
+  }
+  return all;
+}();
+const Names<ComposedSideConfig::Kind> kSideKinds{
+    {{ComposedSideConfig::Kind::kLeafSpine, "leafspine"},
+     {ComposedSideConfig::Kind::kFatTree, "fattree"}}};
+
+// Function-local: the workload CDFs are themselves function statics.
+const Names<const EmpiricalCdf*>& Workloads() {
+  static const Names<const EmpiricalCdf*> names{
+      {{&WebSearchWorkload(), "websearch"},
+       {&DataMiningWorkload(), "datamining"}},
+      "custom",
+      "a custom workload's CDF is not in the record"};
+  return names;
+}
+
+// ---------------------------------------------------------------------------
+// The walkers. A table is a Keys(v, config) overload that visits every key
+// of one struct once, in record order: v(key, member, codec[, presence]).
+// The same walk writes a record (Writer) and reads one (Reader).
+// ---------------------------------------------------------------------------
+
+// How a key is written: always, only off the default config's value (so a
+// new key leaves every earlier record as it was), or not at all. A
+// kRequired key is written always and must be present to read.
+enum class Presence { kAlways, kSparse, kOmitted, kRequired };
+
+constexpr Presence When(bool present) {
+  return present ? Presence::kAlways : Presence::kOmitted;
+}
+
+class Writer {
+ public:
+  // `defaults` is the default config's record; null writes every kSparse key.
+  explicit Writer(const Json* defaults) : defaults_(defaults) {}
+
+  template <typename T, typename Codec>
+  void operator()(const char* key, const T& value, const Codec& codec,
+                  Presence presence = Presence::kAlways) {
+    if (presence == Presence::kOmitted) return;
+    Json json = codec.Write(value);
+    const Json* base = defaults_ == nullptr ? nullptr : defaults_->Find(key);
+    if (presence != Presence::kSparse || base == nullptr ||
+        base->Dump() != json.Dump()) {
+      record_.Set(key, std::move(json));
+    }
+  }
+
+  const Json& record() const { return record_; }
+
+ private:
+  const Json* defaults_;
+  Json record_ = Json::Object();
+};
+
+// Reads a record as overrides of the config the walk starts from.
+class Reader {
+ public:
+  Reader(const Json& record, const char* also_known) : record_(record) {
+    if (also_known != nullptr) known_.push_back(also_known);
+  }
+
+  template <typename T, typename Codec>
+  void operator()(const char* key, T& value, const Codec& codec,
+                  Presence presence = Presence::kAlways) {
+    known_.push_back(key);
+    const Json* json = record_.Find(key);
+    if (!why_.empty()) return;
+    if (json != nullptr) {
+      why_ = Nest(key, codec.Read(*json, &value));
+    } else if (presence == Presence::kRequired && record_.IsObject()) {
+      why_ = std::string(key) + " is required";
+    }
+  }
+
+  // "" once every key of the record has been read, else why not.
+  std::string Finish() const {
+    if (!record_.IsObject()) return " must be an object, got " + Show(record_);
+    if (!why_.empty()) return why_;
+    for (const auto& [key, value] : record_.members()) {
+      if (std::find(known_.begin(), known_.end(), key) == known_.end()) {
+        return key + " is not a known key";
+      }
+    }
+    return "";
+  }
+
+ private:
+  const Json& record_;
+  std::vector<std::string> known_;
+  std::string why_;
+};
+
+// ---------------------------------------------------------------------------
+// The tables. Unmarked Real/Whole keys take any finite value >= 0 (times
+// below 2^62 ns, rates in [1, 1e15] bps).
+// ---------------------------------------------------------------------------
+
+constexpr Presence kNew = Presence::kSparse;
+
+template <typename V>
+void Keys(V& v, SchemeParams& p) {
+  v("red_tail_threshold_bytes", p.red_tail_threshold_bytes, Whole{});
+  v("red_avg_threshold_bytes", p.red_avg_threshold_bytes, Whole{});
+  v("codel_target_us", p.codel.target, Real{});
+  v("codel_interval_us", p.codel.interval, Real{});
+  v("tcn_threshold_us", p.tcn_threshold, Real{});
+  v("pie_target_us", p.pie.target, Real{});
+  v("pie_update_interval_us", p.pie.update_interval, kPositive);
+  v("pie_alpha", p.pie.alpha, Real{});
+  v("pie_beta", p.pie.beta, Real{});
+  v("pie_min_backlog_bytes", p.pie.min_backlog_bytes, Whole{});
+  v("ecn_sharp_ins_target_us", p.ecn_sharp.ins_target, Real{});
+  v("ecn_sharp_pst_target_us", p.ecn_sharp.pst_target, Real{});
+  v("ecn_sharp_pst_interval_us", p.ecn_sharp.pst_interval, Real{});
+  v("buffer_bytes", p.buffer_bytes, Whole{});
+}
+
+template <typename V>
+void Keys(V& v, TcpConfig& t) {
+  v("mss", t.mss, Whole{.lo = 1});
+  v("init_cwnd_segments", t.init_cwnd_segments, Whole{.lo = 1});
+  v("ecn_mode", t.ecn_mode, kEcnModes);
+  v("dctcp_g", t.dctcp_g, Real{.hi = 1, .open = true});
+  v("min_rto_us", t.min_rto, kPositive);
+  v("delayed_ack_count", t.delayed_ack_count, Whole{.lo = 1});
+  v("pacing", t.pacing, Flag{});
+  v("max_cwnd_bytes", t.max_cwnd_bytes, Whole{.lo = 1}, kNew);
+  v("max_rto_us", t.max_rto, kPositive, kNew);
+  v("dupack_threshold", t.dupack_threshold, Whole{.lo = 1}, kNew);
+  v("delayed_ack_timeout_us", t.delayed_ack_timeout, kPositive, kNew);
+  v("dctcp_init_alpha", t.dctcp_init_alpha, kShare, kNew);
+  v("pacing_gain", t.pacing_gain, kPositive, kNew);
+  v("initial_pacing_rate_bps", t.initial_pacing_rate, Real{}, kNew);
+  v("cc_kind", t.cc_kind, kCcKinds, kNew);
+  v("cubic_beta", t.cubic_beta, Real{.hi = 1, .open = true}, kNew);
+  v("cubic_c", t.cubic_c, kPositive, kNew);
+  v("cubic_fast_convergence", t.cubic_fast_convergence, Flag{}, kNew);
+  v("cubic_ecn_mode", t.cubic_ecn_mode, kEcnModes, kNew);
+}
+
+template <typename V>
+void Keys(V& v, BufferPolicyConfig& p) {
+  v("kind", p.kind, kPolicyKinds, Presence::kRequired);
+  v("total_bytes", p.total_bytes, Whole{});
+  v("alpha", p.alpha, kPositive);
+  v("headroom_bytes", p.headroom_bytes, Whole{});
+  v("priority_alpha", p.priority_alpha, List<Real>{kPositive}, kNew);
+}
+
+// The ranges of a --sketch spec (sketch/sketch_config.h).
+template <typename V>
+void Keys(V& v, SketchConfig& s) {
+  v("memory_kb", s.memory_kb, Whole{.lo = 1, .hi = 1048576});
+  v("depth", s.depth, Whole{.lo = 1, .hi = 16});
+  v("epoch_us", s.epoch, Real{.lo = 10, .hi = 1e7});
+  v("window_epochs", s.window_epochs, Whole{.lo = 2, .hi = 128});
+  v("decay", s.decay, Real{.lo = 0.01, .hi = 1});
+  v("heavy_hitters", s.heavy_hitters, Whole{.hi = 1024});
+  v("track_exact", s.track_exact, Flag{});
+  v("queue_alpha", s.queue_alpha, Real{.hi = 1, .open = true}, kNew);
+}
+
+template <typename V>
+void Keys(V& v, ScenarioAction& a) {
+  constexpr Real kDelayUs{.hi = kMaxUs};
+  v("kind", a.kind, kActionKinds, Presence::kRequired);
+  v("at_us", a.at, Real{});
+  v("target", a.target, Whole{.lo = -kInf});
+  v("delay_us", a.delay_us, kDelayUs);
+  v("delay_hi_us", a.delay_hi_us, kDelayUs);
+  v("gbps", a.gbps, Real{.hi = DataRate::kMaxGbps});
+  v("drop_prob", a.drop_prob, kShare);
+  v("corrupt_prob", a.corrupt_prob, kShare);
+  v("flows", a.flows, Whole{});
+  v("bytes", a.bytes, Whole{});
+  v("drop_queued", a.drop_queued, Flag{});
+  v("repeat", a.repeat, Whole{});
+  v("period_us", a.period, Real{});
+  v("jitter_us", a.jitter, Real{});
+}
+
+template <typename V>
+void Keys(V& v, ScenarioScript& s) {
+  v("seed", s.seed, Whole{});
+  v("actions", s.actions, List<Sub>{}, Presence::kRequired);
+}
+
+// Topology shapes, shared by the standalone families and the inter-DC sides.
+template <typename V>
+void Dims(V& v, LeafSpineConfig& t) {
+  v("spines", t.spines, Whole{.lo = 1});
+  v("leaves", t.leaves, Whole{.lo = 1});
+  v("hosts_per_leaf", t.hosts_per_leaf, Whole{.lo = 1});
+  v("rate_bps", t.rate, Real{});
+}
+
+template <typename V>
+void Dims(V& v, FatTreeConfig& t) {
+  v("k", t.k, Whole{.lo = 4, .step = 2});
+  v("rate_bps", t.rate, Real{});
+}
+
+template <typename V>
+void Delays(V& v, LeafSpineConfig& t, Presence presence) {
+  v("host_link_delay_us", t.host_link_delay, Real{}, presence);
+  v("spine_link_delay_us", t.spine_link_delay, Real{}, presence);
+}
+
+template <typename V>
+void Delays(V& v, FatTreeConfig& t, Presence presence) {
+  v("host_link_delay_us", t.host_link_delay, Real{}, presence);
+  v("fabric_link_delay_us", t.fabric_link_delay, Real{}, presence);
+}
+
+template <typename V, typename Topo>
+void HostBuffer(V& v, Topo& t) {
+  v("host_buffer_bytes", t.host_buffer_bytes, Whole{.lo = 1}, kNew);
+}
+
+// One side of a composed fabric: its family, then that family's keys.
+template <typename V>
+void Keys(V& v, ComposedSideConfig& s) {
+  v("kind", s.kind, kSideKinds);
+  const auto side = [&v](auto& t) {
+    Dims(v, t);
+    v("base_address", t.base_address, Whole{});
+    v("tcp", t.tcp, Sub{});
+    Delays(v, t, kNew);
+    HostBuffer(v, t);
+  };
+  if (s.kind == ComposedSideConfig::Kind::kLeafSpine) {
+    side(s.leaf_spine);
+  } else {
+    side(s.fat_tree);
+  }
+}
+
+// The experiment fields every family shares, in record order around each
+// family's own keys: Lead, the family's shape, Clock, its TCP, Extras.
+template <typename V, typename C>
+void Lead(V& v, C& c) {
+  v("scheme", c.scheme, kSchemes);
+  if constexpr (std::is_base_of_v<ExperimentCommon, C>) {
+    v("workload", c.workload, Workloads());
+    if constexpr (std::is_same_v<C, InterDcExperimentConfig>) {
+      v("inter_workload", c.inter_workload, Workloads());
+    }
+    v("load", c.load, kPositive);
+    v("flows", c.flows, Whole{});
+  }
+}
+
+template <typename V, typename C>
+void Clock(V& v, C& c) {
+  v("seed", c.seed, Whole{});
+  v("queue_sample_period_us", c.queue_sample_period, Real{});
+  v("max_sim_time_us", c.max_sim_time, Real{});
+}
+
+// The parameters, then the keys recorded only when set.
+template <typename V, typename C>
+void Extras(V& v, C& c) {
+  v("params", c.params, Sub{});
+  if constexpr (std::is_base_of_v<ExperimentCommon, C>) {
+    v("scenario", c.scenario, Sub{}, When(!c.scenario.empty()));
+    v("cc_mix", c.cc_mix, kShare, kNew);
+    v("buffer_policy", c.buffer_policy, Sub{},
+      When(c.buffer_policy.kind != BufferPolicyKind::kNone));
+    v("estimator", c.estimator, kEstimators, kNew);
+  }
+  v("sketch", c.sketch, Sub{}, When(c.sketch.enabled));
+}
+
+template <typename V>
+void Keys(V& v, DumbbellExperimentConfig& c) {
+  Lead(v, c);
+  v("rtt_variation", c.rtt_variation, Real{.lo = 1});
+  v("base_rtt_us", c.base_rtt, kPositive);
+  v("senders", c.senders, Whole{.lo = 1});
+  v("rate_bps", c.rate, Real{});
+  Clock(v, c);
+  v("tcp", c.tcp, Sub{});
+  Extras(v, c);
+}
+
+template <typename V>
+void Keys(V& v, LeafSpineExperimentConfig& c) {
+  Lead(v, c);
+  Dims(v, c.topo);
+  v("max_extra_delay_us", c.max_extra_delay, Real{});
+  Clock(v, c);
+  v("tcp", c.topo.tcp, Sub{});
+  Extras(v, c);
+  Delays(v, c.topo, kNew);
+  HostBuffer(v, c.topo);
+  v("base_address", c.topo.base_address, Whole{}, kNew);
+}
+
+template <typename V>
+void Keys(V& v, FatTreeExperimentConfig& c) {
+  Lead(v, c);
+  Dims(v, c.topo);
+  Delays(v, c.topo, Presence::kAlways);
+  v("max_extra_delay_us", c.max_extra_delay, Real{});
+  Clock(v, c);
+  v("tcp", c.topo.tcp, Sub{});
+  Extras(v, c);
+  HostBuffer(v, c.topo);
+  v("base_address", c.topo.base_address, Whole{}, kNew);
+}
+
+// No "tcp": each side records its own.
+template <typename V>
+void Keys(V& v, InterDcExperimentConfig& c) {
+  Lead(v, c);
+  v("inter_fraction", c.inter_fraction, kShare);
+  v("side_a", c.topo.side_a, Sub{});
+  v("side_b", c.topo.side_b, Sub{});
+  v("border_links", c.topo.border_links, Whole{.lo = 1});
+  v("border_rate_bps", c.topo.border_rate, Real{});
+  // ComposedTopology's bound: a border RTT of at most 10 s.
+  v("border_rtt_us", c.topo.border_rtt, Real{.hi = 1e7});
+  v("attach_delay_us", c.topo.attach_delay, Real{});
+  v("inter_rtt_fraction", c.topo.inter_rtt_fraction, kShare);
+  v("max_extra_delay_us", c.max_extra_delay, Real{});
+  Clock(v, c);
+  Extras(v, c);
+  v("auto_address", c.topo.auto_address, Flag{}, kNew);
+}
+
+template <typename V>
+void Keys(V& v, IncastExperimentConfig& c) {
+  Lead(v, c);
+  v("senders", c.senders, Whole{.lo = 1});
+  v("long_flows", c.long_flows, Whole{});
+  v("query_flows", c.query_flows, Whole{});
+  v("query_min_bytes", c.query_min_bytes, Whole{.lo = 1});
+  v("query_max_bytes", c.query_max_bytes, Whole{.lo = 1});
+  v("burst_time_us", c.burst_time, Real{});
+  v("rtt_variation", c.rtt_variation, Real{.lo = 1});
+  v("base_rtt_us", c.base_rtt, kPositive);
+  v("rate_bps", c.rate, Real{});
+  Clock(v, c);
+  v("tcp", c.tcp, Sub{});
+  Extras(v, c);
+}
+
+// Checks across keys, once a record has been read.
+template <typename T>
+std::string AfterRead(T& c) {
+  if constexpr (std::is_same_v<T, SketchConfig>) {
+    c.enabled = true;  // a sketch record switches the telemetry on
+  } else if constexpr (std::is_same_v<T, ScenarioAction>) {
+    if (c.kind == ScenarioActionKind::kSetLinkRate && !(c.gbps > 0)) {
+      return "gbps must lie in (0, 1e+06] for set_link_rate";
+    }
+    if (c.drop_prob + c.corrupt_prob > 1) {
+      return "corrupt_prob must be <= 1 - drop_prob";
+    }
+    if (c.repeat > 1 && !c.period.IsPositive()) {
+      return "period_us must be > 0 when repeat > 1";
+    }
+  } else if constexpr (std::is_same_v<T, IncastExperimentConfig>) {
+    if (c.query_max_bytes < c.query_min_bytes) {
+      return "query_max_bytes must be >= query_min_bytes";
+    }
+  } else if constexpr (std::is_base_of_v<ExperimentCommon, T>) {
+    // Without telemetry the session would quietly use the oracle.
+    if (c.estimator == EcnEstimator::kSketch && !c.sketch.enabled) {
+      return "estimator 'sketch' needs a sketch record";
+    }
+  }
+  return "";
+}
+
+template <typename T>
+Json Record(const T& value) {
+  // Sparse keys compare against the default config (a side's own family).
+  T defaults{};
+  if constexpr (std::is_same_v<T, ComposedSideConfig>) {
+    defaults.kind = value.kind;
+  }
+  Writer all(nullptr);
+  Keys(all, defaults);
+  T copy = value;
+  Writer writer(&all.record());
+  Keys(writer, copy);
+  return writer.record();
+}
+
+template <typename T>
+std::string ReadRecord(const Json& json, T* out, const char* also_known) {
+  Reader reader(json, also_known);
+  Keys(reader, *out);
+  const std::string why = reader.Finish();
+  return why.empty() ? AfterRead(*out) : why;
+}
+
+// ExperimentConfig's alternatives, in order.
+constexpr const char* kTopologies[] = {"dumbbell", "leafspine", "fattree",
+                                       "interdc", "incast"};
+static_assert(std::size(kTopologies) ==
+              std::variant_size_v<ExperimentConfig>);
+
+// The default config of alternative `index`.
+template <std::size_t... I>
+ExperimentConfig FamilyDefault(std::size_t index, std::index_sequence<I...>) {
+  ExperimentConfig config;
+  ((index == I ? (void)config.emplace<I>() : void()), ...);
+  return config;
+}
+
+bool Refuse(const std::string& why, std::string* error) {
+  if (error != nullptr) *error = why;
+  return false;
 }
 
 }  // namespace
 
 const char* WorkloadName(const EmpiricalCdf* workload) {
-  if (workload == &WebSearchWorkload()) return "websearch";
-  if (workload == &DataMiningWorkload()) return "datamining";
-  return "custom";
-}
-
-Json ToJson(const SchemeParams& params) {
-  return Json::Object()
-      .Set("red_tail_threshold_bytes",
-           Json::UInt(params.red_tail_threshold_bytes))
-      .Set("red_avg_threshold_bytes",
-           Json::UInt(params.red_avg_threshold_bytes))
-      .Set("codel_target_us", TimeUs(params.codel.target))
-      .Set("codel_interval_us", TimeUs(params.codel.interval))
-      .Set("tcn_threshold_us", TimeUs(params.tcn_threshold))
-      .Set("pie_target_us", TimeUs(params.pie.target))
-      .Set("pie_update_interval_us", TimeUs(params.pie.update_interval))
-      .Set("pie_alpha", Json::Num(params.pie.alpha))
-      .Set("pie_beta", Json::Num(params.pie.beta))
-      .Set("pie_min_backlog_bytes", Json::UInt(params.pie.min_backlog_bytes))
-      .Set("ecn_sharp_ins_target_us", TimeUs(params.ecn_sharp.ins_target))
-      .Set("ecn_sharp_pst_target_us", TimeUs(params.ecn_sharp.pst_target))
-      .Set("ecn_sharp_pst_interval_us", TimeUs(params.ecn_sharp.pst_interval))
-      .Set("buffer_bytes", Json::UInt(params.buffer_bytes));
-}
-
-Json ToJson(const TcpConfig& tcp) {
-  return Json::Object()
-      .Set("mss", Json::UInt(tcp.mss))
-      .Set("init_cwnd_segments", Json::UInt(tcp.init_cwnd_segments))
-      .Set("ecn_mode", Json::Str(EcnModeName(tcp.ecn_mode)))
-      .Set("dctcp_g", Json::Num(tcp.dctcp_g))
-      .Set("min_rto_us", TimeUs(tcp.min_rto))
-      .Set("delayed_ack_count", Json::UInt(tcp.delayed_ack_count))
-      .Set("pacing", Json::Bool(tcp.pacing));
-}
-
-Json ToJson(const BufferPolicyConfig& policy) {
-  Json json = Json::Object()
-      .Set("kind", Json::Str(BufferPolicyKindName(policy.kind)))
-      .Set("total_bytes", Json::UInt(policy.total_bytes))
-      .Set("alpha", Json::Num(policy.alpha))
-      .Set("headroom_bytes", Json::UInt(policy.headroom_bytes));
-  if (!policy.priority_alpha.empty()) {
-    Json alphas = Json::Array();
-    for (double a : policy.priority_alpha) alphas.Push(Json::Num(a));
-    json.Set("priority_alpha", std::move(alphas));
+  for (const auto& [cdf, name] : Workloads().names) {
+    if (cdf == workload) return name;
   }
-  return json;
+  return Workloads().other;
 }
 
-Json ToJson(const SketchConfig& sketch) {
-  return Json::Object()
-      .Set("memory_kb", Json::UInt(sketch.memory_kb))
-      .Set("depth", Json::UInt(sketch.depth))
-      .Set("epoch_us", TimeUs(sketch.epoch))
-      .Set("window_epochs", Json::UInt(sketch.window_epochs))
-      .Set("decay", Json::Num(sketch.decay))
-      .Set("heavy_hitters", Json::UInt(sketch.heavy_hitters))
-      .Set("track_exact", Json::Bool(sketch.track_exact));
-}
-
-Json ToJson(const ScenarioAction& action) {
-  return Json::Object()
-      .Set("kind", Json::Str(ScenarioActionKindName(action.kind)))
-      .Set("at_us", TimeUs(action.at))
-      .Set("target", Json::Int(action.target))
-      .Set("delay_us", Json::Num(action.delay_us))
-      .Set("delay_hi_us", Json::Num(action.delay_hi_us))
-      .Set("gbps", Json::Num(action.gbps))
-      .Set("drop_prob", Json::Num(action.drop_prob))
-      .Set("corrupt_prob", Json::Num(action.corrupt_prob))
-      .Set("flows", Json::UInt(action.flows))
-      .Set("bytes", Json::UInt(action.bytes))
-      .Set("drop_queued", Json::Bool(action.drop_queued))
-      .Set("repeat", Json::UInt(action.repeat))
-      .Set("period_us", TimeUs(action.period))
-      .Set("jitter_us", TimeUs(action.jitter));
-}
-
-Json ToJson(const ScenarioScript& script) {
-  Json actions = Json::Array();
-  for (const ScenarioAction& action : script.actions) {
-    actions.Push(ToJson(action));
-  }
-  return Json::Object()
-      .Set("seed", Json::UInt(script.seed))
-      .Set("actions", std::move(actions));
-}
-
-namespace {
-
-bool ScenarioError(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
-// Reads a count field into a uint32; false if the value would not fit.
-bool ReadU32(const Json& v, std::uint32_t fallback, std::uint32_t* out) {
-  if (v.AsDouble() > static_cast<double>(UINT32_MAX)) return false;
-  *out = static_cast<std::uint32_t>(v.AsUInt(fallback));
-  return true;
-}
-
-}  // namespace
+Json ToJson(const SchemeParams& params) { return Record(params); }
+Json ToJson(const SketchConfig& sketch) { return Record(sketch); }
+Json ToJson(const ScenarioScript& script) { return Record(script); }
 
 bool ScenarioScriptFromJson(const Json& json, ScenarioScript* out,
                             std::string* error) {
-  if (!json.IsObject()) {
-    return ScenarioError(error, "scenario: top level must be an object");
-  }
   ScenarioScript script;
-  if (const Json* seed = json.Find("seed")) {
-    if (!seed->IsNumber()) {
-      return ScenarioError(error, "scenario: 'seed' must be a number");
-    }
-    script.seed = seed->AsUInt(1);
-  }
-  const Json* actions = json.Find("actions");
-  if (actions == nullptr || !actions->IsArray()) {
-    return ScenarioError(error, "scenario: missing 'actions' array");
-  }
-  for (std::size_t i = 0; i < actions->items().size(); ++i) {
-    const Json& entry = actions->items()[i];
-    const std::string where = "scenario action #" + std::to_string(i);
-    if (!entry.IsObject()) {
-      return ScenarioError(error, where + ": must be an object");
-    }
-    const Json* kind = entry.Find("kind");
-    if (kind == nullptr || !kind->IsString()) {
-      return ScenarioError(error, where + ": missing string 'kind'");
-    }
-    ScenarioAction action;
-    if (!ParseScenarioActionKind(kind->AsString(), &action.kind)) {
-      return ScenarioError(error,
-                           where + ": unknown kind '" + kind->AsString() + "'");
-    }
-    if (const Json* v = entry.Find("at_us")) {
-      if (v->AsDouble(-1.0) < 0.0) {
-        return ScenarioError(error, where + ": 'at_us' must be >= 0");
-      }
-      action.at = Time::FromMicroseconds(v->AsDouble());
-    }
-    if (const Json* v = entry.Find("target")) {
-      action.target = static_cast<int>(v->AsInt(-1));
-    }
-    if (const Json* v = entry.Find("delay_us")) {
-      action.delay_us = v->AsDouble();
-    }
-    if (const Json* v = entry.Find("delay_hi_us")) {
-      action.delay_hi_us = v->AsDouble();
-    }
-    if (const Json* v = entry.Find("gbps")) action.gbps = v->AsDouble();
-    if (action.kind == ScenarioActionKind::kSetLinkRate &&
-        !(action.gbps > 0.0 && action.gbps <= DataRate::kMaxGbps)) {
-      return ScenarioError(error,
-                           where + ": 'gbps' must lie in (0, 1000000]");
-    }
-    if (const Json* v = entry.Find("drop_prob")) {
-      action.drop_prob = v->AsDouble();
-    }
-    if (const Json* v = entry.Find("corrupt_prob")) {
-      action.corrupt_prob = v->AsDouble();
-    }
-    if (action.drop_prob < 0.0 || action.drop_prob > 1.0 ||
-        action.corrupt_prob < 0.0 || action.corrupt_prob > 1.0 ||
-        action.drop_prob + action.corrupt_prob > 1.0) {
-      return ScenarioError(error, where + ": fault probabilities must lie in"
-                                          " [0, 1] and sum to <= 1");
-    }
-    if (const Json* v = entry.Find("flows");
-        v != nullptr && !ReadU32(*v, 0, &action.flows)) {
-      return ScenarioError(error, where + ": 'flows' must be <= 4294967295");
-    }
-    if (const Json* v = entry.Find("bytes")) action.bytes = v->AsUInt();
-    if (const Json* v = entry.Find("drop_queued")) {
-      action.drop_queued = v->AsBool();
-    }
-    if (const Json* v = entry.Find("repeat");
-        v != nullptr && !ReadU32(*v, 1, &action.repeat)) {
-      return ScenarioError(error, where + ": 'repeat' must be <= 4294967295");
-    }
-    if (const Json* v = entry.Find("period_us")) {
-      action.period = Time::FromMicroseconds(v->AsDouble());
-    }
-    if (const Json* v = entry.Find("jitter_us")) {
-      action.jitter = Time::FromMicroseconds(v->AsDouble());
-    }
-    if (action.repeat > 1 && !action.period.IsPositive()) {
-      return ScenarioError(
-          error, where + ": 'repeat' > 1 requires a positive 'period_us'");
-    }
-    script.actions.push_back(action);
-  }
+  const std::string why = ReadRecord(json, &script);
+  if (!why.empty()) return Refuse(Nest("scenario", why), error);
   *out = std::move(script);
   return true;
 }
@@ -230,149 +690,36 @@ bool ParseScenarioScript(const std::string& text, ScenarioScript* out,
   return ScenarioScriptFromJson(doc, out, error);
 }
 
-namespace {
-
-// One side of a composed fabric: its family plus the dimensions that pick
-// its size (the shared rate/delay/tcp knobs ride along per side).
-Json SideToJson(const ComposedSideConfig& side) {
-  if (side.kind == ComposedSideConfig::Kind::kLeafSpine) {
-    return Json::Object()
-        .Set("kind", Json::Str("leafspine"))
-        .Set("spines", Json::UInt(side.leaf_spine.spines))
-        .Set("leaves", Json::UInt(side.leaf_spine.leaves))
-        .Set("hosts_per_leaf", Json::UInt(side.leaf_spine.hosts_per_leaf))
-        .Set("rate_bps", Json::Int(side.leaf_spine.rate.bps()))
-        .Set("base_address", Json::UInt(side.leaf_spine.base_address))
-        .Set("tcp", ToJson(side.leaf_spine.tcp));
-  }
-  return Json::Object()
-      .Set("kind", Json::Str("fattree"))
-      .Set("k", Json::UInt(side.fat_tree.k))
-      .Set("rate_bps", Json::Int(side.fat_tree.rate.bps()))
-      .Set("base_address", Json::UInt(side.fat_tree.base_address))
-      .Set("tcp", ToJson(side.fat_tree.tcp));
-}
-
-// The per-family part of a fabric record: its topology name, keys that
-// follow "workload" (`head`) and "flows" (`shape`), and the TCP config it
-// records (the inter-DC record has none; each side records its own).
-struct ShapeRecord {
-  const char* topology;
-  Json head = Json::Object();
-  Json shape = Json::Object();
-  const TcpConfig* tcp = nullptr;
-};
-
-ShapeRecord Shape(const DumbbellExperimentConfig& config) {
-  ShapeRecord record{"dumbbell"};
-  record.shape.Set("rtt_variation", Json::Num(config.rtt_variation))
-      .Set("base_rtt_us", TimeUs(config.base_rtt))
-      .Set("senders", Json::UInt(config.senders))
-      .Set("rate_bps", Json::Int(config.rate.bps()));
-  record.tcp = &config.tcp;
-  return record;
-}
-
-ShapeRecord Shape(const LeafSpineExperimentConfig& config) {
-  ShapeRecord record{"leafspine"};
-  record.shape.Set("spines", Json::UInt(config.topo.spines))
-      .Set("leaves", Json::UInt(config.topo.leaves))
-      .Set("hosts_per_leaf", Json::UInt(config.topo.hosts_per_leaf))
-      .Set("rate_bps", Json::Int(config.topo.rate.bps()))
-      .Set("max_extra_delay_us", TimeUs(config.max_extra_delay));
-  record.tcp = &config.topo.tcp;
-  return record;
-}
-
-ShapeRecord Shape(const FatTreeExperimentConfig& config) {
-  ShapeRecord record{"fattree"};
-  record.shape.Set("k", Json::UInt(config.topo.k))
-      .Set("rate_bps", Json::Int(config.topo.rate.bps()))
-      .Set("host_link_delay_us", TimeUs(config.topo.host_link_delay))
-      .Set("fabric_link_delay_us", TimeUs(config.topo.fabric_link_delay))
-      .Set("max_extra_delay_us", TimeUs(config.max_extra_delay));
-  record.tcp = &config.topo.tcp;
-  return record;
-}
-
-ShapeRecord Shape(const InterDcExperimentConfig& config) {
-  ShapeRecord record{"interdc"};
-  record.head.Set("inter_workload",
-                  Json::Str(WorkloadName(config.inter_workload)));
-  record.shape.Set("inter_fraction", Json::Num(config.inter_fraction))
-      .Set("side_a", SideToJson(config.topo.side_a))
-      .Set("side_b", SideToJson(config.topo.side_b))
-      .Set("border_links", Json::UInt(config.topo.border_links))
-      .Set("border_rate_bps", Json::Int(config.topo.border_rate.bps()))
-      .Set("border_rtt_us", TimeUs(config.topo.border_rtt))
-      .Set("attach_delay_us", TimeUs(config.topo.attach_delay))
-      .Set("inter_rtt_fraction", Json::Num(config.topo.inter_rtt_fraction))
-      .Set("max_extra_delay_us", TimeUs(config.max_extra_delay));
-  return record;
-}
-
-void Append(Json& json, const Json& keys) {
-  for (const auto& [key, value] : keys.members()) json.Set(key, value);
-}
-
-// The one fabric record: shared fields around the family's shape keys.
-template <typename Config>
-Json ConfigRecord(const Config& config) {
-  const ShapeRecord shape = Shape(config);
-  Json json = Json::Object()
-      .Set("topology", Json::Str(shape.topology))
-      .Set("scheme", Json::Str(SchemeName(config.scheme)))
-      .Set("workload", Json::Str(WorkloadName(config.workload)));
-  Append(json, shape.head);
-  json.Set("load", Json::Num(config.load))
-      .Set("flows", Json::UInt(config.flows));
-  Append(json, shape.shape);
-  json.Set("seed", Json::UInt(config.seed))
-      .Set("queue_sample_period_us", TimeUs(config.queue_sample_period))
-      .Set("max_sim_time_us", TimeUs(config.max_sim_time));
-  if (shape.tcp != nullptr) json.Set("tcp", ToJson(*shape.tcp));
-  json.Set("params", ToJson(config.params));
-  // Optional keys are omitted at their defaults so records of static,
-  // pure-DCTCP, statically buffered, oracle-estimated runs without sketch
-  // telemetry are unchanged.
-  if (!config.scenario.empty()) {
-    json.Set("scenario", ToJson(config.scenario));
-  }
-  if (config.cc_mix > 0.0) json.Set("cc_mix", Json::Num(config.cc_mix));
-  if (config.buffer_policy.kind != BufferPolicyKind::kNone) {
-    json.Set("buffer_policy", ToJson(config.buffer_policy));
-  }
-  if (config.estimator != EcnEstimator::kOracle) {
-    json.Set("estimator", Json::Str("sketch"));
-  }
-  if (config.sketch.enabled) json.Set("sketch", ToJson(config.sketch));
+Json ToJson(const ExperimentConfig& config) {
+  Json json = Json::Object().Set("topology",
+                                 Json::Str(kTopologies[config.index()]));
+  const Json record =
+      std::visit([](const auto& c) { return Record(c); }, config);
+  for (const auto& [key, value] : record.members()) json.Set(key, value);
   return json;
 }
 
-Json ConfigRecord(const IncastExperimentConfig& config) {
-  return Json::Object()
-      .Set("topology", Json::Str("incast"))
-      .Set("scheme", Json::Str(SchemeName(config.scheme)))
-      .Set("senders", Json::UInt(config.senders))
-      .Set("long_flows", Json::UInt(config.long_flows))
-      .Set("query_flows", Json::UInt(config.query_flows))
-      .Set("query_min_bytes", Json::UInt(config.query_min_bytes))
-      .Set("query_max_bytes", Json::UInt(config.query_max_bytes))
-      .Set("burst_time_us", TimeUs(config.burst_time))
-      .Set("rtt_variation", Json::Num(config.rtt_variation))
-      .Set("base_rtt_us", TimeUs(config.base_rtt))
-      .Set("rate_bps", Json::Int(config.rate.bps()))
-      .Set("seed", Json::UInt(config.seed))
-      .Set("queue_sample_period_us", TimeUs(config.queue_sample_period))
-      .Set("max_sim_time_us", TimeUs(config.max_sim_time))
-      .Set("tcp", ToJson(config.tcp))
-      .Set("params", ToJson(config.params));
-}
-
-}  // namespace
-
-Json ToJson(const ExperimentConfig& config) {
-  return std::visit([](const auto& c) { return ConfigRecord(c); }, config);
+bool ExperimentConfigFromJson(const Json& json, ExperimentConfig* out,
+                              std::string* error) {
+  const Json* topology = json.Find("topology");
+  const auto* family = std::find_if(
+      std::begin(kTopologies), std::end(kTopologies), [topology](auto name) {
+        return topology != nullptr && topology->AsString() == name;
+      });
+  if (family == std::end(kTopologies)) {
+    return Refuse("topology must be one of dumbbell, leafspine, fattree, "
+                  "interdc, incast, got " +
+                      (topology == nullptr ? "nothing" : Show(*topology)),
+                  error);
+  }
+  ExperimentConfig config =
+      FamilyDefault(family - std::begin(kTopologies),
+                    std::make_index_sequence<std::size(kTopologies)>());
+  const std::string why = std::visit(
+      [&json](auto& c) { return ReadRecord(json, &c, "topology"); }, config);
+  if (!why.empty()) return Refuse(why, error);
+  *out = std::move(config);
+  return true;
 }
 
 Json ToJson(const FctSummary& summary) {

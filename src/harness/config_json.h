@@ -1,8 +1,13 @@
-// JSON serialization of experiment configurations and results.
+// JSON records of experiment configurations, and of their results.
 //
-// Feeds the runner's structured exporter (results/<sweep>.json): every field
-// that determines a run's outcome is captured, so a JSON record plus the
-// binary version is enough to reproduce a data point. Wall-clock quantities
+// Every config struct has one key table in config_json.cc naming each key
+// once, with its member, its unit (us for times, bps for rates, names for
+// enums and the two built-in workloads) and its valid range. ToJson and the
+// readers both walk these tables, so a JSON record plus the binary version
+// is enough to reproduce a data point: ConfigJsonTest checks that every
+// config reads back to the same record and, for runnable ones, the same
+// result. Feeds the runner's structured exporter (results/<sweep>.json) and
+// ecnsharp_cli, which lowers its flags onto a record. Wall-clock quantities
 // are deliberately excluded — dumps must be byte-identical across repeat
 // runs and across --jobs settings.
 #ifndef ECNSHARP_HARNESS_CONFIG_JSON_H_
@@ -20,8 +25,6 @@ namespace ecnsharp {
 const char* WorkloadName(const EmpiricalCdf* workload);
 
 Json ToJson(const SchemeParams& params);
-Json ToJson(const TcpConfig& tcp);
-Json ToJson(const BufferPolicyConfig& policy);
 // The fields a --sketch spec sets.
 Json ToJson(const SketchConfig& sketch);
 
@@ -29,10 +32,10 @@ Json ToJson(const SketchConfig& sketch);
 // and the two readers accept it back (plus defaults for omitted fields).
 // Script shape: {"seed": 7, "actions": [{"kind": "link_down", "at_us":
 // 50000, "target": -1, "drop_queued": true, ...}, ...]}.
-Json ToJson(const ScenarioAction& action);
 Json ToJson(const ScenarioScript& script);
-// Returns false (with a message in `*error` when non-null) on an unknown
-// kind, a malformed document shape, or out-of-range numbers.
+// Returns false (with a message naming the refused key in `*error` when
+// non-null) on an unknown key or kind, a wrong JSON type, a missing "kind"
+// or "actions", or an out-of-range number.
 bool ScenarioScriptFromJson(const Json& json, ScenarioScript* out,
                             std::string* error = nullptr);
 // Convenience: Json::Parse + ScenarioScriptFromJson.
@@ -41,8 +44,20 @@ bool ParseScenarioScript(const std::string& text, ScenarioScript* out,
 
 // Any experiment's config record. Keys are fixed per family: the shared
 // fields in one order around the family's shape keys, and optional keys
-// (scenario, cc_mix, buffer_policy, estimator, sketch) only when set.
+// (scenario, cc_mix, buffer_policy, estimator, sketch) only when set. Keys
+// added since the first records (the rest of TcpConfig, link delays, host
+// buffers, addresses) follow them and appear only off their defaults.
 Json ToJson(const ExperimentConfig& config);
+
+// Reads a record back. "topology" picks the family, and every other key
+// overrides the family's default config, so a partial record is a set of
+// overrides. Returns false, with a message that starts with the refused
+// key's path ("buffer_policy.alpha must be > 0 and finite, got 0") in
+// `*error` when non-null, on an unknown key, a wrong JSON type, an
+// out-of-range value, a "custom" workload (its CDF is not in the record) or
+// estimator "sketch" without a sketch record. `*out` is untouched then.
+bool ExperimentConfigFromJson(const Json& json, ExperimentConfig* out,
+                              std::string* error = nullptr);
 
 Json ToJson(const FctSummary& summary);
 Json ToJson(const QueueDiscStats& stats);

@@ -53,6 +53,8 @@ class Json {
   bool IsNumber() const {
     return kind_ == Kind::kInt || kind_ == Kind::kUInt || kind_ == Kind::kNum;
   }
+  // A number written without fraction or exponent (AsInt/AsUInt are exact).
+  bool IsInteger() const { return kind_ == Kind::kInt || kind_ == Kind::kUInt; }
   bool IsString() const { return kind_ == Kind::kStr; }
   bool IsArray() const { return kind_ == Kind::kArray; }
   bool IsObject() const { return kind_ == Kind::kObject; }

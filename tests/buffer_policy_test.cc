@@ -7,10 +7,12 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "buffer/policies.h"
 #include "buffer/policy_spec.h"
+#include "harness/config_json.h"
 #include "net/packet.h"
 #include "sim/random.h"
 
@@ -375,13 +377,29 @@ TEST(MakeBufferPolicyTest, BuildsEachKindWithFallbackSizing) {
   EXPECT_EQ(static_cast<HeadroomDtPolicy&>(*policy).headroom_bytes(), 1500u);
 }
 
+// Pool kinds are read back from a config record by name. "none" is the
+// record left out, so a buffer_policy record cannot name it.
 TEST(MakeBufferPolicyTest, KindNamesRoundTrip) {
+  const auto read = [](const char* name, BufferPolicyKind* kind) {
+    const Json record =
+        Json::Object()
+            .Set("topology", Json::Str("dumbbell"))
+            .Set("buffer_policy", Json::Object().Set("kind", Json::Str(name)));
+    ExperimentConfig config;
+    if (!ExperimentConfigFromJson(record, &config)) return false;
+    *kind = std::get<DumbbellExperimentConfig>(config).buffer_policy.kind;
+    return true;
+  };
   for (const BufferPolicyKind kind :
-       {BufferPolicyKind::kNone, BufferPolicyKind::kStatic,
-        BufferPolicyKind::kDynamicThreshold, BufferPolicyKind::kDtHeadroom}) {
-    EXPECT_EQ(ParseBufferPolicyKind(BufferPolicyKindName(kind)), kind);
+       {BufferPolicyKind::kStatic, BufferPolicyKind::kDynamicThreshold,
+        BufferPolicyKind::kDtHeadroom}) {
+    BufferPolicyKind parsed = BufferPolicyKind::kNone;
+    ASSERT_TRUE(read(BufferPolicyKindName(kind), &parsed));
+    EXPECT_EQ(parsed, kind);
   }
-  EXPECT_EQ(ParseBufferPolicyKind("bogus"), std::nullopt);
+  BufferPolicyKind ignored;
+  EXPECT_FALSE(read(BufferPolicyKindName(BufferPolicyKind::kNone), &ignored));
+  EXPECT_FALSE(read("bogus", &ignored));
 }
 
 }  // namespace

@@ -74,20 +74,22 @@ REJECTED = [
      "--variation applies to --topo=dumbbell"),
     (["--topo=incast", "--variation=2"],
      "--variation applies to --topo=dumbbell"),
-    (["--topo=leafspine", "--k=6"],
-     "--k/--rate-gbps/--host-delay-us/--fabric-delay-us apply to "
-     "--topo=fattree"),
-    (["--topo=interdc", "--rate-gbps=40"], "apply to --topo=fattree"),
-    (["--host-delay-us=5"], "apply to --topo=fattree"),
-    (["--topo=incast", "--fabric-delay-us=5"], "apply to --topo=fattree"),
+    (["--topo=leafspine", "--k=6"], "--k applies to --topo=fattree"),
+    (["--topo=interdc", "--rate-gbps=40"],
+     "--rate-gbps applies to --topo=fattree"),
+    (["--host-delay-us=5"], "--host-delay-us applies to --topo=fattree"),
+    (["--topo=incast", "--fabric-delay-us=5"],
+     "--fabric-delay-us applies to --topo=fattree"),
     (["--topo=leafspine", "--fanout=3"], "--fanout applies to --topo=incast"),
     (["--topology=fattree", "--fanout=3"], "--fanout applies to --topo=incast"),
     (["--topo=incast", "--workload=datamining"],
-     "--workload/--load/--flows/--variation/--sim-params do not apply to "
-     "--topo=incast"),
-    (["--topo=incast", "--load=0.5"], "do not apply to --topo=incast"),
-    (["--topo=incast", "--flows=10"], "do not apply to --topo=incast"),
-    (["--topo=incast", "--sim-params"], "do not apply to --topo=incast"),
+     "--workload applies to --topo=dumbbell, leafspine, fattree or interdc"),
+    (["--topo=incast", "--load=0.5"],
+     "--load applies to --topo=dumbbell, leafspine, fattree or interdc"),
+    (["--topo=incast", "--flows=10"],
+     "--flows applies to --topo=dumbbell, leafspine, fattree or interdc"),
+    (["--topo=incast", "--sim-params"],
+     "--sim-params applies to --topo=dumbbell"),
     (["--topo=leafspine", "--sim-params"],
      "--sim-params applies to --topo=dumbbell"),
     (["--topo=fattree", "--sim-params"],
@@ -98,8 +100,28 @@ REJECTED = [
     (["--topo=incast", "--scenario={}"],
      "--scenario applies to --topo=dumbbell, leafspine, fattree or interdc"),
     (["--topo=incast", "--cc-mix=0.5"],
-     "--cc-mix/--buffer-policy apply to --topo=dumbbell, leafspine, fattree "
-     "or interdc"),
+     "--cc-mix applies to --topo=dumbbell, leafspine, fattree or interdc"),
+    # Misspelled flags would otherwise run the defaults.
+    (["--flowz=20", "--flows=20"], "unknown flag --flowz"),
+    (["--laod=0.9", "--flows=20"], "unknown flag --laod"),
+    # Link delays: finite, >= 0 and below 2^62 ns (1e300 would overflow the
+    # double -> int64 cast), checked before the run starts.
+    (["--topo=fattree", "--k=4", "--flows=20", "--host-delay-us=-5"],
+     "invalid value for --host-delay-us: '-5'"),
+    (["--topo=fattree", "--k=4", "--flows=20", "--host-delay-us=-1e300"],
+     "invalid value for --host-delay-us: '-1e300'"),
+    (["--topo=fattree", "--k=4", "--flows=20", "--host-delay-us=1e300"],
+     "host_link_delay_us must be >= 0 us and below 2^62 ns, got 1e+300"),
+    (["--topo=fattree", "--k=4", "--flows=20", "--fabric-delay-us=-3"],
+     "invalid value for --fabric-delay-us: '-3'"),
+    (["--topo=fattree", "--k=4", "--flows=20", "--fabric-delay-us=nan"],
+     "fabric_link_delay_us must be >= 0 us and below 2^62 ns, got nan"),
+    (["--topo=interdc", "--flows=20", "--border-rtt-us=nan"],
+     "border_rtt_us must lie in [0, 1e+07] us, got nan"),
+    # A scenario action's misspelled key is refused, not ignored.
+    (["--flows=20", '--scenario={"actions": [{"kind": "link_down", '
+      '"at": 5000, "target": -1}]}'],
+     "scenario.actions[0].at is not a known key"),
 ]
 
 ACCEPTED = [

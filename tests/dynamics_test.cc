@@ -180,6 +180,11 @@ TEST(ScenarioJsonTest, RejectsInvalidScripts) {
       R"({"actions": [{"kind": "incast_burst", "flows": 4294967297}]})",
       R"({"actions": [{"kind": "link_up", "repeat": 4294967296,
                        "period_us": 10}]})",                  // wraps
+      // A misspelled key, a string where a port id belongs, and a
+      // negative propagation delay.
+      R"({"actions": [{"kind": "link_down", "at": 5000, "target": -1}]})",
+      R"({"actions": [{"kind": "link_down", "target": "spine"}]})",
+      R"({"actions": [{"kind": "set_link_delay", "delay_us": -50}]})",
       "not json at all",
   };
   for (const char* text : kBad) {
@@ -193,13 +198,20 @@ TEST(ScenarioJsonTest, RejectsInvalidScripts) {
 TEST(ScenarioJsonTest, KindNamesRoundTrip) {
   for (int i = 0; i <= static_cast<int>(ScenarioActionKind::kReestimateEcnSharp);
        ++i) {
-    const auto kind = static_cast<ScenarioActionKind>(i);
-    ScenarioActionKind parsed;
-    ASSERT_TRUE(ParseScenarioActionKind(ScenarioActionKindName(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
+    ScenarioScript script;
+    script.actions.emplace_back();
+    script.actions[0].kind = static_cast<ScenarioActionKind>(i);
+    script.actions[0].gbps = 1.0;  // set_link_rate needs a rate
+    const Json json = ToJson(script);
+    EXPECT_EQ(json.Find("actions")->items()[0].Find("kind")->AsString(),
+              ScenarioActionKindName(script.actions[0].kind));
+    ScenarioScript parsed;
+    ASSERT_TRUE(ScenarioScriptFromJson(json, &parsed));
+    EXPECT_EQ(parsed.actions[0].kind, script.actions[0].kind);
   }
-  ScenarioActionKind ignored;
-  EXPECT_FALSE(ParseScenarioActionKind("bogus", &ignored));
+  ScenarioScript ignored;
+  EXPECT_FALSE(
+      ParseScenarioScript(R"({"actions": [{"kind": "bogus"}]})", &ignored));
 }
 
 // ---------------------------------------------------------------------------

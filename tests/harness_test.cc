@@ -2,7 +2,10 @@
 // experiment entry point and the config record.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,9 @@
 #include "harness/experiment.h"
 #include "harness/schemes.h"
 #include "harness/table.h"
+#include "sim/random.h"
+#include "sketch/sketch_config.h"
+#include "trace/trace_config.h"
 #include "sched/fifo_queue_disc.h"
 #include "tofino/ecn_sharp_pipeline.h"
 
@@ -275,6 +281,430 @@ TEST(ConfigJsonTest, OptionalKeysAppearOnlyWhenSet) {
             (std::vector<std::string>{"memory_kb", "depth", "epoch_us",
                                       "window_epochs", "decay",
                                       "heavy_hitters", "track_exact"}));
+}
+
+
+// A TCP config with every field away from its default.
+TcpConfig FullTcp() {
+  TcpConfig tcp;
+  tcp.mss = 1200;
+  tcp.init_cwnd_segments = 4;
+  tcp.ecn_mode = EcnMode::kClassic;
+  tcp.dctcp_g = 0.125;
+  tcp.dctcp_init_alpha = 0.5;
+  tcp.min_rto = Time::Milliseconds(2);
+  tcp.max_rto = Time::Seconds(1);
+  tcp.dupack_threshold = 4;
+  tcp.delayed_ack_count = 1;
+  tcp.delayed_ack_timeout = Time::FromMicroseconds(200);
+  tcp.pacing = true;
+  tcp.pacing_gain = 1.5;
+  tcp.initial_pacing_rate = DataRate::GigabitsPerSecond(2.5);
+  tcp.max_cwnd_bytes = 16 * 1024 * 1024;
+  tcp.cc_kind = CcKind::kCubic;
+  tcp.cubic_beta = 0.8;
+  tcp.cubic_c = 0.3;
+  tcp.cubic_fast_convergence = false;
+  tcp.cubic_ecn_mode = EcnMode::kClassic;
+  return tcp;
+}
+
+// Every shared field and every optional key set away from its default.
+template <typename Config>
+Config WithFullCommon(Config config) {
+  config.scheme = Scheme::kPie;
+  config.workload = &DataMiningWorkload();
+  config.load = 0.7;
+  config.flows = 40;
+  config.seed = 9;
+  config.queue_sample_period = Time::FromMicroseconds(25);
+  config.max_sim_time = Time::Seconds(3);
+  config.params.pie.alpha = 0.25;
+  config.params.ecn_sharp.pst_interval = Time::FromMicroseconds(300);
+  ScenarioAction down;
+  down.kind = ScenarioActionKind::kLinkDown;
+  down.at = Time::FromMicroseconds(1500);
+  down.drop_queued = true;
+  ScenarioAction loss;
+  loss.kind = ScenarioActionKind::kInjectLoss;
+  loss.drop_prob = 0.01;
+  loss.repeat = 2;
+  loss.period = Time::FromMicroseconds(500);
+  config.scenario.seed = 4;
+  config.scenario.actions = {down, loss};
+  config.cc_mix = 0.25;
+  config.buffer_policy.kind = BufferPolicyKind::kDtHeadroom;
+  config.buffer_policy.total_bytes = 900'000;
+  config.buffer_policy.alpha = 2.0;
+  config.buffer_policy.headroom_bytes = 3000;
+  config.buffer_policy.priority_alpha = {0.5, 2.0};
+  config.estimator = EcnEstimator::kSketch;
+  config.sketch.enabled = true;
+  config.sketch.memory_kb = 32;
+  config.sketch.depth = 3;
+  config.sketch.epoch = Time::Milliseconds(2);
+  config.sketch.window_epochs = 4;
+  config.sketch.decay = 0.5;
+  config.sketch.queue_alpha = 0.25;
+  config.sketch.heavy_hitters = 8;
+  config.sketch.track_exact = true;
+  return config;
+}
+
+LeafSpineConfig FullLeafSpine() {
+  LeafSpineConfig topo;
+  topo.spines = 3;
+  topo.leaves = 2;
+  topo.hosts_per_leaf = 5;
+  topo.base_address = 100;
+  topo.rate = DataRate::GigabitsPerSecond(40);
+  topo.host_link_delay = Time::FromMicroseconds(7);
+  topo.spine_link_delay = Time::FromMicroseconds(9);
+  topo.host_buffer_bytes = 1 << 20;
+  topo.tcp = FullTcp();
+  return topo;
+}
+
+FatTreeConfig FullFatTree() {
+  FatTreeConfig topo;
+  topo.k = 6;
+  topo.base_address = 50;
+  topo.rate = DataRate::GigabitsPerSecond(25);
+  topo.host_link_delay = Time::FromMicroseconds(3);
+  topo.fabric_link_delay = Time::FromMicroseconds(4);
+  topo.host_buffer_bytes = 1 << 21;
+  topo.tcp = FullTcp();
+  return topo;
+}
+
+// One config per family with every recorded field off its default.
+std::vector<ExperimentConfig> FullExperiments() {
+  auto dumbbell = WithFullCommon(DumbbellExperimentConfig());
+  dumbbell.rtt_variation = 4.5;
+  dumbbell.base_rtt = Time::FromMicroseconds(50);
+  dumbbell.senders = 5;
+  dumbbell.rate = DataRate::GigabitsPerSecond(25);
+  dumbbell.tcp = FullTcp();
+  auto leaf_spine = WithFullCommon(LeafSpineExperimentConfig());
+  leaf_spine.topo = FullLeafSpine();
+  leaf_spine.max_extra_delay = Time::FromMicroseconds(90);
+  auto fat_tree = WithFullCommon(FatTreeExperimentConfig());
+  fat_tree.topo = FullFatTree();
+  fat_tree.max_extra_delay = Time::FromMicroseconds(70);
+  auto interdc = WithFullCommon(InterDcExperimentConfig());
+  interdc.inter_workload = &WebSearchWorkload();
+  interdc.inter_fraction = 0.3;
+  interdc.topo.side_a.leaf_spine = FullLeafSpine();
+  interdc.topo.side_b.kind = ComposedSideConfig::Kind::kFatTree;
+  interdc.topo.side_b.fat_tree = FullFatTree();
+  interdc.topo.border_links = 3;
+  interdc.topo.border_rate = DataRate::GigabitsPerSecond(40);
+  interdc.topo.border_rtt = Time::FromMicroseconds(3000);
+  interdc.topo.attach_delay = Time::FromMicroseconds(2);
+  interdc.topo.auto_address = false;
+  interdc.topo.inter_rtt_fraction = 0.5;
+  interdc.max_extra_delay = Time::FromMicroseconds(80);
+  IncastExperimentConfig incast;
+  incast.scheme = Scheme::kCodel;
+  incast.params.codel.target = Time::FromMicroseconds(15);
+  incast.senders = 8;
+  incast.long_flows = 3;
+  incast.query_flows = 20;
+  incast.query_min_bytes = 2000;
+  incast.query_max_bytes = 50'000;
+  incast.burst_time = Time::Milliseconds(100);
+  incast.rtt_variation = 2.0;
+  incast.base_rtt = Time::FromMicroseconds(60);
+  incast.rate = DataRate::GigabitsPerSecond(25);
+  incast.seed = 6;
+  incast.tcp = FullTcp();
+  incast.queue_sample_period = Time::FromMicroseconds(20);
+  incast.max_sim_time = Time::Seconds(10);
+  incast.sketch.enabled = true;
+  return {dumbbell, leaf_spine, fat_tree, interdc, incast};
+}
+
+ExperimentConfig ReadBack(const std::string& text) {
+  Json json;
+  std::string error;
+  EXPECT_TRUE(Json::Parse(text, &json, &error)) << error;
+  ExperimentConfig config;
+  EXPECT_TRUE(ExperimentConfigFromJson(json, &config, &error))
+      << error << "\n" << text;
+  return config;
+}
+
+// The record is complete: reading it back and writing it again reproduces
+// it byte for byte, with every field set away from its default.
+TEST(ConfigJsonTest, RecordsRoundTripByteForByte) {
+  std::vector<ExperimentConfig> configs = TinyExperiments();
+  for (const ExperimentConfig& config : FullExperiments()) {
+    configs.push_back(config);
+  }
+  for (const ExperimentConfig& config : configs) {
+    const std::string text = ToJson(config).Dump();
+    EXPECT_EQ(ToJson(ReadBack(text)).Dump(), text);
+  }
+}
+
+TEST(ConfigJsonTest, NewKeysAppearOnlyOffTheirDefaults) {
+  const std::vector<ExperimentConfig> full = FullExperiments();
+  const Json dumbbell = ToJson(full[0]);
+  EXPECT_EQ(Keys(*dumbbell.Find("tcp")).size(), 19u);
+  EXPECT_EQ(Keys(*dumbbell.Find("sketch")).back(), "queue_alpha");
+  EXPECT_EQ(Keys(*dumbbell.Find("buffer_policy")).back(), "priority_alpha");
+  const std::vector<std::string> leaf_spine = Keys(ToJson(full[1]));
+  EXPECT_EQ(std::vector<std::string>(leaf_spine.end() - 4, leaf_spine.end()),
+            (std::vector<std::string>{"host_link_delay_us",
+                                      "spine_link_delay_us",
+                                      "host_buffer_bytes", "base_address"}));
+  const std::vector<std::string> fat_tree = Keys(ToJson(full[2]));
+  EXPECT_EQ(std::vector<std::string>(fat_tree.end() - 2, fat_tree.end()),
+            (std::vector<std::string>{"host_buffer_bytes", "base_address"}));
+  const Json interdc = ToJson(full[3]);
+  EXPECT_EQ(Keys(interdc).back(), "auto_address");
+  EXPECT_EQ(Keys(*interdc.Find("side_a")),
+            (std::vector<std::string>{
+                "kind", "spines", "leaves", "hosts_per_leaf", "rate_bps",
+                "base_address", "tcp", "host_link_delay_us",
+                "spine_link_delay_us", "host_buffer_bytes"}));
+  EXPECT_EQ(Keys(*interdc.Find("side_b")),
+            (std::vector<std::string>{
+                "kind", "k", "rate_bps", "base_address", "tcp",
+                "host_link_delay_us", "fabric_link_delay_us",
+                "host_buffer_bytes"}));
+  EXPECT_EQ(Keys(ToJson(full[4])).back(), "sketch");
+  // Defaults write none of them (RecordKeysFollowTheFamilyOrder).
+  EXPECT_EQ(Keys(*ToJson(TinyExperiments()[0]).Find("tcp")).size(), 7u);
+}
+
+// A read-back config runs the same experiment.
+TEST(ConfigJsonTest, ReadBackConfigsRunTheSameExperiment) {
+  const auto dump = [](const ExperimentOutcome& outcome) {
+    return std::visit([](const auto& r) { return ToJson(r).Dump(); },
+                      outcome);
+  };
+  for (const ExperimentConfig& config : TinyExperiments()) {
+    EXPECT_EQ(dump(RunExperiment(ReadBack(ToJson(config).Dump()))),
+              dump(RunExperiment(config)));
+  }
+}
+
+TEST(ConfigJsonTest, PartialRecordsOverrideTheFamilyDefault) {
+  FatTreeExperimentConfig expected;
+  expected.topo.k = 4;
+  expected.buffer_policy.kind = BufferPolicyKind::kDynamicThreshold;
+  expected.buffer_policy.alpha = 0.5;
+  const ExperimentConfig read = ReadBack(
+      R"({"topology": "fattree", "k": 4,
+          "buffer_policy": {"kind": "dt", "alpha": 0.5}})");
+  EXPECT_EQ(ToJson(read).Dump(), ToJson(expected).Dump());
+}
+
+// Each refusal starts with the path of the refused key.
+TEST(ConfigJsonTest, ReaderRefusesMalformedRecords) {
+  const std::pair<const char*, const char*> kBad[] = {
+      {R"({"load": 0.5})", "topology must be one of"},
+      {R"({"topology": "ring"})", "topology must be one of"},
+      {R"({"topology": "dumbbell", "laod": 0.9})", "laod is not a known key"},
+      {R"({"topology": "incast", "load": 0.9})", "load is not a known key"},
+      {R"({"topology": "dumbbell", "flows": "20"})", "flows must be a whole"},
+      {R"({"topology": "dumbbell", "flows": 2.5})", "flows must be a whole"},
+      {R"({"topology": "dumbbell", "load": 0})",
+       "load must be > 0 and finite, got 0"},
+      {R"({"topology": "dumbbell", "rtt_variation": 0.5})",
+       "rtt_variation must be >= 1"},
+      {R"({"topology": "dumbbell", "workload": "custom"})",
+       "workload must be one of websearch, datamining, got \"custom\" (a "
+       "custom workload's CDF is not in the record)"},
+      {R"({"topology": "dumbbell", "scheme": "ECN"})", "scheme must be one of"},
+      {R"({"topology": "dumbbell", "tcp": {"mss": 0}})", "tcp.mss must be"},
+      {R"({"topology": "dumbbell", "tcp": []})",
+       "tcp must be an object, got an array"},
+      {R"({"topology": "dumbbell", "params": {"pie_alpha": -1}})",
+       "params.pie_alpha must be >= 0"},
+      {R"({"topology": "fattree", "k": 5})", "k must be an even number"},
+      {R"({"topology": "fattree", "host_link_delay_us": 1e300})",
+       "host_link_delay_us must be >= 0 us and below 2^62 ns"},
+      {R"({"topology": "interdc", "border_rtt_us": -1})",
+       "border_rtt_us must lie in [0, 1e+07] us"},
+      {R"({"topology": "interdc", "side_b": {"kind": "fattree",
+           "spines": 2}})",
+       "side_b.spines is not a known key"},
+      {R"({"topology": "leafspine", "buffer_policy": {"alpha": 2}})",
+       "buffer_policy.kind is required"},
+      {R"({"topology": "leafspine", "buffer_policy": {"kind": "none"}})",
+       "buffer_policy.kind must be one of static, dt, dt-headroom"},
+      {R"({"topology": "leafspine", "estimator": "sketch"})",
+       "estimator 'sketch' needs a sketch record"},
+      {R"({"topology": "leafspine", "scenario": {"actions": [{}]}})",
+       "scenario.actions[0].kind is required"},
+      {R"({"topology": "incast", "query_min_bytes": 9,
+           "query_max_bytes": 8})",
+       "query_max_bytes must be >= query_min_bytes"},
+  };
+  for (const auto& [text, expected] : kBad) {
+    Json json;
+    ASSERT_TRUE(Json::Parse(text, &json)) << text;
+    ExperimentConfig config;
+    std::string error;
+    EXPECT_FALSE(ExperimentConfigFromJson(json, &config, &error)) << text;
+    EXPECT_EQ(error.find(expected), 0u) << error;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzzing of every reader: each input is accepted or refused
+// with a message, and nothing crashes (CI runs this under ASan+UBSan).
+// ---------------------------------------------------------------------------
+
+constexpr int kMutations = 2000;
+
+Json Replacement(Rng& rng) {
+  const Json kValues[] = {
+      Json::Num(std::nan("")),  Json::Num(HUGE_VAL), Json::Num(-HUGE_VAL),
+      Json::Num(1e300),         Json::Int(-1),       Json::Num(0.5),
+      Json::UInt(UINT64_MAX),   Json::Str("x"),      Json::Bool(true),
+      Json(),                   Json::Object(),      Json::Array(),
+  };
+  return kValues[rng.UniformInt(std::size(kValues))];
+}
+
+// `json` with one value somewhere inside dropped (an object member),
+// retyped or set to an edge value.
+Json Mutate(const Json& json, Rng& rng) {
+  const std::size_t n =
+      json.IsObject() ? json.members().size() : json.items().size();
+  if (n == 0 || rng.UniformInt(4) == 0) return Replacement(rng);
+  const std::size_t pick = rng.UniformInt(n);
+  Json out = json.IsObject() ? Json::Object() : Json::Array();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (json.IsArray()) {
+      out.Push(i == pick ? Mutate(json.items()[i], rng) : json.items()[i]);
+    } else if (i != pick) {
+      out.Set(json.members()[i].first, json.members()[i].second);
+    } else if (rng.UniformInt(4) != 0) {
+      out.Set(json.members()[i].first, Mutate(json.members()[i].second, rng));
+    }
+  }
+  return out;
+}
+
+// Mutates, then half the time truncates the text and parses it again.
+template <typename Read>
+void FuzzRecords(const std::vector<Json>& seeds, Read read) {
+  Rng rng(2024);
+  for (int i = 0; i < kMutations; ++i) {
+    Json input = Mutate(seeds[rng.UniformInt(seeds.size())], rng);
+    std::string error;
+    if (rng.UniformInt(2) == 0) {
+      const std::string text = input.Dump();
+      if (!Json::Parse(text.substr(0, rng.UniformInt(text.size())), &input,
+                       &error)) {
+        EXPECT_FALSE(error.empty());
+        continue;
+      }
+    }
+    read(input);
+  }
+}
+
+TEST(ConfigFuzzTest, ExperimentRecordsAreReadOrRefused) {
+  std::vector<Json> seeds;
+  for (const auto& family : {TinyExperiments(), FullExperiments()}) {
+    for (const ExperimentConfig& config : family) {
+      seeds.push_back(ToJson(config));
+    }
+  }
+  int accepted = 0;
+  FuzzRecords(seeds, [&accepted](const Json& input) {
+    ExperimentConfig config;
+    std::string error;
+    if (!ExperimentConfigFromJson(input, &config, &error)) {
+      EXPECT_FALSE(error.empty());
+      return;
+    }
+    ++accepted;
+    // What the reader accepts, the writer records faithfully.
+    const std::string text = ToJson(config).Dump();
+    EXPECT_EQ(ToJson(ReadBack(text)).Dump(), text);
+  });
+  EXPECT_GT(accepted, kMutations / 20);
+}
+
+TEST(ConfigFuzzTest, ScenarioScriptsAreReadOrRefused) {
+  ScenarioScript script;
+  script.seed = 3;
+  for (int kind = 0;
+       kind <= static_cast<int>(ScenarioActionKind::kReestimateEcnSharp);
+       ++kind) {
+    ScenarioAction action;
+    action.kind = static_cast<ScenarioActionKind>(kind);
+    action.gbps = 5.0;
+    action.delay_us = 20.0;
+    action.flows = 4;
+    action.bytes = 3000;
+    script.actions.push_back(action);
+  }
+  FuzzRecords({ToJson(script)}, [](const Json& input) {
+    ScenarioScript parsed;
+    std::string error;
+    if (!ScenarioScriptFromJson(input, &parsed, &error)) {
+      EXPECT_FALSE(error.empty());
+    }
+  });
+}
+
+// Spec strings: a number swapped for an edge value, a term dropped or
+// doubled, or the text cut short.
+std::string MutateSpec(const std::string& spec, Rng& rng) {
+  static const char* kValues[] = {"nan", "inf", "-inf", "1e300", "-1", ""};
+  std::vector<std::string> terms;
+  for (std::size_t pos = 0; pos <= spec.size();) {
+    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
+    terms.push_back(spec.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  const std::size_t pick = rng.UniformInt(terms.size());
+  switch (rng.UniformInt(4)) {
+    case 0:
+      terms[pick] = terms[pick].substr(0, terms[pick].find(':') + 1) +
+                    kValues[rng.UniformInt(std::size(kValues))];
+      break;
+    case 1:
+      terms.erase(terms.begin() + static_cast<std::ptrdiff_t>(pick));
+      break;
+    case 2:
+      terms.push_back(terms[pick]);
+      break;
+    default:
+      return spec.substr(0, rng.UniformInt(spec.size()));
+  }
+  std::string out;
+  for (const std::string& term : terms) out += (out.empty() ? "" : ",") + term;
+  return out;
+}
+
+TEST(ConfigFuzzTest, SpecStringsAreReadOrRefused) {
+  Rng rng(7);
+  for (int i = 0; i < kMutations; ++i) {
+    std::string error;
+    TraceConfig trace;
+    if (!ParseTraceSpec(
+            MutateSpec("events:1024,points:64,queue:off,flows:on", rng),
+            &trace, &error)) {
+      EXPECT_FALSE(error.empty());
+    }
+    error.clear();
+    SketchConfig sketch;
+    if (!ParseSketchSpec(
+            MutateSpec("mem:32,depth:3,epoch:2000,window:4,decay:50,hh:8,"
+                       "exact:on",
+                       rng),
+            &sketch, &error)) {
+      EXPECT_FALSE(error.empty());
+    }
+  }
 }
 
 }  // namespace

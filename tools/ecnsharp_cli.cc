@@ -9,6 +9,8 @@
 // Prints the experiment's FCT breakdown (or incast metrics) as a table.
 // With --sweep, runs the whole grid through the parallel runner and also
 // exports results/<name>.json. Run with --help for all options.
+#include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -19,6 +21,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "harness/config_json.h"
@@ -79,10 +83,6 @@ struct Flags {
     const auto it = values.find(key);
     return it == values.end() ? fallback : it->second;
   }
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : ParseDoubleOrDie(key, it->second);
-  }
   std::uint64_t GetU64(const std::string& key, std::uint64_t fallback) const {
     const auto it = values.find(key);
     return it == values.end() ? fallback : ParseU64OrDie(key, it->second);
@@ -109,9 +109,9 @@ Flags ParseFlags(int argc, char** argv) {
 }
 
 // --scenario accepts either a path to a JSON script or the script inline
-// (a value starting with '{'). Any parse or validation failure is fatal:
-// a silently-ignored scenario would make "static" results look dynamic.
-ScenarioScript LoadScenarioOrDie(const std::string& value) {
+// (a value starting with '{'). Any read or parse failure is fatal: a
+// silently-ignored scenario would make "static" results look dynamic.
+Json ScenarioFlag(const std::string&, const std::string& value) {
   std::string text = value;
   if (value.empty() || value[0] != '{') {
     std::ifstream in(value);
@@ -124,150 +124,257 @@ ScenarioScript LoadScenarioOrDie(const std::string& value) {
     buffer << in.rdbuf();
     text = buffer.str();
   }
-  ScenarioScript script;
+  Json script;
   std::string error;
-  if (!ParseScenarioScript(text, &script, &error)) {
+  if (!Json::Parse(text, &script, &error)) {
     std::fprintf(stderr, "invalid --scenario script: %s\n", error.c_str());
     std::exit(2);
   }
   return script;
 }
 
+// --- The flag table ---------------------------------------------------------
+// Each experiment flag sets one key of the config record
+// (harness/config_json.h), whose reader checks its range and builds the
+// config. Flags without a key are the CLI's own.
+
+// The topologies a flag applies to, one bit per --topo name.
+enum : unsigned {
+  kDumbbell = 1,
+  kLeafSpine = 2,
+  kFatTree = 4,
+  kInterDc = 8,
+  kIncast = 16,
+  kFabrics = 15,
+  kAll = 31,
+};
+constexpr const char* kTopoNames[] = {"dumbbell", "leafspine", "fattree",
+                                      "interdc", "incast"};
+
+// Lowers one flag's text onto its record value.
+using Lower = Json (*)(const std::string& flag, const std::string& value);
+
+Json Text(const std::string&, const std::string& value) {
+  return Json::Str(value);
+}
+Json Number(const std::string& flag, const std::string& value) {
+  return Json::Num(ParseDoubleOrDie(flag, value));
+}
+Json Count(const std::string& flag, const std::string& value) {
+  return Json::UInt(ParseU64OrDie(flag, value));
+}
+Json Gbps(const std::string& flag, const std::string& value) {
+  return Json::Num(ParseDoubleOrDie(flag, value) * 1e9);
+}
+Json Kib(const std::string& flag, const std::string& value) {
+  const std::uint64_t kib = ParseU64OrDie(flag, value);
+  if (kib > std::numeric_limits<std::uint64_t>::max() / 1024) {
+    FlagError(flag, value, "a pool size whose byte count fits in 64 bits");
+  }
+  return Json::UInt(kib * 1024);
+}
+Json SimParams(const std::string&, const std::string&) {
+  return ToJson(SimulationSchemeParams());
+}
+// --scheme spells a scheme's record name in lower case with '#' as
+// "-sharp". Other values go on to the reader, which lists the schemes.
+Json SchemeFlag(const std::string&, const std::string& value) {
+  for (const Scheme scheme : kAllSchemes) {
+    std::string spelling;
+    for (const char* c = SchemeName(scheme); *c != '\0'; ++c) {
+      const auto lower =
+          static_cast<char>(std::tolower(static_cast<unsigned char>(*c)));
+      spelling += *c == '#' ? std::string("-sharp") : std::string(1, lower);
+    }
+    if (spelling == value) return Json::Str(SchemeName(scheme));
+  }
+  return Json::Str(value);
+}
+Json SketchFlag(const std::string&, const std::string& value) {
+  SketchConfig sketch;
+  std::string error;
+  if (!ParseSketchSpec(value, &sketch, &error)) {
+    std::fprintf(stderr, "invalid --sketch spec: %s\n", error.c_str());
+    std::exit(2);
+  }
+  return ToJson(sketch);
+}
+
+struct FlagRow {
+  const char* flag;
+  const char* help;  // "=<arg>  what it sets", for --help
+  unsigned topos;
+  const char* key = nullptr;  // dotted when nested
+  Lower lower = nullptr;
+  // Swept flags: --sweep values are divided by this (load is in percent).
+  double sweep_divisor = 0;
+  // Lowered on `fallback_topos` when the flag is absent: the CLI's defaults
+  // where they differ from the library's.
+  const char* fallback = nullptr;
+  unsigned fallback_topos = 0;
+};
+
+const FlagRow kFlags[] = {
+    {"help", "  this text", kAll},
+    {"topo", "=<name>  dumbbell (default), leafspine, fattree, interdc or "
+             "incast", kAll},
+    {"topology", "=<name>  as --topo, and overrides it", kFabrics},
+    {"scheme", "=<name>  ecn-sharp (default), ecn-sharp-tofino, "
+               "dctcp-red-tail,\n      dctcp-red-avg, codel, tcn, pie, "
+               "droptail, ecn-sharp-inst-only,\n      ecn-sharp-pst-only",
+     kAll, "scheme", SchemeFlag},
+    {"workload", "=websearch|datamining  flow sizes (default websearch)",
+     kFabrics, "workload", Text},
+    {"load", "=<load>  offered load, > 0 (default 0.5)", kFabrics, "load",
+     Number, 100},
+    {"flows", "=<n>  flow count (default 1000)", kFabrics, "flows", Count, 1,
+     "1000", kFabrics},
+    {"seed", "=<n>  RNG seed (default 1)", kAll, "seed", Count, 1},
+    {"variation", "=<k>  RTT variation factor, >= 1 (default 3)", kDumbbell,
+     "rtt_variation", Number, 1},
+    {"fanout", "=<n>  query flows (default 100)", kIncast, "query_flows",
+     Count, 1},
+    {"sim-params", "  the paper's simulation parameters (§5.3; the fabrics "
+                   "always run them)",
+     kDumbbell, "params", SimParams, 0, "1", kLeafSpine},
+    {"k", "=<even n >= 4>  arity, k^3/4 hosts (default 8)", kFatTree, "k",
+     Count},
+    {"rate-gbps", "=<g>  link rate (default 10)", kFatTree, "rate_bps", Gbps},
+    {"host-delay-us", "=<us>  host<->edge hop delay (default 10)", kFatTree,
+     "host_link_delay_us", Number},
+    {"fabric-delay-us", "=<us>  switch<->switch hop delay (default 10)",
+     kFatTree, "fabric_link_delay_us", Number},
+    {"inter-workload", "=websearch|datamining  cross-border flow sizes "
+                       "(default datamining)",
+     kInterDc, "inter_workload", Text},
+    {"inter-fraction", "=<0..1>  share of flows crossing the border "
+                       "(default 0.1)",
+     kInterDc, "inter_fraction", Number},
+    {"border-links", "=<n >= 1>  parallel border links (default 1)", kInterDc,
+     "border_links", Count},
+    {"border-gbps", "=<g>  rate of each border link (default 10)", kInterDc,
+     "border_rate_bps", Gbps},
+    {"border-rtt-us", "=<us>  extra round trip of each border link, in "
+                      "[0, 1e7] (default 2000)",
+     kInterDc, "border_rtt_us", Number, 0, "2000", kInterDc},
+    {"scenario", "=<file.json|{inline}>  mid-run dynamics script (see "
+                 "docs/extending.md);\n      such single runs also export "
+                 "results/<name>.json",
+     kFabrics, "scenario", ScenarioFlag},
+    {"cc-mix", "=<0..1>  share of flows driven by CUBIC (default 0)",
+     kFabrics, "cc_mix", Number},
+    {"buffer-policy", "=static|dt|dt-headroom  shared buffer per switch chip "
+                      "(default: none)",
+     kFabrics, "buffer_policy.kind", Text},
+    {"buffer-kb", "=<kb>  pool per chip (default: queues x per-port buffer)",
+     kFabrics, "buffer_policy.total_bytes", Kib},
+    {"alpha", "=<a>  dynamic-threshold alpha (default 1)", kFabrics,
+     "buffer_policy.alpha", Number},
+    {"estimator", "=oracle|sketch  source of scenario ECN# re-estimation "
+                  "(default oracle)",
+     kFabrics, "estimator", Text},
+    {"sketch", "=<spec>  sketch telemetry of a single run: 'on' or mem:<kb>,"
+               "\n      depth:<d>, epoch:<us>, window:<n>, decay:<pct>, "
+               "hh:<k>, exact:on|off",
+     kAll, "sketch", SketchFlag},
+    {"sketch-out", "=<path>  telemetry file (default "
+                   "results/<name>_sketch.json)",
+     kAll},
+    {"trace", "=<spec>  tracing of a single run: 'on' or events:<n>, "
+              "points:<n>,\n      queue:on|off, flows:on|off (see "
+              "docs/observability.md)",
+     kAll},
+    {"trace-out", "=<path>  trace file (default results/<name>_trace.json; "
+                  "a .csv\n      suffix writes the flat event table)",
+     kAll},
+    {"relaxed-lanes", "=<n>  run pods on n lane threads, 2 <= n <= k+1: "
+                      "deterministic,\n      but not byte-comparable with "
+                      "the serial run",
+     kFatTree},
+    {"sweep", "=<param:lo..hi:step[,...]>  run a grid of load (in percent), "
+              "flows,\n      variation, fanout or seed, e.g. "
+              "load:10..90:10",
+     kAll},
+    {"jobs", "=<n>  --sweep worker threads (default $ECNSHARP_JOBS or 1)",
+     kAll},
+    {"name", "=<name>  results/<name>.json (default cli_sweep, or cli_run)",
+     kAll},
+};
+
+const FlagRow* FindFlag(const std::string& flag) {
+  for (const FlagRow& row : kFlags) {
+    if (flag == row.flag) return &row;
+  }
+  return nullptr;
+}
+
+// "dumbbell, leafspine, fattree or interdc".
+std::string TopoList(unsigned topos) {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < std::size(kTopoNames); ++i) {
+    if ((topos >> i) & 1u) names.push_back(kTopoNames[i]);
+  }
+  std::string list = names[0];
+  for (std::size_t i = 1; i < names.size(); ++i) {
+    list += (i + 1 == names.size() ? " or " : ", ") + names[i];
+  }
+  return list;
+}
+
 int Usage() {
-  std::printf(
-      "ecnsharp_cli — run an ECN# experiment\n\n"
-      "  --topo=dumbbell|leafspine|fattree|interdc|incast\n"
-      "                                     topology (default dumbbell)\n"
-      "  --topology=dumbbell|leafspine|fattree|interdc\n"
-      "                                     alias of --topo for the\n"
-      "                                     scenario-capable topologies;\n"
-      "                                     overrides --topo when both are\n"
-      "                                     given\n"
-      "  --border-rtt-us=<us>               interdc: extra round-trip of each\n"
-      "                                     border link, in [0, 10000000]\n"
-      "                                     (default 2000)\n"
-      "  --border-gbps=<g>                  interdc: per-border-link rate\n"
-      "                                     (default 10)\n"
-      "  --border-links=<n >= 1>            interdc: parallel border links\n"
-      "                                     (default 1)\n"
-      "  --inter-fraction=<0..1>            interdc: fraction of flows that\n"
-      "                                     cross the border (default 0.1)\n"
-      "  --inter-workload=websearch|datamining\n"
-      "                                     interdc: size distribution of\n"
-      "                                     the cross-border flows (default\n"
-      "                                     datamining)\n"
-      "  --k=<even n>=4>                    fat-tree arity: k^3/4 hosts\n"
-      "                                     (default 8 -> 128 hosts)\n"
-      "  --rate-gbps=<g>                    fat-tree link rate (default 10)\n"
-      "  --host-delay-us=<us>               fat-tree host<->edge hop delay\n"
-      "                                     (default 10)\n"
-      "  --fabric-delay-us=<us>             fat-tree switch<->switch hop\n"
-      "                                     delay (default 10)\n"
-      "  --relaxed-lanes=<n>                fat-tree only: execute pods on\n"
-      "                                     n event lanes (threads), 2 <= n\n"
-      "                                     <= k+1, under the conservative-\n"
-      "                                     window scheme. Deterministic for\n"
-      "                                     a given config+n but not\n"
-      "                                     byte-comparable with the\n"
-      "                                     single-lane run; rejects\n"
-      "                                     --scenario/--trace/--sketch\n"
-      "  --scheme=<name>                    dctcp-red-tail, dctcp-red-avg,\n"
-      "                                     codel, tcn, ecn-sharp,\n"
-      "                                     ecn-sharp-tofino, droptail, pie,\n"
-      "                                     ecn-sharp-inst-only,\n"
-      "                                     ecn-sharp-pst-only\n"
-      "  --workload=websearch|datamining    flow size distribution (not\n"
-      "                                     incast)\n"
-      "  --load=<0..1>                      offered load (default 0.5; not\n"
-      "                                     incast)\n"
-      "  --flows=<n>                        flow count (default 1000; not\n"
-      "                                     incast)\n"
-      "  --variation=<k>                    dumbbell: RTT variation factor\n"
-      "                                     (default 3)\n"
-      "  --fanout=<n>                       incast: query flows (default\n"
-      "                                     100)\n"
-      "  --seed=<n>                         RNG seed (default 1)\n"
-      "  --sim-params                       dumbbell: use the paper's\n"
-      "                                     simulation parameter preset\n"
-      "                                     (§5.3; the fabrics always do)\n"
-      "  --scenario=<file.json|{inline}>    mid-run network dynamics script\n"
-      "                                     (link churn, loss injection,\n"
-      "                                     RTT shifts, incast bursts) for\n"
-      "                                     dumbbell, leafspine, fattree or\n"
-      "                                     interdc; see docs/extending.md.\n"
-      "                                     Single runs with a scenario also\n"
-      "                                     export results/<name>.json\n"
-      "  --sweep=<param:lo..hi:step[,...]>  run a grid instead of a single\n"
-      "                                     experiment; params: load (in\n"
-      "                                     percent), flows, variation,\n"
-      "                                     fanout, seed. Example:\n"
-      "                                     --sweep=load:10..90:10\n"
-      "  --jobs=<n>                         worker threads for --sweep\n"
-      "                                     (default $ECNSHARP_JOBS or 1)\n"
-      "  --name=<name>                      sweep name; JSON lands in\n"
-      "                                     results/<name>.json (default\n"
-      "                                     cli_sweep)\n"
-      "  --trace=<spec>                     flight-recorder tracing for a\n"
-      "                                     single run (not --sweep). Spec is\n"
-      "                                     'on' or comma-separated terms:\n"
-      "                                     events:<n>, points:<n>,\n"
-      "                                     queue:on|off, flows:on|off; see\n"
-      "                                     docs/observability.md\n"
-      "  --trace-out=<path>                 trace destination (default\n"
-      "                                     results/<name>_trace.json; a\n"
-      "                                     .csv suffix exports the flat\n"
-      "                                     event table instead)\n"
-      "  --sketch=<spec>                    bounded-memory sketch telemetry\n"
-      "                                     for a single run (not --sweep).\n"
-      "                                     Spec is 'on' or comma-separated\n"
-      "                                     terms: mem:<kb>, depth:<d>,\n"
-      "                                     epoch:<us>, window:<n>,\n"
-      "                                     decay:<pct>, hh:<k>,\n"
-      "                                     exact:on|off; see\n"
-      "                                     docs/observability.md\n"
-      "  --sketch-out=<path>                telemetry destination (default\n"
-      "                                     results/<name>_sketch.json)\n"
-      "  --estimator=oracle|sketch          measurement source for scenario\n"
-      "                                     ECN# re-estimation actions\n"
-      "                                     (default oracle; sketch needs\n"
-      "                                     --sketch)\n"
-      "  --cc-mix=<0..1>                    fraction of flows driven by\n"
-      "                                     CUBIC instead of the default\n"
-      "                                     DCTCP sender (default 0; not\n"
-      "                                     incast)\n"
-      "  --buffer-policy=static|dt|dt-headroom\n"
-      "                                     shared-buffer policy per switch\n"
-      "                                     chip replacing static per-port\n"
-      "                                     buffers (default: none; not\n"
-      "                                     incast)\n"
-      "  --buffer-kb=<kb>                   shared pool size per chip in KB\n"
-      "                                     (default: queue count x the\n"
-      "                                     per-port buffer); requires\n"
-      "                                     --buffer-policy\n"
-      "  --alpha=<a>                        dynamic-threshold alpha\n"
-      "                                     (default 1); requires\n"
-      "                                     --buffer-policy\n"
-      "  --help                             this text\n");
+  std::printf("ecnsharp_cli — run an ECN# experiment\n\n");
+  for (const FlagRow& row : kFlags) {
+    std::printf("  --%s%s\n", row.flag, row.help);
+    if (row.topos != kAll) {
+      std::printf("      --topo=%s only\n", TopoList(row.topos).c_str());
+    }
+  }
+  std::printf("\nUnknown flags, and flags the topology does not take, exit "
+              "2.\n");
   return 0;
 }
 
-bool ParseScheme(const std::string& name, Scheme& out) {
-  static const std::map<std::string, Scheme> kNames = {
-      {"dctcp-red-tail", Scheme::kDctcpRedTail},
-      {"dctcp-red-avg", Scheme::kDctcpRedAvg},
-      {"codel", Scheme::kCodel},
-      {"tcn", Scheme::kTcn},
-      {"ecn-sharp", Scheme::kEcnSharp},
-      {"ecn-sharp-tofino", Scheme::kEcnSharpTofino},
-      {"droptail", Scheme::kDropTail},
-      {"pie", Scheme::kPie},
-      {"ecn-sharp-inst-only", Scheme::kEcnSharpInstOnly},
-      {"ecn-sharp-pst-only", Scheme::kEcnSharpPstOnly},
-  };
-  const auto it = kNames.find(name);
-  if (it == kNames.end()) return false;
-  out = it->second;
-  return true;
+// Sets a dotted `key` ("buffer_policy.alpha") of `record`.
+void SetKey(Json& record, const std::string& key, Json value) {
+  const std::size_t dot = key.find('.');
+  if (dot == std::string::npos) {
+    record.Set(key, std::move(value));
+    return;
+  }
+  const std::string head = key.substr(0, dot);
+  Json inner = record.Find(head) != nullptr ? *record.Find(head) : Json();
+  SetKey(inner, key.substr(dot + 1), std::move(value));
+  record.Set(head, std::move(inner));
+}
+
+// The config `record` describes; else exits 2 naming the flag that set the
+// refused key (`context` prefixes the message when set).
+ExperimentConfig ConfigOrDie(const Flags& flags, const Json& record,
+                             const std::string& context = "") {
+  ExperimentConfig config;
+  std::string error;
+  if (ExperimentConfigFromJson(record, &config, &error)) return config;
+  const std::string path = error.substr(0, error.find(' '));
+  const FlagRow* setter = nullptr;
+  for (const FlagRow& row : kFlags) {
+    const std::size_t n = row.key == nullptr ? 0 : std::strlen(row.key);
+    if (n != 0 && path.compare(0, n, row.key) == 0 &&
+        (path.size() == n || path[n] == '.' || path[n] == '[')) {
+      setter = &row;
+    }
+  }
+  if (!context.empty()) {
+    std::fprintf(stderr, "%s: %s\n", context.c_str(), error.c_str());
+  } else if (setter != nullptr && flags.Has(setter->flag)) {
+    std::fprintf(stderr, "invalid value for --%s: '%s' (%s)\n", setter->flag,
+                 flags.Get(setter->flag, "").c_str(), error.c_str());
+  } else if (setter != nullptr) {
+    std::fprintf(stderr, "config error: %s (see --%s)\n", error.c_str(),
+                 setter->flag);
+  } else {
+    std::fprintf(stderr, "config error: %s\n", error.c_str());
+  }
+  std::exit(2);
 }
 
 void PrintFctResult(const ExperimentResult& r) {
@@ -378,102 +485,6 @@ void ExportSketchOrDie(const Flags& flags,
               sketch->FlowSketchMemoryBytes() / 1024, path.c_str());
 }
 
-// Mixed-CC share; validated to [0, 1].
-double CcMixFromFlags(const Flags& flags) {
-  const double mix = flags.GetDouble("cc-mix", 0.0);
-  if (mix < 0.0 || mix > 1.0) {
-    FlagError("cc-mix", flags.Get("cc-mix", ""), "a fraction in [0, 1]");
-  }
-  return mix;
-}
-
-// Shared-buffer policy knobs. --buffer-kb and --alpha only make sense with a
-// policy selected, so naming them alone is a config error, not a silent
-// no-op.
-BufferPolicyConfig BufferPolicyFromFlags(const Flags& flags) {
-  BufferPolicyConfig policy;
-  if (flags.Has("buffer-policy")) {
-    const std::string value = flags.Get("buffer-policy", "");
-    const std::optional<BufferPolicyKind> kind = ParseBufferPolicyKind(value);
-    if (!kind.has_value() || *kind == BufferPolicyKind::kNone) {
-      FlagError("buffer-policy", value, "static, dt or dt-headroom");
-    }
-    policy.kind = *kind;
-  } else if (flags.Has("buffer-kb") || flags.Has("alpha")) {
-    std::fprintf(stderr, "--buffer-kb/--alpha require --buffer-policy\n");
-    std::exit(2);
-  }
-  const std::uint64_t buffer_kb = flags.GetU64("buffer-kb", 0);
-  if (buffer_kb > std::numeric_limits<std::uint64_t>::max() / 1024) {
-    FlagError("buffer-kb", flags.Get("buffer-kb", ""),
-              "a pool size whose byte count fits in 64 bits");
-  }
-  policy.total_bytes = buffer_kb * 1024;
-  // MakeBufferPolicy validates alpha and the pool size for every caller.
-  policy.alpha = flags.GetDouble("alpha", 1.0);
-  return policy;
-}
-
-// Fat-tree shape/link knobs. The arity and rate are validated here so a bad
-// --k or --rate-gbps fails at flag-parse time with the CLI's usual exit 2
-// (the FatTree constructor would also reject them).
-FatTreeConfig FatTreeConfigFromFlags(const Flags& flags) {
-  FatTreeConfig topo;
-  topo.k = flags.GetU64("k", 8);
-  if (topo.k < 4 || topo.k % 2 != 0) {
-    FlagError("k", flags.Get("k", ""), "an even integer >= 4");
-  }
-  const double rate_gbps = flags.GetDouble("rate-gbps", 10.0);
-  if (!(rate_gbps > 0.0 && rate_gbps <= DataRate::kMaxGbps)) {
-    FlagError("rate-gbps", flags.Get("rate-gbps", ""),
-              "a rate in (0, 1000000] Gbit/s");
-  }
-  topo.rate = DataRate::GigabitsPerSecond(rate_gbps);
-  topo.host_link_delay =
-      Time::FromMicroseconds(flags.GetDouble("host-delay-us", 10.0));
-  topo.fabric_link_delay =
-      Time::FromMicroseconds(flags.GetDouble("fabric-delay-us", 10.0));
-  return topo;
-}
-
-// Inter-DC composed-fabric knobs on top of `config`'s shared fields. Border
-// numbers are validated here so a bad flag fails at parse time with the
-// CLI's usual exit 2 (the ComposedTopology constructor would also reject
-// them, with the same status).
-void InterDcShapeFromFlags(const Flags& flags,
-                           InterDcExperimentConfig& config) {
-  const std::string inter_workload = flags.Get("inter-workload", "datamining");
-  if (inter_workload == "websearch") {
-    config.inter_workload = &WebSearchWorkload();
-  } else if (inter_workload == "datamining") {
-    config.inter_workload = &DataMiningWorkload();
-  } else {
-    FlagError("inter-workload", inter_workload, "websearch or datamining");
-  }
-  config.inter_fraction = flags.GetDouble("inter-fraction", 0.1);
-  if (config.inter_fraction < 0.0 || config.inter_fraction > 1.0) {
-    FlagError("inter-fraction", flags.Get("inter-fraction", ""),
-              "a fraction in [0, 1]");
-  }
-  config.topo.border_links = flags.GetU64("border-links", 1);
-  if (config.topo.border_links < 1) {
-    FlagError("border-links", flags.Get("border-links", ""),
-              "an integer >= 1");
-  }
-  const double border_gbps = flags.GetDouble("border-gbps", 10.0);
-  if (!(border_gbps > 0.0 && border_gbps <= DataRate::kMaxGbps)) {
-    FlagError("border-gbps", flags.Get("border-gbps", ""),
-              "a rate in (0, 1000000] Gbit/s");
-  }
-  config.topo.border_rate = DataRate::GigabitsPerSecond(border_gbps);
-  const double border_rtt_us = flags.GetDouble("border-rtt-us", 2000.0);
-  if (border_rtt_us < 0.0 || border_rtt_us > 10'000'000.0) {
-    FlagError("border-rtt-us", flags.Get("border-rtt-us", ""),
-              "microseconds in [0, 10000000]");
-  }
-  config.topo.border_rtt = Time::FromMicroseconds(border_rtt_us);
-}
-
 // Largest --sweep grid, and the largest swept seed/flows/fanout (every
 // whole number up to 2^53 is exact as a double).
 constexpr double kMaxSweepPoints = 10000;
@@ -482,6 +493,7 @@ constexpr double kMaxWhole = 9007199254740992.0;
 // One swept parameter: `load:10..90:10` expands to {10, 20, ..., 90}.
 struct SweepAxis {
   std::string param;
+  const FlagRow* row;
   std::vector<double> values;
 };
 
@@ -503,11 +515,10 @@ SweepAxis ParseSweepAxis(const std::string& spec) {
 
   SweepAxis axis;
   axis.param = spec.substr(0, colon1);
-  static const char* kParams[] = {"load", "flows", "variation", "fanout",
-                                  "seed"};
-  bool known = false;
-  for (const char* p : kParams) known = known || axis.param == p;
-  if (!known) SweepError(spec, "unknown parameter");
+  axis.row = FindFlag(axis.param);
+  if (axis.row == nullptr || axis.row->sweep_divisor == 0) {
+    SweepError(spec, "unknown parameter");
+  }
 
   const double start =
       ParseDoubleOrDie("sweep", spec.substr(colon1 + 1, dots - colon1 - 1));
@@ -525,17 +536,13 @@ SweepAxis ParseSweepAxis(const std::string& spec) {
   const double span = (end - start) / step + 1e-9;
   if (!(span < kMaxSweepPoints)) SweepError(spec, "more than 10000 points");
   const auto count = static_cast<std::size_t>(span) + 1;
-  const bool whole = axis.param == "seed" || axis.param == "flows" ||
-                     axis.param == "fanout";
+  // The record reader checks each point's range.
   double v = start;
   for (std::size_t i = 0; i < count; ++i, v += step) {
-    if (whole && !(v >= 0 && v <= kMaxWhole && v == std::floor(v))) {
+    if (axis.row->lower == Count &&
+        !(v >= 0 && v <= kMaxWhole && v == std::floor(v))) {
       SweepError(spec, "seed, flows and fanout must be whole numbers in "
                        "[0, 2^53]");
-    }
-    if (axis.param == "load" && !(v > 0)) SweepError(spec, "load must be > 0");
-    if (axis.param == "variation" && !(v >= 1)) {
-      SweepError(spec, "variation must be >= 1");
     }
     axis.values.push_back(v);
   }
@@ -569,25 +576,23 @@ std::string FmtValue(double v) {
 
 struct GridPoint {
   std::string name;  // "load=30,variation=5"
-  std::map<std::string, double> overrides;
-
-  // The swept value of `param` at this point, else `fallback`.
-  double Get(const std::string& param, double fallback) const {
-    const auto it = overrides.find(param);
-    return it == overrides.end() ? fallback : it->second;
-  }
+  Json record;       // the base record with the point's keys set
 };
 
-std::vector<GridPoint> ExpandGrid(const std::vector<SweepAxis>& axes) {
-  std::vector<GridPoint> points = {{"", {}}};
+std::vector<GridPoint> ExpandGrid(const std::vector<SweepAxis>& axes,
+                                  const Json& base) {
+  std::vector<GridPoint> points = {{"", base}};
   for (const SweepAxis& axis : axes) {
     std::vector<GridPoint> next;
-    for (const GridPoint& base : points) {
+    for (const GridPoint& from : points) {
       for (const double v : axis.values) {
-        GridPoint point = base;
+        GridPoint point = from;
         if (!point.name.empty()) point.name += ",";
         point.name += axis.param + "=" + FmtValue(v);
-        point.overrides[axis.param] = v;
+        SetKey(point.record, axis.row->key,
+               axis.row->lower == Count
+                   ? Json::UInt(static_cast<std::uint64_t>(v))
+                   : Json::Num(v / axis.row->sweep_divisor));
         next.push_back(std::move(point));
       }
     }
@@ -596,92 +601,15 @@ std::vector<GridPoint> ExpandGrid(const std::vector<SweepAxis>& axes) {
   return points;
 }
 
-// A fabric config of type `Config` carrying `common`'s shared fields.
-template <typename Config>
-Config WithCommon(const ExperimentCommon& common) {
-  Config config;
-  static_cast<ExperimentCommon&>(config) = common;
-  return config;
+Scheme SchemeOf(const ExperimentConfig& config) {
+  return std::visit([](const auto& c) { return c.scheme; }, config);
 }
 
-// The experiment the flags describe for `topo`. `common` holds the shared
-// fields parsed once in main(); the per-run numbers (load, flows, seed,
-// variation, fanout) come from the flags, or from `point` for a --sweep
-// grid point (null for single runs).
-ExperimentConfig ConfigFromFlags(const Flags& flags, const std::string& topo,
-                                 ExperimentCommon common,
-                                 const GridPoint* point) {
-  common.seed = flags.GetU64("seed", 1);
-  if (point != nullptr) {
-    common.seed = static_cast<std::uint64_t>(
-        point->Get("seed", static_cast<double>(common.seed)));
-  }
-  if (topo == "incast") {
-    IncastExperimentConfig config;
-    config.scheme = common.scheme;
-    config.query_flows = flags.GetU64("fanout", 100);
-    if (point != nullptr) {
-      config.query_flows = static_cast<std::size_t>(
-          point->Get("fanout", static_cast<double>(config.query_flows)));
-    }
-    config.seed = common.seed;
-    config.trace = common.trace;
-    config.sketch = common.sketch;
-    return config;
-  }
-
-  common.load = flags.GetDouble("load", 0.5);
-  if (!(std::isfinite(common.load) && common.load > 0)) {
-    FlagError("load", flags.Get("load", ""), "a finite load > 0");
-  }
-  common.flows = flags.GetU64("flows", 1000);
-  if (point != nullptr) {
-    // Sweep loads are in percent (load:10..90:10); single-run --load=0..1.
-    common.load = point->Get("load", common.load * 100) / 100;
-    common.flows = static_cast<std::size_t>(
-        point->Get("flows", static_cast<double>(common.flows)));
-  }
-  // The fabrics run the paper's simulation parameters; the dumbbell runs
-  // the testbed's unless --sim-params asks otherwise (main() rejects the
-  // flag off the dumbbell).
-  if (topo != "dumbbell" || flags.Has("sim-params")) {
-    common.params = SimulationSchemeParams();
-  }
-  if (topo == "dumbbell") {
-    auto config = WithCommon<DumbbellExperimentConfig>(common);
-    config.rtt_variation = flags.GetDouble("variation", 3.0);
-    if (!(std::isfinite(config.rtt_variation) && config.rtt_variation >= 1)) {
-      FlagError("variation", flags.Get("variation", ""),
-                "a finite factor >= 1");
-    }
-    if (point != nullptr) {
-      config.rtt_variation = point->Get("variation", config.rtt_variation);
-    }
-    return config;
-  }
-  if (topo == "leafspine") {
-    return WithCommon<LeafSpineExperimentConfig>(common);
-  }
-  if (topo == "fattree") {
-    auto config = WithCommon<FatTreeExperimentConfig>(common);
-    config.topo = FatTreeConfigFromFlags(flags);
-    return config;
-  }
-  auto config = WithCommon<InterDcExperimentConfig>(common);
-  InterDcShapeFromFlags(flags, config);
-  return config;
-}
-
-int RunSweepMode(const Flags& flags, const std::string& topo,
-                 const ExperimentCommon& common) {
+int RunSweepMode(const Flags& flags, const std::string& topo, unsigned topo_bit,
+                 const Json& base) {
   const std::vector<SweepAxis> axes = ParseSweep(flags.Get("sweep", ""));
   for (const SweepAxis& axis : axes) {
-    const bool applies =
-        topo == "incast"
-            ? axis.param == "fanout" || axis.param == "seed"
-            : axis.param != "fanout" &&
-                  (axis.param != "variation" || topo == "dumbbell");
-    if (!applies) {
+    if ((axis.row->topos & topo_bit) == 0) {
       std::fprintf(stderr, "--sweep param '%s' does not apply to --topo=%s\n",
                    axis.param.c_str(), topo.c_str());
       return 2;
@@ -689,15 +617,16 @@ int RunSweepMode(const Flags& flags, const std::string& topo,
   }
 
   std::vector<runner::JobSpec> specs;
-  for (const GridPoint& point : ExpandGrid(axes)) {
-    specs.push_back({point.name, ConfigFromFlags(flags, topo, common, &point)});
+  for (const GridPoint& point : ExpandGrid(axes, base)) {
+    const std::string context = "invalid --sweep point '" + point.name + "'";
+    specs.push_back({point.name, ConfigOrDie(flags, point.record, context)});
   }
 
   const std::string name = flags.Get("name", "cli_sweep");
   runner::SweepOptions options;
   options.jobs = static_cast<std::size_t>(flags.GetU64("jobs", 0));
   PrintBanner("sweep / " + topo + " / " +
-              std::string(SchemeName(common.scheme)) + " — " +
+              std::string(SchemeName(SchemeOf(specs[0].config))) + " — " +
               std::to_string(specs.size()) + " jobs");
   const std::vector<runner::JobResult> results =
       runner::RunSweep(name, specs, options);
@@ -746,10 +675,24 @@ void PrintIncastResult(const IncastResult& r) {
   table.Print();
 }
 
+// The shared fields of a fabric config; null for incast.
+const ExperimentCommon* CommonOf(const ExperimentConfig& config) {
+  return std::visit(
+      [](const auto& c) -> const ExperimentCommon* {
+        if constexpr (std::is_base_of_v<ExperimentCommon,
+                                        std::decay_t<decltype(c)>>) {
+          return &c;
+        } else {
+          return nullptr;
+        }
+      },
+      config);
+}
+
 // Banner of a single run: topology (with its headline dimension), scheme,
 // and workload (fanout for incast).
-std::string Banner(const std::string& topo, const ExperimentConfig& config,
-                   const std::string& scheme, const std::string& workload) {
+std::string Banner(const std::string& topo, const ExperimentConfig& config) {
+  const std::string scheme = SchemeName(SchemeOf(config));
   if (const auto* c = std::get_if<IncastExperimentConfig>(&config)) {
     return "incast / " + scheme + " / fanout " +
            std::to_string(c->query_flows);
@@ -765,7 +708,8 @@ std::string Banner(const std::string& topo, const ExperimentConfig& config,
                 c->topo.border_rtt.ToMicroseconds())) +
             "us";
   }
-  return shape + " / " + scheme + " / " + workload;
+  return shape + " / " + scheme + " / " +
+         WorkloadName(CommonOf(config)->workload);
 }
 
 // Exits 2 with `message` on stderr when `bad` holds — for flag
@@ -782,116 +726,59 @@ int main(int argc, char** argv) {
   const Flags flags = ParseFlags(argc, argv);
   if (flags.Has("help")) return Usage();
 
-  // The shared fields of every experiment, parsed once.
-  ExperimentCommon common;
-  RejectIf(!ParseScheme(flags.Get("scheme", "ecn-sharp"), common.scheme),
-           "unknown scheme '" + flags.Get("scheme", "") + "' (see --help)");
-  const std::string workload_name = flags.Get("workload", "websearch");
-  if (workload_name == "websearch") {
-    common.workload = &WebSearchWorkload();
-  } else if (workload_name == "datamining") {
-    common.workload = &DataMiningWorkload();
-  } else {
-    FlagError("workload", workload_name, "websearch or datamining");
-  }
-  std::string topo = flags.Get("topo", "dumbbell");
-  RejectIf(topo != "dumbbell" && topo != "leafspine" && topo != "fattree" &&
-               topo != "interdc" && topo != "incast",
-           "unknown topo '" + topo + "' (see --help)");
-  // --topology selects among the scenario-capable topologies and overrides
-  // --topo, so scripts composing `--scenario` never land on incast.
-  if (flags.Has("topology")) {
-    topo = flags.Get("topology", "");
-    RejectIf(topo != "dumbbell" && topo != "leafspine" && topo != "fattree" &&
-                 topo != "interdc",
-             "invalid --topology '" + topo +
-                 "' (expected dumbbell, leafspine, fattree or interdc)");
+  // --topology overrides --topo, and its row keeps it off incast, so
+  // scripts composing `--scenario` never land there.
+  const std::string topo =
+      flags.Get("topology", flags.Get("topo", "dumbbell"));
+  const auto* named = std::find(std::begin(kTopoNames), std::end(kTopoNames),
+                                std::string_view(topo));
+  RejectIf(named == std::end(kTopoNames),
+           "unknown topology '" + topo + "' (see --help)");
+  const unsigned topo_bit = 1u << (named - std::begin(kTopoNames));
+  for (const auto& [flag, value] : flags.values) {
+    const FlagRow* row = FindFlag(flag);
+    RejectIf(row == nullptr, "unknown flag --" + flag + " (see --help)");
+    RejectIf((row->topos & topo_bit) == 0,
+             "--" + flag + " applies to --topo=" + TopoList(row->topos));
   }
 
-  // Knobs that are meaningless for the chosen topology or mode are config
-  // errors, not silent no-ops.
-  RejectIf(topo != "interdc" &&
-               (flags.Has("border-rtt-us") || flags.Has("border-gbps") ||
-                flags.Has("border-links") || flags.Has("inter-fraction") ||
-                flags.Has("inter-workload")),
-           "--border-rtt-us/--border-gbps/--border-links/--inter-fraction/"
-           "--inter-workload apply to --topo=interdc");
-  RejectIf(topo != "fattree" &&
-               (flags.Has("k") || flags.Has("rate-gbps") ||
-                flags.Has("host-delay-us") || flags.Has("fabric-delay-us")),
-           "--k/--rate-gbps/--host-delay-us/--fabric-delay-us apply to "
-           "--topo=fattree");
-  RejectIf(topo != "dumbbell" && flags.Has("variation"),
-           "--variation applies to --topo=dumbbell");
-  RejectIf(topo != "incast" && flags.Has("fanout"),
-           "--fanout applies to --topo=incast");
-  RejectIf(topo == "incast" &&
-               (flags.Has("workload") || flags.Has("load") ||
-                flags.Has("flows") || flags.Has("sim-params")),
-           "--workload/--load/--flows/--variation/--sim-params do not apply "
-           "to --topo=incast");
-  RejectIf(topo != "dumbbell" && flags.Has("sim-params"),
-           "--sim-params applies to --topo=dumbbell");
-  RejectIf(topo == "incast" &&
-               (flags.Has("cc-mix") || flags.Has("buffer-policy") ||
-                flags.Has("buffer-kb") || flags.Has("alpha")),
-           "--cc-mix/--buffer-policy apply to --topo=dumbbell, leafspine, "
-           "fattree or interdc");
-  if (flags.Has("scenario")) {
-    RejectIf(topo == "incast",
-             "--scenario applies to --topo=dumbbell, leafspine, fattree or "
-             "interdc");
-    common.scenario = LoadScenarioOrDie(flags.Get("scenario", ""));
+  // The record the flags describe: the given flags, then the CLI's own
+  // defaults on the keys no flag set.
+  Json record = Json::Object().Set("topology", Json::Str(topo));
+  for (const FlagRow& row : kFlags) {
+    if (row.key == nullptr) continue;
+    if (flags.Has(row.flag)) {
+      SetKey(record, row.key, row.lower(row.flag, flags.Get(row.flag, "")));
+    } else if ((row.fallback_topos & topo_bit) != 0) {
+      SetKey(record, row.key, row.lower(row.flag, row.fallback));
+    }
   }
 
-  std::string error;
+  // Tracing observes a run without changing it, so it stays off the record.
+  TraceConfig trace;
   if (flags.Has("trace")) {
     RejectIf(flags.Has("sweep"),
              "--trace applies to single runs, not --sweep (traces are "
              "per-run; rerun the point of interest without --sweep)");
-    const bool ok =
-        ParseTraceSpec(flags.Get("trace", "on"), &common.trace, &error);
-    RejectIf(!ok, "invalid --trace spec: " + error);
+    std::string error;
+    RejectIf(!ParseTraceSpec(flags.Get("trace", "on"), &trace, &error),
+             "invalid --trace spec: " + error);
   }
   RejectIf(flags.Has("trace-out") && !flags.Has("trace"),
            "--trace-out requires --trace");
-  if (flags.Has("sketch")) {
-    RejectIf(flags.Has("sweep"),
-             "--sketch applies to single runs, not --sweep (telemetry is "
-             "per-run; rerun the point of interest without --sweep)");
-    const bool ok =
-        ParseSketchSpec(flags.Get("sketch", "on"), &common.sketch, &error);
-    RejectIf(!ok, "invalid --sketch spec: " + error);
-  }
+  RejectIf(flags.Has("sketch") && flags.Has("sweep"),
+           "--sketch applies to single runs, not --sweep (telemetry is "
+           "per-run; rerun the point of interest without --sweep)");
   RejectIf(flags.Has("sketch-out") && !flags.Has("sketch"),
            "--sketch-out requires --sketch");
+  RejectIf(flags.Has("relaxed-lanes") && flags.Has("sweep"),
+           "--relaxed-lanes applies to single runs, not --sweep");
 
-  if (flags.Has("estimator")) {
-    const std::string value = flags.Get("estimator", "oracle");
-    RejectIf(value != "oracle" && value != "sketch",
-             "invalid --estimator '" + value +
-                 "' (expected oracle or sketch)");
-    if (value == "sketch") common.estimator = EcnEstimator::kSketch;
-    RejectIf(common.estimator == EcnEstimator::kSketch &&
-                 !common.sketch.enabled,
-             "--estimator=sketch requires --sketch");
-  }
+  if (flags.Has("sweep")) return RunSweepMode(flags, topo, topo_bit, record);
 
-  if (flags.Has("relaxed-lanes")) {
-    RejectIf(topo != "fattree", "--relaxed-lanes applies to --topo=fattree");
-    RejectIf(flags.Has("sweep"),
-             "--relaxed-lanes applies to single runs, not --sweep");
-  }
-
-  common.cc_mix = CcMixFromFlags(flags);
-  common.buffer_policy = BufferPolicyFromFlags(flags);
-
-  if (flags.Has("sweep")) return RunSweepMode(flags, topo, common);
-
-  const ExperimentConfig config =
-      ConfigFromFlags(flags, topo, common, /*point=*/nullptr);
-  const std::string scheme = SchemeName(common.scheme);
-  PrintBanner(Banner(topo, config, scheme, workload_name));
+  ExperimentConfig config = ConfigOrDie(flags, record);
+  std::visit([&trace](auto& c) { c.trace = trace; }, config);
+  PrintBanner(Banner(topo, config));
   if (flags.Has("relaxed-lanes")) {
     // One lane is the plain serial run. The mode's other restrictions
     // (scenario / trace / sketch / the k+1 lane bound) live in RunFatTree
@@ -907,10 +794,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const ExperimentCommon* common = CommonOf(config);
   const ExperimentOutcome outcome =
-      common.scenario.empty()
+      common == nullptr || common->scenario.empty()
           ? RunExperiment(config)
-          : RunSingleViaRunner(flags, common.scheme, config);
+          : RunSingleViaRunner(flags, SchemeOf(config), config);
   std::shared_ptr<const TraceRecorder> recorded;
   std::shared_ptr<const SketchTelemetry> telemetry;
   if (const auto* r = std::get_if<IncastResult>(&outcome)) {
@@ -923,7 +811,7 @@ int main(int argc, char** argv) {
     recorded = fct.trace;
     telemetry = fct.sketch;
   }
-  if (common.trace.enabled) ExportTraceOrDie(flags, recorded);
-  if (common.sketch.enabled) ExportSketchOrDie(flags, telemetry);
+  if (trace.enabled) ExportTraceOrDie(flags, recorded);
+  if (flags.Has("sketch")) ExportSketchOrDie(flags, telemetry);
   return 0;
 }
