@@ -26,18 +26,10 @@ int main() {
   // burst at fanout 125, and a 70%-load web-search dumbbell run.
   std::vector<runner::JobSpec> specs;
   for (const Scheme scheme : schemes) {
-    IncastExperimentConfig standing;
-    standing.scheme = scheme;
-    standing.query_flows = 0;
-    standing.seed = seed;
     specs.push_back({std::string(SchemeName(scheme)) + "/standing",
-                     standing});
-
-    IncastExperimentConfig burst;
-    burst.scheme = scheme;
-    burst.query_flows = 125;
-    burst.seed = seed;
-    specs.push_back({std::string(SchemeName(scheme)) + "/burst125", burst});
+                     IncastConfig(scheme, 0, seed)});
+    specs.push_back({std::string(SchemeName(scheme)) + "/burst125",
+                     IncastConfig(scheme, 125, seed)});
 
     DumbbellExperimentConfig fct;
     fct.scheme = scheme;
@@ -55,13 +47,13 @@ int main() {
                    "query p99(us, N=125)"});
   std::size_t job = 0;
   for (const Scheme scheme : schemes) {
-    const IncastResult& s = runner::IncastResultOf(sweep[job++]);
-    const IncastResult& b = runner::IncastResultOf(sweep[job++]);
-    ++job;  // dumbbell result consumed below
+    const ExperimentResult& s = sweep[job++].result;
+    const ExperimentResult& b = sweep[job++].result;
+    ++job;  // websearch result consumed below
     incast_table.AddRow({SchemeName(scheme),
                          TP::Fmt(s.standing_queue_packets, 1),
-                         std::to_string(b.drops),
-                         TP::Fmt(b.query_fct.p99_us, 0)});
+                         std::to_string(b.burst_drops),
+                         TP::Fmt(b.burst_fct.p99_us, 0)});
   }
   std::printf("\n(a)/(b) 16->1 incast with background elephants\n");
   incast_table.Print();
@@ -72,7 +64,7 @@ int main() {
                 "short p99(us)", "large avg(us)"});
   job = 2;
   for (const Scheme scheme : schemes) {
-    const ExperimentResult& r = runner::FctResult(sweep[job]);
+    const ExperimentResult& r = sweep[job].result;
     job += 3;
     fct_table.AddRow({SchemeName(scheme), TP::Fmt(r.overall.avg_us, 0),
                       TP::Fmt(r.short_flows.avg_us, 0),

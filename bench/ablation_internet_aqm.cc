@@ -22,7 +22,7 @@ int main() {
   const std::vector<Scheme> schemes = {Scheme::kCodel, Scheme::kPie,
                                        Scheme::kEcnSharp};
 
-  const std::vector<std::size_t> fanouts = {100, 125, 150, 175};
+  const std::vector<std::uint32_t> fanouts = {100, 125, 150, 175};
   std::vector<runner::JobSpec> specs;
   for (const Scheme scheme : schemes) {
     DumbbellExperimentConfig config;
@@ -34,14 +34,10 @@ int main() {
                      config});
   }
   for (const Scheme scheme : schemes) {
-    for (const std::size_t n : fanouts) {
-      IncastExperimentConfig config;
-      config.scheme = scheme;
-      config.query_flows = n;
-      config.seed = seed;
-      specs.push_back({std::string(SchemeName(scheme)) + "/fanout" +
-                           std::to_string(n),
-                       config});
+    for (const std::uint32_t n : fanouts) {
+      specs.push_back(
+          {std::string(SchemeName(scheme)) + "/fanout" + std::to_string(n),
+           IncastConfig(scheme, n, seed)});
     }
   }
   const std::vector<runner::JobResult> sweep =
@@ -52,7 +48,7 @@ int main() {
   TP fct({"scheme", "overall avg(us)", "short avg(us)", "short p99(us)",
           "large avg(us)", "timeouts"});
   for (const Scheme scheme : schemes) {
-    const ExperimentResult& r = runner::FctResult(sweep[job++]);
+    const ExperimentResult& r = sweep[job++].result;
     fct.AddRow({SchemeName(scheme), TP::Fmt(r.overall.avg_us, 0),
                 TP::Fmt(r.short_flows.avg_us, 0),
                 TP::Fmt(r.short_flows.p99_us, 0),
@@ -64,16 +60,16 @@ int main() {
   std::printf("\n(b) 16->1 incast: burst drops by fanout (standing queue "
               "in parentheses)\n");
   std::vector<std::string> headers = {"scheme", "standing q(pkts)"};
-  for (const std::size_t n : fanouts) {
+  for (const std::uint32_t n : fanouts) {
     headers.push_back("drops N=" + std::to_string(n));
   }
   TP incast(std::move(headers));
   for (const Scheme scheme : schemes) {
     std::vector<std::string> row = {SchemeName(scheme), ""};
     for (std::size_t i = 0; i < fanouts.size(); ++i) {
-      const IncastResult& r = runner::IncastResultOf(sweep[job++]);
+      const ExperimentResult& r = sweep[job++].result;
       row[1] = TP::Fmt(r.standing_queue_packets, 1);
-      row.push_back(std::to_string(r.drops));
+      row.push_back(std::to_string(r.burst_drops));
     }
     incast.AddRow(std::move(row));
   }

@@ -29,16 +29,18 @@ struct Result {
 
 Result RunOne(bool shared, std::size_t fanout, std::uint64_t seed) {
   Simulator sim;
-  const SchemeParams params = SimulationSchemeParams();
+  // The fig10/fig11 incast's shape, parameters and initial window.
+  const DumbbellExperimentConfig incast = IncastDumbbell(seed);
+  const SchemeParams params = incast.params;
   // Total chip buffer: 12 ports x 600 packets.
   const std::uint64_t total = 12ull * params.buffer_bytes;
   auto pool = std::make_unique<DynamicThresholdPolicy>(total, /*alpha=*/1.0);
 
   DumbbellConfig topo_config;
-  topo_config.senders = 16;
-  topo_config.base_rtt = Time::FromMicroseconds(80);
+  topo_config.senders = incast.senders;
+  topo_config.base_rtt = incast.base_rtt;
   topo_config.buffer_bytes = params.buffer_bytes;
-  topo_config.tcp = IncastExperimentConfig::SmallInitialWindowTcp();
+  topo_config.tcp = incast.tcp;
   Dumbbell topo(sim, topo_config,
                 [&](BufferPolicy*) -> std::unique_ptr<QueueDisc> {
                   return std::make_unique<FifoQueueDisc>(

@@ -58,6 +58,17 @@ inline SchemeParams ParamsForVariation(double k, Time base_rtt,
   return params;
 }
 
+// The §5.4 incast preset (IncastDumbbell) under `scheme`, with a
+// `fanout`-flow query burst.
+inline DumbbellExperimentConfig IncastConfig(Scheme scheme,
+                                             std::uint32_t fanout,
+                                             std::uint64_t seed) {
+  DumbbellExperimentConfig config = IncastDumbbell(seed);
+  config.scheme = scheme;
+  config.scenario.actions[0].flows = fanout;
+  return config;
+}
+
 inline void PrintScale(std::size_t flows, std::uint64_t seed) {
   std::printf(
       "flows/config=%zu seed=%llu  (override: ECNSHARP_FLOWS, "

@@ -112,7 +112,7 @@ int main() {
   TP table({"point", "cubic share", "cubic avg(us)", "dctcp avg(us)",
             "cubic p99(us)", "dctcp p99(us)", "drops", "marks"});
   for (const runner::JobResult& job : results) {
-    const ExperimentResult& r = runner::FctResult(job);
+    const ExperimentResult& r = job.result;
     table.AddRow({job.name, TP::Fmt(CubicShare(r), 3),
                   TP::Fmt(r.cubic_fct.avg_us, 1),
                   TP::Fmt(r.newreno_fct.avg_us, 1),

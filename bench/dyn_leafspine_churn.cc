@@ -136,8 +136,7 @@ int main() {
   // (results/dyn_leafspine_churn_trace.json unless redirected/disabled the
   // same way as the sweep export).
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const std::shared_ptr<const TraceRecorder> trace =
-        runner::FctResult(sweep[i]).trace;
+    const std::shared_ptr<const TraceRecorder> trace = sweep[i].result.trace;
     if (trace == nullptr) continue;
     const std::string path =
         runner::ResultsPath("dyn_leafspine_churn_trace.json");
@@ -154,7 +153,7 @@ int main() {
             "large avg(us)", "timeouts", "flap drops", "avg q(pkts)",
             "peak q(pkts)"});
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const ExperimentResult r = runner::FctResult(sweep[i]);
+    const ExperimentResult r = sweep[i].result;
     table.AddRow({specs[i].name, TP::Fmt(r.overall.avg_us, 1),
                   TP::Fmt(r.short_flows.avg_us, 1),
                   TP::Fmt(r.short_flows.p99_us, 1),

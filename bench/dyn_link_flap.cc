@@ -88,7 +88,7 @@ int main() {
   TP table({"variant", "overall avg(us)", "short p99(us)", "large avg(us)",
             "timeouts", "purged", "link-down drops"});
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const ExperimentResult r = runner::FctResult(sweep[i]);
+    const ExperimentResult r = sweep[i].result;
     table.AddRow({specs[i].name, TP::Fmt(r.overall.avg_us, 1),
                   TP::Fmt(r.short_flows.p99_us, 1),
                   TP::Fmt(r.large_flows.avg_us, 1),

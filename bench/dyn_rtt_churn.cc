@@ -98,7 +98,7 @@ int main() {
   TP table({"variant", "overall avg(us)", "short avg(us)", "short p90(us)",
             "short p99(us)", "large avg(us)", "timeouts"});
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const ExperimentResult r = runner::FctResult(sweep[i]);
+    const ExperimentResult r = sweep[i].result;
     table.AddRow({specs[i].name, TP::Fmt(r.overall.avg_us, 1),
                   TP::Fmt(r.short_flows.avg_us, 1),
                   TP::Fmt(r.short_flows.p90_us, 1),

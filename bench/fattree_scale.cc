@@ -130,7 +130,7 @@ int main() {
             "sim/wall", "overall avg(us)", "short p99(us)", "large avg(us)",
             "marks", "drops"});
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const ExperimentResult r = runner::FctResult(sweep[i]);
+    const ExperimentResult r = sweep[i].result;
     const std::size_t k = ks[i];
     const std::size_t ports = 5 * k * k * k / 4;
     const auto& config = std::get<FatTreeExperimentConfig>(specs[i].config);

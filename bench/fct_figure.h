@@ -51,7 +51,7 @@ inline void RunFctFigure(const char* title, const char* sweep_name,
   std::size_t job = 0;
   for (const int load : loads) {
     for (const Scheme scheme : schemes) {
-      results[load][scheme] = runner::FctResult(sweep[job++]);
+      results[load][scheme] = sweep[job++].result;
       if (results[load][scheme].flows_completed != flows) {
         std::printf("WARNING: %s @%d%%: only %zu/%zu flows completed\n",
                     SchemeName(scheme), load,

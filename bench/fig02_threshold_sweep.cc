@@ -40,7 +40,7 @@ int main() {
   };
   std::vector<Row> rows;
   for (std::size_t i = 0; i < thresholds.size(); ++i) {
-    rows.push_back({thresholds[i], runner::FctResult(sweep[i])});
+    rows.push_back({thresholds[i], sweep[i].result});
   }
 
   const ExperimentResult& base = rows.front().result;

@@ -56,8 +56,8 @@ int main() {
     double tail_large = 0.0, avg_large = 0.0;
     double tail_p99 = 0.0, avg_p99 = 0.0;
     for (int run = 0; run < kRuns; ++run) {
-      const ExperimentResult avg = runner::FctResult(sweep[job++]);
-      const ExperimentResult tail = runner::FctResult(sweep[job++]);
+      const ExperimentResult avg = sweep[job++].result;
+      const ExperimentResult tail = sweep[job++].result;
       tail_large += tail.large_flows.avg_us;
       avg_large += avg.large_flows.avg_us;
       tail_p99 += tail.short_flows.p99_us;

@@ -53,8 +53,8 @@ int main() {
   std::size_t job = 0;
   for (const double k : variations) {
     for (const int load : loads) {
-      const ExperimentResult sharp = runner::FctResult(sweep[job++]);
-      const ExperimentResult tail = runner::FctResult(sweep[job++]);
+      const ExperimentResult sharp = sweep[job++].result;
+      const ExperimentResult tail = sweep[job++].result;
       results[k][load] = {sharp, tail};
     }
   }

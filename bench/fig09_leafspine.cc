@@ -55,7 +55,7 @@ int main() {
   std::size_t job = 0;
   for (const int load : loads) {
     for (const Scheme scheme : schemes) {
-      results[load][scheme] = runner::FctResult(sweep[job++]);
+      results[load][scheme] = sweep[job++].result;
     }
   }
 

@@ -23,19 +23,15 @@ int main() {
   std::vector<runner::JobSpec> specs;
   for (const Scheme scheme : schemes) {
     for (int run = 0; run < kRuns; ++run) {
-      IncastExperimentConfig config;
-      config.scheme = scheme;
-      config.query_flows = 100;
-      config.seed = seed + static_cast<std::uint64_t>(run);
-      specs.push_back({std::string(SchemeName(scheme)) + "/run" +
-                           std::to_string(run),
-                       config});
+      specs.push_back(
+          {std::string(SchemeName(scheme)) + "/run" + std::to_string(run),
+           IncastConfig(scheme, 100, seed + static_cast<std::uint64_t>(run))});
     }
   }
   const std::vector<runner::JobResult> sweep =
       runner::RunSweep("fig10_queue_occupancy", specs);
 
-  std::vector<IncastResult> results;  // seed `seed` run, for the trace
+  std::vector<ExperimentResult> results;  // seed `seed` run, for the trace
   TP summary({"scheme", "standing queue(pkts)", "peak(pkts)", "drops",
               "query timeouts"});
   std::size_t job = 0;
@@ -45,11 +41,11 @@ int main() {
     std::uint64_t drops = 0;
     std::uint64_t timeouts = 0;
     for (int run = 0; run < kRuns; ++run) {
-      const IncastResult& result = runner::IncastResultOf(sweep[job++]);
+      const ExperimentResult& result = sweep[job++].result;
       standing += result.standing_queue_packets / kRuns;
-      peak = std::max(peak, result.max_queue_packets);
-      drops += result.drops;
-      timeouts += result.query_timeouts;
+      peak = std::max(peak, result.burst_max_queue_packets);
+      drops += result.burst_drops;
+      timeouts += result.timeouts;
       if (run == 0) results.push_back(result);
     }
     summary.AddRow({SchemeName(scheme), TP::Fmt(standing, 1),
@@ -65,14 +61,14 @@ int main() {
   std::vector<std::string> headers = {"t(ms)"};
   for (const Scheme scheme : schemes) headers.push_back(SchemeName(scheme));
   TP trace(std::move(headers));
-  const Time burst = IncastExperimentConfig{}.burst_time;
+  const Time burst = IncastDumbbell(seed).scenario.actions[0].at;
   for (int step = -8; step <= 40; ++step) {
     const Time at = burst + Time::Microseconds(250) * step;
     std::vector<std::string> row = {TP::Fmt(step * 0.25, 2)};
-    for (const IncastResult& result : results) {
+    for (const ExperimentResult& result : results) {
       // Nearest sample at or after `at`.
       std::uint32_t packets = 0;
-      for (const QueueMonitor::Sample& sample : result.queue_trace) {
+      for (const QueueMonitor::Sample& sample : result.burst_queue_trace) {
         if (sample.at >= at) {
           packets = sample.packets;
           break;

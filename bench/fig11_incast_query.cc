@@ -20,42 +20,38 @@ int main() {
 
   const std::vector<Scheme> schemes = {Scheme::kDctcpRedTail, Scheme::kCodel,
                                        Scheme::kEcnSharp};
-  std::vector<std::size_t> fanouts = {25, 50, 75, 100, 125, 150, 175, 200};
+  std::vector<std::uint32_t> fanouts = {25, 50, 75, 100, 125, 150, 175, 200};
 
   std::vector<runner::JobSpec> specs;
   for (const Scheme scheme : schemes) {
-    for (const std::size_t n : fanouts) {
-      IncastExperimentConfig config;
-      config.scheme = scheme;
-      config.query_flows = n;
-      config.seed = seed;
-      specs.push_back({std::string(SchemeName(scheme)) + "/fanout" +
-                           std::to_string(n),
-                       config});
+    for (const std::uint32_t n : fanouts) {
+      specs.push_back(
+          {std::string(SchemeName(scheme)) + "/fanout" + std::to_string(n),
+           IncastConfig(scheme, n, seed)});
     }
   }
   const std::vector<runner::JobResult> sweep =
       runner::RunSweep("fig11_incast_query", specs);
 
-  std::map<Scheme, std::map<std::size_t, IncastResult>> results;
-  std::map<Scheme, std::size_t> first_loss;
+  std::map<Scheme, std::map<std::uint32_t, ExperimentResult>> results;
+  std::map<Scheme, std::uint32_t> first_loss;
   std::size_t job = 0;
   for (const Scheme scheme : schemes) {
-    for (const std::size_t n : fanouts) {
-      results[scheme][n] = runner::IncastResultOf(sweep[job++]);
-      if (results[scheme][n].drops > 0 && first_loss[scheme] == 0) {
+    for (const std::uint32_t n : fanouts) {
+      results[scheme][n] = sweep[job++].result;
+      if (results[scheme][n].burst_drops > 0 && first_loss[scheme] == 0) {
         first_loss[scheme] = n;
       }
     }
   }
 
   const auto print_metric = [&](const char* name,
-                                double (*get)(const IncastResult&)) {
+                                double (*get)(const ExperimentResult&)) {
     std::printf("\n%s (query flows, microseconds)\n", name);
     std::vector<std::string> headers = {"senders"};
     for (const Scheme scheme : schemes) headers.push_back(SchemeName(scheme));
     TP table(std::move(headers));
-    for (const std::size_t n : fanouts) {
+    for (const std::uint32_t n : fanouts) {
       std::vector<std::string> row = {std::to_string(n)};
       for (const Scheme scheme : schemes) {
         row.push_back(TP::Fmt(get(results[scheme][n]), 0));
@@ -65,18 +61,18 @@ int main() {
     table.Print();
   };
   print_metric("(a) AVG query FCT",
-               [](const IncastResult& r) { return r.query_fct.avg_us; });
+               [](const ExperimentResult& r) { return r.burst_fct.avg_us; });
   print_metric("(b) 99th percentile query FCT",
-               [](const IncastResult& r) { return r.query_fct.p99_us; });
+               [](const ExperimentResult& r) { return r.burst_fct.p99_us; });
 
   std::printf("\nDrops per fanout:\n");
   std::vector<std::string> headers = {"senders"};
   for (const Scheme scheme : schemes) headers.push_back(SchemeName(scheme));
   TP drops(std::move(headers));
-  for (const std::size_t n : fanouts) {
+  for (const std::uint32_t n : fanouts) {
     std::vector<std::string> row = {std::to_string(n)};
     for (const Scheme scheme : schemes) {
-      row.push_back(std::to_string(results[scheme][n].drops));
+      row.push_back(std::to_string(results[scheme][n].burst_drops));
     }
     drops.AddRow(std::move(row));
   }

@@ -82,8 +82,7 @@ int main() {
   std::vector<std::vector<double>> interval_fct(2);
   for (std::size_t i = 0; i < intervals.size(); ++i) {
     for (std::size_t w = 0; w < 2; ++w) {
-      interval_fct[w].push_back(
-          ecnsharp::runner::FctResult(sweep[job++]).overall.avg_us);
+      interval_fct[w].push_back(sweep[job++].result.overall.avg_us);
     }
   }
   // Normalize to the value closest to the default interval (240 -> 250).
@@ -101,8 +100,7 @@ int main() {
   std::vector<std::vector<double>> target_fct(2);
   for (std::size_t i = 0; i < targets.size(); ++i) {
     for (std::size_t w = 0; w < 2; ++w) {
-      target_fct[w].push_back(
-          ecnsharp::runner::FctResult(sweep[job++]).overall.avg_us);
+      target_fct[w].push_back(sweep[job++].result.overall.avg_us);
     }
   }
   for (std::size_t i = 0; i < targets.size(); ++i) {

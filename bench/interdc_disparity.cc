@@ -119,7 +119,7 @@ int main() {
   double baseline_p99[2] = {0.0, 0.0};
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (variants[i].inter_fraction == 0.0) {
-      baseline_p99[i / 4] = runner::FctResult(sweep[i]).intra_short_fct.p99_us;
+      baseline_p99[i / 4] = sweep[i].result.intra_short_fct.p99_us;
     }
   }
 
@@ -127,7 +127,7 @@ int main() {
             "intra short avg(us)", "intra avg(us)", "inter avg(ms)",
             "timeouts"});
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const ExperimentResult r = runner::FctResult(sweep[i]);
+    const ExperimentResult r = sweep[i].result;
     table.AddRow({specs[i].name, TP::Fmt(r.intra_short_fct.p99_us, 1),
                   Norm(r.intra_short_fct.p99_us, baseline_p99[i / 4]),
                   TP::Fmt(r.intra_short_fct.avg_us, 1),

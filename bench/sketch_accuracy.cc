@@ -272,7 +272,7 @@ int main() {
   options.label = "sketch_accuracy";
   const std::vector<runner::JobResult> sweep = runner::RunJobs(specs, options);
 
-  const ExperimentResult& oracle = runner::FctResult(sweep[0]);
+  const ExperimentResult& oracle = sweep[0].result;
 
   Json rows = Json::Array();
   TP table({"variant", "flow KiB", "byte err", "rate err", "hh recall",
@@ -280,7 +280,7 @@ int main() {
   table.AddRow({"oracle", "-", "-", "-", "-", TP::Fmt(oracle.large_flows.avg_us, 1),
                 "+0.0%", TP::Fmt(oracle.overall.avg_us, 1)});
   for (std::size_t i = 1; i < sweep.size(); ++i) {
-    const ExperimentResult& r = runner::FctResult(sweep[i]);
+    const ExperimentResult& r = sweep[i].result;
     const std::shared_ptr<const SketchTelemetry> sketch = r.sketch;
     if (sketch == nullptr) {
       std::fprintf(stderr, "sketch_accuracy: %s produced no telemetry\n",

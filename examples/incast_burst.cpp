@@ -4,8 +4,9 @@
 //
 //   $ ./build/examples/incast_burst [query_flows]
 //
-// Prints per-scheme standing queue, burst peak, drops, and query FCT, plus
-// a queue-occupancy trace you can plot.
+// Prints per-scheme standing queue, burst peak, drops, and query FCT. The
+// run is the §5.4 preset (IncastDumbbell): a dumbbell with long flows and
+// one scenario incast burst.
 #include <cstdio>
 #include <cstdlib>
 
@@ -15,8 +16,8 @@
 int main(int argc, char** argv) {
   using namespace ecnsharp;
 
-  const std::size_t query_flows =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 100;
+  const std::uint32_t query_flows =
+      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 100;
   PrintBanner("Incast burst: 16 -> 1, " + std::to_string(query_flows) +
               " concurrent query flows");
 
@@ -24,17 +25,17 @@ int main(int argc, char** argv) {
                       "query avg", "query p99", "timeouts"});
   for (const Scheme scheme : {Scheme::kDctcpRedTail, Scheme::kCodel,
                               Scheme::kEcnSharp}) {
-    IncastExperimentConfig config;
+    DumbbellExperimentConfig config = IncastDumbbell(/*seed=*/1);
     config.scheme = scheme;
-    config.query_flows = query_flows;
-    const IncastResult r = RunIncast(config);
+    config.scenario.actions[0].flows = query_flows;
+    const ExperimentResult r = RunDumbbell(config);
     table.AddRow({SchemeName(scheme),
                   TablePrinter::Fmt(r.standing_queue_packets, 1),
-                  std::to_string(r.max_queue_packets),
-                  std::to_string(r.drops),
-                  TablePrinter::FmtUs(r.query_fct.avg_us),
-                  TablePrinter::FmtUs(r.query_fct.p99_us),
-                  std::to_string(r.query_timeouts)});
+                  std::to_string(r.burst_max_queue_packets),
+                  std::to_string(r.burst_drops),
+                  TablePrinter::FmtUs(r.burst_fct.avg_us),
+                  TablePrinter::FmtUs(r.burst_fct.p99_us),
+                  std::to_string(r.timeouts)});
   }
   table.Print();
 

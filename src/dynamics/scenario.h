@@ -10,11 +10,12 @@
 // bit-identically under every scheme and on every sweep worker.
 //
 // Determinism contract: every random quantity (repeat jitter, randomized
-// delay draws, per-port fault-injector seeds) is drawn at Install time, in
-// script order, from one Rng seeded with ScenarioScript::seed. Per-packet
-// loss decisions then come from forked, per-port streams. No draw depends on
-// simulation state, so a scenario adds exactly the same event sequence no
-// matter which worker thread runs the job.
+// delay draws, burst flow sizes, per-port fault-injector seeds) is drawn at
+// Install time, in script order, from one Rng seeded with
+// ScenarioScript::seed. Per-packet loss decisions then come from forked,
+// per-port streams. No draw depends on simulation state, so a scenario adds
+// exactly the same event sequence no matter which worker thread runs the
+// job.
 #ifndef ECNSHARP_DYNAMICS_SCENARIO_H_
 #define ECNSHARP_DYNAMICS_SCENARIO_H_
 
@@ -40,7 +41,8 @@ enum class ScenarioActionKind : std::uint8_t {
   kLinkUp,
   // Installs seeded random loss/corruption on a port's transmitter.
   kInjectLoss,
-  // Fires `flows` synchronized flows of `bytes` each at the incast target.
+  // Fires `flows` synchronized flows at the incast target, each of `bytes`
+  // or, with a range, drawn from [bytes, bytes_hi].
   kIncastBurst,
   // Re-derives ECN#'s thresholds from the current RTT distribution — the
   // re-estimation step an operator would run after a known shift.
@@ -71,9 +73,12 @@ struct ScenarioAction {
   double drop_prob = 0.0;
   double corrupt_prob = 0.0;
 
-  // kIncastBurst.
+  // kIncastBurst: each flow's size is drawn uniformly from [bytes,
+  // bytes_hi] per occurrence, in flow order. bytes_hi <= bytes means the
+  // fixed size `bytes` (no draw is consumed).
   std::uint32_t flows = 0;
   std::uint64_t bytes = 0;
+  std::uint64_t bytes_hi = 0;
 
   // kLinkDown.
   bool drop_queued = false;

@@ -8,9 +8,9 @@ namespace ecnsharp {
 void ScenarioEngine::Install() {
   // One master stream, consumed in script order. Each occurrence draws its
   // jitter, its randomized delay (when a range is given), and — for
-  // kInjectLoss — an injector seed, whether or not the hook ends up using
-  // them; fixed consumption is what keeps the schedule independent of
-  // topology lookups.
+  // kInjectLoss — an injector seed or — for a kIncastBurst with a size range
+  // — one size per flow, whether or not the hook ends up using them; fixed
+  // consumption is what keeps the schedule independent of topology lookups.
   Rng rng(script_.seed);
   for (const ScenarioAction& action : script_.actions) {
     const std::uint32_t repeat = action.repeat == 0 ? 1 : action.repeat;
@@ -29,16 +29,27 @@ void ScenarioEngine::Install() {
       if (action.kind == ScenarioActionKind::kInjectLoss) {
         injector_seed = rng.engine()();
       }
+      std::vector<std::uint64_t> burst_sizes;
+      if (action.kind == ScenarioActionKind::kIncastBurst) {
+        burst_sizes.assign(action.flows, action.bytes);
+        if (action.bytes_hi > action.bytes) {
+          for (std::uint64_t& size : burst_sizes) {
+            size += rng.UniformInt(action.bytes_hi - action.bytes + 1);
+          }
+        }
+      }
       ++actions_scheduled_;
-      sim_.ScheduleAt(when, [this, action, drawn_delay, injector_seed] {
-        Fire(action, drawn_delay, injector_seed);
+      sim_.ScheduleAt(when, [this, action, drawn_delay, injector_seed,
+                             burst_sizes = std::move(burst_sizes)] {
+        Fire(action, drawn_delay, injector_seed, burst_sizes);
       });
     }
   }
 }
 
 void ScenarioEngine::Fire(const ScenarioAction& action, Time drawn_delay,
-                          std::uint64_t injector_seed) {
+                          std::uint64_t injector_seed,
+                          const std::vector<std::uint64_t>& burst_sizes) {
   ++actions_fired_;
   if (hooks_.on_action) hooks_.on_action(action, sim_.Now());
   switch (action.kind) {
@@ -85,7 +96,7 @@ void ScenarioEngine::Fire(const ScenarioAction& action, Time drawn_delay,
     case ScenarioActionKind::kIncastBurst:
       if (hooks_.incast) {
         ++bursts_fired_;
-        hooks_.incast(action.flows, action.bytes);
+        hooks_.incast(burst_sizes);
       }
       return;
     case ScenarioActionKind::kReestimateEcnSharp:

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "dynamics/scenario.h"
 #include "net/egress_port.h"
@@ -33,8 +34,9 @@ struct ScenarioHooks {
   std::function<EgressPort*(int target)> port;
   // Sets sender `index`'s netem-style extra egress delay.
   std::function<void(int index, Time delay)> set_host_delay;
-  // Fires `flows` synchronized flows of `bytes` each.
-  std::function<void(std::uint32_t flows, std::uint64_t bytes)> incast;
+  // Fires one synchronized flow per entry of `sizes` (bytes, drawn at
+  // Install), in order.
+  std::function<void(const std::vector<std::uint64_t>& sizes)> incast;
   // Re-derives ECN# thresholds from the current RTT distribution.
   std::function<void()> reestimate_ecnsharp;
   // Observer invoked as each occurrence fires, before its effect is applied
@@ -70,7 +72,8 @@ class ScenarioEngine {
 
  private:
   void Fire(const ScenarioAction& action, Time drawn_delay,
-            std::uint64_t injector_seed);
+            std::uint64_t injector_seed,
+            const std::vector<std::uint64_t>& burst_sizes);
 
   Simulator& sim_;
   ScenarioScript script_;

@@ -245,6 +245,8 @@ const Names<BufferPolicyKind> kPolicyKinds = [] {
   }
   return all;
 }();
+const Names<RttProfile> kRttProfiles{{{RttProfile::kTestbed, "testbed"},
+                                      {RttProfile::kLeafSpine, "leaf_spine"}}};
 const Names<ComposedSideConfig::Kind> kSideKinds{
     {{ComposedSideConfig::Kind::kLeafSpine, "leafspine"},
      {ComposedSideConfig::Kind::kFatTree, "fattree"}}};
@@ -419,6 +421,7 @@ void Keys(V& v, ScenarioAction& a) {
   v("corrupt_prob", a.corrupt_prob, kShare);
   v("flows", a.flows, Whole{});
   v("bytes", a.bytes, Whole{});
+  v("bytes_hi", a.bytes_hi, Whole{}, kNew);
   v("drop_queued", a.drop_queued, Flag{});
   v("repeat", a.repeat, Whole{});
   v("period_us", a.period, Real{});
@@ -486,14 +489,12 @@ void Keys(V& v, ComposedSideConfig& s) {
 template <typename V, typename C>
 void Lead(V& v, C& c) {
   v("scheme", c.scheme, kSchemes);
-  if constexpr (std::is_base_of_v<ExperimentCommon, C>) {
-    v("workload", c.workload, Workloads());
-    if constexpr (std::is_same_v<C, InterDcExperimentConfig>) {
-      v("inter_workload", c.inter_workload, Workloads());
-    }
-    v("load", c.load, kPositive);
-    v("flows", c.flows, Whole{});
+  v("workload", c.workload, Workloads());
+  if constexpr (std::is_same_v<C, InterDcExperimentConfig>) {
+    v("inter_workload", c.inter_workload, Workloads());
   }
+  v("load", c.load, kPositive);
+  v("flows", c.flows, Whole{});
 }
 
 template <typename V, typename C>
@@ -507,13 +508,11 @@ void Clock(V& v, C& c) {
 template <typename V, typename C>
 void Extras(V& v, C& c) {
   v("params", c.params, Sub{});
-  if constexpr (std::is_base_of_v<ExperimentCommon, C>) {
-    v("scenario", c.scenario, Sub{}, When(!c.scenario.empty()));
-    v("cc_mix", c.cc_mix, kShare, kNew);
-    v("buffer_policy", c.buffer_policy, Sub{},
-      When(c.buffer_policy.kind != BufferPolicyKind::kNone));
-    v("estimator", c.estimator, kEstimators, kNew);
-  }
+  v("scenario", c.scenario, Sub{}, When(!c.scenario.empty()));
+  v("cc_mix", c.cc_mix, kShare, kNew);
+  v("buffer_policy", c.buffer_policy, Sub{},
+    When(c.buffer_policy.kind != BufferPolicyKind::kNone));
+  v("estimator", c.estimator, kEstimators, kNew);
   v("sketch", c.sketch, Sub{}, When(c.sketch.enabled));
 }
 
@@ -527,6 +526,8 @@ void Keys(V& v, DumbbellExperimentConfig& c) {
   Clock(v, c);
   v("tcp", c.tcp, Sub{});
   Extras(v, c);
+  v("long_flows", c.long_flows, Whole{}, kNew);
+  v("rtt_profile", c.rtt_profile, kRttProfiles, kNew);
 }
 
 template <typename V>
@@ -574,21 +575,23 @@ void Keys(V& v, InterDcExperimentConfig& c) {
   v("auto_address", c.topo.auto_address, Flag{}, kNew);
 }
 
+// "topology": "incast" records: the §5.4 preset (IncastDumbbell), with its
+// burst and seed as the keys. Read into a dumbbell config; nothing writes
+// them.
+struct IncastPreset {
+  DumbbellExperimentConfig config = IncastDumbbell(1);
+};
+
 template <typename V>
-void Keys(V& v, IncastExperimentConfig& c) {
-  Lead(v, c);
-  v("senders", c.senders, Whole{.lo = 1});
-  v("long_flows", c.long_flows, Whole{});
-  v("query_flows", c.query_flows, Whole{});
-  v("query_min_bytes", c.query_min_bytes, Whole{.lo = 1});
-  v("query_max_bytes", c.query_max_bytes, Whole{.lo = 1});
-  v("burst_time_us", c.burst_time, Real{});
-  v("rtt_variation", c.rtt_variation, Real{.lo = 1});
-  v("base_rtt_us", c.base_rtt, kPositive);
-  v("rate_bps", c.rate, Real{});
-  Clock(v, c);
-  v("tcp", c.tcp, Sub{});
-  Extras(v, c);
+void Keys(V& v, IncastPreset& p) {
+  ScenarioAction& burst = p.config.scenario.actions[0];
+  v("scheme", p.config.scheme, kSchemes);
+  v("query_flows", burst.flows, Whole{});
+  v("query_min_bytes", burst.bytes, Whole{.lo = 1});
+  v("query_max_bytes", burst.bytes_hi, Whole{.lo = 1});
+  v("burst_time_us", burst.at, Real{});
+  v("seed", p.config.seed, Whole{});
+  v("sketch", p.config.sketch, Sub{}, When(p.config.sketch.enabled));
 }
 
 // Checks across keys, once a record has been read.
@@ -606,10 +609,12 @@ std::string AfterRead(T& c) {
     if (c.repeat > 1 && !c.period.IsPositive()) {
       return "period_us must be > 0 when repeat > 1";
     }
-  } else if constexpr (std::is_same_v<T, IncastExperimentConfig>) {
-    if (c.query_max_bytes < c.query_min_bytes) {
+  } else if constexpr (std::is_same_v<T, IncastPreset>) {
+    const ScenarioAction& burst = c.config.scenario.actions[0];
+    if (burst.bytes_hi < burst.bytes) {
       return "query_max_bytes must be >= query_min_bytes";
     }
+    c.config.scenario.seed = c.config.seed;
   } else if constexpr (std::is_base_of_v<ExperimentCommon, T>) {
     // Without telemetry the session would quietly use the oracle.
     if (c.estimator == EcnEstimator::kSketch && !c.sketch.enabled) {
@@ -642,11 +647,11 @@ std::string ReadRecord(const Json& json, T* out, const char* also_known) {
   return why.empty() ? AfterRead(*out) : why;
 }
 
-// ExperimentConfig's alternatives, in order.
+// ExperimentConfig's alternatives, in order, then the incast preset.
 constexpr const char* kTopologies[] = {"dumbbell", "leafspine", "fattree",
                                        "interdc", "incast"};
-static_assert(std::size(kTopologies) ==
-              std::variant_size_v<ExperimentConfig>);
+constexpr std::size_t kFamilies = std::variant_size_v<ExperimentConfig>;
+static_assert(std::size(kTopologies) == kFamilies + 1);
 
 // The default config of alternative `index`.
 template <std::size_t... I>
@@ -712,9 +717,16 @@ bool ExperimentConfigFromJson(const Json& json, ExperimentConfig* out,
                       (topology == nullptr ? "nothing" : Show(*topology)),
                   error);
   }
+  const auto index = static_cast<std::size_t>(family - std::begin(kTopologies));
+  if (index == kFamilies) {
+    IncastPreset preset;
+    const std::string why = ReadRecord(json, &preset, "topology");
+    if (!why.empty()) return Refuse(why, error);
+    *out = std::move(preset.config);
+    return true;
+  }
   ExperimentConfig config =
-      FamilyDefault(family - std::begin(kTopologies),
-                    std::make_index_sequence<std::size(kTopologies)>());
+      FamilyDefault(index, std::make_index_sequence<kFamilies>());
   const std::string why = std::visit(
       [&json](auto& c) { return ReadRecord(json, &c, "topology"); }, config);
   if (!why.empty()) return Refuse(why, error);
@@ -766,6 +778,25 @@ Json ToJson(const ExperimentResult& result) {
              Json::UInt(result.injected_corruptions))
         .Set("link_down_drops", Json::UInt(result.link_down_drops));
   }
+  // The burst view exists only once a burst has fired; its queue part only
+  // with queue sampling on.
+  if (result.incast_bursts != 0) {
+    json.Set("burst_fct", ToJson(result.burst_fct))
+        .Set("burst_drops", Json::UInt(result.burst_drops));
+  }
+  if (!result.burst_queue_trace.empty()) {
+    Json trace = Json::Array();
+    for (const QueueMonitor::Sample& sample : result.burst_queue_trace) {
+      trace.Push(Json::Array()
+                     .Push(Json::Num(sample.at.ToMicroseconds()))
+                     .Push(Json::UInt(sample.packets)));
+    }
+    json.Set("standing_queue_packets",
+             Json::Num(result.standing_queue_packets))
+        .Set("burst_max_queue_packets",
+             Json::UInt(result.burst_max_queue_packets))
+        .Set("burst_queue_trace", std::move(trace));
+  }
   // Per-controller splits exist only for mixed-CC runs.
   if (result.cubic_fct.count != 0 || result.newreno_fct.count != 0) {
     json.Set("cubic_fct", ToJson(result.cubic_fct))
@@ -785,24 +816,6 @@ Json ToJson(const ExperimentResult& result) {
         .Set("inter_timeouts", Json::UInt(result.inter_timeouts));
   }
   return json;
-}
-
-Json ToJson(const IncastResult& result) {
-  Json trace = Json::Array();
-  for (const QueueMonitor::Sample& sample : result.queue_trace) {
-    trace.Push(Json::Array()
-                   .Push(Json::Num(sample.at.ToMicroseconds()))
-                   .Push(Json::UInt(sample.packets)));
-  }
-  return Json::Object()
-      .Set("query_fct", ToJson(result.query_fct))
-      .Set("query_timeouts", Json::UInt(result.query_timeouts))
-      .Set("drops", Json::UInt(result.drops))
-      .Set("total_drops", Json::UInt(result.total_drops))
-      .Set("standing_queue_packets", Json::Num(result.standing_queue_packets))
-      .Set("max_queue_packets", Json::UInt(result.max_queue_packets))
-      .Set("queries_completed", Json::UInt(result.queries_completed))
-      .Set("queue_trace", std::move(trace));
 }
 
 }  // namespace ecnsharp

@@ -46,24 +46,29 @@ bool ParseScenarioScript(const std::string& text, ScenarioScript* out,
 // fields in one order around the family's shape keys, and optional keys
 // (scenario, cc_mix, buffer_policy, estimator, sketch) only when set. Keys
 // added since the first records (the rest of TcpConfig, link delays, host
-// buffers, addresses) follow them and appear only off their defaults.
+// buffers, addresses, the dumbbell's long_flows and rtt_profile) follow them
+// and appear only off their defaults.
 Json ToJson(const ExperimentConfig& config);
 
 // Reads a record back. "topology" picks the family, and every other key
 // overrides the family's default config, so a partial record is a set of
-// overrides. Returns false, with a message that starts with the refused
-// key's path ("buffer_policy.alpha must be > 0 and finite, got 0") in
-// `*error` when non-null, on an unknown key, a wrong JSON type, an
-// out-of-range value, a "custom" workload (its CDF is not in the record) or
-// estimator "sketch" without a sketch record. `*out` is untouched then.
+// overrides. "incast" names a preset, not a family: its keys (scheme,
+// query_flows, query_min_bytes, query_max_bytes, burst_time_us, seed,
+// sketch) override IncastDumbbell's, and the config read is that dumbbell,
+// with `seed` seeding its scenario too. Returns false, with a message that
+// starts with the refused key's path ("buffer_policy.alpha must be > 0 and
+// finite, got 0") in `*error` when non-null, on an unknown key, a wrong JSON
+// type, an out-of-range value, a "custom" workload (its CDF is not in the
+// record) or estimator "sketch" without a sketch record. `*out` is
+// untouched then.
 bool ExperimentConfigFromJson(const Json& json, ExperimentConfig* out,
                               std::string* error = nullptr);
 
 Json ToJson(const FctSummary& summary);
 Json ToJson(const QueueDiscStats& stats);
+// Includes the burst view (with its queue trace as time/packets pairs)
+// when a burst fired.
 Json ToJson(const ExperimentResult& result);
-// Includes the queue trace (time/packets pairs) when present.
-Json ToJson(const IncastResult& result);
 
 }  // namespace ecnsharp
 

@@ -1,7 +1,7 @@
-// The experiment runners: one fabric runner the four fabric families
-// configure, plus the incast runner. Everything they share with each other —
-// generator wiring, monitors, scenario hooks, the run loop, result filling —
-// lives in harness/session.cc.
+// The experiment runners: one fabric runner the four families configure.
+// Everything they share — generator wiring, monitors, scenario hooks and
+// burst bookkeeping, the run loop, result filling — lives in
+// harness/session.cc.
 #include "harness/experiment.h"
 
 #include <cmath>
@@ -77,7 +77,8 @@ Topo BuildTopo(ExperimentSession& session, const TopoConfig& topo_config,
   return Topo(session.sim(), topo_config, make_disc);
 }
 
-// Traffic a family wires by hand after Bind; the single fabrics have none.
+// Traffic a family wires by hand after Bind; the leaf-spine and fat-tree
+// have none.
 struct NoExtraTraffic {
   template <typename Config, typename Topo>
   NoExtraTraffic(const Config&, Topo&, ExperimentSession&) {}
@@ -106,6 +107,29 @@ ExperimentResult RunFabric(const Config& config,
   extra.Finish(result);
   return result;
 }
+
+// The dumbbell's long flows: elephant i starts at (i + 1) ms from sender
+// i % senders with 2^40 bytes (it never finishes) and no completion
+// callback. With a tail-RTT marking threshold these are the flows that
+// build the standing queue of Fig. 10.
+class LongFlows {
+ public:
+  LongFlows(const DumbbellExperimentConfig& config, Dumbbell& topo,
+            ExperimentSession& session) {
+    constexpr std::uint64_t kElephantBytes = 1ull << 40;
+    const std::uint32_t receiver = topo.receiver_address();
+    for (std::size_t i = 0; i < config.long_flows; ++i) {
+      TcpStack& sender = topo.sender_stack(i % config.senders);
+      session.sim().ScheduleAt(
+          Time::Milliseconds(1) * static_cast<std::int64_t>(i + 1),
+          [&sender, receiver] {
+            sender.StartFlow(receiver, kElephantBytes, nullptr);
+          });
+    }
+  }
+  bool Pending() const { return false; }
+  void Finish(ExperimentResult&) const {}
+};
 
 // RunInterDc's split traffic matrix. Per-side extras and intra generators
 // come from Rng(seed + side), in the draw order of ExperimentSession::Bind's
@@ -215,11 +239,11 @@ ExperimentResult RunDumbbell(const DumbbellExperimentConfig& config) {
   topo.base_rtt = config.base_rtt;
   topo.tcp = config.tcp;
   // Per-sender netem extras spanning the requested RTT variation.
-  return RunFabric<Dumbbell>(
+  return RunFabric<Dumbbell, LongFlows>(
       config,
       SessionConfig(config, RttAssignment::kQuantiles,
                     config.base_rtt * (config.rtt_variation - 1.0),
-                    RttProfile::kTestbed),
+                    config.rtt_profile),
       topo);
 }
 
@@ -276,109 +300,32 @@ ExperimentResult RunInterDc(const InterDcExperimentConfig& config) {
                                                   topo);
 }
 
-IncastResult RunIncast(const IncastExperimentConfig& config) {
-  CheckRttVariation(config.rtt_variation, config.base_rtt);
-  ExperimentSessionConfig session_config;
-  session_config.seed = config.seed;
-  // §5.4 setup mirrors the large-scale simulations' RTT distribution.
-  session_config.rtt_assignment =
-      ExperimentSessionConfig::RttAssignment::kQuantiles;
-  session_config.max_rtt_extra = config.base_rtt * (config.rtt_variation - 1.0);
-  session_config.rtt_profile = RttProfile::kLeafSpine;
-  // Microscopic queue trace around the burst only (Fig. 10's window).
-  session_config.queue_sample_period = config.queue_sample_period;
-  session_config.monitor_from = config.burst_time - Time::Milliseconds(5);
-  session_config.monitor_until = config.burst_time + Time::Milliseconds(20);
-  session_config.max_sim_time = config.max_sim_time;
-  session_config.trace = config.trace;
-  session_config.sketch = config.sketch;
-  ExperimentSession session(std::move(session_config));
-  Simulator& sim = session.sim();
-
-  DumbbellConfig topo_config;
-  topo_config.senders = config.senders;
-  topo_config.rate = config.rate;
-  topo_config.base_rtt = config.base_rtt;
-  topo_config.buffer_bytes = config.params.buffer_bytes;
-  topo_config.tcp = config.tcp;
-  Dumbbell topo(sim, topo_config,
-                FifoDiscFactory(config.scheme, config.params));
-
-  session.Bind(topo);
-  const std::uint32_t receiver = topo.receiver_address();
-
-  // Long-lived elephants from the smallest-RTT senders: with a tail-RTT
-  // marking threshold these are exactly the flows that build the standing
-  // queue the paper's Fig. 10 shows.
-  constexpr std::uint64_t kElephantBytes = 1ull << 40;  // never finishes
-  for (std::size_t i = 0; i < config.long_flows; ++i) {
-    const std::size_t sender = i % config.senders;
-    sim.ScheduleAt(Time::Milliseconds(1) * static_cast<std::int64_t>(i + 1),
-                   [&topo, sender, receiver] {
-                     topo.sender_stack(sender).StartFlow(
-                         receiver, kElephantBytes, nullptr);
-                   });
-  }
-
-  // Query burst at burst_time; completions land in the session collector.
-  FctCollector& query_collector = session.collector();
-  std::size_t queries_completed = 0;
-  Rng rng(config.seed);
-  for (std::size_t q = 0; q < config.query_flows; ++q) {
-    const std::size_t sender = q % config.senders;
-    const std::uint64_t size =
-        config.query_min_bytes +
-        rng.UniformInt(config.query_max_bytes - config.query_min_bytes + 1);
-    sim.ScheduleAt(config.burst_time, [&topo, &query_collector,
-                                       &queries_completed, sender, receiver,
-                                       size] {
-      topo.sender_stack(sender).StartFlow(
-          receiver, size,
-          [&query_collector, &queries_completed](const FlowRecord& record) {
-            query_collector.Record(record);
-            ++queries_completed;
-          });
-    });
-  }
-
-  // Snapshot overflow drops just before the burst so the result separates
-  // burst-induced losses from background startup transients.
-  std::uint64_t drops_before_burst = 0;
-  sim.ScheduleAt(config.burst_time - Time::Nanoseconds(1),
-                 [&topo, &drops_before_burst] {
-                   drops_before_burst =
-                       topo.TotalBottleneckStats().dropped_overflow;
-                 });
-
-  // Run at least through the queue-trace window, then until the queries
-  // finish (or the safety cap).
-  const Time trace_end = config.burst_time + Time::Milliseconds(20);
-  session.Run([&] {
-    return sim.Now() < trace_end || queries_completed < config.query_flows;
-  });
-
-  IncastResult result;
-  result.query_fct = query_collector.Overall();
-  result.query_timeouts = query_collector.total_timeouts();
-  result.total_drops = topo.TotalBottleneckStats().dropped_overflow;
-  result.drops = result.total_drops - drops_before_burst;
-  QueueMonitorSet& monitors = session.monitors();
-  if (!monitors.empty()) {
-    result.max_queue_packets = monitors.MaxPackets();
-    // Standing queue: the 5 ms window immediately before the burst.
-    result.standing_queue_packets = monitors.AvgPackets(
-        config.burst_time - Time::Milliseconds(5), config.burst_time);
-    result.queue_trace = monitors.monitor(0).samples();
-  }
-  result.queries_completed = queries_completed;
-  result.trace = session.trace();
-  result.sketch = session.sketch();
-  return result;
+DumbbellExperimentConfig IncastDumbbell(std::uint64_t seed) {
+  DumbbellExperimentConfig config;
+  config.params = SimulationSchemeParams();
+  config.senders = 16;
+  config.base_rtt = Time::FromMicroseconds(80);
+  config.tcp.init_cwnd_segments = 3;
+  config.queue_sample_period = Time::FromMicroseconds(10);
+  config.max_sim_time = Time::Seconds(30);
+  config.long_flows = 6;
+  config.flows = 0;
+  config.rtt_profile = RttProfile::kLeafSpine;
+  ScenarioAction burst;
+  burst.kind = ScenarioActionKind::kIncastBurst;
+  burst.at = Time::Milliseconds(150);
+  burst.flows = 100;
+  burst.bytes = 3000;
+  burst.bytes_hi = 60000;
+  config.scenario.seed = seed;
+  config.scenario.actions = {burst};
+  config.seed = seed;
+  return config;
 }
 
-ExperimentOutcome RunExperiment(const ExperimentConfig& config) {
+ExperimentResult RunExperiment(const ExperimentConfig& config) {
   return std::visit(
-      [](const auto& c) -> ExperimentOutcome {
+      [](const auto& c) {
         using Config = std::decay_t<decltype(c)>;
         if constexpr (std::is_same_v<Config, DumbbellExperimentConfig>) {
           return RunDumbbell(c);
@@ -387,10 +334,8 @@ ExperimentOutcome RunExperiment(const ExperimentConfig& config) {
           return RunLeafSpine(c);
         } else if constexpr (std::is_same_v<Config, FatTreeExperimentConfig>) {
           return RunFatTree(c);
-        } else if constexpr (std::is_same_v<Config, InterDcExperimentConfig>) {
-          return RunInterDc(c);
         } else {
-          return RunIncast(c);
+          return RunInterDc(c);
         }
       },
       config);

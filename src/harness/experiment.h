@@ -19,6 +19,7 @@
 #include "topo/composed.h"
 #include "topo/fat_tree.h"
 #include "topo/leaf_spine.h"
+#include "topo/rtt_variation.h"
 #include "trace/trace_config.h"
 #include "transport/tcp_config.h"
 #include "workload/empirical_cdf.h"
@@ -69,7 +70,8 @@ struct ExperimentCommon {
   BufferPolicyConfig buffer_policy;
 };
 
-// Dumbbell (testbed-shaped): Figs. 2, 3, 6, 7, 8, 12.
+// Dumbbell (testbed-shaped): Figs. 2, 3, 6, 7, 8, 12, and with long flows
+// plus a scenario incast burst, the §5.4 incast (IncastDumbbell below).
 struct DumbbellExperimentConfig : ExperimentCommon {
   // RTT variation k: per-sender netem extras span [0, (k-1) * base_rtt], so
   // base RTTs span [base_rtt, k * base_rtt] (§2.3's definition
@@ -79,6 +81,11 @@ struct DumbbellExperimentConfig : ExperimentCommon {
   std::size_t senders = 7;
   DataRate rate = DataRate::GigabitsPerSecond(10);
   TcpConfig tcp;
+  // Long-lived elephants: elephant i starts at (i + 1) ms from sender
+  // i % senders and never finishes (no completion is recorded).
+  std::size_t long_flows = 0;
+  // The mixture the per-sender RTT extras follow.
+  RttProfile rtt_profile = RttProfile::kTestbed;
 };
 
 // Leaf-spine (large-scale): Fig. 9.
@@ -139,6 +146,16 @@ struct ExperimentResult {
   std::uint64_t injected_drops = 0;      // LinkFaultInjector losses
   std::uint64_t injected_corruptions = 0;
   std::uint64_t link_down_drops = 0;     // arrivals at downed ports
+  // Incast-burst view, keyed on the first burst occurrence; zero/empty
+  // without one. Burst flows complete into burst_fct as well as overall.
+  FctSummary burst_fct;
+  std::uint64_t burst_drops = 0;  // overflow drops from the first burst on
+  // With queue sampling on: the mean occupancy over the 5 ms before the
+  // first burst (the standing queue), and the first bottleneck's samples
+  // from then to 20 ms after it, with their peak.
+  double standing_queue_packets = 0.0;
+  std::uint32_t burst_max_queue_packets = 0;
+  std::vector<QueueMonitor::Sample> burst_queue_trace;
   // Flight-recorder trace; null unless config.trace.enabled. Shared so
   // copying results (sweep collection) stays cheap.
   std::shared_ptr<const TraceRecorder> trace;
@@ -176,64 +193,14 @@ ExperimentResult RunFatTree(const FatTreeExperimentConfig& config,
                             std::size_t lanes = 1);
 ExperimentResult RunInterDc(const InterDcExperimentConfig& config);
 
-// ---------------------------------------------------------------------------
-// Incast / microscopic-queue experiments: Figs. 10, 11.
-// ---------------------------------------------------------------------------
-
-struct IncastExperimentConfig {
-  Scheme scheme = Scheme::kEcnSharp;
-  SchemeParams params = SimulationSchemeParams();
-  std::size_t senders = 16;
-  // Long-lived background flows (data-mining-style elephants) that create
-  // the standing queue.
-  std::size_t long_flows = 6;
-  // Query burst: `query_flows` concurrent flows, uniform size in
-  // [query_min_bytes, query_max_bytes], all started at burst_time.
-  std::size_t query_flows = 100;
-  std::uint64_t query_min_bytes = 3000;
-  std::uint64_t query_max_bytes = 60000;
-  Time burst_time = Time::Milliseconds(150);
-  double rtt_variation = 3.0;
-  Time base_rtt = Time::FromMicroseconds(80);
-  DataRate rate = DataRate::GigabitsPerSecond(10);
-  std::uint64_t seed = 1;
-  // ns-3-style initial window of 3 segments: a 100-flow synchronized burst
-  // then peaks near (but within) a 600-packet buffer under instantaneous
-  // marking, matching the §5.4 queue traces and loss crossovers.
-  TcpConfig tcp = SmallInitialWindowTcp();
-  Time queue_sample_period = Time::FromMicroseconds(10);
-  Time max_sim_time = Time::Seconds(30);
-  // Optional flight-recorder tracing of the bottleneck + query senders.
-  TraceConfig trace;
-  // Optional sketch telemetry on the bottleneck.
-  SketchConfig sketch;
-
-  static TcpConfig SmallInitialWindowTcp() {
-    TcpConfig tcp;
-    tcp.init_cwnd_segments = 3;
-    return tcp;
-  }
-};
-
-struct IncastResult {
-  FctSummary query_fct;
-  std::uint64_t query_timeouts = 0;
-  // Overflow drops from the burst onward (startup transients of the
-  // long-lived background flows are excluded).
-  std::uint64_t drops = 0;
-  std::uint64_t total_drops = 0;  // including background startup
-  // Queue occupancy before the burst (standing queue) and its peak.
-  double standing_queue_packets = 0.0;
-  std::uint32_t max_queue_packets = 0;
-  std::vector<QueueMonitor::Sample> queue_trace;
-  std::size_t queries_completed = 0;
-  // Flight-recorder trace; null unless config.trace.enabled.
-  std::shared_ptr<const TraceRecorder> trace;
-  // Sketch telemetry; null unless config.sketch.enabled.
-  std::shared_ptr<const SketchTelemetry> sketch;
-};
-
-IncastResult RunIncast(const IncastExperimentConfig& config);
+// The §5.4 incast (Figs. 10, 11) as a dumbbell: 16 senders at an 80 us base
+// RTT under the simulation parameters, a 3-segment initial window (a
+// 100-flow burst then peaks near, but within, the 600-packet buffer under
+// instantaneous marking), 6 long flows for the standing queue and no
+// workload flows, leaf-spine RTT quantiles, 10 us queue sampling, a 30 s
+// cap, and one burst at 150 ms of 100 flows of 3,000..60,000 B each. `seed`
+// seeds both the config and the scenario; only the burst sizes draw.
+DumbbellExperimentConfig IncastDumbbell(std::uint64_t seed);
 
 // ---------------------------------------------------------------------------
 // Any experiment: one spec type, one entry point. Sweeps, the CLI and the
@@ -242,12 +209,9 @@ IncastResult RunIncast(const IncastExperimentConfig& config);
 
 using ExperimentConfig =
     std::variant<DumbbellExperimentConfig, LeafSpineExperimentConfig,
-                 FatTreeExperimentConfig, InterDcExperimentConfig,
-                 IncastExperimentConfig>;
-// Fabric families yield an ExperimentResult, incast an IncastResult.
-using ExperimentOutcome = std::variant<ExperimentResult, IncastResult>;
+                 FatTreeExperimentConfig, InterDcExperimentConfig>;
 
-ExperimentOutcome RunExperiment(const ExperimentConfig& config);
+ExperimentResult RunExperiment(const ExperimentConfig& config);
 
 }  // namespace ecnsharp
 

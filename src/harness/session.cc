@@ -17,6 +17,12 @@ namespace ecnsharp {
 
 namespace {
 
+// The burst view's windows: the standing queue is the mean over the
+// kStandingWindow before the first burst, and the queue trace runs from
+// then to kBurstTail after it.
+constexpr Time kStandingWindow = Time::Milliseconds(5);
+constexpr Time kBurstTail = Time::Milliseconds(20);
+
 // Every scenario target must resolve against the bound topology before the
 // engine installs a single event. A stale target id in a scenario JSON
 // (written for a different topology, or outlived by a config change) would
@@ -201,13 +207,11 @@ void ExperimentSession::Bind(Topology& topo) {
   }
 
   if (!config_.queue_sample_period.IsZero()) {
-    const Time until = config_.monitor_until.IsZero() ? config_.max_sim_time
-                                                      : config_.monitor_until;
     for (std::size_t b = 0; b < topo.bottleneck_count(); ++b) {
       monitors_.Add(sim(), topo.bottleneck(b).queue_disc(),
                     config_.queue_sample_period);
     }
-    monitors_.RunAll(config_.monitor_from, until);
+    monitors_.RunAll(Time::Zero(), config_.max_sim_time);
   }
 
   if (!config_.scenario.empty()) {
@@ -220,13 +224,19 @@ void ExperimentSession::Bind(Topology& topo) {
             .set_extra_egress_delay(delay);
       }
     };
-    hooks.incast = [this, &topo](std::uint32_t flows, std::uint64_t bytes) {
+    hooks.incast = [this, &topo](const std::vector<std::uint64_t>& sizes) {
+      if (!burst_fired_) {
+        burst_fired_ = true;
+        first_burst_ = sim().Now();
+        drops_before_burst_ = topo.TotalBottleneckStats().dropped_overflow;
+      }
       const std::uint32_t target = topo.IncastTarget();
-      for (std::uint32_t f = 0; f < flows; ++f) {
+      for (const std::uint64_t bytes : sizes) {
         TcpStack& sender = topo.IncastSender(next_burst_sender_++);
         ++burst_started_;
         sender.StartFlow(target, bytes, [this](const FlowRecord& record) {
           collector_.Record(record);
+          burst_collector_.Record(record);
           ++burst_completed_;
         });
       }
@@ -258,6 +268,10 @@ void ExperimentSession::Run(std::function<bool()> extra_pending) {
   const auto work_pending = [&] {
     if (generator_ != nullptr && !generator_->AllDone()) return true;
     if (burst_completed_ < burst_started_) return true;
+    if (burst_fired_ && !monitors_.empty() &&
+        sim().Now() < first_burst_ + kBurstTail) {
+      return true;
+    }
     if (engine_ != nullptr &&
         engine_->actions_fired() < engine_->actions_scheduled()) {
       return true;
@@ -312,6 +326,21 @@ ExperimentResult ExperimentSession::Result() {
     result.injected_drops = engine_->injected_drops();
     result.injected_corruptions = engine_->injected_corruptions();
     result.link_down_drops = topo_->TotalLinkDownDrops();
+  }
+  if (burst_fired_) {
+    result.burst_fct = burst_collector_.Overall();
+    result.burst_drops =
+        result.bottleneck.dropped_overflow - drops_before_burst_;
+  }
+  if (burst_fired_ && !monitors_.empty()) {
+    const Time from = first_burst_ - kStandingWindow;
+    result.standing_queue_packets = monitors_.AvgPackets(from, first_burst_);
+    for (const QueueMonitor::Sample& sample : monitors_.monitor(0).samples()) {
+      if (sample.at < from || sample.at > first_burst_ + kBurstTail) continue;
+      result.burst_queue_trace.push_back(sample);
+      result.burst_max_queue_packets =
+          std::max(result.burst_max_queue_packets, sample.packets);
+    }
   }
   result.trace = recorder_;
   result.sketch = telemetry_;

@@ -10,7 +10,8 @@
 //   * ScenarioEngine hooks (port targeting via ResolvePort, RTT shifts,
 //     incast bursts toward IncastTarget, ECN# re-estimation from the
 //     HostBaseRtt distribution),
-//   * the sliced run loop with burst-flow bookkeeping, and
+//   * the sliced run loop with burst bookkeeping (burst FCTs, drops from the
+//     first burst on, the standing queue and queue trace around it), and
 //   * the uniform ExperimentResult fill.
 //
 // Runners therefore reduce to: build a SessionConfig, build a Topology,
@@ -47,8 +48,8 @@ class TraceRecorder;
 class SketchTelemetry;
 
 struct ExperimentSessionConfig {
-  // Open-loop background workload; null runs no generator (the incast
-  // experiment schedules all of its traffic by hand).
+  // Open-loop background workload; null runs no generator (the inter-DC
+  // runner wires its split traffic matrix by hand).
   const EmpiricalCdf* workload = nullptr;
   double load = 0.5;
   std::size_t flows = 0;
@@ -62,12 +63,9 @@ struct ExperimentSessionConfig {
   Time max_rtt_extra = Time::Zero();
   RttProfile rtt_profile = RttProfile::kTestbed;
 
-  // Queue occupancy sampling of every bottleneck (zero disables — no
-  // monitors are instantiated at all). The window defaults to the whole
-  // run; monitor_until == 0 means max_sim_time.
+  // Queue occupancy sampling of every bottleneck over the whole run (zero
+  // disables — no monitors are instantiated at all).
   Time queue_sample_period = Time::Zero();
-  Time monitor_from = Time::Zero();
-  Time monitor_until = Time::Zero();
 
   // Safety cap on simulated time.
   Time max_sim_time = Time::Seconds(120);
@@ -124,9 +122,10 @@ class ExperimentSession {
 
   // Starts the generator (if any) and runs every lane in 10 ms slices until
   // the workload has drained, every scheduled scenario occurrence has fired,
-  // every burst flow has completed, and `extra_pending` (if given) returns
-  // false — or the max_sim_time safety cap trips. On return, every trace
-  // and sketch site holds a copy of its port's counts.
+  // every burst flow has completed, with queue sampling on the queue trace
+  // window after the first burst has passed, and `extra_pending` (if given)
+  // returns false — or the max_sim_time safety cap trips. On return, every
+  // trace and sketch site holds a copy of its port's counts.
   void Run(std::function<bool()> extra_pending = nullptr);
 
   // Uniform metrics fill. Queue-occupancy fields are only populated when
@@ -156,10 +155,16 @@ class ExperimentSession {
   std::vector<EgressPort*> site_ports_;
   Topology* topo_ = nullptr;
   // Scenario incast-burst bookkeeping: burst flows complete into the same
-  // collector as the workload's, and Run() waits for them.
+  // collector as the workload's and into their own, and Run() waits for
+  // them. The first burst's time and the overflow drops before it key the
+  // burst view of Result().
+  FctCollector burst_collector_;
   std::size_t burst_started_ = 0;
   std::size_t burst_completed_ = 0;
   std::size_t next_burst_sender_ = 0;
+  bool burst_fired_ = false;
+  Time first_burst_ = Time::Zero();
+  std::uint64_t drops_before_burst_ = 0;
 };
 
 // Re-derives ECN# thresholds on every bottleneck of `topo` from the hosts'

@@ -15,12 +15,4 @@ JobResult RunJob(const JobSpec& spec) {
   return result;
 }
 
-const ExperimentResult& FctResult(const JobResult& result) {
-  return std::get<ExperimentResult>(result.result);
-}
-
-const IncastResult& IncastResultOf(const JobResult& result) {
-  return std::get<IncastResult>(result.result);
-}
-
 }  // namespace ecnsharp::runner

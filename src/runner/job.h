@@ -1,7 +1,7 @@
 // JobSpec/JobResult: one simulation run as a schedulable unit of work.
 //
 // A JobSpec is a named, fully-specified experiment configuration (any of
-// the five families of harness/experiment.h). Each job carries its own seed
+// the four families of harness/experiment.h). Each job carries its own seed
 // inside the config, so a job's result depends only on
 // its spec — never on which worker thread ran it or in what order. That is
 // the property that makes sweeps embarrassingly parallel and lets the
@@ -23,7 +23,7 @@ struct JobSpec {
 
 struct JobResult {
   std::string name;
-  ExperimentOutcome result;
+  ExperimentResult result;
   // Wall-clock seconds the job took (progress/ETA only; never exported).
   double wall_seconds = 0.0;
 };
@@ -31,12 +31,6 @@ struct JobResult {
 // Runs the experiment described by `spec` synchronously on the calling
 // thread and returns its result.
 JobResult RunJob(const JobSpec& spec);
-
-// Typed accessors: fabric jobs yield an ExperimentResult, incast jobs an
-// IncastResult. Calling the wrong one aborts (programming error — the
-// caller built the spec and knows its family).
-const ExperimentResult& FctResult(const JobResult& result);
-const IncastResult& IncastResultOf(const JobResult& result);
 
 }  // namespace ecnsharp::runner
 

@@ -20,9 +20,7 @@ Json SweepToJson(const std::string& sweep_name,
     if (i < specs.size()) {
       entry.Set("config", ToJson(specs[i].config));
     }
-    entry.Set("result",
-              std::visit([](const auto& r) { return ToJson(r); },
-                         result.result));
+    entry.Set("result", ToJson(result.result));
     jobs.Push(std::move(entry));
   }
   return Json::Object()

@@ -11,7 +11,7 @@
 //     "jobs": [
 //       { "name": "<job name>",
 //         "config": { topology, scheme, workload, load, seed, ..., params },
-//         "result": { FCT summaries / incast metrics, queue stats } },
+//         "result": { FCT summaries, queue stats, burst view } },
 //       ...
 //     ]
 //   }

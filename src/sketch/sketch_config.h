@@ -66,7 +66,7 @@ enum class EcnEstimator : std::uint8_t { kOracle, kSketch };
 //     epoch:<us>    epoch length in microseconds, 10 .. 10000000
 //     window:<n>    epochs per window, 2 .. 128
 //     decay:<pct>   rate merge decay in percent, 1 .. 100
-//     hh:<k>        heavy-hitter slots, 1 .. 1024
+//     hh:<k>        heavy-hitter slots, 0 (off) .. 1024
 //     exact:on|off  exact ground-truth mirror (evaluation only)
 //
 // Shares the --trace spec grammar (sim/key_value_spec.h): malformed terms

@@ -50,7 +50,11 @@ bool ParseSketchSpec(const std::string& spec, SketchConfig* out,
           }
           config.decay = static_cast<double>(n) / 100.0;
         } else if (key == "hh") {
-          if (!ParseSpecCount(value, 1024, &config.heavy_hitters)) {
+          // hh:0 turns the heavy-hitter table off, as "heavy_hitters": 0
+          // does in a record.
+          if (value == "0") {
+            config.heavy_hitters = 0;
+          } else if (!ParseSpecCount(value, 1024, &config.heavy_hitters)) {
             *term_error = "bad hh count '" + value + "'";
             return false;
           }

@@ -101,6 +101,9 @@ REJECTED = [
      "--scenario applies to --topo=dumbbell, leafspine, fattree or interdc"),
     (["--topo=incast", "--cc-mix=0.5"],
      "--cc-mix applies to --topo=dumbbell, leafspine, fattree or interdc"),
+    # --jobs sizes a --sweep's worker pool; a single run would ignore it.
+    (["--jobs=2"], "--jobs applies to --sweep only"),
+    (["--topo=incast", "--jobs=2"], "--jobs applies to --sweep only"),
     # Misspelled flags would otherwise run the defaults.
     (["--flowz=20", "--flows=20"], "unknown flag --flowz"),
     (["--laod=0.9", "--flows=20"], "unknown flag --laod"),

@@ -23,6 +23,7 @@
 #include "runner/json_export.h"
 #include "runner/sweep.h"
 #include "sched/fifo_queue_disc.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 
 namespace ecnsharp {
@@ -131,6 +132,12 @@ ScenarioScript FullScript() {
   d.flows = 16;
   d.bytes = 20000;
   script.actions.push_back(d);
+
+  ScenarioAction e = d;
+  e.at = Time::FromMicroseconds(4000);
+  e.bytes = 3000;
+  e.bytes_hi = 60000;
+  script.actions.push_back(e);
   return script;
 }
 
@@ -140,12 +147,16 @@ TEST(ScenarioJsonTest, RoundTripsThroughDumpAndParse) {
   std::string error;
   ASSERT_TRUE(ParseScenarioScript(text, &parsed, &error)) << error;
   EXPECT_EQ(parsed.seed, 9u);
-  ASSERT_EQ(parsed.actions.size(), 4u);
+  ASSERT_EQ(parsed.actions.size(), 5u);
   EXPECT_EQ(parsed.actions[0].kind, ScenarioActionKind::kSetHostDelay);
   EXPECT_EQ(parsed.actions[0].repeat, 3u);
   EXPECT_TRUE(parsed.actions[1].drop_queued);
   EXPECT_DOUBLE_EQ(parsed.actions[2].corrupt_prob, 0.005);
   EXPECT_EQ(parsed.actions[3].flows, 16u);
+  EXPECT_EQ(parsed.actions[3].bytes_hi, 0u);
+  EXPECT_EQ(parsed.actions[4].bytes_hi, 60000u);
+  // A fixed-size burst writes no bytes_hi.
+  EXPECT_EQ(text.find("bytes_hi"), text.rfind("bytes_hi"));
   // Canonical form is a fixed point.
   EXPECT_EQ(ToJson(parsed).Dump(), text);
 }
@@ -571,6 +582,73 @@ TEST(ScenarioEngineTest, OccurrencesAreSeedDeterministic) {
     EXPECT_GE(a[k].second, 10.0);
     EXPECT_LE(a[k].second, 50.0);
   }
+}
+
+// The burst sizes `script` fires, one vector per burst occurrence, and the
+// host delays it sets.
+struct Fired {
+  std::vector<std::vector<std::uint64_t>> bursts;
+  std::vector<Time> delays;
+};
+
+Fired RunScript(const ScenarioScript& script) {
+  Simulator sim;
+  Fired fired;
+  ScenarioHooks hooks;
+  hooks.incast = [&fired](const std::vector<std::uint64_t>& sizes) {
+    fired.bursts.push_back(sizes);
+  };
+  hooks.set_host_delay = [&fired](int, Time delay) {
+    fired.delays.push_back(delay);
+  };
+  ScenarioEngine engine(sim, script, hooks);
+  engine.Install();
+  sim.Run();
+  return fired;
+}
+
+TEST(ScenarioEngineTest, BurstSizesAreDrawnInFlowOrder) {
+  ScenarioScript script;
+  script.seed = 11;
+  ScenarioAction burst;
+  burst.kind = ScenarioActionKind::kIncastBurst;
+  burst.at = Time::FromMicroseconds(10);
+  burst.flows = 20;
+  burst.bytes = 3000;
+  burst.bytes_hi = 60000;
+  script.actions.push_back(burst);
+  const Fired fired = RunScript(script);
+  ASSERT_EQ(fired.bursts.size(), 1u);
+  Rng rng(11);
+  std::vector<std::uint64_t> expected;
+  for (int f = 0; f < 20; ++f) expected.push_back(3000 + rng.UniformInt(57001));
+  EXPECT_EQ(fired.bursts[0], expected);
+}
+
+TEST(ScenarioEngineTest, FixedSizeBurstsDrawNothing) {
+  ScenarioAction shift;
+  shift.kind = ScenarioActionKind::kSetHostDelay;
+  shift.at = Time::FromMicroseconds(20);
+  shift.target = 0;
+  shift.delay_us = 10.0;
+  shift.delay_hi_us = 50.0;
+  ScenarioScript alone;
+  alone.seed = 5;
+  alone.actions = {shift};
+
+  ScenarioAction burst;
+  burst.kind = ScenarioActionKind::kIncastBurst;
+  burst.at = Time::FromMicroseconds(10);
+  burst.flows = 8;
+  burst.bytes = 20000;
+  ScenarioScript after_burst = alone;
+  after_burst.actions.insert(after_burst.actions.begin(), burst);
+
+  const Fired fired = RunScript(after_burst);
+  ASSERT_EQ(fired.bursts.size(), 1u);
+  EXPECT_EQ(fired.bursts[0], std::vector<std::uint64_t>(8, 20000));
+  ASSERT_EQ(fired.delays.size(), 1u);
+  EXPECT_EQ(fired.delays, RunScript(alone).delays);
 }
 
 TEST(ScenarioEngineTest, MissingHooksAndUnknownTargetsAreIgnored) {

@@ -172,7 +172,7 @@ TEST(ExperimentTest, FamiliesDefaultToTheirPaperParameters) {
   EXPECT_EQ(ToJson(LeafSpineExperimentConfig().params).Dump(), testbed);
   EXPECT_EQ(ToJson(FatTreeExperimentConfig().params).Dump(), simulation);
   EXPECT_EQ(ToJson(InterDcExperimentConfig().params).Dump(), simulation);
-  EXPECT_EQ(ToJson(IncastExperimentConfig().params).Dump(), simulation);
+  EXPECT_EQ(ToJson(IncastDumbbell(1).params).Dump(), simulation);
 }
 
 std::vector<ExperimentConfig> TinyExperiments() {
@@ -191,17 +191,14 @@ std::vector<ExperimentConfig> TinyExperiments() {
   interdc.topo.side_b.leaf_spine = leaf_spine.topo;
   interdc.topo.border_rtt = Time::FromMicroseconds(500);
   interdc.flows = 30;
-  IncastExperimentConfig incast;
-  incast.query_flows = 10;
+  DumbbellExperimentConfig incast = IncastDumbbell(1);
+  incast.scenario.actions[0].flows = 10;
   return {dumbbell, leaf_spine, fat_tree, interdc, incast};
 }
 
 TEST(ExperimentTest, RunExperimentMatchesTheFamilyRunner) {
   const std::vector<ExperimentConfig> configs = TinyExperiments();
-  const auto dump = [](const ExperimentOutcome& outcome) {
-    return std::visit([](const auto& r) { return ToJson(r).Dump(); },
-                      outcome);
-  };
+  const auto dump = [](const ExperimentResult& r) { return ToJson(r).Dump(); };
   EXPECT_EQ(dump(RunExperiment(configs[0])),
             ToJson(RunDumbbell(std::get<0>(configs[0]))).Dump());
   EXPECT_EQ(dump(RunExperiment(configs[1])),
@@ -211,7 +208,7 @@ TEST(ExperimentTest, RunExperimentMatchesTheFamilyRunner) {
   EXPECT_EQ(dump(RunExperiment(configs[3])),
             ToJson(RunInterDc(std::get<3>(configs[3]))).Dump());
   EXPECT_EQ(dump(RunExperiment(configs[4])),
-            ToJson(RunIncast(std::get<4>(configs[4]))).Dump());
+            ToJson(RunDumbbell(std::get<0>(configs[4]))).Dump());
 }
 
 std::vector<std::string> Keys(const Json& json) {
@@ -249,11 +246,10 @@ TEST(ConfigJsonTest, RecordKeysFollowTheFamilyOrder) {
                    "max_extra_delay_us", "seed", "queue_sample_period_us",
                    "max_sim_time_us", "params"}));
   EXPECT_EQ(Keys(ToJson(configs[4])),
-            (KeyList{"topology", "scheme", "senders", "long_flows",
-                   "query_flows", "query_min_bytes", "query_max_bytes",
-                   "burst_time_us", "rtt_variation", "base_rtt_us",
-                   "rate_bps", "seed", "queue_sample_period_us",
-                   "max_sim_time_us", "tcp", "params"}));
+            (KeyList{"topology", "scheme", "workload", "load", "flows",
+                   "rtt_variation", "base_rtt_us", "senders", "rate_bps",
+                   "seed", "queue_sample_period_us", "max_sim_time_us", "tcp",
+                   "params", "scenario", "long_flows", "rtt_profile"}));
 }
 
 TEST(ConfigJsonTest, OptionalKeysAppearOnlyWhenSet) {
@@ -385,6 +381,8 @@ std::vector<ExperimentConfig> FullExperiments() {
   dumbbell.senders = 5;
   dumbbell.rate = DataRate::GigabitsPerSecond(25);
   dumbbell.tcp = FullTcp();
+  dumbbell.long_flows = 3;
+  dumbbell.rtt_profile = RttProfile::kLeafSpine;
   auto leaf_spine = WithFullCommon(LeafSpineExperimentConfig());
   leaf_spine.topo = FullLeafSpine();
   leaf_spine.max_extra_delay = Time::FromMicroseconds(90);
@@ -404,24 +402,7 @@ std::vector<ExperimentConfig> FullExperiments() {
   interdc.topo.auto_address = false;
   interdc.topo.inter_rtt_fraction = 0.5;
   interdc.max_extra_delay = Time::FromMicroseconds(80);
-  IncastExperimentConfig incast;
-  incast.scheme = Scheme::kCodel;
-  incast.params.codel.target = Time::FromMicroseconds(15);
-  incast.senders = 8;
-  incast.long_flows = 3;
-  incast.query_flows = 20;
-  incast.query_min_bytes = 2000;
-  incast.query_max_bytes = 50'000;
-  incast.burst_time = Time::Milliseconds(100);
-  incast.rtt_variation = 2.0;
-  incast.base_rtt = Time::FromMicroseconds(60);
-  incast.rate = DataRate::GigabitsPerSecond(25);
-  incast.seed = 6;
-  incast.tcp = FullTcp();
-  incast.queue_sample_period = Time::FromMicroseconds(20);
-  incast.max_sim_time = Time::Seconds(10);
-  incast.sketch.enabled = true;
-  return {dumbbell, leaf_spine, fat_tree, interdc, incast};
+  return {dumbbell, leaf_spine, fat_tree, interdc};
 }
 
 ExperimentConfig ReadBack(const std::string& text) {
@@ -450,6 +431,10 @@ TEST(ConfigJsonTest, RecordsRoundTripByteForByte) {
 TEST(ConfigJsonTest, NewKeysAppearOnlyOffTheirDefaults) {
   const std::vector<ExperimentConfig> full = FullExperiments();
   const Json dumbbell = ToJson(full[0]);
+  const std::vector<std::string> dumbbell_keys = Keys(dumbbell);
+  EXPECT_EQ(std::vector<std::string>(dumbbell_keys.end() - 2,
+                                     dumbbell_keys.end()),
+            (std::vector<std::string>{"long_flows", "rtt_profile"}));
   EXPECT_EQ(Keys(*dumbbell.Find("tcp")).size(), 19u);
   EXPECT_EQ(Keys(*dumbbell.Find("sketch")).back(), "queue_alpha");
   EXPECT_EQ(Keys(*dumbbell.Find("buffer_policy")).back(), "priority_alpha");
@@ -473,17 +458,13 @@ TEST(ConfigJsonTest, NewKeysAppearOnlyOffTheirDefaults) {
                 "kind", "k", "rate_bps", "base_address", "tcp",
                 "host_link_delay_us", "fabric_link_delay_us",
                 "host_buffer_bytes"}));
-  EXPECT_EQ(Keys(ToJson(full[4])).back(), "sketch");
   // Defaults write none of them (RecordKeysFollowTheFamilyOrder).
   EXPECT_EQ(Keys(*ToJson(TinyExperiments()[0]).Find("tcp")).size(), 7u);
 }
 
 // A read-back config runs the same experiment.
 TEST(ConfigJsonTest, ReadBackConfigsRunTheSameExperiment) {
-  const auto dump = [](const ExperimentOutcome& outcome) {
-    return std::visit([](const auto& r) { return ToJson(r).Dump(); },
-                      outcome);
-  };
+  const auto dump = [](const ExperimentResult& r) { return ToJson(r).Dump(); };
   for (const ExperimentConfig& config : TinyExperiments()) {
     EXPECT_EQ(dump(RunExperiment(ReadBack(ToJson(config).Dump()))),
               dump(RunExperiment(config)));
@@ -499,6 +480,42 @@ TEST(ConfigJsonTest, PartialRecordsOverrideTheFamilyDefault) {
       R"({"topology": "fattree", "k": 4,
           "buffer_policy": {"kind": "dt", "alpha": 0.5}})");
   EXPECT_EQ(ToJson(read).Dump(), ToJson(expected).Dump());
+}
+
+// "topology": "incast" names the §5.4 preset: its keys lower onto
+// IncastDumbbell's burst and both of its seeds, and what is read (and
+// written back) is that dumbbell.
+TEST(ConfigJsonTest, IncastRecordsReadAsThePresetDumbbell) {
+  DumbbellExperimentConfig expected = IncastDumbbell(4);
+  expected.scheme = Scheme::kCodel;
+  ScenarioAction& burst = expected.scenario.actions[0];
+  burst.flows = 10;
+  burst.bytes = 2000;
+  burst.bytes_hi = 9000;
+  burst.at = Time::Milliseconds(100);
+  const ExperimentConfig read = ReadBack(
+      R"({"topology": "incast", "scheme": "CoDel", "query_flows": 10,
+          "query_min_bytes": 2000, "query_max_bytes": 9000,
+          "burst_time_us": 100000, "seed": 4})");
+  EXPECT_EQ(ToJson(read).Dump(), ToJson(expected).Dump());
+}
+
+// Fig. 10 on a data-mining background (instead of the preset's fixed
+// elephants) is a record, not code: workload flows, no long flows, queue
+// sampling and a sized burst.
+TEST(ConfigJsonTest, DataMiningIncastRunsFromARecord) {
+  const ExperimentConfig config = ReadBack(
+      R"({"topology": "dumbbell", "workload": "datamining", "flows": 12,
+          "senders": 16, "base_rtt_us": 80, "queue_sample_period_us": 10,
+          "long_flows": 0, "rtt_profile": "leaf_spine",
+          "scenario": {"seed": 2, "actions": [{"kind": "incast_burst",
+            "at_us": 30000, "flows": 40, "bytes": 3000,
+            "bytes_hi": 60000}]}})");
+  const ExperimentResult r = RunExperiment(config);
+  EXPECT_EQ(r.burst_fct.count, 40u);
+  const Json json = ToJson(r);
+  ASSERT_NE(json.Find("standing_queue_packets"), nullptr);
+  EXPECT_EQ(json.Find("burst_queue_trace")->items().size(), 2501u);
 }
 
 // Each refusal starts with the path of the refused key.
@@ -616,6 +633,11 @@ TEST(ConfigFuzzTest, ExperimentRecordsAreReadOrRefused) {
       seeds.push_back(ToJson(config));
     }
   }
+  ASSERT_TRUE(Json::Parse(
+      R"({"topology": "incast", "scheme": "PIE", "query_flows": 20,
+          "query_min_bytes": 2000, "query_max_bytes": 50000,
+          "burst_time_us": 100000, "seed": 6, "sketch": {"depth": 3}})",
+      &seeds.emplace_back()));
   int accepted = 0;
   FuzzRecords(seeds, [&accepted](const Json& input) {
     ExperimentConfig config;

@@ -15,18 +15,16 @@ namespace {
 
 // --------------------------- standing queue (Fig. 10) ----------------------
 
-IncastExperimentConfig BaseIncast(Scheme scheme) {
-  IncastExperimentConfig config;
+DumbbellExperimentConfig BaseIncast(Scheme scheme, std::uint32_t fanout) {
+  DumbbellExperimentConfig config = IncastDumbbell(3);
   config.scheme = scheme;
-  config.query_flows = 0;  // no burst: observe the standing queue only
-  config.seed = 3;
+  config.scenario.actions[0].flows = fanout;
   return config;
 }
 
 double StandingQueue(Scheme scheme) {
-  IncastExperimentConfig config = BaseIncast(scheme);
-  const IncastResult result = RunIncast(config);
-  return result.standing_queue_packets;
+  // No burst flows: observe the standing queue only.
+  return RunDumbbell(BaseIncast(scheme, 0)).standing_queue_packets;
 }
 
 TEST(IntegrationTest, EcnSharpEliminatesStandingQueue) {
@@ -52,31 +50,28 @@ TEST(IntegrationTest, TofinoPipelineBehavesLikeReferenceInSystem) {
 // --------------------------- incast burst tolerance (Figs. 10-11) ----------
 
 TEST(IntegrationTest, EcnSharpToleratesIncastThatBreaksCodel) {
-  IncastExperimentConfig config = BaseIncast(Scheme::kEcnSharp);
-  config.query_flows = 100;
-  const IncastResult sharp = RunIncast(config);
-  config.scheme = Scheme::kCodel;
-  const IncastResult codel = RunIncast(config);
+  const ExperimentResult sharp =
+      RunDumbbell(BaseIncast(Scheme::kEcnSharp, 100));
+  const ExperimentResult codel = RunDumbbell(BaseIncast(Scheme::kCodel, 100));
 
-  EXPECT_EQ(sharp.queries_completed, 100u);
-  EXPECT_EQ(codel.queries_completed, 100u);
+  EXPECT_EQ(sharp.burst_flows_completed, 100u);
+  EXPECT_EQ(codel.burst_flows_completed, 100u);
   // ECN#'s instantaneous marking absorbs the burst without loss; CoDel,
   // reacting only to persistent congestion, overflows the buffer.
-  EXPECT_EQ(sharp.drops, 0u);
-  EXPECT_GT(codel.drops, 0u);
-  EXPECT_LE(sharp.query_timeouts, codel.query_timeouts);
+  EXPECT_EQ(sharp.burst_drops, 0u);
+  EXPECT_GT(codel.burst_drops, 0u);
+  EXPECT_LE(sharp.timeouts, codel.timeouts);
 }
 
 TEST(IntegrationTest, EcnSharpMatchesRedTailOnIncast) {
-  IncastExperimentConfig config = BaseIncast(Scheme::kEcnSharp);
-  config.query_flows = 100;
-  const IncastResult sharp = RunIncast(config);
-  config.scheme = Scheme::kDctcpRedTail;
-  const IncastResult red = RunIncast(config);
+  const ExperimentResult sharp =
+      RunDumbbell(BaseIncast(Scheme::kEcnSharp, 100));
+  const ExperimentResult red =
+      RunDumbbell(BaseIncast(Scheme::kDctcpRedTail, 100));
   // Burst tolerance comparable to current practice (both lossless here).
-  EXPECT_EQ(sharp.drops, 0u);
-  EXPECT_EQ(red.drops, 0u);
-  EXPECT_LT(sharp.query_fct.avg_us, red.query_fct.avg_us * 1.5);
+  EXPECT_EQ(sharp.burst_drops, 0u);
+  EXPECT_EQ(red.burst_drops, 0u);
+  EXPECT_LT(sharp.burst_fct.avg_us, red.burst_fct.avg_us * 1.5);
 }
 
 // --------------------------- FCT under production workloads (Figs. 6-7) ----

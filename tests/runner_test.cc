@@ -67,9 +67,8 @@ std::vector<runner::JobSpec> SmallDumbbellSweep() {
     config.seed = 42;
     specs.push_back({"load=" + std::to_string(load), config});
   }
-  IncastExperimentConfig incast;
-  incast.query_flows = 40;
-  incast.seed = 42;
+  DumbbellExperimentConfig incast = IncastDumbbell(42);
+  incast.scenario.actions[0].flows = 40;
   specs.push_back({"incast", incast});
   return specs;
 }
@@ -111,8 +110,8 @@ TEST(RunJobsTest, RepeatedSameSeedRunDumbbellIsBitwiseEqual) {
 
   const runner::JobResult a = runner::RunJob(spec);
   const runner::JobResult b = runner::RunJob(spec);
-  const ExperimentResult& ra = runner::FctResult(a);
-  const ExperimentResult& rb = runner::FctResult(b);
+  const ExperimentResult& ra = a.result;
+  const ExperimentResult& rb = b.result;
   EXPECT_EQ(ToJson(ra).Dump(), ToJson(rb).Dump());
   // Spot-check raw fields too, in case serialization ever rounds.
   EXPECT_EQ(ra.overall.avg_us, rb.overall.avg_us);
@@ -123,9 +122,8 @@ TEST(RunJobsTest, RepeatedSameSeedRunDumbbellIsBitwiseEqual) {
 
 TEST(JsonExportTest, WritesParsableFileWithSchemaFields) {
   std::vector<runner::JobSpec> specs;
-  IncastExperimentConfig config;
-  config.query_flows = 30;
-  config.seed = 3;
+  DumbbellExperimentConfig config = IncastDumbbell(3);
+  config.scenario.actions[0].flows = 30;
   specs.push_back({"fanout30", config});
   const std::vector<runner::JobResult> results = runner::RunJobs(specs);
 
@@ -144,7 +142,7 @@ TEST(JsonExportTest, WritesParsableFileWithSchemaFields) {
   EXPECT_NE(text.find("\"schema_version\": 1"), std::string::npos);
   EXPECT_NE(text.find("\"sweep\": \"unit\""), std::string::npos);
   EXPECT_NE(text.find("\"name\": \"fanout30\""), std::string::npos);
-  EXPECT_NE(text.find("\"topology\": \"incast\""), std::string::npos);
+  EXPECT_NE(text.find("\"kind\": \"incast_burst\""), std::string::npos);
   EXPECT_NE(text.find("\"standing_queue_packets\""), std::string::npos);
   EXPECT_EQ(text, runner::SweepToJson("unit", specs, results).Dump());
   std::filesystem::remove_all(path.parent_path());

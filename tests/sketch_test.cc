@@ -269,6 +269,15 @@ TEST(SketchSpecTest, FullOverride) {
   EXPECT_TRUE(config.track_exact);
 }
 
+// hh:0 switches the heavy-hitter table off, as a record's
+// "heavy_hitters": 0 does.
+TEST(SketchSpecTest, AcceptsZeroHeavyHitters) {
+  SketchConfig config;
+  std::string error;
+  ASSERT_TRUE(ParseSketchSpec("hh:0", &config, &error)) << error;
+  EXPECT_EQ(config.heavy_hitters, 0u);
+}
+
 TEST(SketchSpecTest, RejectsDuplicateKeys) {
   SketchConfig config;
   std::string error;
@@ -284,6 +293,7 @@ TEST(SketchSpecTest, RejectsUnknownKeysAndBadRanges) {
   EXPECT_FALSE(ParseSketchSpec("bogus:1", &config, &error));
   EXPECT_FALSE(ParseSketchSpec("mem:0", &config, &error));
   EXPECT_FALSE(ParseSketchSpec("depth:17", &config, &error));
+  EXPECT_FALSE(ParseSketchSpec("hh:1025", &config, &error));
   EXPECT_FALSE(ParseSketchSpec("decay:0", &config, &error));
   EXPECT_FALSE(ParseSketchSpec("exact:maybe", &config, &error));
   EXPECT_FALSE(config.enabled);

@@ -517,22 +517,21 @@ TEST(GoldenParityTest, IncastMatchesPreSessionResults) {
   };
   for (const IncastGolden& g : kGolden) {
     SCOPED_TRACE(SchemeName(g.scheme));
-    IncastExperimentConfig config;
+    DumbbellExperimentConfig config = IncastDumbbell(3);
     config.scheme = g.scheme;
     config.senders = 8;
     config.long_flows = 2;
-    config.query_flows = 30;
-    config.seed = 3;
-    const IncastResult r = RunIncast(config);
-    EXPECT_DOUBLE_EQ(r.query_fct.avg_us, g.query_avg);
-    EXPECT_DOUBLE_EQ(r.query_fct.p99_us, g.query_p99);
+    config.scenario.actions[0].flows = 30;
+    const ExperimentResult r = RunDumbbell(config);
+    EXPECT_DOUBLE_EQ(r.burst_fct.avg_us, g.query_avg);
+    EXPECT_DOUBLE_EQ(r.burst_fct.p99_us, g.query_p99);
     EXPECT_DOUBLE_EQ(r.standing_queue_packets, g.standing);
-    EXPECT_EQ(r.max_queue_packets, g.max_queue);
-    EXPECT_EQ(r.drops, g.drops);
-    EXPECT_EQ(r.total_drops, g.total_drops);
-    EXPECT_EQ(r.queries_completed, g.completed);
-    EXPECT_EQ(r.query_timeouts, g.timeouts);
-    EXPECT_EQ(r.queue_trace.size(), g.trace_samples);
+    EXPECT_EQ(r.burst_max_queue_packets, g.max_queue);
+    EXPECT_EQ(r.burst_drops, g.drops);
+    EXPECT_EQ(r.bottleneck.dropped_overflow, g.total_drops);
+    EXPECT_EQ(r.burst_flows_completed, g.completed);
+    EXPECT_EQ(r.timeouts, g.timeouts);
+    EXPECT_EQ(r.burst_queue_trace.size(), g.trace_samples);
   }
 }
 
@@ -965,7 +964,7 @@ TEST(GoldenTraceTest, TraceJsonIsJobCountInvariant) {
         runner::RunJobs(specs, options);
     ASSERT_EQ(results.size(), specs.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto trace = runner::FctResult(results[i]).trace;
+      const auto trace = results[i].result.trace;
       ASSERT_NE(trace, nullptr) << specs[i].name;
       const std::string dump = TraceToJson(*trace).Dump();
       if (jobs == 1) {
@@ -1018,8 +1017,8 @@ TEST(GoldenSweepTest, FatTreeSweepJsonIsJobCountInvariantAndRepeatable) {
   // The seeds really differ (the invariance above is not vacuous).
   const std::vector<runner::JobResult> once =
       runner::RunJobs(specs, options);
-  EXPECT_NE(runner::FctResult(once[0]).overall.avg_us,
-            runner::FctResult(once[1]).overall.avg_us);
+  EXPECT_NE(once[0].result.overall.avg_us,
+            once[1].result.overall.avg_us);
 }
 
 // The cross-topology scenario contract extends to the fat-tree: the same
@@ -1449,8 +1448,8 @@ TEST(GoldenSweepTest, InterDcSweepJsonIsJobCountInvariantAndRepeatable) {
     }
   }
   const std::vector<runner::JobResult> once = runner::RunJobs(specs, options);
-  EXPECT_NE(runner::FctResult(once[0]).overall.avg_us,
-            runner::FctResult(once[1]).overall.avg_us);
+  EXPECT_NE(once[0].result.overall.avg_us,
+            once[1].result.overall.avg_us);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 //   ecnsharp_cli --topo=incast --scheme=codel --fanout=100
 //   ecnsharp_cli --sweep=load:10..90:10 --jobs=8 --flows=2000
 //
-// Prints the experiment's FCT breakdown (or incast metrics) as a table.
-// With --sweep, runs the whole grid through the parallel runner and also
-// exports results/<name>.json. Run with --help for all options.
+// Prints the experiment's FCT breakdown (and, for a run with an incast
+// burst, its burst view) as a table; --topo=incast runs the §5.4 preset
+// dumbbell (IncastDumbbell). With --sweep, runs the whole grid through the
+// parallel runner and also exports results/<name>.json. Run with --help for
+// all options.
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
@@ -22,7 +24,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "harness/config_json.h"
@@ -377,7 +378,13 @@ ExperimentConfig ConfigOrDie(const Flags& flags, const Json& record,
   std::exit(2);
 }
 
-void PrintFctResult(const ExperimentResult& r) {
+// The shared fields of any config.
+const ExperimentCommon& CommonOf(const ExperimentConfig& config) {
+  return std::visit(
+      [](const auto& c) -> const ExperimentCommon& { return c; }, config);
+}
+
+void PrintResult(const ExperimentResult& r) {
   TablePrinter table({"metric", "count", "avg(us)", "p50(us)", "p90(us)",
                       "p99(us)", "max(us)"});
   const auto row = [&table](const char* name, const FctSummary& s) {
@@ -402,6 +409,7 @@ void PrintFctResult(const ExperimentResult& r) {
     row("inter-DC", r.inter_fct);
     row("inter-DC short", r.inter_short_fct);
   }
+  if (r.incast_bursts != 0) row("burst flows", r.burst_fct);
   table.Print();
   std::printf(
       "flows: %zu/%zu completed  timeouts: %llu  CE marks: %llu  drops: "
@@ -422,16 +430,25 @@ void PrintFctResult(const ExperimentResult& r) {
         static_cast<unsigned long long>(r.injected_corruptions),
         static_cast<unsigned long long>(r.link_down_drops));
   }
+  if (r.incast_bursts != 0) {
+    std::printf("burst: drops %llu",
+                static_cast<unsigned long long>(r.burst_drops));
+    if (!r.burst_queue_trace.empty()) {
+      std::printf("  standing queue %.1f pkts  peak %u pkts",
+                  r.standing_queue_packets, r.burst_max_queue_packets);
+    }
+    std::printf("\n");
+  }
 }
 
 // Scenario runs go through the runner so the full record (config + scenario
 // + dynamics counters) lands in results/<name>.json, byte-identical to what
 // a sweep over the same point would export.
-ExperimentOutcome RunSingleViaRunner(const Flags& flags, Scheme scheme,
-                                     const ExperimentConfig& config) {
-  std::vector<runner::JobResult> results =
-      runner::RunSweep(flags.Get("name", "cli_run"),
-                       {{std::string(SchemeName(scheme)), config}});
+ExperimentResult RunSingleViaRunner(const Flags& flags,
+                                    const ExperimentConfig& config) {
+  std::vector<runner::JobResult> results = runner::RunSweep(
+      flags.Get("name", "cli_run"),
+      {{std::string(SchemeName(CommonOf(config).scheme)), config}});
   return std::move(results[0].result);
 }
 
@@ -601,10 +618,6 @@ std::vector<GridPoint> ExpandGrid(const std::vector<SweepAxis>& axes,
   return points;
 }
 
-Scheme SchemeOf(const ExperimentConfig& config) {
-  return std::visit([](const auto& c) { return c.scheme; }, config);
-}
-
 int RunSweepMode(const Flags& flags, const std::string& topo, unsigned topo_bit,
                  const Json& base) {
   const std::vector<SweepAxis> axes = ParseSweep(flags.Get("sweep", ""));
@@ -626,77 +639,30 @@ int RunSweepMode(const Flags& flags, const std::string& topo, unsigned topo_bit,
   runner::SweepOptions options;
   options.jobs = static_cast<std::size_t>(flags.GetU64("jobs", 0));
   PrintBanner("sweep / " + topo + " / " +
-              std::string(SchemeName(SchemeOf(specs[0].config))) + " — " +
+              SchemeName(CommonOf(specs[0].config).scheme) + " — " +
               std::to_string(specs.size()) + " jobs");
   const std::vector<runner::JobResult> results =
       runner::RunSweep(name, specs, options);
 
-  if (topo == "incast") {
-    TablePrinter table({"point", "standing q(pkts)", "peak q(pkts)", "drops",
-                        "query avg(us)", "query p99(us)", "timeouts"});
-    for (const runner::JobResult& job : results) {
-      const IncastResult& r = runner::IncastResultOf(job);
-      table.AddRow({job.name, TablePrinter::Fmt(r.standing_queue_packets, 1),
-                    std::to_string(r.max_queue_packets),
-                    std::to_string(r.drops),
-                    TablePrinter::Fmt(r.query_fct.avg_us, 1),
-                    TablePrinter::Fmt(r.query_fct.p99_us, 1),
-                    std::to_string(r.query_timeouts)});
-    }
-    table.Print();
-  } else {
-    TablePrinter table({"point", "overall avg(us)", "short avg(us)",
-                        "short p99(us)", "large avg(us)", "timeouts"});
-    for (const runner::JobResult& job : results) {
-      const ExperimentResult& r = runner::FctResult(job);
-      table.AddRow({job.name, TablePrinter::Fmt(r.overall.avg_us, 1),
-                    TablePrinter::Fmt(r.short_flows.avg_us, 1),
-                    TablePrinter::Fmt(r.short_flows.p99_us, 1),
-                    TablePrinter::Fmt(r.large_flows.avg_us, 1),
-                    std::to_string(r.timeouts)});
-    }
-    table.Print();
+  TablePrinter table({"point", "overall avg(us)", "short avg(us)",
+                      "short p99(us)", "large avg(us)", "timeouts"});
+  for (const runner::JobResult& job : results) {
+    const ExperimentResult& r = job.result;
+    table.AddRow({job.name, TablePrinter::Fmt(r.overall.avg_us, 1),
+                  TablePrinter::Fmt(r.short_flows.avg_us, 1),
+                  TablePrinter::Fmt(r.short_flows.p99_us, 1),
+                  TablePrinter::Fmt(r.large_flows.avg_us, 1),
+                  std::to_string(r.timeouts)});
   }
+  table.Print();
   return 0;
 }
 
-// Prints the incast metrics of a single run.
-void PrintIncastResult(const IncastResult& r) {
-  TablePrinter table({"metric", "value"});
-  table.AddRow({"standing queue (pkts)",
-                TablePrinter::Fmt(r.standing_queue_packets, 1)});
-  table.AddRow({"peak queue (pkts)", std::to_string(r.max_queue_packets)});
-  table.AddRow({"burst drops", std::to_string(r.drops)});
-  table.AddRow(
-      {"query avg FCT (us)", TablePrinter::Fmt(r.query_fct.avg_us, 1)});
-  table.AddRow(
-      {"query p99 FCT (us)", TablePrinter::Fmt(r.query_fct.p99_us, 1)});
-  table.AddRow({"query timeouts", std::to_string(r.query_timeouts)});
-  table.Print();
-}
-
-// The shared fields of a fabric config; null for incast.
-const ExperimentCommon* CommonOf(const ExperimentConfig& config) {
-  return std::visit(
-      [](const auto& c) -> const ExperimentCommon* {
-        if constexpr (std::is_base_of_v<ExperimentCommon,
-                                        std::decay_t<decltype(c)>>) {
-          return &c;
-        } else {
-          return nullptr;
-        }
-      },
-      config);
-}
-
 // Banner of a single run: topology (with its headline dimension), scheme,
-// and workload (fanout for incast).
+// and workload (none for a burst-only run such as --topo=incast).
 std::string Banner(const std::string& topo, const ExperimentConfig& config) {
-  const std::string scheme = SchemeName(SchemeOf(config));
-  if (const auto* c = std::get_if<IncastExperimentConfig>(&config)) {
-    return "incast / " + scheme + " / fanout " +
-           std::to_string(c->query_flows);
-  }
+  const ExperimentCommon& common = CommonOf(config);
+  const std::string scheme = SchemeName(common.scheme);
   std::string shape = topo;
   if (topo == "leafspine") shape = "leaf-spine";
   if (const auto* c = std::get_if<FatTreeExperimentConfig>(&config)) {
@@ -709,7 +675,7 @@ std::string Banner(const std::string& topo, const ExperimentConfig& config) {
             "us";
   }
   return shape + " / " + scheme + " / " +
-         WorkloadName(CommonOf(config)->workload);
+         (common.flows == 0 ? "no workload" : WorkloadName(common.workload));
 }
 
 // Exits 2 with `message` on stderr when `bad` holds — for flag
@@ -773,6 +739,8 @@ int main(int argc, char** argv) {
            "--sketch-out requires --sketch");
   RejectIf(flags.Has("relaxed-lanes") && flags.Has("sweep"),
            "--relaxed-lanes applies to single runs, not --sweep");
+  RejectIf(flags.Has("jobs") && !flags.Has("sweep"),
+           "--jobs applies to --sweep only (a single run is one job)");
 
   if (flags.Has("sweep")) return RunSweepMode(flags, topo, topo_bit, record);
 
@@ -789,29 +757,16 @@ int main(int argc, char** argv) {
       FatalConfigError("relaxed-lanes needs >= 2 lanes, got " +
                        std::to_string(lanes));
     }
-    PrintFctResult(
-        RunFatTree(std::get<FatTreeExperimentConfig>(config), lanes));
+    PrintResult(RunFatTree(std::get<FatTreeExperimentConfig>(config), lanes));
     return 0;
   }
 
-  const ExperimentCommon* common = CommonOf(config);
-  const ExperimentOutcome outcome =
-      common == nullptr || common->scenario.empty()
+  const ExperimentResult result =
+      CommonOf(config).scenario.empty()
           ? RunExperiment(config)
-          : RunSingleViaRunner(flags, SchemeOf(config), config);
-  std::shared_ptr<const TraceRecorder> recorded;
-  std::shared_ptr<const SketchTelemetry> telemetry;
-  if (const auto* r = std::get_if<IncastResult>(&outcome)) {
-    PrintIncastResult(*r);
-    recorded = r->trace;
-    telemetry = r->sketch;
-  } else {
-    const auto& fct = std::get<ExperimentResult>(outcome);
-    PrintFctResult(fct);
-    recorded = fct.trace;
-    telemetry = fct.sketch;
-  }
-  if (trace.enabled) ExportTraceOrDie(flags, recorded);
-  if (flags.Has("sketch")) ExportSketchOrDie(flags, telemetry);
+          : RunSingleViaRunner(flags, config);
+  PrintResult(result);
+  if (trace.enabled) ExportTraceOrDie(flags, result.trace);
+  if (flags.Has("sketch")) ExportSketchOrDie(flags, result.sketch);
   return 0;
 }
