@@ -1,6 +1,7 @@
 #include "harness/config_json.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
@@ -45,7 +46,8 @@ template <typename T>
 Json Record(const T& value);
 template <typename T>
 std::string ReadRecord(const Json& json, T* out,
-                       const char* also_known = nullptr);
+                       const char* also_known = nullptr,
+                       bool by_alias = false);
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -264,8 +266,21 @@ const Names<const EmpiricalCdf*>& Workloads() {
 // ---------------------------------------------------------------------------
 // The walkers. A table is a Keys(v, config) overload that visits every key
 // of one struct once, in record order: v(key, member, codec[, presence]).
-// The same walk writes a record (Writer) and reads one (Reader).
+// The same walk writes a record (Writer) and reads one (Reader), or reads a
+// spec string's terms by their aliases.
 // ---------------------------------------------------------------------------
+
+// A record key, and the alias a --trace or --sketch spec sets it by. A spec
+// value is `per` times the record's (decay:70 is "decay": 70 / 100.0).
+struct Key {
+  Key(const char* name) : name(name) {}  // a key without an alias
+  Key(const char* name, const char* alias, double per = 1)
+      : name(name), alias(alias), per(per) {}
+
+  const char* name;
+  const char* alias = nullptr;
+  double per = 1;
+};
 
 // How a key is written: always, only off the default config's value (so a
 // new key leaves every earlier record as it was), or not at all. A
@@ -282,14 +297,15 @@ class Writer {
   explicit Writer(const Json* defaults) : defaults_(defaults) {}
 
   template <typename T, typename Codec>
-  void operator()(const char* key, const T& value, const Codec& codec,
+  void operator()(Key key, const T& value, const Codec& codec,
                   Presence presence = Presence::kAlways) {
     if (presence == Presence::kOmitted) return;
     Json json = codec.Write(value);
-    const Json* base = defaults_ == nullptr ? nullptr : defaults_->Find(key);
+    const Json* base =
+        defaults_ == nullptr ? nullptr : defaults_->Find(key.name);
     if (presence != Presence::kSparse || base == nullptr ||
         base->Dump() != json.Dump()) {
-      record_.Set(key, std::move(json));
+      record_.Set(key.name, std::move(json));
     }
   }
 
@@ -300,23 +316,34 @@ class Writer {
   Json record_ = Json::Object();
 };
 
-// Reads a record as overrides of the config the walk starts from.
+// Reads a record as overrides of the config the walk starts from; with
+// `by_alias`, a spec's overlay, whose keys are the aliases.
 class Reader {
  public:
-  Reader(const Json& record, const char* also_known) : record_(record) {
+  Reader(const Json& record, const char* also_known, bool by_alias)
+      : record_(record), by_alias_(by_alias) {
     if (also_known != nullptr) known_.push_back(also_known);
   }
 
   template <typename T, typename Codec>
-  void operator()(const char* key, T& value, const Codec& codec,
+  void operator()(Key key, T& value, const Codec& codec,
                   Presence presence = Presence::kAlways) {
-    known_.push_back(key);
-    const Json* json = record_.Find(key);
+    const char* name = by_alias_ ? key.alias : key.name;
+    if (name == nullptr) return;
+    known_.push_back(name);
+    const Json* json = record_.Find(name);
     if (!why_.empty()) return;
-    if (json != nullptr) {
-      why_ = Nest(key, codec.Read(*json, &value));
+    if (json != nullptr && by_alias_ && key.per != 1 && json->IsNumber()) {
+      const std::string why =
+          codec.Read(Json::Num(json->AsDouble() / key.per), &value);
+      if (!why.empty()) {
+        why_ = Nest(name, why) + " (" + name + ":" + Show(*json) + " / " +
+               Show(Json::Num(key.per)) + ")";
+      }
+    } else if (json != nullptr) {
+      why_ = Nest(name, codec.Read(*json, &value));
     } else if (presence == Presence::kRequired && record_.IsObject()) {
-      why_ = std::string(key) + " is required";
+      why_ = std::string(name) + " is required";
     }
   }
 
@@ -334,6 +361,7 @@ class Reader {
 
  private:
   const Json& record_;
+  bool by_alias_;
   std::vector<std::string> known_;
   std::string why_;
 };
@@ -395,17 +423,27 @@ void Keys(V& v, BufferPolicyConfig& p) {
   v("priority_alpha", p.priority_alpha, List<Real>{kPositive}, kNew);
 }
 
-// The ranges of a --sketch spec (sketch/sketch_config.h).
+// A sketch record, and the --sketch spec's aliases (decay in percent).
 template <typename V>
 void Keys(V& v, SketchConfig& s) {
-  v("memory_kb", s.memory_kb, Whole{.lo = 1, .hi = 1048576});
-  v("depth", s.depth, Whole{.lo = 1, .hi = 16});
-  v("epoch_us", s.epoch, Real{.lo = 10, .hi = 1e7});
-  v("window_epochs", s.window_epochs, Whole{.lo = 2, .hi = 128});
-  v("decay", s.decay, Real{.lo = 0.01, .hi = 1});
-  v("heavy_hitters", s.heavy_hitters, Whole{.hi = 1024});
-  v("track_exact", s.track_exact, Flag{});
+  v({"memory_kb", "mem"}, s.memory_kb, Whole{.lo = 1, .hi = 1048576});
+  v({"depth", "depth"}, s.depth, Whole{.lo = 1, .hi = 16});
+  v({"epoch_us", "epoch"}, s.epoch, Real{.lo = 10, .hi = 1e7});
+  v({"window_epochs", "window"}, s.window_epochs, Whole{.lo = 2, .hi = 128});
+  v({"decay", "decay", 100}, s.decay, Real{.lo = 0.01, .hi = 1});
+  v({"heavy_hitters", "hh"}, s.heavy_hitters, Whole{.hi = 1024});
+  v({"track_exact", "exact"}, s.track_exact, Flag{});
   v("queue_alpha", s.queue_alpha, Real{.hi = 1, .open = true}, kNew);
+}
+
+// The trace file's "config" object, and the --trace spec's aliases.
+template <typename V>
+void Keys(V& v, TraceConfig& t) {
+  constexpr Whole kCap{.lo = 1, .hi = 1 << 24};
+  v({"ring_capacity", "events"}, t.ring_capacity, kCap);
+  v({"queue_series", "queue"}, t.queue_series, Flag{});
+  v({"flow_series", "flows"}, t.flow_series, Flag{});
+  v({"max_series_points", "points"}, t.max_series_points, kCap);
 }
 
 template <typename V>
@@ -597,8 +635,9 @@ void Keys(V& v, IncastPreset& p) {
 // Checks across keys, once a record has been read.
 template <typename T>
 std::string AfterRead(T& c) {
-  if constexpr (std::is_same_v<T, SketchConfig>) {
-    c.enabled = true;  // a sketch record switches the telemetry on
+  if constexpr (std::is_same_v<T, SketchConfig> ||
+                std::is_same_v<T, TraceConfig>) {
+    c.enabled = true;  // a sketch or trace record switches it on
   } else if constexpr (std::is_same_v<T, ScenarioAction>) {
     if (c.kind == ScenarioActionKind::kSetLinkRate && !(c.gbps > 0)) {
       return "gbps must lie in (0, 1e+06] for set_link_rate";
@@ -640,8 +679,9 @@ Json Record(const T& value) {
 }
 
 template <typename T>
-std::string ReadRecord(const Json& json, T* out, const char* also_known) {
-  Reader reader(json, also_known);
+std::string ReadRecord(const Json& json, T* out, const char* also_known,
+                       bool by_alias) {
+  Reader reader(json, also_known, by_alias);
   Keys(reader, *out);
   const std::string why = reader.Finish();
   return why.empty() ? AfterRead(*out) : why;
@@ -666,6 +706,48 @@ bool Refuse(const std::string& why, std::string* error) {
   return false;
 }
 
+// A spec value: on, off, or a whole number in decimal digits (one past
+// 2^64 - 1 reads as a double, which every whole key refuses). Other text
+// stays text, which no spec key takes.
+Json SpecValue(const std::string& text) {
+  if (text == "on" || text == "off") return Json::Bool(text == "on");
+  const char* last = text.data() + text.size();
+  std::uint64_t n = 0;
+  const auto whole = std::from_chars(text.data(), last, n);
+  if (text.empty() || whole.ptr != last) return Json::Str(text);
+  if (whole.ec == std::errc()) return Json::UInt(n);
+  double d = 0;
+  std::from_chars(text.data(), last, d);
+  return Json::Num(d);
+}
+
+// Reads a spec, "on", "default", "1" or "alias:value[,alias:value...]",
+// over `config` through its table's aliases.
+template <typename T>
+bool ReadSpec(const std::string& spec, T config, T* out,
+              std::string* error) {
+  const bool preset = spec == "on" || spec == "default" || spec == "1";
+  Json overlay = Json::Object();
+  for (std::size_t pos = 0; !preset && pos <= spec.size();) {
+    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
+    const std::string term = spec.substr(pos, comma - pos);
+    pos = comma + 1;
+    const std::size_t colon = term.find(':');
+    if (colon == 0 || colon == std::string::npos || colon + 1 == term.size()) {
+      return Refuse("malformed term '" + term + "' (want key:value)", error);
+    }
+    const std::string key = term.substr(0, colon);
+    if (overlay.Find(key) != nullptr) {
+      return Refuse("duplicate key '" + key + "'", error);
+    }
+    overlay.Set(key, SpecValue(term.substr(colon + 1)));
+  }
+  const std::string why = ReadRecord(overlay, &config, nullptr, true);
+  if (!why.empty()) return Refuse(why, error);
+  *out = config;
+  return true;
+}
+
 }  // namespace
 
 const char* WorkloadName(const EmpiricalCdf* workload) {
@@ -677,6 +759,7 @@ const char* WorkloadName(const EmpiricalCdf* workload) {
 
 Json ToJson(const SchemeParams& params) { return Record(params); }
 Json ToJson(const SketchConfig& sketch) { return Record(sketch); }
+Json ToJson(const TraceConfig& trace) { return Record(trace); }
 Json ToJson(const ScenarioScript& script) { return Record(script); }
 
 bool ScenarioScriptFromJson(const Json& json, ScenarioScript* out,
@@ -693,6 +776,19 @@ bool ParseScenarioScript(const std::string& text, ScenarioScript* out,
   Json doc;
   if (!Json::Parse(text, &doc, error)) return false;
   return ScenarioScriptFromJson(doc, out, error);
+}
+
+bool TraceConfigFromSpec(const std::string& spec, TraceConfig* out,
+                         std::string* error) {
+  TraceConfig full;
+  full.ring_capacity = full.max_series_points = 1u << 20;
+  return spec == "full" ? ReadSpec("on", full, out, error)
+                        : ReadSpec(spec, TraceConfig{}, out, error);
+}
+
+bool SketchConfigFromSpec(const std::string& spec, SketchConfig* out,
+                          std::string* error) {
+  return ReadSpec(spec, SketchConfig{}, out, error);
 }
 
 Json ToJson(const ExperimentConfig& config) {

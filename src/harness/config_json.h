@@ -25,8 +25,10 @@ namespace ecnsharp {
 const char* WorkloadName(const EmpiricalCdf* workload);
 
 Json ToJson(const SchemeParams& params);
-// The fields a --sketch spec sets.
+// A config's "sketch" record.
 Json ToJson(const SketchConfig& sketch);
+// A trace file's "config" object (tracing stays off the config record).
+Json ToJson(const TraceConfig& trace);
 
 // Scenario scripts round-trip through JSON: ToJson emits the canonical form
 // and the two readers accept it back (plus defaults for omitted fields).
@@ -41,6 +43,20 @@ bool ScenarioScriptFromJson(const Json& json, ScenarioScript* out,
 // Convenience: Json::Parse + ScenarioScriptFromJson.
 bool ParseScenarioScript(const std::string& text, ScenarioScript* out,
                          std::string* error = nullptr);
+
+// Read a --trace or --sketch spec into `*out`, enabled. A spec is "on",
+// "default" or "1" (the defaults), "full" for a trace (1 Mi events and
+// points), or terms "alias:value" joined by commas. Each alias names one key
+// of the struct's table, which states its range: events, points, queue and
+// flows; mem, depth, epoch (us), window, decay (percent), hh and exact. A
+// value is on, off or a whole number in decimal digits. Returns false, with
+// a message naming the refused key in `*error` when non-null, on an empty
+// or malformed term, a duplicate or unknown key, or a value the key refuses;
+// `*out` is untouched then.
+bool TraceConfigFromSpec(const std::string& spec, TraceConfig* out,
+                         std::string* error = nullptr);
+bool SketchConfigFromSpec(const std::string& spec, SketchConfig* out,
+                          std::string* error = nullptr);
 
 // Any experiment's config record. Keys are fixed per family: the shared
 // fields in one order around the family's shape keys, and optional keys

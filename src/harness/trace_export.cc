@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "dynamics/scenario.h"
+#include "harness/config_json.h"
 
 namespace ecnsharp {
 
@@ -93,12 +94,7 @@ Json TraceToJson(const TraceRecorder& trace) {
   const TraceConfig& config = trace.config();
   Json doc = Json::Object();
   doc.Set("schema_version", Json::Int(1));
-  doc.Set("config", Json::Object()
-                        .Set("ring_capacity", Json::UInt(config.ring_capacity))
-                        .Set("queue_series", Json::Bool(config.queue_series))
-                        .Set("flow_series", Json::Bool(config.flow_series))
-                        .Set("max_series_points",
-                             Json::UInt(config.max_series_points)));
+  doc.Set("config", ToJson(config));
 
   Json kinds = Json::Object();
   for (std::size_t k = 0; k < kTraceEventKinds; ++k) {

@@ -5,12 +5,13 @@
 // the windowed rate ring, and the RTT min-filter/histogram ring) is sized
 // from `memory_kb` at construction and never grows, no matter how many
 // flows the run offers. Per-port queue EWMAs are O(ports) scalars on top.
+// A --sketch spec reads into it through SketchConfigFromSpec
+// (harness/config_json.h), whose key table states each field's range.
 #ifndef ECNSHARP_SKETCH_SKETCH_CONFIG_H_
 #define ECNSHARP_SKETCH_SKETCH_CONFIG_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "sim/time.h"
 
@@ -55,24 +56,6 @@ struct SketchConfig {
 // actions: the oracle reads every host's true base RTT (testbed-operator
 // knowledge), the sketch estimator reads only SketchTelemetry state.
 enum class EcnEstimator : std::uint8_t { kOracle, kSketch };
-
-// Parses a CLI sketch spec into `*out` (leaving it untouched on failure).
-//
-// Accepted forms:
-//   "on" | "default" | "1"    enable with defaults
-//   comma-separated terms     enable with overrides:
-//     mem:<kb>      flow-sketch budget, 1 .. 1048576 KiB
-//     depth:<d>     count-min rows, 1 .. 16
-//     epoch:<us>    epoch length in microseconds, 10 .. 10000000
-//     window:<n>    epochs per window, 2 .. 128
-//     decay:<pct>   rate merge decay in percent, 1 .. 100
-//     hh:<k>        heavy-hitter slots, 0 (off) .. 1024
-//     exact:on|off  exact ground-truth mirror (evaluation only)
-//
-// Shares the --trace spec grammar (sim/key_value_spec.h): malformed terms
-// and duplicate keys are hard errors.
-bool ParseSketchSpec(const std::string& spec, SketchConfig* out,
-                     std::string* error);
 
 }  // namespace ecnsharp
 

@@ -1,9 +1,9 @@
-// Configuration for the flight-recorder tracing subsystem.
+// Configuration for the flight-recorder tracing subsystem. A --trace spec
+// reads into it through TraceConfigFromSpec (harness/config_json.h).
 #ifndef ECNSHARP_TRACE_TRACE_CONFIG_H_
 #define ECNSHARP_TRACE_TRACE_CONFIG_H_
 
 #include <cstddef>
-#include <string>
 
 namespace ecnsharp {
 
@@ -24,22 +24,6 @@ struct TraceConfig {
   // rather than stored.
   std::size_t max_series_points = 65536;
 };
-
-// Parses a CLI trace spec into `*out` (leaving it untouched on failure).
-//
-// Accepted forms:
-//   "on" | "default" | "1"   enable with defaults
-//   "full"                   enable with 1Mi-event ring and 1Mi-point series
-//   comma-separated terms    enable with overrides:
-//     events:<n>   ring capacity, 1 .. 16777216
-//     points:<n>   per-series cap, 1 .. 16777216
-//     queue:on|off per-port depth series
-//     flows:on|off per-flow transport series
-//
-// Returns false and fills `*error` on malformed input (unknown key, bad
-// value, empty term).
-bool ParseTraceSpec(const std::string& spec, TraceConfig* out,
-                    std::string* error);
 
 }  // namespace ecnsharp
 

@@ -56,6 +56,9 @@ REJECTED = [
      "config error: relaxed-lanes needs >= 2 lanes, got 1\n"),
     (["--topo=fattree", "--k=4", "--relaxed-lanes=6"],
      "lanes must be in [1, k + 1 = 5], got 6"),
+    # A count with a sign, even after a space, is refused, not wrapped.
+    (["--topo=fattree", "--k=4", "--relaxed-lanes= -1"],
+     "invalid value for --relaxed-lanes: ' -1'"),
     # Shared-buffer inputs the policy factory refuses: a non-finite or
     # non-positive alpha, and a pool or static slice below one packet.
     (["--buffer-policy=dt", "--alpha=nan"], "alpha must be > 0 and finite"),
@@ -121,6 +124,34 @@ REJECTED = [
      "fabric_link_delay_us must be >= 0 us and below 2^62 ns, got nan"),
     (["--topo=interdc", "--flows=20", "--border-rtt-us=nan"],
      "border_rtt_us must lie in [0, 1e+07] us, got nan"),
+    # Every keyed flag's value is read by its key's codec, which names the
+    # flag when it refuses the value.
+    (["--seed=-1"], "invalid value for --seed: '-1'"),
+    (["--flows=1.5"], "invalid value for --flows: '1.5'"),
+    (["--topo=fattree", "--k=5"], "invalid value for --k: '5'"),
+    (["--topo=incast", "--fanout=-1"], "invalid value for --fanout: '-1'"),
+    (["--topo=interdc", "--border-links=0"],
+     "invalid value for --border-links: '0'"),
+    (["--topo=interdc", "--inter-fraction=2"],
+     "invalid value for --inter-fraction: '2'"),
+    (["--cc-mix=-0.1"], "invalid value for --cc-mix: '-0.1'"),
+    (["--topo=interdc", "--border-gbps=0"],
+     "invalid value for --border-gbps: '0'"),
+    (["--scheme=bogus"], "invalid value for --scheme: 'bogus'"),
+    (["--estimator=bogus"], "invalid value for --estimator: 'bogus'"),
+    (["--buffer-policy=bogus"], "invalid value for --buffer-policy: 'bogus'"),
+    (["--topo=interdc", "--inter-workload=bogus"],
+     "invalid value for --inter-workload: 'bogus'"),
+    # Trace and sketch specs: out-of-range values, duplicate keys, empty
+    # terms and keys a spec cannot set.
+    (["--trace=events:0"], "invalid --trace spec"),
+    (["--trace=events:1,events:2"], "invalid --trace spec"),
+    (["--trace="], "invalid --trace spec"),
+    (["--trace=bogus:1"], "invalid --trace spec: bogus is not a known key"),
+    (["--sketch=decay:0"], "invalid --sketch spec"),
+    (["--sketch=queue_alpha:1"], "invalid --sketch spec"),
+    (["--sketch=epoch:9"], "invalid --sketch spec"),
+    (["--sketch=mem:64,,depth:2"], "invalid --sketch spec"),
     # A scenario action's misspelled key is refused, not ignored.
     (["--flows=20", '--scenario={"actions": [{"kind": "link_down", '
       '"at": 5000, "target": -1}]}'],
@@ -132,6 +163,11 @@ ACCEPTED = [
     ["--topo=incast", "--fanout=10"],
     ["--topo=leafspine", "--workload=datamining", "--flows=20"],
     ["--topo=fattree", "--k=4", "--flows=50", "--relaxed-lanes=2"],
+    ["--flows=20", "--trace=events:4096,points:64,queue:off",
+     "--trace-out=t.csv"],
+    ["--flows=20", "--trace=full"],
+    ["--flows=20",
+     "--sketch=mem:32,depth:3,epoch:2000,window:4,decay:50,hh:0,exact:on"],
 ]
 
 

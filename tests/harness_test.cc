@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -570,6 +571,84 @@ TEST(ConfigJsonTest, ReaderRefusesMalformedRecords) {
   }
 }
 
+// One --trace or --sketch spec alias: a term, the record key it sets and
+// the value it stands for, and an out-of-range term.
+struct AliasCase {
+  const char* term;
+  const char* key;
+  Json value;
+  const char* bad;
+};
+
+// Every spec alias reads as its record key set to the scaled value, and its
+// out-of-range value is refused naming the alias.
+TEST(ConfigJsonTest, SpecAliasesReadAsTheirRecordKeys) {
+  const AliasCase kTrace[] = {
+      {"events:4096", "ring_capacity", Json::UInt(4096), "events:0"},
+      {"points:64", "max_series_points", Json::UInt(64), "points:16777217"},
+      {"queue:off", "queue_series", Json::Bool(false), "queue:2"},
+      {"flows:off", "flow_series", Json::Bool(false), "flows:maybe"},
+  };
+  for (const AliasCase& alias : kTrace) {
+    TraceConfig spec;
+    std::string error;
+    ASSERT_TRUE(TraceConfigFromSpec(alias.term, &spec, &error)) << error;
+    EXPECT_TRUE(spec.enabled);
+    Json record = ToJson(TraceConfig{});
+    record.Set(alias.key, alias.value);
+    EXPECT_EQ(ToJson(spec).Dump(), record.Dump()) << alias.term;
+    EXPECT_FALSE(TraceConfigFromSpec(alias.bad, &spec, &error));
+    const std::string name(alias.term, std::strchr(alias.term, ':'));
+    EXPECT_EQ(error.find(name + " must"), 0u) << error;
+  }
+
+  // decay is in percent: decay:70 is 70 / 100.0, the double 0.7 (not
+  // 70 * 0.01, which is 0.7000000000000001).
+  const AliasCase kSketch[] = {
+      {"mem:32", "memory_kb", Json::UInt(32), "mem:1048577"},
+      {"depth:3", "depth", Json::UInt(3), "depth:17"},
+      {"epoch:2000", "epoch_us", Json::Num(2000), "epoch:9"},
+      {"window:4", "window_epochs", Json::UInt(4), "window:1"},
+      {"decay:70", "decay", Json::Num(0.7), "decay:101"},
+      {"hh:0", "heavy_hitters", Json::UInt(0), "hh:1025"},
+      {"exact:on", "track_exact", Json::Bool(true), "exact:1"},
+  };
+  for (const AliasCase& alias : kSketch) {
+    SketchConfig spec;
+    std::string error;
+    ASSERT_TRUE(SketchConfigFromSpec(alias.term, &spec, &error)) << error;
+    const Json sketch = Json::Object().Set(alias.key, alias.value);
+    ExperimentConfig config;
+    ASSERT_TRUE(ExperimentConfigFromJson(
+        Json::Object()
+            .Set("topology", Json::Str("dumbbell"))
+            .Set("sketch", sketch),
+        &config, &error))
+        << error;
+    const SketchConfig& read =
+        std::get<DumbbellExperimentConfig>(config).sketch;
+    EXPECT_TRUE(spec.enabled);
+    EXPECT_EQ(ToJson(spec).Dump(), ToJson(read).Dump()) << alias.term;
+    Json record = ToJson(SketchConfig{});
+    record.Set(alias.key, alias.value);
+    EXPECT_EQ(ToJson(spec).Dump(), record.Dump()) << alias.term;
+    EXPECT_FALSE(SketchConfigFromSpec(alias.bad, &spec, &error));
+    const std::string name(alias.term, std::strchr(alias.term, ':'));
+    EXPECT_EQ(error.find(name + " must"), 0u) << error;
+  }
+  SketchConfig decay;
+  ASSERT_TRUE(SketchConfigFromSpec("decay:70", &decay));
+  EXPECT_EQ(decay.decay, 0.7);
+
+  // A spec sets only aliased keys.
+  SketchConfig sketch;
+  std::string error;
+  EXPECT_FALSE(SketchConfigFromSpec("queue_alpha:1", &sketch, &error));
+  EXPECT_EQ(error, "queue_alpha is not a known key");
+  EXPECT_FALSE(SketchConfigFromSpec("memory_kb:64", &sketch, &error));
+  EXPECT_EQ(error, "memory_kb is not a known key");
+}
+
 // ---------------------------------------------------------------------------
 // Seeded mutation fuzzing of every reader: each input is accepted or refused
 // with a message, and nothing crashes (CI runs this under ASan+UBSan).
@@ -712,14 +791,14 @@ TEST(ConfigFuzzTest, SpecStringsAreReadOrRefused) {
   for (int i = 0; i < kMutations; ++i) {
     std::string error;
     TraceConfig trace;
-    if (!ParseTraceSpec(
+    if (!TraceConfigFromSpec(
             MutateSpec("events:1024,points:64,queue:off,flows:on", rng),
             &trace, &error)) {
       EXPECT_FALSE(error.empty());
     }
     error.clear();
     SketchConfig sketch;
-    if (!ParseSketchSpec(
+    if (!SketchConfigFromSpec(
             MutateSpec("mem:32,depth:3,epoch:2000,window:4,decay:50,hh:8,"
                        "exact:on",
                        rng),

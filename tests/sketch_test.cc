@@ -13,6 +13,7 @@
 
 #include "aqm/dctcp_red.h"
 #include "core/ecn_sharp.h"
+#include "harness/config_json.h"
 #include "harness/experiment.h"
 #include "harness/json.h"
 #include "harness/sketch_export.h"
@@ -246,7 +247,7 @@ TEST(RttSketchTest, WidthForBudgetFits) {
 TEST(SketchSpecTest, OnEnablesDefaults) {
   SketchConfig config;
   std::string error;
-  ASSERT_TRUE(ParseSketchSpec("on", &config, &error)) << error;
+  ASSERT_TRUE(SketchConfigFromSpec("on", &config, &error)) << error;
   EXPECT_TRUE(config.enabled);
   EXPECT_EQ(config.memory_kb, 64u);
   EXPECT_EQ(config.depth, 4u);
@@ -255,7 +256,7 @@ TEST(SketchSpecTest, OnEnablesDefaults) {
 TEST(SketchSpecTest, FullOverride) {
   SketchConfig config;
   std::string error;
-  ASSERT_TRUE(ParseSketchSpec(
+  ASSERT_TRUE(SketchConfigFromSpec(
       "mem:128,depth:6,epoch:2000,window:16,decay:50,hh:32,exact:on", &config,
       &error))
       << error;
@@ -274,14 +275,14 @@ TEST(SketchSpecTest, FullOverride) {
 TEST(SketchSpecTest, AcceptsZeroHeavyHitters) {
   SketchConfig config;
   std::string error;
-  ASSERT_TRUE(ParseSketchSpec("hh:0", &config, &error)) << error;
+  ASSERT_TRUE(SketchConfigFromSpec("hh:0", &config, &error)) << error;
   EXPECT_EQ(config.heavy_hitters, 0u);
 }
 
 TEST(SketchSpecTest, RejectsDuplicateKeys) {
   SketchConfig config;
   std::string error;
-  EXPECT_FALSE(ParseSketchSpec("mem:64,mem:128", &config, &error));
+  EXPECT_FALSE(SketchConfigFromSpec("mem:64,mem:128", &config, &error));
   EXPECT_NE(error.find("duplicate key"), std::string::npos) << error;
   // Config untouched on failure.
   EXPECT_FALSE(config.enabled);
@@ -290,12 +291,15 @@ TEST(SketchSpecTest, RejectsDuplicateKeys) {
 TEST(SketchSpecTest, RejectsUnknownKeysAndBadRanges) {
   SketchConfig config;
   std::string error;
-  EXPECT_FALSE(ParseSketchSpec("bogus:1", &config, &error));
-  EXPECT_FALSE(ParseSketchSpec("mem:0", &config, &error));
-  EXPECT_FALSE(ParseSketchSpec("depth:17", &config, &error));
-  EXPECT_FALSE(ParseSketchSpec("hh:1025", &config, &error));
-  EXPECT_FALSE(ParseSketchSpec("decay:0", &config, &error));
-  EXPECT_FALSE(ParseSketchSpec("exact:maybe", &config, &error));
+  EXPECT_FALSE(SketchConfigFromSpec("bogus:1", &config, &error));
+  EXPECT_FALSE(SketchConfigFromSpec("mem:0", &config, &error));
+  EXPECT_FALSE(SketchConfigFromSpec("depth:17", &config, &error));
+  EXPECT_FALSE(SketchConfigFromSpec("hh:1025", &config, &error));
+  EXPECT_FALSE(SketchConfigFromSpec("decay:0", &config, &error));
+  EXPECT_FALSE(SketchConfigFromSpec("exact:maybe", &config, &error));
+  // Past 2^64 KiB: refused, not wrapped.
+  EXPECT_FALSE(
+      SketchConfigFromSpec("mem:18446744073709551616", &config, &error));
   EXPECT_FALSE(config.enabled);
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/config_json.h"
 #include "harness/experiment.h"
 #include "harness/json.h"
 #include "harness/trace_export.h"
@@ -23,14 +24,14 @@ namespace ecnsharp {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ParseTraceSpec
+// TraceConfigFromSpec
 // ---------------------------------------------------------------------------
 
 TEST(TraceSpecTest, AcceptsDefaultAliases) {
   for (const char* alias : {"on", "default", "1"}) {
     TraceConfig config;
     std::string error;
-    ASSERT_TRUE(ParseTraceSpec(alias, &config, &error)) << alias << error;
+    ASSERT_TRUE(TraceConfigFromSpec(alias, &config, &error)) << alias << error;
     EXPECT_TRUE(config.enabled);
     EXPECT_EQ(config.ring_capacity, TraceConfig().ring_capacity);
     EXPECT_EQ(config.max_series_points, TraceConfig().max_series_points);
@@ -41,7 +42,7 @@ TEST(TraceSpecTest, AcceptsDefaultAliases) {
 
 TEST(TraceSpecTest, FullRaisesRingAndSeriesLimits) {
   TraceConfig config;
-  ASSERT_TRUE(ParseTraceSpec("full", &config, nullptr));
+  ASSERT_TRUE(TraceConfigFromSpec("full", &config, nullptr));
   EXPECT_TRUE(config.enabled);
   EXPECT_EQ(config.ring_capacity, 1u << 20);
   EXPECT_EQ(config.max_series_points, 1u << 20);
@@ -50,7 +51,7 @@ TEST(TraceSpecTest, FullRaisesRingAndSeriesLimits) {
 TEST(TraceSpecTest, ParsesKeyValueTerms) {
   TraceConfig config;
   std::string error;
-  ASSERT_TRUE(ParseTraceSpec("events:128,points:16,queue:off,flows:off",
+  ASSERT_TRUE(TraceConfigFromSpec("events:128,points:16,queue:off,flows:off",
                              &config, &error))
       << error;
   EXPECT_TRUE(config.enabled);
@@ -60,7 +61,7 @@ TEST(TraceSpecTest, ParsesKeyValueTerms) {
   EXPECT_FALSE(config.flow_series);
 
   // Unmentioned fields keep defaults.
-  ASSERT_TRUE(ParseTraceSpec("events:10", &config, &error));
+  ASSERT_TRUE(TraceConfigFromSpec("events:10", &config, &error));
   EXPECT_EQ(config.ring_capacity, 10u);
   EXPECT_TRUE(config.queue_series);
 }
@@ -70,9 +71,10 @@ TEST(TraceSpecTest, RejectsDuplicateKeys) {
   // shared spec grammar rejects it rather than silently taking the last.
   TraceConfig config;
   std::string error;
-  ASSERT_FALSE(ParseTraceSpec("events:10,events:20", &config, &error));
+  ASSERT_FALSE(TraceConfigFromSpec("events:10,events:20", &config, &error));
   EXPECT_EQ(error, "duplicate key 'events'");
-  ASSERT_FALSE(ParseTraceSpec("queue:on,points:4,queue:off", &config, &error));
+  ASSERT_FALSE(
+      TraceConfigFromSpec("queue:on,points:4,queue:off", &config, &error));
   EXPECT_EQ(error, "duplicate key 'queue'");
   // A failed parse leaves the output untouched.
   EXPECT_FALSE(config.enabled);
@@ -83,7 +85,8 @@ TEST(TraceSpecTest, RejectsMalformedSpecsWithAMessage) {
       "",               // empty
       "bogus:5",        // unknown key
       "events:0",       // zero capacity
-      "events:999999999",  // > 8 digits
+      "events:999999999",  // 9 digits, over the cap
+      "events:99999999999999999999",  // past 2^64, refused, not wrapped
       "events:17000000",   // over the 16Mi cap
       "events:abc",     // non-numeric
       "events:",        // missing value
@@ -96,14 +99,14 @@ TEST(TraceSpecTest, RejectsMalformedSpecsWithAMessage) {
   for (const char* spec : kBad) {
     TraceConfig config;
     std::string error;
-    EXPECT_FALSE(ParseTraceSpec(spec, &config, &error)) << spec;
+    EXPECT_FALSE(TraceConfigFromSpec(spec, &config, &error)) << spec;
     EXPECT_FALSE(error.empty()) << spec;
   }
   // The message names the offending key so CLI exit-2 output is actionable.
   TraceConfig config;
   std::string error;
-  ASSERT_FALSE(ParseTraceSpec("bogus:5", &config, &error));
-  EXPECT_EQ(error, "unknown trace key 'bogus'");
+  ASSERT_FALSE(TraceConfigFromSpec("bogus:5", &config, &error));
+  EXPECT_EQ(error, "bogus is not a known key");
 }
 
 // ---------------------------------------------------------------------------

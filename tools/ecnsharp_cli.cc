@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -61,16 +62,12 @@ double ParseDoubleOrDie(const std::string& key, const std::string& value) {
   return parsed;
 }
 
+// Decimal digits only: strtoull would wrap " -1" to 2^64 - 1.
 std::uint64_t ParseU64OrDie(const std::string& key, const std::string& value) {
-  const char* begin = value.c_str();
-  // strtoull silently accepts "-1" by wrapping; reject any sign explicitly.
-  if (*begin == '-' || *begin == '+') {
-    FlagError(key, value, "a non-negative integer");
-  }
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t parsed = std::strtoull(begin, &end, 10);
-  if (end == begin || *end != '\0' || errno == ERANGE) {
+  const char* last = value.data() + value.size();
+  std::uint64_t parsed = 0;
+  const auto [end, ec] = std::from_chars(value.data(), last, parsed);
+  if (value.empty() || end != last || ec != std::errc()) {
     FlagError(key, value, "a non-negative integer");
   }
   return parsed;
@@ -112,7 +109,7 @@ Flags ParseFlags(int argc, char** argv) {
 // --scenario accepts either a path to a JSON script or the script inline
 // (a value starting with '{'). Any read or parse failure is fatal: a
 // silently-ignored scenario would make "static" results look dynamic.
-Json ScenarioFlag(const std::string&, const std::string& value) {
+Json ScenarioFlag(const std::string& value) {
   std::string text = value;
   if (value.empty() || value[0] != '{') {
     std::ifstream in(value);
@@ -152,34 +149,34 @@ enum : unsigned {
 constexpr const char* kTopoNames[] = {"dumbbell", "leafspine", "fattree",
                                       "interdc", "incast"};
 
-// Lowers one flag's text onto its record value.
-using Lower = Json (*)(const std::string& flag, const std::string& value);
-
-Json Text(const std::string&, const std::string& value) {
-  return Json::Str(value);
-}
-Json Number(const std::string& flag, const std::string& value) {
-  return Json::Num(ParseDoubleOrDie(flag, value));
-}
-Json Count(const std::string& flag, const std::string& value) {
-  return Json::UInt(ParseU64OrDie(flag, value));
-}
-Json Gbps(const std::string& flag, const std::string& value) {
-  return Json::Num(ParseDoubleOrDie(flag, value) * 1e9);
-}
-Json Kib(const std::string& flag, const std::string& value) {
-  const std::uint64_t kib = ParseU64OrDie(flag, value);
-  if (kib > std::numeric_limits<std::uint64_t>::max() / 1024) {
-    FlagError(flag, value, "a pool size whose byte count fits in 64 bits");
+// A flag's text as its record value, `scale` record units per flag unit:
+// a whole number when it is decimal digits (and scaled still fits 64 bits),
+// a number when strtod reads all of it, else the text. The key's codec
+// checks the value and names the key when it refuses it.
+Json FlagValue(const std::string& text, std::uint64_t scale) {
+  const char* last = text.data() + text.size();
+  std::uint64_t n = 0;
+  const auto whole = std::from_chars(text.data(), last, n);
+  if (!text.empty() && whole.ptr == last && whole.ec == std::errc() &&
+      n <= std::numeric_limits<std::uint64_t>::max() / scale) {
+    return Json::UInt(n * scale);
   }
-  return Json::UInt(kib * 1024);
+  char* end = nullptr;
+  errno = 0;
+  const double d = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() && *end == '\0' && errno != ERANGE) {
+    return Json::Num(d * static_cast<double>(scale));
+  }
+  return Json::Str(text);
 }
-Json SimParams(const std::string&, const std::string&) {
-  return ToJson(SimulationSchemeParams());
-}
+
+// Lowers the text of a flag that is not a record value.
+using Lower = Json (*)(const std::string& value);
+
+Json SimParams(const std::string&) { return ToJson(SimulationSchemeParams()); }
 // --scheme spells a scheme's record name in lower case with '#' as
 // "-sharp". Other values go on to the reader, which lists the schemes.
-Json SchemeFlag(const std::string&, const std::string& value) {
+Json SchemeFlag(const std::string& value) {
   for (const Scheme scheme : kAllSchemes) {
     std::string spelling;
     for (const char* c = SchemeName(scheme); *c != '\0'; ++c) {
@@ -191,24 +188,31 @@ Json SchemeFlag(const std::string&, const std::string& value) {
   }
   return Json::Str(value);
 }
-Json SketchFlag(const std::string&, const std::string& value) {
+Json SketchFlag(const std::string& value) {
   SketchConfig sketch;
   std::string error;
-  if (!ParseSketchSpec(value, &sketch, &error)) {
+  if (!SketchConfigFromSpec(value, &sketch, &error)) {
     std::fprintf(stderr, "invalid --sketch spec: %s\n", error.c_str());
     std::exit(2);
   }
   return ToJson(sketch);
 }
 
+// How --sweep sets a flag's key: not at all, to a point's value, to a
+// whole-number point, or to a point in percent (--sweep=load:10..90:10).
+enum class Sweep { kNo, kReal, kWhole, kPercent };
+
+constexpr std::uint64_t kGbps = 1'000'000'000;  // bps per Gbit/s
+constexpr std::uint64_t kKib = 1024;
+
 struct FlagRow {
   const char* flag;
   const char* help;  // "=<arg>  what it sets", for --help
   unsigned topos;
   const char* key = nullptr;  // dotted when nested
-  Lower lower = nullptr;
-  // Swept flags: --sweep values are divided by this (load is in percent).
-  double sweep_divisor = 0;
+  Lower lower = nullptr;      // else FlagValue
+  std::uint64_t scale = 1;    // record units per flag unit
+  Sweep sweep = Sweep::kNo;
   // Lowered on `fallback_topos` when the flag is absent: the CLI's defaults
   // where they differ from the library's.
   const char* fallback = nullptr;
@@ -225,55 +229,56 @@ const FlagRow kFlags[] = {
                "droptail, ecn-sharp-inst-only,\n      ecn-sharp-pst-only",
      kAll, "scheme", SchemeFlag},
     {"workload", "=websearch|datamining  flow sizes (default websearch)",
-     kFabrics, "workload", Text},
+     kFabrics, "workload"},
     {"load", "=<load>  offered load, > 0 (default 0.5)", kFabrics, "load",
-     Number, 100},
-    {"flows", "=<n>  flow count (default 1000)", kFabrics, "flows", Count, 1,
-     "1000", kFabrics},
-    {"seed", "=<n>  RNG seed (default 1)", kAll, "seed", Count, 1},
+     nullptr, 1, Sweep::kPercent},
+    {"flows", "=<n>  flow count (default 1000)", kFabrics, "flows", nullptr, 1,
+     Sweep::kWhole, "1000", kFabrics},
+    {"seed", "=<n>  RNG seed (default 1)", kAll, "seed", nullptr, 1,
+     Sweep::kWhole},
     {"variation", "=<k>  RTT variation factor, >= 1 (default 3)", kDumbbell,
-     "rtt_variation", Number, 1},
+     "rtt_variation", nullptr, 1, Sweep::kReal},
     {"fanout", "=<n>  query flows (default 100)", kIncast, "query_flows",
-     Count, 1},
+     nullptr, 1, Sweep::kWhole},
     {"sim-params", "  the paper's simulation parameters (§5.3; the fabrics "
                    "always run them)",
-     kDumbbell, "params", SimParams, 0, "1", kLeafSpine},
-    {"k", "=<even n >= 4>  arity, k^3/4 hosts (default 8)", kFatTree, "k",
-     Count},
-    {"rate-gbps", "=<g>  link rate (default 10)", kFatTree, "rate_bps", Gbps},
+     kDumbbell, "params", SimParams, 1, Sweep::kNo, "1", kLeafSpine},
+    {"k", "=<even n >= 4>  arity, k^3/4 hosts (default 8)", kFatTree, "k"},
+    {"rate-gbps", "=<g>  link rate (default 10)", kFatTree, "rate_bps",
+     nullptr, kGbps},
     {"host-delay-us", "=<us>  host<->edge hop delay (default 10)", kFatTree,
-     "host_link_delay_us", Number},
+     "host_link_delay_us"},
     {"fabric-delay-us", "=<us>  switch<->switch hop delay (default 10)",
-     kFatTree, "fabric_link_delay_us", Number},
+     kFatTree, "fabric_link_delay_us"},
     {"inter-workload", "=websearch|datamining  cross-border flow sizes "
                        "(default datamining)",
-     kInterDc, "inter_workload", Text},
+     kInterDc, "inter_workload"},
     {"inter-fraction", "=<0..1>  share of flows crossing the border "
                        "(default 0.1)",
-     kInterDc, "inter_fraction", Number},
+     kInterDc, "inter_fraction"},
     {"border-links", "=<n >= 1>  parallel border links (default 1)", kInterDc,
-     "border_links", Count},
+     "border_links"},
     {"border-gbps", "=<g>  rate of each border link (default 10)", kInterDc,
-     "border_rate_bps", Gbps},
+     "border_rate_bps", nullptr, kGbps},
     {"border-rtt-us", "=<us>  extra round trip of each border link, in "
                       "[0, 1e7] (default 2000)",
-     kInterDc, "border_rtt_us", Number, 0, "2000", kInterDc},
+     kInterDc, "border_rtt_us", nullptr, 1, Sweep::kNo, "2000", kInterDc},
     {"scenario", "=<file.json|{inline}>  mid-run dynamics script (see "
                  "docs/extending.md);\n      such single runs also export "
                  "results/<name>.json",
      kFabrics, "scenario", ScenarioFlag},
     {"cc-mix", "=<0..1>  share of flows driven by CUBIC (default 0)",
-     kFabrics, "cc_mix", Number},
+     kFabrics, "cc_mix"},
     {"buffer-policy", "=static|dt|dt-headroom  shared buffer per switch chip "
                       "(default: none)",
-     kFabrics, "buffer_policy.kind", Text},
+     kFabrics, "buffer_policy.kind"},
     {"buffer-kb", "=<kb>  pool per chip (default: queues x per-port buffer)",
-     kFabrics, "buffer_policy.total_bytes", Kib},
+     kFabrics, "buffer_policy.total_bytes", nullptr, kKib},
     {"alpha", "=<a>  dynamic-threshold alpha (default 1)", kFabrics,
-     "buffer_policy.alpha", Number},
+     "buffer_policy.alpha"},
     {"estimator", "=oracle|sketch  source of scenario ECN# re-estimation "
                   "(default oracle)",
-     kFabrics, "estimator", Text},
+     kFabrics, "estimator"},
     {"sketch", "=<spec>  sketch telemetry of a single run: 'on' or mem:<kb>,"
                "\n      depth:<d>, epoch:<us>, window:<n>, decay:<pct>, "
                "hh:<k>, exact:on|off",
@@ -533,7 +538,7 @@ SweepAxis ParseSweepAxis(const std::string& spec) {
   SweepAxis axis;
   axis.param = spec.substr(0, colon1);
   axis.row = FindFlag(axis.param);
-  if (axis.row == nullptr || axis.row->sweep_divisor == 0) {
+  if (axis.row == nullptr || axis.row->sweep == Sweep::kNo) {
     SweepError(spec, "unknown parameter");
   }
 
@@ -556,7 +561,7 @@ SweepAxis ParseSweepAxis(const std::string& spec) {
   // The record reader checks each point's range.
   double v = start;
   for (std::size_t i = 0; i < count; ++i, v += step) {
-    if (axis.row->lower == Count &&
+    if (axis.row->sweep == Sweep::kWhole &&
         !(v >= 0 && v <= kMaxWhole && v == std::floor(v))) {
       SweepError(spec, "seed, flows and fanout must be whole numbers in "
                        "[0, 2^53]");
@@ -607,9 +612,10 @@ std::vector<GridPoint> ExpandGrid(const std::vector<SweepAxis>& axes,
         if (!point.name.empty()) point.name += ",";
         point.name += axis.param + "=" + FmtValue(v);
         SetKey(point.record, axis.row->key,
-               axis.row->lower == Count
+               axis.row->sweep == Sweep::kWhole
                    ? Json::UInt(static_cast<std::uint64_t>(v))
-                   : Json::Num(v / axis.row->sweep_divisor));
+                   : Json::Num(axis.row->sweep == Sweep::kPercent ? v / 100
+                                                                  : v));
         next.push_back(std::move(point));
       }
     }
@@ -713,11 +719,11 @@ int main(int argc, char** argv) {
   Json record = Json::Object().Set("topology", Json::Str(topo));
   for (const FlagRow& row : kFlags) {
     if (row.key == nullptr) continue;
-    if (flags.Has(row.flag)) {
-      SetKey(record, row.key, row.lower(row.flag, flags.Get(row.flag, "")));
-    } else if ((row.fallback_topos & topo_bit) != 0) {
-      SetKey(record, row.key, row.lower(row.flag, row.fallback));
-    }
+    const bool given = flags.Has(row.flag);
+    if (!given && (row.fallback_topos & topo_bit) == 0) continue;
+    const std::string text = given ? flags.Get(row.flag, "") : row.fallback;
+    SetKey(record, row.key,
+           row.lower != nullptr ? row.lower(text) : FlagValue(text, row.scale));
   }
 
   // Tracing observes a run without changing it, so it stays off the record.
@@ -726,9 +732,11 @@ int main(int argc, char** argv) {
     RejectIf(flags.Has("sweep"),
              "--trace applies to single runs, not --sweep (traces are "
              "per-run; rerun the point of interest without --sweep)");
+    // Read first: the message must see the error the reader fills.
     std::string error;
-    RejectIf(!ParseTraceSpec(flags.Get("trace", "on"), &trace, &error),
-             "invalid --trace spec: " + error);
+    const bool read = TraceConfigFromSpec(flags.Get("trace", "on"), &trace,
+                                          &error);
+    RejectIf(!read, "invalid --trace spec: " + error);
   }
   RejectIf(flags.Has("trace-out") && !flags.Has("trace"),
            "--trace-out requires --trace");
