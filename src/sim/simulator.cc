@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <utility>
 
 namespace ecnsharp {
@@ -27,15 +28,23 @@ Simulator::~Simulator() {
   for (std::uint32_t i = 0; i < pinned_count_; ++i) pinned(i).fn = nullptr;
 }
 
-void Simulator::Push(const HeapEntry& e) {
+void Simulator::Push(const Entry& e) {
   const auto abs = static_cast<std::uint64_t>(e.when.ns()) >> kWheelShift;
   const auto now_abs = static_cast<std::uint64_t>(now_.ns()) >> kWheelShift;
   if (abs - now_abs < kWheelBuckets) {
     const std::size_t idx = abs & kWheelMask;
     auto& bucket = buckets_[idx];
-    bucket.push_back(e);
-    std::push_heap(bucket.begin(), bucket.end(), Later{});
-    MarkBucket(idx);
+    if (!Bit(sorted_, idx)) {
+      bucket.push_back(e);
+      SetBit(occupancy_, idx);
+    } else {
+      // Sorted insert from the back, past the entries that run before `e`.
+      // A fresh stamp is the largest, so a same-instant push walks only
+      // past its equal-time peers.
+      auto it = bucket.end();
+      while (it != bucket.begin() && Later{}(e, *std::prev(it))) --it;
+      bucket.insert(it, e);
+    }
     ++wheel_count_;
     return;
   }
@@ -56,7 +65,7 @@ EventId Simulator::ScheduleImpl(Time when, std::uint64_t order,
   }
   Slot& s = slots_[s_idx];
   s.fn = std::move(fn);
-  Push(HeapEntry{when, order, s_idx, s.gen});
+  Push(Entry{when, order, s_idx, s.gen});
   ++live_count_;
   return EventId{PackId(s_idx, s.gen)};
 }
@@ -88,7 +97,7 @@ void Simulator::Cancel(EventId id) {
   // (and the slot possibly recycled): no-op, nothing retained.
   if (s.gen != gen) return;
   s.fn = nullptr;
-  ++s.gen;  // invalidates the heap entry and any outstanding copies of id
+  ++s.gen;  // invalidates the stored entry and any outstanding copies of id
   free_slots_.push_back(s_idx);
   --live_count_;
 }
@@ -121,7 +130,7 @@ void Simulator::SchedulePinnedAtOrdered(PinnedEventId id, Time when,
   PinnedSlot& p = pinned(id.slot);
   assert(!p.armed);
   if (when < now_) when = now_;
-  Push(HeapEntry{when, order, id.slot | kPinnedBit, p.gen});
+  Push(Entry{when, order, id.slot | kPinnedBit, p.gen});
   p.armed = true;
   ++live_count_;
 }
@@ -130,7 +139,7 @@ void Simulator::CancelPinned(PinnedEventId id) {
   if (!id.valid()) return;
   PinnedSlot& p = pinned(id.slot);
   if (!p.armed) return;
-  ++p.gen;  // stale-ifies the armed heap entry
+  ++p.gen;  // stale-ifies the armed stored entry
   p.armed = false;
   --live_count_;
 }
@@ -143,7 +152,7 @@ void Simulator::DestroyPinned(PinnedEventId id) {
   if (!id.valid()) return;
   CancelPinned(id);
   PinnedSlot& p = pinned(id.slot);
-  ++p.gen;  // belt and braces: any aliasing heap entry is stale
+  ++p.gen;  // belt and braces: any aliasing stored entry is stale
   p.fn = nullptr;
   free_pinned_.push_back(id.slot);
 }
@@ -153,9 +162,7 @@ int Simulator::FindOccupiedBucket() const {
       (static_cast<std::uint64_t>(now_.ns()) >> kWheelShift) & kWheelMask);
   // Hot case: the bucket holding Now() is occupied (dense same-instant and
   // near-instant traffic lands there).
-  if (occupancy_[start >> 6] & (1ull << (start & 63))) {
-    return static_cast<int>(start);
-  }
+  if (Bit(occupancy_, start)) return static_cast<int>(start);
   // Visit masked indices in absolute-bucket order: start..end, then the
   // wrapped prefix 0..start-1 (which holds the window's later half). Word-
   // at-a-time with a masked first word.
@@ -177,7 +184,7 @@ int Simulator::FindOccupiedBucket() const {
   return -1;
 }
 
-bool Simulator::PopNext(Time until, HeapEntry* out) {
+bool Simulator::PopNext(Time until, Entry* out) {
   for (;;) {
     // Eagerly prune cancelled far-heap tops: with live near-horizon work in
     // the buckets, a mostly-cancelled timer heap collapses here instead of
@@ -187,24 +194,35 @@ bool Simulator::PopNext(Time until, HeapEntry* out) {
       far_.pop_back();
     }
     const int b = wheel_count_ != 0 ? FindOccupiedBucket() : -1;
-    std::vector<HeapEntry>* heap = &far_;
+    std::vector<Entry>* bucket = nullptr;
     if (b >= 0) {
-      auto& bucket = buckets_[static_cast<std::size_t>(b)];
-      if (far_.empty() || Later{}(far_.front(), bucket.front())) heap = &bucket;
+      const auto idx = static_cast<std::size_t>(b);
+      bucket = &buckets_[idx];
+      if (!Bit(sorted_, idx)) {
+        std::sort(bucket->begin(), bucket->end(), Later{});
+        SetBit(sorted_, idx);
+      }
+      if (!far_.empty() && !Later{}(far_.front(), bucket->back())) {
+        bucket = nullptr;
+      }
     }
-    if (heap->empty() || heap->front().when > until) return false;
-    std::pop_heap(heap->begin(), heap->end(), Later{});
-    *out = heap->back();
-    heap->pop_back();
-    if (heap != &far_) {
+    if (bucket != nullptr) {
+      if (bucket->back().when > until) return false;
+      *out = bucket->back();
+      bucket->pop_back();
       --wheel_count_;
-      if (heap->empty()) ClearBucket(static_cast<std::size_t>(b));
+      if (bucket->empty()) ClearBucket(static_cast<std::size_t>(b));
+    } else {
+      if (far_.empty() || far_.front().when > until) return false;
+      std::pop_heap(far_.begin(), far_.end(), Later{});
+      *out = far_.back();
+      far_.pop_back();
     }
     if (EntryLive(*out)) return true;
   }
 }
 
-void Simulator::Dispatch(const HeapEntry& entry) {
+void Simulator::Dispatch(const Entry& entry) {
   now_ = entry.when;
   --live_count_;
   if ((entry.slot & kPinnedBit) == 0) {
@@ -234,13 +252,13 @@ std::size_t Simulator::pending_events() const {
 
 void Simulator::Run() {
   stopped_ = false;
-  HeapEntry e;
+  Entry e;
   while (!stopped_ && PopNext(Time::Max(), &e)) Dispatch(e);
 }
 
 void Simulator::RunUntil(Time until) {
   stopped_ = false;
-  HeapEntry e;
+  Entry e;
   while (!stopped_ && PopNext(until, &e)) Dispatch(e);
   if (!stopped_ && now_ < until) now_ = until;
 }

@@ -7,25 +7,28 @@
 // deterministic for a fixed seed.
 //
 // The pending-event store is a timing wheel in front of a binary heap. The
-// near horizon (1024 buckets of 256 ns, 262 us) holds the dense
-// packet-timescale events in per-bucket mini-heaps; anything later (RTO
-// timers, scenario actions) goes to the far heap. Both order entries by the
-// same (when, order) key and the one pop routine takes the minimum across
-// the current bucket and the far heap, so the execution sequence is exactly
-// that of a single min-heap: sift cost scales with one bucket's occupancy,
-// not the whole pending set, and cancelled far-horizon events are pruned
-// eagerly instead of rotting in the heap body. Transport timers rarely
-// cancel at all: a Timer (sim/timer.h) keeps its armed event across later
-// re-arms and reaches the engine only when its deadline moves earlier or
-// its stale event fires.
+// near horizon (1024 buckets of 64 ns, 65.5 us) holds the dense
+// packet-timescale events; anything later (RTO timers, scenario actions,
+// long delay lines) goes to the far heap. A bucket is a calendar-queue run
+// (Brown, CACM 1988): pushes append unsorted, and the first pop sorts the
+// run once by (when, order) with the minimum at the back, so draining it is
+// a pop_back; a push into an already-sorted run is a sorted insert from the
+// back. Both stores order entries by the same (when, order) key and the one
+// pop routine takes the minimum across the current bucket and the far heap,
+// so the execution sequence is exactly that of a single min-heap, and
+// cancelled far-horizon events are pruned eagerly instead of rotting in the
+// heap body. Transport timers rarely cancel at all: a Timer (sim/timer.h)
+// keeps its armed event across later re-arms and reaches the engine only
+// when its deadline moves earlier or its stale event fires.
 //
 // The hot path is allocation- and hash-free: callbacks are stored in a
-// recycled slot array, the heaps order POD entries only, and cancellation is
-// an O(1) generation-tag bump (no hash-set bookkeeping). Recurring events
-// (egress serialization, wire arrivals) can be *pinned*: the callback is
-// registered once in chunk-stable storage and re-armed per occurrence, so a
-// million packet transmissions build zero closures. Each Simulator owns its
-// storage outright: nothing is cached across instances or threads.
+// recycled slot array, the wheel and heap order POD entries only, and
+// cancellation is an O(1) generation-tag bump (no hash-set bookkeeping).
+// Recurring events (egress serialization, wire arrivals) can be *pinned*:
+// the callback is registered once in chunk-stable storage and re-armed per
+// occurrence, so a million packet transmissions build zero closures. Each
+// Simulator owns its storage outright: nothing is cached across instances
+// or threads.
 #ifndef ECNSHARP_SIM_SIMULATOR_H_
 #define ECNSHARP_SIM_SIMULATOR_H_
 
@@ -116,40 +119,42 @@ class Simulator {
   void Stop() { stopped_ = true; }
 
   std::uint64_t events_executed() const { return events_executed_; }
-  // Entries currently sitting in the heaps, including cancelled ones not yet
-  // pruned. Computed on demand (test/diagnostic use) so the hot path keeps
-  // no counter.
+  // Entries currently sitting in the wheel and the far heap, including
+  // cancelled ones not yet pruned. Computed on demand (test/diagnostic use)
+  // so the hot path keeps no counter.
   std::size_t pending_events() const;
   // Scheduled events that have neither executed nor been cancelled. Unlike
-  // pending_events() this excludes cancelled entries still in the heaps, and
+  // pending_events() this excludes cancelled entries still stored, and
   // it is the invariant the cancellation bookkeeping is bounded by.
   std::size_t live_events() const { return live_count_; }
 
  private:
-  // Heap entries are POD: the callback lives in its slot and only this
-  // 24-byte record moves during sift-up/down. `order` breaks ties FIFO. The
-  // top bit of `slot` routes the entry to the pinned-slot arena instead of
-  // the one-shot slot array.
-  struct HeapEntry {
+  // Entries are POD: the callback lives in its slot and only this 24-byte
+  // record moves during a sort, an insert or a sift. `order` breaks ties
+  // FIFO. The top bit of `slot` routes the entry to the pinned-slot arena
+  // instead of the one-shot slot array.
+  struct Entry {
     Time when;
     std::uint64_t order = 0;
     std::uint32_t slot = 0;
     std::uint32_t gen = 0;
   };
   static constexpr std::uint32_t kPinnedBit = 0x80000000u;
-  // Min-heap order: earliest time first; FIFO among equal times.
+  // `a` runs after `b`: the far heap's comparator, and the descending order
+  // that leaves a sorted bucket's minimum at its back. FIFO among equal
+  // times.
   struct Later {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.order > b.order;
     }
   };
   // A slot holds one pending one-shot callback. `gen` increments every time
-  // the slot is released (executed or cancelled); heap entries and EventIds
-  // carrying an older generation are stale. A slot in the free list
-  // therefore never matches any outstanding id. (A tag can alias only after
-  // 2^32 reuses of one slot between issuing an id and cancelling it — timers
-  // re-arm their ids long before that.)
+  // the slot is released (executed or cancelled); stored entries and
+  // EventIds carrying an older generation are stale. A slot in the free
+  // list therefore never matches any outstanding id. (A tag can alias only
+  // after 2^32 reuses of one slot between issuing an id and cancelling it —
+  // timers re-arm their ids long before that.)
   struct Slot {
     UniqueFunction<void()> fn;
     std::uint32_t gen = 0;
@@ -165,10 +170,10 @@ class Simulator {
     bool armed = false;
   };
 
-  // Near-horizon window: 1024 buckets of 256 ns cover 262 us —
-  // serialization and propagation timescales land here; protocol timers go
-  // to the far heap.
-  static constexpr int kWheelShift = 8;
+  // Near-horizon window: 1024 buckets of 64 ns cover 65.5 us —
+  // serialization and propagation timescales land here, a few events per
+  // bucket; protocol timers and longer delays go to the far heap.
+  static constexpr int kWheelShift = 6;
   static constexpr std::size_t kWheelBuckets = 1024;
   static constexpr std::size_t kWheelMask = kWheelBuckets - 1;
   static constexpr std::size_t kOccWords = kWheelBuckets / 64;
@@ -183,7 +188,7 @@ class Simulator {
   const PinnedSlot& pinned(std::uint32_t i) const {
     return pinned_chunks_[i >> kPinnedChunkShift][i & kPinnedChunkMask];
   }
-  bool EntryLive(const HeapEntry& e) const {
+  bool EntryLive(const Entry& e) const {
     return (e.slot & kPinnedBit) == 0
                ? slots_[e.slot].gen == e.gen
                : pinned(e.slot & ~kPinnedBit).gen == e.gen;
@@ -191,15 +196,20 @@ class Simulator {
 
   // Inserts an entry into the wheel (when within the near-horizon window of
   // Now()) or the far heap. `when` must be >= Now().
-  void Push(const HeapEntry& e);
+  void Push(const Entry& e);
   EventId ScheduleImpl(Time when, std::uint64_t order,
                        UniqueFunction<void()> fn);
 
-  void MarkBucket(std::size_t idx) {
-    occupancy_[idx >> 6] |= (1ull << (idx & 63));
+  static bool Bit(const std::uint64_t* words, std::size_t idx) {
+    return (words[idx >> 6] >> (idx & 63)) & 1u;
   }
+  static void SetBit(std::uint64_t* words, std::size_t idx) {
+    words[idx >> 6] |= 1ull << (idx & 63);
+  }
+  // An emptied bucket is unoccupied and, with nothing to order, unsorted.
   void ClearBucket(std::size_t idx) {
     occupancy_[idx >> 6] &= ~(1ull << (idx & 63));
+    sorted_[idx >> 6] &= ~(1ull << (idx & 63));
   }
   // First occupied masked bucket index in abs-bucket order starting at the
   // bucket holding Now(); -1 when the wheel is empty.
@@ -207,16 +217,20 @@ class Simulator {
 
   // The one pop routine behind Run and RunUntil: moves the earliest live
   // event with `when <= until` into *out, or returns false when there is
-  // none. Cancelled far-heap tops are pruned first; then the (when, order)
-  // minimum of the current bucket's raw top and the far heap's top is
-  // popped, and discarded if stale. A stale top still bounds its heap from
-  // below, so choosing by it never hides an earlier live event.
-  bool PopNext(Time until, HeapEntry* out);
-  void Dispatch(const HeapEntry& entry);
+  // none. Cancelled far-heap tops are pruned first; then the current bucket
+  // is sorted if it is not yet, and the (when, order) minimum of its back
+  // and the far heap's top is popped, and discarded if stale. A stale entry
+  // still bounds its store from below, so choosing by it never hides an
+  // earlier live event.
+  bool PopNext(Time until, Entry* out);
+  void Dispatch(const Entry& entry);
 
-  std::vector<std::vector<HeapEntry>> buckets_;  // always kWheelBuckets wide
+  // Always kWheelBuckets wide. A bucket whose sorted_ bit is set is in
+  // descending (when, order) order; otherwise it is in push order.
+  std::vector<std::vector<Entry>> buckets_;
   std::uint64_t occupancy_[kOccWords] = {};
-  std::vector<HeapEntry> far_;  // events past the wheel window
+  std::uint64_t sorted_[kOccWords] = {};
+  std::vector<Entry> far_;  // events past the wheel window
   std::size_t wheel_count_ = 0;  // entries currently in buckets_
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

@@ -13,6 +13,7 @@
 
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "sim/unique_function.h"
 
 namespace ecnsharp {
 namespace {
@@ -285,10 +286,11 @@ TEST(EventQueueTest, ReservedOrderStampInterleavesAtReservedPosition) {
 }
 
 // A seeded random schedule: one-shots that chain children at same-instant,
-// same-bucket, near-horizon (< 262 us) and far-horizon delays and cancel
-// each other, plus pinned events re-armed against stamps reserved before
-// the one-shots they schedule. Every callback draws from one generator in
-// execution order, so two runs agree only if they execute identically.
+// same-bucket, up-to-260 us (either side of the 65.5 us wheel horizon) and
+// far-horizon delays and cancel each other, plus pinned events re-armed
+// against stamps reserved before the one-shots they schedule. Every
+// callback draws from one generator in execution order, so two runs agree
+// only if they execute identically.
 class RandomSchedule {
  public:
   using Trace = std::vector<std::pair<int, std::int64_t>>;  // (label, ns)
@@ -387,6 +389,257 @@ TEST(EventQueueTest, RunAndSlicedRunUntilExecuteTheSameSchedule) {
   EXPECT_EQ(whole.sim().events_executed(), whole.trace().size());
   EXPECT_EQ(whole.sim().live_events(), 0u);
   EXPECT_EQ(sliced.sim().live_events(), 0u);
+}
+
+// The reference model: one plain binary min-heap on (when, order), with a
+// generation check on every pop, implementing the Simulator calls the
+// schedule below makes. One-shot ids are never reused; a pinned
+// registration's generation bumps on every cancel.
+class ReferenceEngine {
+ public:
+  Time Now() const { return now_; }
+  std::uint64_t ReserveOrder() { return next_order_++; }
+  EventId Schedule(Time delay, UniqueFunction<void()> fn) {
+    return ScheduleAtOrdered(now_ + delay, next_order_++, std::move(fn));
+  }
+  EventId ScheduleAtOrdered(Time when, std::uint64_t order,
+                            UniqueFunction<void()> fn) {
+    one_shots_.push_back(std::move(fn));
+    Push(when, order, one_shots_.size() - 1, false, 0);
+    return EventId{one_shots_.size()};
+  }
+  void Cancel(EventId id) {
+    if (id.valid() && one_shots_[id.seq - 1]) {
+      one_shots_[id.seq - 1] = nullptr;
+      --live_;
+    }
+  }
+  PinnedEventId CreatePinned(UniqueFunction<void()> fn) {
+    pinned_.push_back(Pinned{std::move(fn), 0, false});
+    return PinnedEventId{static_cast<std::uint32_t>(pinned_.size() - 1)};
+  }
+  void SchedulePinnedAt(PinnedEventId id, Time when) {
+    SchedulePinnedAtOrdered(id, when, next_order_++);
+  }
+  void SchedulePinnedAtOrdered(PinnedEventId id, Time when,
+                               std::uint64_t order) {
+    Pinned& p = pinned_[id.slot];
+    p.armed = true;
+    Push(when, order, id.slot, true, p.gen);
+  }
+  void CancelPinned(PinnedEventId id) {
+    Pinned& p = pinned_[id.slot];
+    if (!p.armed) return;
+    ++p.gen;
+    p.armed = false;
+    --live_;
+  }
+  bool PinnedArmed(PinnedEventId id) const { return pinned_[id.slot].armed; }
+  void DestroyPinned(PinnedEventId id) { CancelPinned(id); }
+
+  void Run() { RunUntil(Time::Max()); }
+  void RunUntil(Time until) {
+    while (!heap_.empty() && heap_.front().when <= until) {
+      std::pop_heap(heap_.begin(), heap_.end(), After);
+      const Entry e = heap_.back();
+      heap_.pop_back();
+      if (e.pinned ? pinned_[e.index].gen != e.gen : !one_shots_[e.index]) {
+        continue;  // cancelled
+      }
+      now_ = e.when;
+      --live_;
+      ++executed_;
+      if (e.pinned) {
+        pinned_[e.index].armed = false;
+        pinned_[e.index].fn();
+      } else {
+        UniqueFunction<void()> fn = std::move(one_shots_[e.index]);
+        one_shots_[e.index] = nullptr;
+        fn();
+      }
+    }
+    if (until != Time::Max() && now_ < until) now_ = until;
+  }
+  std::size_t live_events() const { return live_; }
+  std::uint64_t events_executed() const { return executed_; }
+
+ private:
+  struct Entry {
+    Time when;
+    std::uint64_t order;
+    std::size_t index;
+    bool pinned;
+    std::uint32_t gen;
+  };
+  struct Pinned {
+    UniqueFunction<void()> fn;
+    std::uint32_t gen;
+    bool armed;
+  };
+  static bool After(const Entry& a, const Entry& b) {
+    return a.when != b.when ? a.when > b.when : a.order > b.order;
+  }
+  void Push(Time when, std::uint64_t order, std::size_t index, bool pinned,
+            std::uint32_t gen) {
+    heap_.push_back(Entry{std::max(when, now_), order, index, pinned, gen});
+    std::push_heap(heap_.begin(), heap_.end(), After);
+    ++live_;
+  }
+
+  std::vector<Entry> heap_;
+  std::vector<UniqueFunction<void()>> one_shots_;
+  std::vector<Pinned> pinned_;
+  Time now_ = Time::Zero();
+  std::uint64_t next_order_ = 1;
+  std::size_t live_ = 0;
+  std::uint64_t executed_ = 0;
+};
+
+// A seeded schedule aimed at the wheel's edges, runnable on the Simulator
+// and on the reference model alike. Delays hit 0 and 63/64/65 ns (into,
+// onto and past a 64 ns bucket boundary, often the bucket being drained),
+// 65,535/65,536/65,537 ns (either side of the wheel's horizon) and the far
+// heap. Callbacks chain children, cancel one-shots, re-arm pinned events at
+// stamps reserved before the one-shots they schedule, and reserve lazy
+// stamps that a later trigger schedules at with ScheduleAtOrdered, as a
+// Timer does. Every callback draws from one generator in execution order.
+template <typename Engine>
+class EdgeSchedule {
+ public:
+  using Trace = std::vector<std::pair<int, std::int64_t>>;  // (label, ns)
+
+  EdgeSchedule() {
+    for (std::size_t i = 0; i < 3; ++i) {
+      pinned_.push_back(engine_.CreatePinned([this, i] { FirePinned(i); }));
+      engine_.SchedulePinnedAt(pinned_.back(), engine_.Now() + Delay());
+    }
+    for (int i = 0; i < 200; ++i) ScheduleOne();
+  }
+  ~EdgeSchedule() {
+    for (const PinnedEventId p : pinned_) engine_.DestroyPinned(p);
+  }
+
+  Engine& engine() { return engine_; }
+  const Trace& trace() const { return trace_; }
+
+ private:
+  std::uint64_t Draw(std::uint64_t n) {
+    rng_ = rng_ * 6364136223846793005ull + 1442695040888963407ull;
+    return (rng_ >> 33) % n;
+  }
+  Time Delay() {
+    static constexpr std::int64_t kEdges[] = {0,      63,     64,    65,
+                                              65'535, 65'536, 65'537};
+    switch (Draw(4)) {
+      case 0:
+      case 1:
+        return Time::Nanoseconds(kEdges[Draw(std::size(kEdges))]);
+      case 2:
+        return Time::Nanoseconds(static_cast<std::int64_t>(Draw(70'000)));
+      default:
+        return Time::Nanoseconds(
+            65'536 + static_cast<std::int64_t>(Draw(3'000'000)));
+    }
+  }
+  void ScheduleOne() {
+    if (budget_-- <= 0) return;
+    const int label = next_label_++;
+    ids_.push_back(engine_.Schedule(Delay(), [this, label] { Fire(label); }));
+  }
+  // A lazy stamp: reserved now for a deadline `Delay()` ahead, scheduled at
+  // by a trigger that runs at or before the deadline.
+  void ReserveLazy() {
+    if (budget_-- <= 0) return;
+    const Time deadline = engine_.Now() + Delay();
+    const std::uint64_t order = engine_.ReserveOrder();
+    const int label = next_label_++;
+    const Time lead = Time::Nanoseconds(static_cast<std::int64_t>(
+        Draw(static_cast<std::uint64_t>((deadline - engine_.Now()).ns()) + 1)));
+    engine_.Schedule(lead, [this, deadline, order, label] {
+      trace_.emplace_back(-100 - label, engine_.Now().ns());
+      ids_.push_back(engine_.ScheduleAtOrdered(
+          deadline, order, [this, label] { Fire(label); }));
+    });
+  }
+  void Fire(int label) {
+    trace_.emplace_back(label, engine_.Now().ns());
+    for (std::uint64_t n = Draw(3); n > 0; --n) ScheduleOne();
+    if (Draw(4) == 0) ReserveLazy();
+    if (Draw(4) == 0) engine_.Cancel(ids_[Draw(ids_.size())]);
+    if (Draw(8) == 0) {
+      const PinnedEventId p = pinned_[Draw(pinned_.size())];
+      if (engine_.PinnedArmed(p)) {
+        engine_.CancelPinned(p);
+      } else if (budget_ > 0) {
+        engine_.SchedulePinnedAt(p, engine_.Now() + Delay());
+      }
+    }
+  }
+  void FirePinned(std::size_t i) {
+    trace_.emplace_back(-1 - static_cast<int>(i), engine_.Now().ns());
+    if (budget_-- <= 0) return;
+    const std::uint64_t order = engine_.ReserveOrder();
+    ScheduleOne();
+    engine_.SchedulePinnedAtOrdered(pinned_[i], engine_.Now() + Delay(),
+                                    order);
+  }
+
+  Engine engine_;
+  std::uint64_t rng_ = 0x853c49e6748fea9bull;
+  int budget_ = 8000;
+  int next_label_ = 0;
+  std::vector<EventId> ids_;
+  std::vector<PinnedEventId> pinned_;
+  Trace trace_;
+};
+
+// Runs the schedule on `sim` and `ref` in the same slices, checking both
+// engines' clocks and live counts at every slice end.
+template <typename Step>
+void RunInSlices(EdgeSchedule<Simulator>& sim,
+                 EdgeSchedule<ReferenceEngine>& ref, Step step) {
+  for (std::size_t i = 0; sim.engine().live_events() > 0; ++i) {
+    const Time until = sim.engine().Now() + step(i);
+    sim.engine().RunUntil(until);
+    ref.engine().RunUntil(until);
+    ASSERT_EQ(sim.engine().Now(), ref.engine().Now());
+    ASSERT_EQ(sim.engine().live_events(), ref.engine().live_events());
+  }
+  ref.engine().Run();
+}
+
+void ExpectSameTrace(const EdgeSchedule<Simulator>::Trace& sim,
+                     const EdgeSchedule<ReferenceEngine>::Trace& ref) {
+  for (std::size_t i = 0; i < std::min(sim.size(), ref.size()); ++i) {
+    ASSERT_EQ(sim[i], ref[i]) << "event " << i << " differs";
+  }
+  ASSERT_EQ(sim.size(), ref.size());
+}
+
+TEST(EventQueueTest, WheelMatchesAReferenceHeapEventByEvent) {
+  EdgeSchedule<Simulator> whole;
+  EdgeSchedule<ReferenceEngine> whole_ref;
+  whole.engine().Run();
+  whole_ref.engine().Run();
+  EXPECT_GT(whole.trace().size(), 5000u);
+  ExpectSameTrace(whole.trace(), whole_ref.trace());
+  EXPECT_EQ(whole.engine().events_executed(),
+            whole_ref.engine().events_executed());
+  EXPECT_EQ(whole.engine().live_events(), 0u);
+
+  // Slices whose bounds fall inside a bucket that the slice has begun to
+  // drain (so sorted), on its last nanosecond, and across the horizon.
+  const Time slices[] = {Time::Nanoseconds(1),      Time::Nanoseconds(17),
+                         Time::Nanoseconds(63),     Time::Nanoseconds(64),
+                         Time::Nanoseconds(5),      Time::Nanoseconds(65'537),
+                         Time::Nanoseconds(40),     Time::Microseconds(400)};
+  EdgeSchedule<Simulator> sliced;
+  EdgeSchedule<ReferenceEngine> sliced_ref;
+  RunInSlices(sliced, sliced_ref, [&slices](std::size_t i) {
+    return slices[i % std::size(slices)];
+  });
+  ExpectSameTrace(sliced.trace(), sliced_ref.trace());
+  EXPECT_EQ(sliced.trace(), whole.trace());
 }
 
 }  // namespace

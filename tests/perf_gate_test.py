@@ -125,6 +125,49 @@ class DecideTest(unittest.TestCase):
             perf_gate.decide(BENCHMARK, runs({"fattree_k16": faster})), [])
 
 
+class SummarizeTest(unittest.TestCase):
+
+    def test_quartiles_and_wins_per_workload_and_metric(self):
+        # Five pairs of fattree_k16 runs; pair 3 ties on sim_to_wall, and
+        # the change's setup_s is lower (better) on pairs 1 and 2 only.
+        parent_speed = [1.0, 2.0, 3.0, 4.0, 5.0]
+        change_speed = [1.5, 2.5, 3.0, 3.5, 6.0]
+        parent_setup = [0.1] * 5
+        change_setup = [0.05, 0.09, 0.1, 0.2, 0.3]
+        sides = runs(pairs=5)
+        sides["fattree_k16"] = {
+            "parent": [report(sim_to_wall=v, setup_s=t)
+                       for v, t in zip(parent_speed, parent_setup)],
+            "change": [report(sim_to_wall=v, setup_s=t)
+                       for v, t in zip(change_speed, change_setup)]}
+        summary = perf_gate.summarize(BENCHMARK, sides)
+        self.assertEqual(sorted(summary), sorted(WORKLOADS))
+        speed = summary["fattree_k16"]["sim_to_wall"]
+        self.assertEqual(speed["parent"],
+                         {"q1": 2.0, "median": 3.0, "q3": 4.0})
+        self.assertEqual(speed["change"],
+                         {"q1": 2.5, "median": 3.0, "q3": 3.5})
+        self.assertEqual((speed["change_wins"], speed["pairs"]), (3, 5))
+        setup = summary["fattree_k16"]["setup_s"]
+        self.assertEqual(setup["change_wins"], 2)
+        # Identical reports tie on every pair: no side wins.
+        flat = summary["dumbbell_ws70"]["flows_completed"]
+        self.assertEqual(flat["change_wins"], 0)
+        self.assertEqual(flat["parent"], {"q1": 1.0, "median": 1.0, "q3": 1.0})
+        # A single pair's value is all three quartiles.
+        self.assertEqual(perf_gate.quartiles([7.0]),
+                         {"q1": 7.0, "median": 7.0, "q3": 7.0})
+
+    def test_wins_do_not_change_the_decision(self):
+        # The change loses every pair, within every bound: still a pass.
+        within = report(sim_to_wall=2.0 * (1 - 0.5 * bound("sim_to_wall")))
+        sides = runs({w: within for w in WORKLOADS})
+        self.assertEqual(perf_gate.decide(BENCHMARK, sides), [])
+        self.assertEqual(
+            perf_gate.summarize(BENCHMARK, sides)["fattree_k16"]
+            ["sim_to_wall"]["change_wins"], 0)
+
+
 class CommonTest(unittest.TestCase):
 
     def test_gates_only_what_both_sides_declare(self):
@@ -226,6 +269,9 @@ class MainTest(unittest.TestCase):
             self.assertEqual(
                 record["medians"]["fattree_k16"]["change"]["sim_to_wall"],
                 1.0 if slow else 2.0)
+            speed = record["summary"]["fattree_k16"]["sim_to_wall"]
+            self.assertEqual(speed["change"]["median"], 1.0 if slow else 2.0)
+            self.assertEqual((speed["change_wins"], speed["pairs"]), (0, 2))
             self.assertEqual(bool(record["failures"]), slow)
 
     def test_workload_the_parent_lacks_is_not_gated(self):

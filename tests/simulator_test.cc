@@ -281,7 +281,7 @@ using FireLog = std::vector<std::pair<std::int64_t, int>>;
 // Schedule, ScheduleAt, Cancel, destruction and re-arms from inside their
 // own callbacks, interleaved with one-shot events. Delays come from a coarse
 // grid of a few microseconds plus two far-heap values (past the wheel's
-// 262 us window), so many events tie on (when) and their order stamps decide.
+// 65.5 us window), so many events tie on (when) and their order stamps decide.
 template <typename T>
 FireLog DriveTimers(std::uint64_t seed) {
   constexpr int kTimers = 4;

@@ -33,7 +33,12 @@ bound.
 
 It exits 0 otherwise, and 2 when it cannot measure: a bad argument, a parent
 without BENCHMARK.json, or a run.py that fails or prints a malformed result.
-The last line of stdout is a JSON record of every pair and every median.
+
+Beside the decision it prints, per workload and metric, each side's
+quartiles and the number of pairs the change wins (a tie counts for neither
+side): the evidence a claimed gain needs, which the decision itself does not
+use. The last line of stdout is a JSON record of every pair, every median
+and that summary.
 """
 
 import argparse
@@ -116,6 +121,42 @@ def medians(reports, metrics):
     return {name: statistics.median(r["metrics"][name]["value"]
                                     for r in reports)
             for name in metrics}
+
+
+def quartiles(values):
+    """The (inclusive) quartiles of `values`; one value is all three."""
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def change_wins(metric, parent, change):
+    """The pairs of values on which `change` is better than `parent`, in the
+    direction `metric`'s `better` field gives; a tie is no win."""
+    sign = 1 if metric["better"] == "higher" else -1
+    return sum(1 for before, after in zip(parent, change)
+               if sign * (after - before) > 0)
+
+
+def summarize(benchmark, runs):
+    """Per workload and metric: each side's quartiles and the change's win
+    count over the pairs of `runs[workload][side]`."""
+    summary = {}
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        sides = runs[workload]
+        summary[workload] = {}
+        for metric in benchmark["end_to_end"]:
+            values = {side: [r["metrics"][metric["name"]]["value"]
+                             for r in sides[side]]
+                      for side in SIDES}
+            summary[workload][metric["name"]] = dict(
+                {side: quartiles(values[side]) for side in SIDES},
+                change_wins=change_wins(metric, values["parent"],
+                                        values["change"]),
+                pairs=len(values["change"]))
+    return summary
 
 
 def failed_share(reports):
@@ -242,16 +283,26 @@ def main(argv=None, run=run_side):
                               failed_share=failed_share(runs[w][side]))
                    for side in SIDES}
                for w in workloads}
+    spread = summarize(benchmark, runs)
     for workload in workloads:
-        for name in names + ["failed_share"]:
-            print("%-14s %-16s parent %10.4g  change %10.4g"
-                  % (workload, name, summary[workload]["parent"][name],
-                     summary[workload]["change"][name]))
+        for name in names:
+            entry = spread[workload][name]
+            print("%-14s %-16s parent %10.4g [%.4g, %.4g]  change %10.4g "
+                  "[%.4g, %.4g]  change wins %d/%d"
+                  % ((workload, name)
+                     + tuple(entry[side][q] for side in SIDES
+                             for q in ("median", "q1", "q3"))
+                     + (entry["change_wins"], entry["pairs"])))
+        print("%-14s %-16s parent %10.4g  change %10.4g"
+              % (workload, "failed_share",
+                 summary[workload]["parent"]["failed_share"],
+                 summary[workload]["change"]["failed_share"]))
     failures = decide(benchmark, runs)
     for failure in failures:
         print("FAIL " + failure)
     print(json.dumps({"seconds": seconds, "ungated": ungated, "pairs": pairs,
-                      "medians": summary, "failures": failures}), flush=True)
+                      "medians": summary, "summary": spread,
+                      "failures": failures}), flush=True)
     return 1 if failures else 0
 
 
